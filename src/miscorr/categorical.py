@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientRows, OutOfRangeCategory
+from .errors import InsufficientRows, OutOfRangeCategory, ValidationError
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,15 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset) -> ValidationRe
     errors = []
     counts = []
     for j, lk in enumerate(spec.levels):
-        cnt = np.bincount(ds.w[:, j], minlength=lk)
-        counts.append(tuple(int(c) for c in cnt[:lk]))
+        col = ds.w[:, j]
+        in_range = (col >= 0) & (col < lk)
+        if not in_range.all():
+            errors.append(f"OutOfRangeCategory(k={j})")
+        cnt = np.bincount(col[in_range], minlength=lk)
+        counts.append(tuple(int(c) for c in cnt))
         for level in range(lk):
             if cnt[level] == 0:
                 warnings.append(f"RankRisk(k={j}, level={level})")
-        if np.any((ds.w[:, j] < 0) | (ds.w[:, j] >= lk)):
-            errors.append(f"OutOfRangeCategory(k={j})")
     if ds.n < spec.n_params + 1:
         errors.append("InsufficientRows")
     return ValidationReport(
@@ -151,3 +153,6 @@ def require_fit_ready(spec: CategoricalSpec, ds: ObservedDataset) -> None:
             f"need at least {spec.n_params + 1} rows to fit {spec.n_params} "
             f"parameters, got {ds.n}"
         )
+    bad = np.nonzero(~np.isfinite(ds.y))[0]
+    if bad.size:
+        raise ValidationError(f"y is not finite at row {int(bad[0])}: {ds.y[bad[0]]}")

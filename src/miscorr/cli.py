@@ -22,13 +22,7 @@ from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NumericalError, ValidationError
 from .estimators import fit_corrected
-from .misclass import (
-    SCENARIO_THETAS,
-    estimate_marginal,
-    posterior_from,
-    posterior_rows,
-)
-from .moments import build_moment_blocks
+from .misclass import SCENARIO_THETAS, estimate_marginal
 from .simkit import (
     ScenarioConfig,
     intercept_variance_curve,
@@ -197,25 +191,22 @@ def cmd_fit(args, cfg) -> int:
     y, w, _ = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
     thetas = _load_mechanism(args, cfg, w.shape[1])
     spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
-    ps, p_residuals = _load_marginals(args, cfg, thetas, w)
     ds = ObservedDataset(y=y, w=w)
     report = validate_dataset(spec, ds)
     if not report.ok:
         raise CliError("DATA_INVALID", "; ".join(report.errors))
+    ps, p_residuals = _load_marginals(args, cfg, thetas, w)
 
-    fit = fit_corrected(spec, ds, thetas, ps)
-    var = variance_report(
-        encode_dummy(spec, w).design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w
-    )
+    bundle = encode_dummy(spec, w)
+    fit = fit_corrected(spec, ds, thetas, ps, bundle)
+    var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w)
     names = _param_names(spec)
-    naive_vals = fit.naive.gamma_star
-    corrected = np.concatenate([[fit.beta0_c], fit.beta_c])
     var_diag = np.diag(var.var_beta_c_star).copy()
     var_diag[0] = var.var_beta0_c
 
     out = _out_dir(args, cfg)
     lines = ["parameter,naive,corrected,variance"]
-    for name, nv, cv, vd in zip(names, naive_vals, corrected, var_diag):
+    for name, nv, cv, vd in zip(names, fit.naive.gamma_star, fit.beta_full, var_diag):
         lines.append(f"{name},{_fmt(nv)},{_fmt(cv)},{_fmt(vd)}")
     (out / "estimates.csv").write_text("\n".join(lines) + "\n")
 
@@ -357,20 +348,13 @@ def cmd_diagnose(args, cfg) -> int:
         )
 
     bundle = encode_dummy(spec, w)
-    blocks = build_moment_blocks(spec, thetas, ps)
-    posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    pi = posterior_rows(posteriors, w)
-    pi_star = np.hstack([np.ones((len(y), 1)), pi])
-    bias = conditional_bias(bundle.design_star, pi_star, blocks.z_star, beta_star)
+    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps, bundle)
+    pi_star = np.hstack([np.ones((len(y), 1)), fit.pi_rows])
+    bias = conditional_bias(bundle.design_star, pi_star, fit.blocks.z_star, beta_star)
 
     plugin = _resolve(args, cfg, "plugin-sigma")
-    if plugin is not None:
-        sigma2 = float(plugin) ** 2
-    else:
-        from .estimators import ols_fit
-
-        sigma2 = ols_fit(bundle.design_star, y).sigma2_w
-    var = variance_report(bundle.design_star, blocks, pi, sigma2)
+    sigma2 = fit.naive.sigma2_w if plugin is None else float(plugin) ** 2
+    var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, sigma2)
 
     names = _param_names(spec)
     lines = ["parameter,bias"]

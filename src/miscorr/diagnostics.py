@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .moments import MomentBlocks
-
-RANK_TOL = 1e-10
+from .estimators import RANK_TOL
+from .moments import MomentBlocks, _reciprocal_cond
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def variance_report(
     w_centered = w - w_bar
     a_matrix = w.T @ w_centered
     s_matrix = w_centered.T @ w_centered
-    if _rcond(a_matrix) < RANK_TOL:
+    if _reciprocal_cond(a_matrix) < RANK_TOL:
         raise RankDeficient("all observed indicator rows are identical")
     v_rows = pi_rows @ blocks.correction
 
@@ -144,10 +143,3 @@ def conditional_response_variance(
         out += quad
         off += dk
     return out
-
-
-def _rcond(mat: np.ndarray) -> float:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0:
-        return 0.0
-    return float(s[-1] / s[0])

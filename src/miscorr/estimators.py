@@ -110,6 +110,18 @@ def correct_intercept(y: np.ndarray, pi_rows: np.ndarray, beta_c: np.ndarray) ->
     return float(np.mean(y - np.asarray(pi_rows) @ np.asarray(beta_c)))
 
 
+def correct(
+    naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks
+) -> CorrectedFit:
+    """Correct a naive fit: slopes through the attenuation inverse, then the
+    intercept through the posterior rows of the same observations."""
+    beta_c = correct_slopes(naive, blocks)
+    beta0_c = correct_intercept(y, pi_rows, beta_c)
+    return CorrectedFit(
+        naive=naive, beta_c=beta_c, beta0_c=beta0_c, blocks=blocks, pi_rows=pi_rows
+    )
+
+
 def fit_corrected(
     spec: CategoricalSpec,
     ds: ObservedDataset,
@@ -117,17 +129,12 @@ def fit_corrected(
     ps: Sequence,
     bundle: DesignBundle | None = None,
 ) -> CorrectedFit:
-    """Full pipeline: encode, naive fit, moment blocks, slope and intercept
-    correction."""
+    """Full pipeline: encode (unless ``bundle`` already holds the encoded
+    ``ds.w``), naive fit, moment blocks, posterior rows, correction."""
     require_fit_ready(spec, ds)
     if bundle is None:
         bundle = encode_dummy(spec, ds.w)
     naive = ols_fit(bundle.design_star, ds.y, bundle.column_map)
     blocks = build_moment_blocks(spec, thetas, ps)
-    beta_c = correct_slopes(naive, blocks)
-    posteriors = [posterior_from(thetas[k], ps[k]) for k in range(spec.n_covariates)]
-    pi = posterior_rows(posteriors, ds.w)
-    beta0_c = correct_intercept(ds.y, pi, beta_c)
-    return CorrectedFit(
-        naive=naive, beta_c=beta_c, beta0_c=beta0_c, blocks=blocks, pi_rows=pi
-    )
+    posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
+    return correct(naive, ds.y, posterior_rows(posteriors, ds.w), blocks)

@@ -54,6 +54,8 @@ DISTORTION_LEVELS = ("low", "medium", "high")
 
 
 def _check_simplex_rows(mat: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError(f"{name} has non-finite entries")
     if np.any(mat < 0):
         raise ValidationError(f"{name} has negative entries")
     sums = mat.sum(axis=-1)

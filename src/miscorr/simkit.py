@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categorical import CategoricalSpec, encode_dummy
+from .diagnostics import conditional_response_variance, variance_report
 from .errors import RankDeficient, UndefinedScenario, ValidationError
-from .estimators import correct_intercept, correct_slopes, ols_fit
+from .estimators import CorrectedFit, correct, ols_fit
 from .misclass import (
     DISTORTION_LEVELS,
     SCENARIO_THETAS,
@@ -61,7 +62,8 @@ class ScenarioConfig:
 
     ``levels`` fixes L_k per covariate; ``None`` draws each L_k uniformly
     from {2, 3, 4} per replicate (forced to 4 under high distortion).
-    Marginals of the true categories are uniform per level.
+    Marginals of the true categories are uniform per level.  ``n_grid`` is
+    sorted and duplicate sizes are dropped.
     """
 
     distortion: str
@@ -80,7 +82,7 @@ class ScenarioConfig:
             raise ValidationError("need at least one covariate")
         if self.replicates < 1:
             raise ValidationError("need at least one replicate")
-        object.__setattr__(self, "n_grid", tuple(sorted(int(n) for n in self.n_grid)))
+        object.__setattr__(self, "n_grid", tuple(sorted({int(n) for n in self.n_grid})))
         if not self.n_grid:
             raise ValidationError("empty n grid")
         levels = self.levels
@@ -210,28 +212,35 @@ def replicate_response(
     return simulate_y(encode_dummy(spec, x).design, truth, sigma, rng)
 
 
-def _fit_methods(spec, thetas, ps, w, y):
-    """All three estimate vectors for one truncated sample."""
+def _replicate_mechanism(spec, thetas, ps, w):
+    """Encoded W, moment blocks, posteriors and posterior rows of one
+    replicate, built once at the generation size and shared by its cells."""
     bundle = encode_dummy(spec, w)
-    naive = ols_fit(bundle.design_star, y, bundle.column_map)
     blocks = build_moment_blocks(spec, thetas, ps)
-    beta_c = correct_slopes(naive, blocks)
     posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    pi = posterior_rows(posteriors, w)
-    beta0_c = correct_intercept(y, pi, beta_c)
-    return {
-        "none": naive.gamma_star.copy(),
-        "partial": np.concatenate([[naive.intercept], beta_c]),
-        "full": np.concatenate([[beta0_c], beta_c]),
-    }
+    return bundle, blocks, posteriors, posterior_rows(posteriors, w)
+
+
+def _fit_prefix(bundle, blocks, pi, y, n: int) -> CorrectedFit:
+    """ols_fit -> correct on the first n rows.  Every row of the design and
+    of the posterior rows depends on its own observation only, so this is
+    bit for bit fit_corrected on w[:n], y[:n]."""
+    naive = ols_fit(bundle.design_star[:n], y[:n], bundle.column_map)
+    return correct(naive, y[:n], pi[:n], blocks)
+
+
+def _method_estimates(fit: CorrectedFit) -> tuple[np.ndarray, ...]:
+    """Estimate vectors in METHODS order: no, partial and full correction."""
+    return fit.naive.gamma_star, fit.beta_c_star, fit.beta_full
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
     """Estimate vectors for one (n, sigma) cell of one replicate."""
     n, sigma = cell
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
+    bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
     y = replicate_response(config, replicate_id, spec, x, sigma)
-    return _fit_methods(spec, thetas, ps, w[:n], y[:n])
+    return dict(zip(METHODS, _method_estimates(_fit_prefix(bundle, blocks, pi, y, n))))
 
 
 @dataclass(frozen=True)
@@ -246,46 +255,34 @@ def intercept_variance_curve(
 ) -> list[InterceptVariancePoint]:
     """Theoretical vs empirical variance of the corrected intercept per n.
 
-    Every replicate redraws the designs and the response; the empirical
-    variance is taken across replicates, the theoretical value is the
-    closed-form conditional variance averaged over the replicate designs,
-    with the exact conditional response variance as the plug-in.
+    Every replicate draws its designs and response once and each n fits
+    their prefixes; the empirical variance is taken across replicates, the
+    theoretical value is the closed-form conditional variance averaged over
+    the replicate designs, with the exact conditional response variance as
+    the plug-in.
     """
-    from .diagnostics import conditional_response_variance, variance_report
-
     n_list = tuple(config.n_grid if n_list is None else n_list)
-    out = []
-    for n in n_list:
-        beta0_hats = []
-        theoreticals = []
-        for rep in range(config.replicates):
-            spec, thetas, ps, x, w = replicate_designs(config, rep)
-            y = replicate_response(config, rep, spec, x, sigma)
-            w_n, y_n = w[:n], y[:n]
-            bundle = encode_dummy(spec, w_n)
-            naive = ols_fit(bundle.design_star, y_n, bundle.column_map)
-            blocks = build_moment_blocks(spec, thetas, ps)
-            beta_c = correct_slopes(naive, blocks)
-            posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-            pi = posterior_rows(posteriors, w_n)
-            beta0_hats.append(correct_intercept(y_n, pi, beta_c))
-            truth = TruthSpec.default(spec.n_slopes)
+    beta0_hats = [[] for _ in n_list]
+    theoreticals = [[] for _ in n_list]
+    for rep in range(config.replicates):
+        spec, thetas, ps, x, w = replicate_designs(config, rep)
+        bundle, blocks, posteriors, pi = _replicate_mechanism(spec, thetas, ps, w)
+        y = replicate_response(config, rep, spec, x, sigma)
+        beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
+        for i, n in enumerate(n_list):
+            fit = _fit_prefix(bundle, blocks, pi, y, n)
+            beta0_hats[i].append(fit.beta0_c)
             sigma2 = float(
-                conditional_response_variance(
-                    posteriors, w_n, truth.beta_star[1:], sigma
-                ).mean()
+                conditional_response_variance(posteriors, w[:n], beta, sigma).mean()
             )
-            report = variance_report(bundle.design_star, blocks, pi, sigma2)
-            theoreticals.append(report.var_beta0_c)
-        empirical = float(np.var(beta0_hats, ddof=1))
-        out.append(
-            InterceptVariancePoint(
-                n=n,
-                theoretical=float(np.mean(theoreticals)),
-                empirical=empirical,
-            )
+            report = variance_report(bundle.design_star[:n], blocks, fit.pi_rows, sigma2)
+            theoreticals[i].append(report.var_beta0_c)
+    return [
+        InterceptVariancePoint(
+            n=n, theoretical=float(np.mean(th)), empirical=float(np.var(b0, ddof=1))
         )
-    return out
+        for n, th, b0 in zip(n_list, theoreticals, beta0_hats)
+    ]
 
 
 @dataclass(frozen=True)
@@ -322,18 +319,20 @@ class EqpTable:
 def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
     """EQP per (n, sigma, method) for one replicate, or failure markers."""
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
+    bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
     truth = TruthSpec.default(spec.n_slopes)
     out = {}
     for sigma in config.sigma_list:
         y = replicate_response(config, replicate_id, spec, x, sigma)
         for n in config.n_grid:
             try:
-                estimates = _fit_methods(spec, thetas, ps, w[:n], y[:n])
+                fit = _fit_prefix(bundle, blocks, pi, y, n)
             except RankDeficient:
                 out[(n, sigma)] = None
                 continue
             out[(n, sigma)] = {
-                method: eqp(estimates[method], truth) for method in METHODS
+                method: eqp(est, truth)
+                for method, est in zip(METHODS, _method_estimates(fit))
             }
     return out
 

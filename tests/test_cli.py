@@ -97,6 +97,29 @@ def test_fit_missing_theta_exits_2(tmp_path, capsys):
     assert err["error"] == "THETA_MISSING"
 
 
+@pytest.mark.parametrize(
+    "corrupt, code",
+    [("p_nan", "VALIDATION"), ("w_negative", "DATA_INVALID"), ("y_inf", "VALIDATION")],
+)
+def test_fit_bad_input_exits_2_with_one_json_line(tmp_path, capsys, corrupt, code):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    if corrupt == "p_nan":
+        p_path.write_text("nan,0.5\n")
+    else:
+        rows = data.read_text().splitlines()
+        yv, wv = rows[5].split(",")
+        rows[5] = f"{yv},-1" if corrupt == "w_negative" else f"inf,{wv}"
+        data.write_text("\n".join(rows) + "\n")
+    rc = main([
+        "fit", "--data", str(data), "--theta", str(theta_path),
+        "--p", str(p_path), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == code
+
+
 def test_fit_labels_sidecar(tmp_path):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, np.eye(2), n=60)
     # rewrite the data file with string labels and add the sidecar

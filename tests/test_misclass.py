@@ -52,6 +52,16 @@ def test_theta_validation():
         posterior_from(np.array([[-0.1, 1.1], [0.5, 0.5]]), UNIFORM2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_or_p_is_rejected(bad):
+    theta = LOW2.copy()
+    theta[0, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        posterior_from(theta, UNIFORM2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        posterior_from(LOW2, [bad, 0.5])
+
+
 @st.composite
 def _theta_and_p(draw, max_levels=4):
     lk = draw(st.integers(min_value=2, max_value=max_levels))

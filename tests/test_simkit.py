@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from miscorr.categorical import CategoricalSpec, encode_dummy
-from miscorr.errors import UndefinedScenario, ValidationError
+from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
+from miscorr.errors import (
+    InsufficientRows,
+    RankDeficient,
+    UndefinedScenario,
+    ValidationError,
+)
+from miscorr.estimators import fit_corrected
 from miscorr.misclass import scenario_theta
 from miscorr.simkit import (
     METHODS,
@@ -11,6 +17,7 @@ from miscorr.simkit import (
     TruthSpec,
     eqp,
     replicate_designs,
+    replicate_response,
     run_grid,
     run_replicate,
     simulate_w,
@@ -148,6 +155,48 @@ def test_nested_samples_are_prefixes():
     assert x.shape[0] == 500
     # any truncation is a prefix by construction
     np.testing.assert_array_equal(w[:200], w[:500][:200])
+
+
+def test_grid_cells_are_exact_prefix_fits():
+    # K=3 random levels: at n=8 and n=12 some replicates have too few rows
+    # or a level missing from the prefix, so the rank guard fires there
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=3, levels=None,
+        n_grid=(8, 12, 50), sigma_list=(0.2, 1.0), replicates=6, master_seed=21,
+    )
+    failures = {}
+    for rep in range(cfg.replicates):
+        spec, thetas, ps, x, w = replicate_designs(cfg, rep)
+        for sigma in cfg.sigma_list:
+            y = replicate_response(cfg, rep, spec, x, sigma)
+            for n in cfg.n_grid:
+                try:
+                    fresh = fit_corrected(
+                        spec, ObservedDataset(y=y[:n], w=w[:n]), thetas, ps
+                    )
+                except (RankDeficient, InsufficientRows):
+                    failures[(n, sigma)] = failures.get((n, sigma), 0) + 1
+                    with pytest.raises(RankDeficient):
+                        run_replicate(cfg, (n, sigma), rep)
+                    continue
+                est = run_replicate(cfg, (n, sigma), rep)
+                for method, vec in zip(
+                    METHODS, (fresh.naive.gamma_star, fresh.beta_c_star, fresh.beta_full)
+                ):
+                    assert np.array_equal(est[method], vec)
+    assert failures.get((8, 0.2)) and failures.get((12, 0.2))
+    assert (50, 0.2) not in failures
+    for r in run_grid(cfg).records:
+        assert r.failures == failures.get((r.n, r.sigma), 0)
+
+
+def test_duplicate_n_values_are_dropped():
+    cfg = ScenarioConfig(
+        distortion="low", levels=(2,), n_grid=(50, 50, 100),
+        sigma_list=(0.1,), replicates=2, master_seed=12,
+    )
+    assert cfg.n_grid == (50, 100)
+    assert len(run_grid(cfg).records) == 2 * 3
 
 
 def test_run_grid_record_cardinality():
