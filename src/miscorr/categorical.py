@@ -45,11 +45,10 @@ class CategoricalSpec:
 
 @dataclass(frozen=True)
 class ObservedDataset:
-    """Response y plus observed categories w (and true categories x if known)."""
+    """Response y plus observed categories w."""
 
     y: np.ndarray
     w: np.ndarray
-    x: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
@@ -58,15 +57,8 @@ class ObservedDataset:
             w = w[:, None]
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
-        if self.x is not None:
-            x = np.asarray(self.x, dtype=int)
-            if x.ndim == 1:
-                x = x[:, None]
-            object.__setattr__(self, "x", x)
         if len(y) != w.shape[0]:
             raise ValueError("y and w row counts differ")
-        if self.x is not None and self.x.shape != w.shape:
-            raise ValueError("x and w shapes differ")
 
     @property
     def n(self) -> int:

@@ -8,10 +8,13 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
+import re
 import sys
+import warnings
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NumericalError, ValidationError
 from .estimators import fit_corrected
-from .misclass import SCENARIO_THETAS, estimate_marginal
+from .misclass import SCENARIO_THETAS, check_theta, estimate_marginal
 from .simkit import (
     ScenarioConfig,
     intercept_variance_curve,
@@ -32,6 +35,8 @@ from .simkit import (
 )
 
 FMT = "%.17g"  # round-trips IEEE doubles
+# On the data path an overflow is a numerical failure (exit 3), not an inf output.
+_STRICT_FLOATS = np.errstate(over="raise", invalid="raise")
 
 
 class CliError(ValidationError):
@@ -40,133 +45,171 @@ class CliError(ValidationError):
         super().__init__(message)
 
 
-def _fmt(x: float) -> str:
-    return FMT % x
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Rows of a label then numbers, written to round-trip; None is empty."""
+    cell = lambda v: v if isinstance(v, str) else "" if v is None else FMT % v  # noqa: E731
+    path.write_text("\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n")
+
+
+def _open(path: str, code: str):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise CliError(code, f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_json(path, missing: str, invalid: str):
+    with _open(path, missing) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise CliError(invalid, f"bad JSON in {path}: {exc}") from exc
 
 
 def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError("CONFIG_MISSING", f"config file not found: {path}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError("CONFIG_INVALID", f"bad JSON in {path}: {exc}") from exc
+    cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
+    if not isinstance(cfg, dict):
+        raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
+    return cfg
 
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
+    """The flag, else the config value, else ``default``; null counts as unset."""
+    for val in (getattr(args, key.replace("-", "_"), None), cfg.get(key)):
+        if val is not None:
+            return val
     return default
 
 
+def _int(value) -> int:
+    """int() that refuses to truncate a non-integral number."""
+    if not isinstance(value, str) and int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _tuple_of(kind, value) -> tuple:
+    """A comma-separated string, a list or a single value, parsed by ``kind``."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(map(kind, value if isinstance(value, (list, tuple)) else [value]))
+
+
+def _value(args, cfg, key: str, kind, default=None):
+    """A flag or config value parsed by ``kind``; one it rejects is CONFIG_INVALID."""
+    val = _resolve(args, cfg, key, default)
+    try:
+        return None if val is None else kind(val)
+    except (TypeError, ValueError) as exc:
+        raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
+
+
+def _loadtxt(path: str, lines, names=(), labels=(), **kwargs) -> np.ndarray:
+    """The one CSV parser: '#' is data (labels may hold it), fields may be
+    double-quoted, and a parse error is DATA_INVALID naming the data row."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
+            return np.loadtxt(
+                lines, delimiter=",", comments=None, quotechar='"', ndmin=2, **kwargs
+            )
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise _parse_error(path, names, labels, exc) from exc
+
+
+def _parse_error(path: str, names, labels, exc: ValueError) -> CliError:
+    """Restate a np.loadtxt error (its conversion errors count rows from 0)."""
+    msg = str(exc)
+    if m := re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", msg):
+        col = int(m[3])
+        name = names[col - 1] if col <= len(names) else col
+        what = "is not in labels.json" if name in labels else "is not a number"
+        msg = f"data row {int(m[2]) + 1}, column {name}: {m[1]} {what}"
+    elif m := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", msg):
+        msg = f"data row {m[3]} has {m[2]} columns, not {m[1]} like the rows above it"
+    elif names and "number of fields" in msg:  # a label column past row 1's end
+        msg = "data row 1 does not match the header"
+    return CliError("DATA_INVALID", f"{path}: {msg}")
+
+
 def _read_matrix(path: str, code: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(code, f"file not found: {path}")
-    rows = []
-    with open(p, newline="") as fh:
-        for row in csv.reader(fh):
-            row = [c for c in row if c.strip() != ""]
-            if row:
-                rows.append([float(c) for c in row])
-    if not rows:
+    with _open(path, code) as fh:
+        table = _loadtxt(path, fh, dtype=float)
+    if table.size == 0:
         raise CliError(code, f"empty file: {path}")
-    return np.array(rows)
+    return table
 
 
-def _read_vector(path: str, code: str) -> np.ndarray:
-    return _read_matrix(path, code).ravel()
-
-
-def _load_labels(data_path: str) -> dict | None:
+def _load_labels(data_path: str) -> dict:
+    """The labels.json sidecar: column name -> its labels in category order."""
     sidecar = Path(data_path).with_name("labels.json")
-    if sidecar.exists():
-        return json.loads(sidecar.read_text())
-    return None
+    if not sidecar.exists():
+        return {}
+    labels = _read_json(sidecar, "DATA_INVALID", "DATA_INVALID")
+    if not isinstance(labels, dict) or not all(
+        isinstance(v, list) and all(isinstance(s, str) for s in v) and len(set(v)) == len(v)
+        for v in labels.values()
+    ):
+        raise CliError("DATA_INVALID", f"{sidecar}: expected {{column: [distinct labels]}}")
+    return labels
 
 
-def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    p = Path(path)
-    if not p.exists():
-        raise CliError("DATA_MISSING", f"data file not found: {path}")
+def _label_converter(labels: list[str]):
+    index = {label: i for i, label in enumerate(labels)}
+    return lambda cell: index[cell.strip()]
+
+
+def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """y and the n x K integer categories of a CSV with header y,w1..wK.
+    Columns named in labels.json hold labels, the others integral numbers."""
     labels = _load_labels(path)
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip().lower() != "y":
-            raise CliError("DATA_INVALID", "expected header y,w1..wK")
-        wcols = [h.strip() for h in header[1:]]
-        y = []
-        w = []
-        for row in reader:
-            if not row:
-                continue
-            y.append(float(row[0]))
-            cats = []
-            for name, cell in zip(wcols, row[1:]):
-                cell = cell.strip()
-                if labels and name in labels:
-                    try:
-                        cats.append(labels[name].index(cell))
-                    except ValueError as exc:
-                        raise CliError(
-                            "DATA_INVALID", f"unknown label {cell!r} in column {name}"
-                        ) from exc
-                else:
-                    cats.append(int(float(cell)))
-            w.append(cats)
-    if not y:
+    with _open(path, "DATA_MISSING") as fh:
+        names = [h.strip() for h in _loadtxt(path, islice(fh, 1), dtype=str).ravel()]
+        if len(names) < 2 or names[0].lower() != "y":
+            raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
+        converters = {
+            j: _label_converter(labels[name])
+            for j, name in enumerate(names)
+            if j and name in labels
+        }
+        table = _loadtxt(path, fh, names, labels, dtype=float, converters=converters)
+    if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
-    return np.array(y), np.array(w, dtype=int), wcols
-
-
-def _split_paths(value: str) -> list[str]:
-    return [v for v in value.split(",") if v]
-
-
-def _load_mechanism(args, cfg, n_covariates: int):
-    theta_arg = _resolve(args, cfg, "theta")
-    if not theta_arg:
-        raise CliError("THETA_MISSING", "at least one theta matrix is required")
-    theta_paths = _split_paths(theta_arg)
-    if len(theta_paths) == 1 and n_covariates > 1:
-        theta_paths = theta_paths * n_covariates
-    if len(theta_paths) != n_covariates:
+    if table.shape[1] != len(names):
+        raise CliError("DATA_INVALID", f"{path}: data row 1 does not match the header")
+    w = table[:, 1:]
+    bad = np.argwhere(~((w == np.round(w)) & (np.abs(w) <= 2**53)))  # exact int cast
+    if len(bad):
+        i, j = bad[0]
         raise CliError(
-            "THETA_MISSING",
-            f"need {n_covariates} theta matrices, got {len(theta_paths)}",
+            "DATA_INVALID",
+            f"{path}: data row {i + 1}, column {names[j + 1]}: "
+            f"{float(w[i, j])!r} is not an integer",
         )
-    thetas = [_read_matrix(tp, "THETA_MISSING") for tp in theta_paths]
-    return thetas
+    return table[:, 0], w.astype(int)
 
 
-def _load_marginals(args, cfg, thetas, w: np.ndarray):
-    p_arg = _resolve(args, cfg, "p")
-    estimate = bool(_resolve(args, cfg, "estimate-p", False))
-    if p_arg:
-        p_paths = _split_paths(p_arg)
-        if len(p_paths) == 1 and len(thetas) > 1:
-            p_paths = p_paths * len(thetas)
-        if len(p_paths) != len(thetas):
-            raise CliError("P_MISSING", "marginal file count does not match thetas")
-        return [_read_vector(pp, "P_MISSING") for pp in p_paths], {}
-    if estimate:
-        ps = []
-        residuals = {}
-        for k, theta in enumerate(thetas):
-            freq = np.bincount(w[:, k], minlength=theta.shape[0]).astype(float)
-            freq /= freq.sum()
-            p, resid = estimate_marginal(theta, freq)
-            ps.append(p)
-            residuals[f"w{k + 1}"] = resid
-        return ps, residuals
-    raise CliError("P_MISSING", "supply --p files or --estimate-p")
+def _paths(args, cfg, key: str, k: int, code: str) -> list[str]:
+    """One file per covariate, or one file shared by all of them."""
+    paths = [v for v in _value(args, cfg, key, partial(_tuple_of, str), ()) if v]
+    if len(paths) == 1:
+        paths *= k
+    if len(paths) != k:
+        raise CliError(code, f"need {k} --{key} files, got {len(paths)}")
+    return paths
+
+
+def _load_marginals(args, cfg, thetas, level_counts):
+    if _resolve(args, cfg, "p"):
+        paths = _paths(args, cfg, "p", len(thetas), "P_MISSING")
+        return [_read_matrix(path, "P_MISSING").ravel() for path in paths], {}
+    if not _resolve(args, cfg, "estimate-p", False):
+        raise CliError("P_MISSING", "supply --p files or --estimate-p")
+    ps, residuals = [], {}
+    for k, (theta, counts) in enumerate(zip(thetas, level_counts)):
+        p, residuals[f"w{k + 1}"] = estimate_marginal(theta, np.array(counts) / sum(counts))
+        ps.append(p)
+    return ps, residuals
 
 
 def _out_dir(args, cfg) -> Path:
@@ -187,28 +230,32 @@ def _param_names(spec: CategoricalSpec) -> list[str]:
     return names
 
 
-def cmd_fit(args, cfg) -> int:
-    y, w, _ = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
-    thetas = _load_mechanism(args, cfg, w.shape[1])
+def _load_and_fit(args, cfg):
+    """The input boundary shared by fit and diagnose: read the dataset and
+    its mechanism files, validate, then encode and correct."""
+    y, w = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
+    paths = _paths(args, cfg, "theta", w.shape[1], "THETA_MISSING")
+    thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
     spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
     ds = ObservedDataset(y=y, w=w)
     report = validate_dataset(spec, ds)
     if not report.ok:
         raise CliError("DATA_INVALID", "; ".join(report.errors))
-    ps, p_residuals = _load_marginals(args, cfg, thetas, w)
-
+    ps, p_residuals = _load_marginals(args, cfg, thetas, report.level_counts)
     bundle = encode_dummy(spec, w)
     fit = fit_corrected(spec, ds, thetas, ps, bundle)
+    return spec, ds, report, p_residuals, bundle, fit
+
+
+@_STRICT_FLOATS
+def cmd_fit(args, cfg) -> int:
+    spec, ds, report, p_residuals, bundle, fit = _load_and_fit(args, cfg)
     var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w)
-    names = _param_names(spec)
-    var_diag = np.diag(var.var_beta_c_star).copy()
-    var_diag[0] = var.var_beta0_c
+    var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
     out = _out_dir(args, cfg)
-    lines = ["parameter,naive,corrected,variance"]
-    for name, nv, cv, vd in zip(names, fit.naive.gamma_star, fit.beta_full, var_diag):
-        lines.append(f"{name},{_fmt(nv)},{_fmt(cv)},{_fmt(vd)}")
-    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    rows = zip(_param_names(spec), fit.naive.gamma_star, fit.beta_full, var_diag)
+    _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
         "n": ds.n,
@@ -232,40 +279,24 @@ def _require(args, cfg, key, code):
 
 
 def _scenario_config_from(args, cfg) -> ScenarioConfig:
-    levels_arg = _resolve(args, cfg, "levels", "random")
-    if isinstance(levels_arg, str) and levels_arg != "random":
-        levels = tuple(int(v) for v in levels_arg.split(","))
-    elif isinstance(levels_arg, (list, tuple)):
-        levels = tuple(int(v) for v in levels_arg)
-    elif isinstance(levels_arg, int):
-        levels = (levels_arg,)
-    else:
-        levels = None
-    n_grid = _resolve(args, cfg, "n-grid")
-    if isinstance(n_grid, str):
-        n_grid = [int(v) for v in n_grid.split(",")]
-    sigmas = _resolve(args, cfg, "sigmas")
-    if isinstance(sigmas, str):
-        sigmas = [float(v) for v in sigmas.split(",")]
-    kwargs = dict(
+    ints, floats = partial(_tuple_of, _int), partial(_tuple_of, float)
+    levels = None
+    if _resolve(args, cfg, "levels", "random") != "random":
+        levels = _value(args, cfg, "levels", ints)
+    return ScenarioConfig(
         distortion=_require(args, cfg, "scenario", "SCENARIO_MISSING"),
-        n_covariates=int(_resolve(args, cfg, "k", 1)),
+        n_covariates=_value(args, cfg, "k", _int, 1),
         levels=levels,
-        replicates=int(_resolve(args, cfg, "replicates", 300)),
-        master_seed=int(_resolve(args, cfg, "seed", 0)),
+        n_grid=_value(args, cfg, "n-grid", ints) or ScenarioConfig.n_grid,
+        sigma_list=_value(args, cfg, "sigmas", floats) or ScenarioConfig.sigma_list,
+        replicates=_value(args, cfg, "replicates", _int, 300),
+        master_seed=_value(args, cfg, "seed", _int, 0),
     )
-    if n_grid:
-        kwargs["n_grid"] = tuple(n_grid)
-    if sigmas:
-        kwargs["sigma_list"] = tuple(sigmas)
-    return ScenarioConfig(**kwargs)
 
 
 def _threads(args, cfg) -> int:
-    val = _resolve(args, cfg, "threads")
-    if val is None:
-        val = os.environ.get("MISCORR_THREADS", 1)
-    return max(1, int(val))
+    env = os.environ.get("MISCORR_THREADS", 1)
+    return max(1, _value(args, cfg, "threads", _int, env))
 
 
 def _dump_data(config: ScenarioConfig, out: Path) -> None:
@@ -276,15 +307,13 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
     for k, (theta, p) in enumerate(zip(thetas, ps)):
         np.savetxt(out / f"theta_w{k + 1}.csv", theta, delimiter=",", fmt=FMT)
         np.savetxt(out / f"p_w{k + 1}.csv", p[None, :], delimiter=",", fmt=FMT)
+    header = "y," + ",".join(f"w{k + 1}" for k in range(spec.n_covariates))
+    fmt = [FMT] + ["%d"] * spec.n_covariates
     for sigma in config.sigma_list:
         y = replicate_response(config, 0, spec, x, sigma)
-        header = "y," + ",".join(f"w{k + 1}" for k in range(spec.n_covariates))
-        lines = [header]
-        for i in range(n):
-            lines.append(
-                _fmt(y[i]) + "," + ",".join(str(int(v)) for v in w[i])
-            )
-        (out / f"data_sigma{sigma:g}.csv").write_text("\n".join(lines) + "\n")
+        table = np.column_stack([y[:n], w[:n]])
+        np.savetxt(out / f"data_sigma{sigma:g}.csv", table, delimiter=",", fmt=fmt,
+                   header=header, comments="")
 
 
 def cmd_simulate(args, cfg) -> int:
@@ -332,56 +361,42 @@ def cmd_diagnose(args, cfg) -> int:
     out = _out_dir(args, cfg)
     if _resolve(args, cfg, "variance-sim", False):
         return _cmd_diagnose_variance_sim(args, cfg, out)
+    return _cmd_diagnose_bias(args, cfg, out)
 
-    y, w, _ = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
-    thetas = _load_mechanism(args, cfg, w.shape[1])
-    spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
-    ps, _ = _load_marginals(args, cfg, thetas, w)
-    truth_path = _resolve(args, cfg, "truth")
-    if not truth_path:
-        raise CliError("TRUTH_REQUIRED", "bias diagnostics need a --truth file")
-    beta_star = _read_vector(truth_path, "TRUTH_REQUIRED")
+
+@_STRICT_FLOATS
+def _cmd_diagnose_bias(args, cfg, out: Path) -> int:
+    truth_path = _require(args, cfg, "truth", "TRUTH_REQUIRED")
+    spec, ds, _, _, bundle, fit = _load_and_fit(args, cfg)
+    beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
     if len(beta_star) != spec.n_params:
         raise CliError(
             "TRUTH_REQUIRED",
             f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
         )
-
-    bundle = encode_dummy(spec, w)
-    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps, bundle)
-    pi_star = np.hstack([np.ones((len(y), 1)), fit.pi_rows])
+    pi_star = np.hstack([np.ones((ds.n, 1)), fit.pi_rows])
     bias = conditional_bias(bundle.design_star, pi_star, fit.blocks.z_star, beta_star)
 
-    plugin = _resolve(args, cfg, "plugin-sigma")
-    sigma2 = fit.naive.sigma2_w if plugin is None else float(plugin) ** 2
+    plugin = _value(args, cfg, "plugin-sigma", float)
+    sigma2 = fit.naive.sigma2_w if plugin is None else plugin**2
     var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, sigma2)
 
     names = _param_names(spec)
-    lines = ["parameter,bias"]
-    for name, b in zip(names, bias.b_star):
-        lines.append(f"{name},{_fmt(b)}")
-    lines.append(f"intercept_corrected,{_fmt(bias.b0)}")
-    (out / "bias.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["parameter,var_naive,var_corrected"]
-    for i, name in enumerate(names):
-        lines.append(
-            f"{name},{_fmt(var.var_gamma_star[i, i])},{_fmt(var.var_beta_c_star[i, i])}"
-        )
-    lines.append(f"intercept_corrected,,{_fmt(var.var_beta0_c)}")
-    (out / "variance.csv").write_text("\n".join(lines) + "\n")
+    rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
+    _write_csv(out / "bias.csv", "parameter,bias", rows)
+    rows = zip(names, np.diag(var.var_gamma_star), np.diag(var.var_beta_c_star))
+    rows = [*rows, ("intercept_corrected", None, var.var_beta0_c)]
+    _write_csv(out / "variance.csv", "parameter,var_naive,var_corrected", rows)
     _echo_config(out, {"command": "diagnose", "sigma2": sigma2})
     return 0
 
 
 def _cmd_diagnose_variance_sim(args, cfg, out: Path) -> int:
     config = _scenario_config_from(args, cfg)
-    sigma = float(_resolve(args, cfg, "sigma", 0.2))
+    sigma = _value(args, cfg, "sigma", float, 0.2)
     points = intercept_variance_curve(config, sigma)
-    lines = ["n,theoretical,empirical"]
-    for pt in points:
-        lines.append(f"{pt.n},{_fmt(pt.theoretical)},{_fmt(pt.empirical)}")
-    (out / "intercept_variance.csv").write_text("\n".join(lines) + "\n")
+    rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
+    _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
     series = {
         "theoretical": [(p.n, p.theoretical) for p in points],
         "empirical": [(p.n, p.empirical) for p in points],
@@ -426,53 +441,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--out", help="output directory (default: .)")
+    switch = dict(action="store_const", const=True, default=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override")
+    common.add_argument("--out", help="output directory (default: .)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="CSV with header y,w1..wK")
+    data.add_argument("--theta", help="comma-separated theta CSV files, one per covariate")
+    data.add_argument("--p", help="comma-separated marginal CSV files")
+    data.add_argument("--estimate-p", **switch)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--scenario", choices=["low", "medium", "high"])
+    grid.add_argument("--k", type=int, help="number of covariates")
+    grid.add_argument("--levels", help="comma-separated L_k values or 'random'")
+    grid.add_argument("--n-grid", help="comma-separated sample sizes")
+    grid.add_argument("--replicates", type=int)
+    grid.add_argument("--seed", type=int)
 
-    p_fit = sub.add_parser("fit", help="fit and correct estimates from a dataset")
-    common(p_fit)
-    p_fit.add_argument("--data", help="CSV with header y,w1..wK")
-    p_fit.add_argument("--theta", help="comma-separated theta CSV files, one per covariate")
-    p_fit.add_argument("--p", help="comma-separated marginal CSV files")
-    p_fit.add_argument("--estimate-p", action="store_const", const=True, default=None)
-    p_fit.set_defaults(func=cmd_fit)
+    sub.add_parser(
+        "fit", parents=[common, data], help="fit and correct estimates from a dataset"
+    ).set_defaults(func=cmd_fit)
 
-    p_sim = sub.add_parser("simulate", help="run the simulation study grid")
-    common(p_sim)
-    p_sim.add_argument("--scenario", choices=["low", "medium", "high"])
-    p_sim.add_argument("--k", type=int, help="number of covariates")
-    p_sim.add_argument("--levels", help="comma-separated L_k values or 'random'")
-    p_sim.add_argument("--n-grid", help="comma-separated sample sizes")
+    p_sim = sub.add_parser(
+        "simulate", parents=[common, grid], help="run the simulation study grid"
+    )
     p_sim.add_argument("--sigmas", help="comma-separated noise standard deviations")
-    p_sim.add_argument("--replicates", type=int)
-    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--threads", type=int)
-    p_sim.add_argument("--dump-data", action="store_const", const=True, default=None)
+    p_sim.add_argument("--dump-data", **switch)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_diag = sub.add_parser("diagnose", help="bias and variance diagnostics")
-    common(p_diag)
-    p_diag.add_argument("--data")
-    p_diag.add_argument("--theta")
-    p_diag.add_argument("--p")
-    p_diag.add_argument("--estimate-p", action="store_const", const=True, default=None)
+    p_diag = sub.add_parser(
+        "diagnose", parents=[common, data, grid], help="bias and variance diagnostics"
+    )
     p_diag.add_argument("--truth", help="CSV with the true parameter vector")
     p_diag.add_argument("--plugin-sigma", type=float, help="known noise sd to plug in")
     p_diag.add_argument(
         "--variance-sim",
-        action="store_const",
-        const=True,
-        default=None,
         help="compare theoretical vs empirical intercept variance per n",
+        **switch,
     )
-    p_diag.add_argument("--scenario", choices=["low", "medium", "high"])
-    p_diag.add_argument("--k", type=int)
-    p_diag.add_argument("--levels")
-    p_diag.add_argument("--n-grid")
     p_diag.add_argument("--sigma", type=float)
-    p_diag.add_argument("--replicates", type=int)
-    p_diag.add_argument("--seed", type=int)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_tab = sub.add_parser("scenario-tables", help="print the theta presets as CSV")
@@ -486,7 +494,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config_file(getattr(args, "config", None))
         return args.func(args, cfg)
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _emit_error(exc)
         return 3
     except MiscorrError as exc:
@@ -494,8 +502,8 @@ def main(argv=None) -> int:
         return 2
 
 
-def _emit_error(exc: MiscorrError) -> None:
-    code = getattr(exc, "code", "ERROR")
+def _emit_error(exc: MiscorrError | FloatingPointError) -> None:
+    code = getattr(exc, "code", NumericalError.code)
     sys.stderr.write(json.dumps({"error": code, "message": str(exc)}) + "\n")
 
 

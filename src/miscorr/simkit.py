@@ -63,7 +63,8 @@ class ScenarioConfig:
     ``levels`` fixes L_k per covariate; ``None`` draws each L_k uniformly
     from {2, 3, 4} per replicate (forced to 4 under high distortion).
     Marginals of the true categories are uniform per level.  ``n_grid`` is
-    sorted and duplicate sizes are dropped.
+    sorted and duplicate sizes are dropped.  Each sigma seeds its own y
+    stream, so sigmas that ``_sigma_key`` cannot tell apart are refused.
     """
 
     distortion: str
@@ -85,6 +86,8 @@ class ScenarioConfig:
         object.__setattr__(self, "n_grid", tuple(sorted({int(n) for n in self.n_grid})))
         if not self.n_grid:
             raise ValidationError("empty n grid")
+        if self.n_grid[0] < 1:
+            raise ValidationError(f"sample sizes must be at least 1, got {self.n_grid[0]}")
         levels = self.levels
         if levels is not None:
             levels = tuple(int(lk) for lk in levels)
@@ -92,32 +95,28 @@ class ScenarioConfig:
                 levels = levels * self.n_covariates
             if len(levels) != self.n_covariates:
                 raise ValidationError("levels length does not match covariate count")
-        if self.distortion == "high":
-            if levels is None:
-                levels = (4,) * self.n_covariates
-            elif any(lk != 4 for lk in levels):
-                bad = next(lk for lk in levels if lk != 4)
-                raise UndefinedScenario("high", bad)
-        elif levels is not None:
-            for lk in levels:
-                if (self.distortion, lk) not in _defined_levels():
-                    raise UndefinedScenario(self.distortion, lk)
+        if self.distortion == "high" and levels is None:
+            levels = (4,) * self.n_covariates
+        for lk in levels or ():
+            if (self.distortion, lk) not in SCENARIO_THETAS:
+                raise UndefinedScenario(self.distortion, lk)
         object.__setattr__(self, "levels", levels)
         sigmas = tuple(float(s) for s in self.sigma_list)
+        if not all(math.isfinite(s) and s > 0 for s in sigmas):
+            raise ValidationError(f"sigma values must be finite and positive: {sigmas}")
         if self.distortion == "high":
             sigmas = tuple(s for s in sigmas if s in HIGH_DISTORTION_SIGMAS)
         if not sigmas:
             raise ValidationError("no usable sigma values for this scenario")
+        keys = [_sigma_key(s) for s in sigmas]
+        if len(set(keys)) < len(keys):
+            raise ValidationError(f"sigmas {sigmas} collide after rounding to 1e-6")
         object.__setattr__(self, "sigma_list", sigmas)
 
     @property
     def n_gen(self) -> int:
         """Designs are generated at this size and truncated per cell."""
         return max(500, max(self.n_grid))
-
-
-def _defined_levels():
-    return set(SCENARIO_THETAS)
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:

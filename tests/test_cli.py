@@ -1,8 +1,13 @@
 import csv
+import io
 import json
+import warnings
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.cli import main
@@ -97,45 +102,134 @@ def test_fit_missing_theta_exits_2(tmp_path, capsys):
     assert err["error"] == "THETA_MISSING"
 
 
+# Row 5 of the fixture rewritten from its y and w cells.
+ROW5 = {
+    "w_negative": "{y},-1",
+    "y_inf": "inf,{w}",
+    "w_fraction": "{y},0.5",
+    "w_text": "{y},one",
+    "ragged": "{y},{w},{w}",
+    "label_unknown": "{y},maybe",
+}
+
+
 @pytest.mark.parametrize(
     "corrupt, code",
-    [("p_nan", "VALIDATION"), ("w_negative", "DATA_INVALID"), ("y_inf", "VALIDATION")],
+    [
+        ("p_nan", "VALIDATION"),
+        ("w_negative", "DATA_INVALID"),
+        ("y_inf", "VALIDATION"),
+        ("w_fraction", "DATA_INVALID"),
+        ("w_text", "DATA_INVALID"),
+        ("ragged", "DATA_INVALID"),
+        ("label_unknown", "DATA_INVALID"),
+        ("labels_malformed", "DATA_INVALID"),
+        ("labels_not_lists", "DATA_INVALID"),
+        ("header_only", "DATA_INVALID"),
+        ("theta_one_row", "VALIDATION"),
+    ],
 )
 def test_fit_bad_input_exits_2_with_one_json_line(tmp_path, capsys, corrupt, code):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0.5,0.7\n")
+    rows = data.read_text().splitlines()
+    if corrupt in ROW5:
+        yv, wv = rows[5].split(",")
+        rows[5] = ROW5[corrupt].format(y=yv, w=wv)
+    labels = {
+        "label_unknown": '{"w1": ["0", "1"]}',  # the cells 0 and 1 become labels
+        "labels_malformed": '{"w1": ["0", "1"',
+        "labels_not_lists": '{"w1": "01"}',
+    }
+    if corrupt in labels:
+        (tmp_path / "labels.json").write_text(labels[corrupt])
+    data.write_text("\n".join(rows[:1] if corrupt == "header_only" else rows) + "\n")
     if corrupt == "p_nan":
         p_path.write_text("nan,0.5\n")
-    else:
-        rows = data.read_text().splitlines()
-        yv, wv = rows[5].split(",")
-        rows[5] = f"{yv},-1" if corrupt == "w_negative" else f"inf,{wv}"
-        data.write_text("\n".join(rows) + "\n")
-    rc = main([
-        "fit", "--data", str(data), "--theta", str(theta_path),
-        "--p", str(p_path), "--out", str(tmp_path / "out"),
-    ])
-    assert rc == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == code
+    if corrupt == "theta_one_row":
+        theta_path.write_text("1\n")
+    files = ["--data", str(data), "--theta", str(theta_path), "--out", str(tmp_path / "out")]
+    # diagnose estimates p from the data unless p itself is the corrupt input
+    marginal = ["--p", str(p_path)] if corrupt == "p_nan" else ["--estimate-p"]
+    for argv in (
+        ["fit", *files, "--p", str(p_path)],
+        ["diagnose", *files, "--truth", str(truth), *marginal],
+    ):
+        assert main(argv) == 2, argv[0]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, argv[0]
+        assert json.loads(lines[0])["error"] == code, argv[0]
+
+
+_CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1 ", "#"]
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    body=st.one_of(
+        st.binary(max_size=120),
+        st.lists(
+            st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(",".join),
+            max_size=12,
+        ).map(lambda rows: "\n".join(["y,w1", *rows]).encode()),
+    )
+)
+def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
+    tmp_path, body
+):
+    data = tmp_path / "data.csv"
+    data.write_bytes(body)
+    theta = tmp_path / "theta.csv"
+    _write_theta(theta, LOW2)
+    p_path = tmp_path / "p.csv"
+    p_path.write_text("0.5,0.5\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main([
+            "fit", "--data", str(data), "--theta", str(theta),
+            "--p", str(p_path), "--out", str(tmp_path / "out"),
+        ])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert rc in (0, 2, 3)
+    assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
 
 
 def test_fit_labels_sidecar(tmp_path):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, np.eye(2), n=60)
-    # rewrite the data file with string labels and add the sidecar
+    argv = ["fit", "--data", str(data), "--theta", str(theta_path), "--p", str(p_path)]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    # rewrite the data file with string labels and add the sidecar; a label
+    # may hold '#' and, quoted, a comma, and blank lines are skipped
     rows = data.read_text().strip().split("\n")
-    names = ["yes", "no"]
-    relabeled = [rows[0]]
+    names = ["yes #1", "no, really"]
+    relabeled = [rows[0], ""]
     for line in rows[1:]:
         yv, wv = line.split(",")
-        relabeled.append(f"{yv},{names[int(wv)]}")
+        relabeled.append(f'"{yv}","{names[int(wv)]}"')
     data.write_text("\n".join(relabeled) + "\n")
     (tmp_path / "labels.json").write_text(json.dumps({"w1": names}))
     out = tmp_path / "out"
-    assert main([
+    assert main([*argv, "--out", str(out)]) == 0
+    estimates = (out / "estimates.csv").read_bytes()
+    assert estimates == (tmp_path / "plain" / "estimates.csv").read_bytes()
+
+
+def test_fit_overflowing_response_exits_3(tmp_path, capsys):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    data.write_text("\n".join([rows[0]] + ["1e300," + r.split(",")[1] for r in rows[1:]]))
+    rc = main([
         "fit", "--data", str(data), "--theta", str(theta_path),
-        "--p", str(p_path), "--out", str(out),
-    ]) == 0
+        "--p", str(p_path), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NUMERICAL"
 
 
 def test_simulate_smoke(tmp_path):
@@ -186,6 +280,42 @@ def test_simulate_high_with_three_levels_exits_2(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UNDEFINED_SCENARIO"
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--n-grid", "abc"], {}),
+        (["--levels", "x"], {}),
+        (["--sigmas", "0.1,zz"], {}),
+        ([], {"seed": "abc"}),
+        ([], {"n-grid": 100.5}),
+        ([], {"levels": {"k": 2}}),
+        ([], {"threads": [1]}),
+        ([], ["not", "an", "object"]),
+    ],
+)
+def test_simulate_bad_setting_exits_2_with_config_invalid(tmp_path, capsys, flags, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main([
+        "simulate", "--scenario", "low", "--replicates", "1", "--config", str(cfg_path),
+        *flags, "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
+
+
+def test_simulate_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MISCORR_THREADS", "many")
+    rc = main([
+        "simulate", "--scenario", "low", "--levels", "2", "--n-grid", "50",
+        "--replicates", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):

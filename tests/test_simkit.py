@@ -199,6 +199,25 @@ def test_duplicate_n_values_are_dropped():
     assert len(run_grid(cfg).records) == 2 * 3
 
 
+@pytest.mark.parametrize("n_grid", [(-5, 100), (0, 100)])
+def test_sample_sizes_below_one_are_rejected(n_grid):
+    with pytest.raises(ValidationError):
+        ScenarioConfig(distortion="low", levels=(2,), n_grid=n_grid, sigma_list=(0.1,))
+
+
+@pytest.mark.parametrize(
+    "sigmas", [(0.1, 0.1000004), (0.1, 0.1), (float("nan"),), (float("inf"),), (-0.5,)]
+)
+def test_sigmas_that_cannot_seed_their_own_y_stream_are_rejected(sigmas):
+    # 0.1 and 0.1000004 map to one _sigma_key and would draw the same y
+    with pytest.raises(ValidationError):
+        ScenarioConfig(distortion="low", levels=(2,), sigma_list=sigmas)
+    assert ScenarioConfig(distortion="low", sigma_list=(0.1, 0.100001)).sigma_list == (
+        0.1,
+        0.100001,
+    )
+
+
 def test_run_grid_record_cardinality():
     cfg = ScenarioConfig(
         distortion="low", levels=(2,),
