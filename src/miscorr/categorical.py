@@ -122,7 +122,11 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset) -> ValidationRe
         col = ds.w[:, j]
         in_range = (col >= 0) & (col < lk)
         if not in_range.all():
-            errors.append(f"OutOfRangeCategory(k={j})")
+            i = int(np.argmin(in_range))
+            errors.append(
+                f"OutOfRangeCategory: data row {i + 1}, column w{j + 1}: "
+                f"{int(col[i])} is not in 0..{lk - 1}"
+            )
         cnt = np.bincount(col[in_range], minlength=lk)
         counts.append(tuple(int(c) for c in cnt))
         for level in range(lk):

@@ -45,6 +45,14 @@ class CliError(ValidationError):
         super().__init__(message)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is CONFIG_INVALID, reported like every other error;
+    --help and --version still print and exit 0."""
+
+    def error(self, message):
+        raise CliError("CONFIG_INVALID", f"{self.prog}: {message}")
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     """Rows of a label then numbers, written to round-trip; None is empty."""
     cell = lambda v: v if isinstance(v, str) else "" if v is None else FMT % v  # noqa: E731
@@ -393,6 +401,8 @@ def _cmd_diagnose_bias(args, cfg, out: Path) -> int:
 
 def _cmd_diagnose_variance_sim(args, cfg, out: Path) -> int:
     config = _scenario_config_from(args, cfg)
+    if config.replicates < 2:
+        raise CliError("CONFIG_INVALID", "--variance-sim needs at least 2 replicates")
     sigma = _value(args, cfg, "sigma", float, 0.2)
     points = intercept_variance_curve(config, sigma)
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
@@ -433,7 +443,7 @@ def cmd_scenario_tables(args, cfg) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="miscorr",
         description="Bias correction for least squares with misclassified "
         "categorical covariates",
@@ -489,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config_file(getattr(args, "config", None))
         return args.func(args, cfg)
     except (NumericalError, FloatingPointError) as exc:

@@ -17,7 +17,7 @@ from .categorical import (
     encode_dummy,
     require_fit_ready,
 )
-from .errors import RankDeficient
+from .errors import RankDeficient, ValidationError
 from .misclass import posterior_from, posterior_rows
 from .moments import MomentBlocks, build_moment_blocks
 
@@ -74,17 +74,26 @@ def _describe_column(column_map: dict | None, col: int) -> str:
     return ""
 
 
+def _refused(r_mat: np.ndarray, n) -> np.ndarray:
+    """The rank guard, over one R factor or a stack of them: True where the
+    fit has no more rows than columns, or where an |R| diagonal entry falls
+    below RANK_TOL times the largest one (taken as at least 1)."""
+    diag = np.abs(np.diagonal(r_mat, axis1=-2, axis2=-1))
+    largest = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
+    collinear = diag.min(axis=-1, initial=np.inf) < RANK_TOL * largest
+    return (np.asarray(n) <= r_mat.shape[-1]) | collinear
+
+
 def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None) -> NaiveFit:
     """Least squares via QR factorization with a rank guard."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, m = design_star.shape
-    if n <= m:
-        raise RankDeficient(f"need more than {m} rows, got {n}")
     q_mat, r_mat = np.linalg.qr(design_star)
-    diag = np.abs(np.diag(r_mat))
-    if diag.min() < RANK_TOL * max(diag.max(), 1.0):
-        col = int(np.argmin(diag))
+    if _refused(r_mat, n):
+        if n <= m:
+            raise RankDeficient(f"need more than {m} rows, got {n}")
+        col = int(np.argmin(np.abs(np.diag(r_mat))))
         raise RankDeficient(
             f"design column {col} is collinear{_describe_column(column_map, col)}"
         )
@@ -120,6 +129,67 @@ def correct(
     return CorrectedFit(
         naive=naive, beta_c=beta_c, beta0_c=beta0_c, blocks=blocks, pi_rows=pi_rows
     )
+
+
+@dataclass(frozen=True)
+class PrefixFits:
+    """Naive and corrected fits of the first n rows of one design, for a
+    list of n and a set of response columns.
+
+    Arrays are indexed [prefix, response column, parameter]; ``refused``
+    marks the prefixes the rank guard turned down, whose estimates are NaN.
+    """
+
+    refused: np.ndarray
+    gamma_star: np.ndarray
+    beta_c: np.ndarray
+    beta0_c: np.ndarray
+
+    @property
+    def beta_c_star(self) -> np.ndarray:
+        return np.concatenate([self.gamma_star[..., :1], self.beta_c], axis=-1)
+
+    @property
+    def beta_full(self) -> np.ndarray:
+        return np.concatenate([self.beta0_c[..., None], self.beta_c], axis=-1)
+
+
+def fit_prefixes(
+    design_star: np.ndarray,
+    ys: np.ndarray,
+    ns: Sequence[int],
+    pi_rows: np.ndarray,
+    blocks: MomentBlocks,
+) -> PrefixFits:
+    """``ols_fit`` then ``correct`` on the first n rows, for every n in
+    ``ns`` and every column of ``ys`` at once.
+
+    The zero-padded prefixes of the design are QR-factored in one stacked
+    call, and all response columns share their prefix's factors.  The
+    corrected intercept is (sum y - sum pi_(i) beta_c) / n over the prefix.
+    Each fit equals the one-design path to rounding (about 1e-15 relative),
+    not bit for bit.
+    """
+    design_star = np.asarray(design_star, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    ns = np.asarray(ns, dtype=int)
+    rows, m = design_star.shape
+    if ns.ndim != 1 or not ns.size or ns.min() < 1 or ns.max() > rows:
+        raise ValidationError(f"prefix sizes must lie in 1..{rows}, got {ns.tolist()}")
+    if ys.ndim != 2 or len(ys) != rows:
+        raise ValidationError(f"need one response row per design row, got {ys.shape}")
+    top = int(ns.max())
+    in_prefix = (np.arange(top) < ns[:, None]).astype(float)
+    q_mat, r_mat = np.linalg.qr(design_star[:top] * in_prefix[:, :, None])
+    refused = _refused(r_mat, ns)
+    r_mat[refused] = np.eye(m)  # one singular R would fail the whole stacked solve
+    gamma = np.linalg.solve(r_mat, q_mat.transpose(0, 2, 1) @ ys[:top]).transpose(0, 2, 1)
+    gamma[refused] = np.nan
+    beta_c = gamma[..., 1:] @ blocks.correction.T
+    sum_pi = in_prefix @ np.asarray(pi_rows, dtype=float)[:top]
+    sum_beta = np.einsum("kd,ksd->ks", sum_pi, beta_c)
+    beta0_c = (in_prefix @ ys[:top] - sum_beta) / ns[:, None]
+    return PrefixFits(refused=refused, gamma_star=gamma, beta_c=beta_c, beta0_c=beta0_c)
 
 
 def fit_corrected(

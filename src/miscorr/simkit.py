@@ -5,7 +5,7 @@ Replicate streams are derived by counter from (master_seed, stream tag,
 replicate id), so results are bitwise reproducible regardless of execution
 order or thread count.  Within a replicate, designs are generated once at
 the largest sample size and truncated, so smaller samples are exact
-prefixes of larger ones.
+prefixes of larger ones, and one stacked fit covers every (n, sigma) cell.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .categorical import CategoricalSpec, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
-from .estimators import CorrectedFit, correct, ols_fit
+from .estimators import correct, fit_prefixes, ols_fit
 from .misclass import (
     DISTORTION_LEVELS,
     SCENARIO_THETAS,
@@ -159,14 +159,16 @@ def simulate_y(
     return mean + sigma * rng.standard_normal(x_design.shape[0])
 
 
-def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float:
+def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
     """Weighted mean squared error: mean over parameters of
-    (beta_l - beta_hat_l)^2 / beta_l."""
+    (beta_l - beta_hat_l)^2 / beta_l.  A stack of estimates, parameters on
+    the last axis, gives an array of one value per estimate."""
     beta = truth.beta_star
-    beta_hat = np.asarray(beta_hat, dtype=float).ravel()
-    if beta_hat.shape != beta.shape:
+    beta_hat = np.asarray(beta_hat, dtype=float)
+    if beta_hat.shape[-1:] != beta.shape:
         raise ValidationError("estimate length does not match truth length")
-    return float(np.mean((beta - beta_hat) ** 2 / beta))
+    out = np.mean((beta - beta_hat) ** 2 / beta, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def replicate_structure(config: ScenarioConfig, replicate_id: int):
@@ -199,6 +201,24 @@ def replicate_designs(config: ScenarioConfig, replicate_id: int):
     return spec, thetas, ps, x, w
 
 
+def replicate_responses(
+    config: ScenarioConfig,
+    replicate_id: int,
+    spec: CategoricalSpec,
+    x: np.ndarray,
+    sigmas,
+) -> np.ndarray:
+    """One response column per sigma, each from its own y stream; x is
+    encoded once."""
+    design = encode_dummy(spec, x).design
+    truth = TruthSpec.default(spec.n_slopes)
+    return np.column_stack([
+        simulate_y(design, truth, sigma,
+                   _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma)))
+        for sigma in sigmas
+    ])
+
+
 def replicate_response(
     config: ScenarioConfig,
     replicate_id: int,
@@ -206,9 +226,7 @@ def replicate_response(
     x: np.ndarray,
     sigma: float,
 ) -> np.ndarray:
-    truth = TruthSpec.default(spec.n_slopes)
-    rng = _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma))
-    return simulate_y(encode_dummy(spec, x).design, truth, sigma, rng)
+    return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
 def _replicate_mechanism(spec, thetas, ps, w):
@@ -220,26 +238,17 @@ def _replicate_mechanism(spec, thetas, ps, w):
     return bundle, blocks, posteriors, posterior_rows(posteriors, w)
 
 
-def _fit_prefix(bundle, blocks, pi, y, n: int) -> CorrectedFit:
-    """ols_fit -> correct on the first n rows.  Every row of the design and
-    of the posterior rows depends on its own observation only, so this is
-    bit for bit fit_corrected on w[:n], y[:n]."""
-    naive = ols_fit(bundle.design_star[:n], y[:n], bundle.column_map)
-    return correct(naive, y[:n], pi[:n], blocks)
-
-
-def _method_estimates(fit: CorrectedFit) -> tuple[np.ndarray, ...]:
-    """Estimate vectors in METHODS order: no, partial and full correction."""
-    return fit.naive.gamma_star, fit.beta_c_star, fit.beta_full
-
-
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
-    """Estimate vectors for one (n, sigma) cell of one replicate."""
+    """Estimate vectors in METHODS order for one (n, sigma) cell of one
+    replicate.  Every row of the design and of the posterior rows depends on
+    its own observation only, so this is bit for bit fit_corrected on
+    w[:n], y[:n]."""
     n, sigma = cell
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
     bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
-    y = replicate_response(config, replicate_id, spec, x, sigma)
-    return dict(zip(METHODS, _method_estimates(_fit_prefix(bundle, blocks, pi, y, n))))
+    y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
+    fit = correct(ols_fit(bundle.design_star[:n], y, bundle.column_map), y, pi[:n], blocks)
+    return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
 
 @dataclass(frozen=True)
@@ -254,8 +263,8 @@ def intercept_variance_curve(
 ) -> list[InterceptVariancePoint]:
     """Theoretical vs empirical variance of the corrected intercept per n.
 
-    Every replicate draws its designs and response once and each n fits
-    their prefixes; the empirical variance is taken across replicates.
+    Every replicate draws its designs and response once and fits all their
+    n-prefixes together; the empirical variance is taken across replicates.
     ``theoretical`` is the uncorrelated per-observation expression
     ``diagnostics.var_beta0_c_uncorrelated``, averaged over the replicate
     designs with the mean exact conditional response variance as plug-in;
@@ -264,30 +273,33 @@ def intercept_variance_curve(
     designs also holds the spread of E[beta0_c_hat | W], so its gap to the
     exact form would be mostly Monte Carlo noise.
     """
+    if config.replicates < 2:
+        raise ValidationError("an empirical variance needs at least 2 replicates")
     n_list = tuple(config.n_grid if n_list is None else n_list)
-    beta0_hats = [[] for _ in n_list]
-    theoreticals = [[] for _ in n_list]
+    beta0_hats = []
+    theoreticals = []
     for rep in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, rep)
         bundle, blocks, posteriors, pi = _replicate_mechanism(spec, thetas, ps, w)
         y = replicate_response(config, rep, spec, x, sigma)
+        fits = fit_prefixes(bundle.design_star, y[:, None], n_list, pi, blocks)
+        if fits.refused.any():
+            n = n_list[int(np.argmax(fits.refused))]
+            raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
+        beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
-        for i, n in enumerate(n_list):
-            fit = _fit_prefix(bundle, blocks, pi, y, n)
-            beta0_hats[i].append(fit.beta0_c)
-            sigma2 = float(
-                conditional_response_variance(posteriors, w[:n], beta, sigma).mean()
+        sigma2 = conditional_response_variance(posteriors, w, beta, sigma)
+        theoreticals.append([
+            var_beta0_c_uncorrelated(
+                bundle.design_star[:n], blocks, pi[:n], float(sigma2[:n].mean())
             )
-            theoreticals[i].append(
-                var_beta0_c_uncorrelated(
-                    bundle.design_star[:n], blocks, fit.pi_rows, sigma2
-                )
-            )
+            for n in n_list
+        ])
     return [
         InterceptVariancePoint(
             n=n, theoretical=float(np.mean(th)), empirical=float(np.var(b0, ddof=1))
         )
-        for n, th, b0 in zip(n_list, theoreticals, beta0_hats)
+        for n, th, b0 in zip(n_list, np.transpose(theoreticals), np.transpose(beta0_hats))
     ]
 
 
@@ -322,25 +334,15 @@ class EqpTable:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
-    """EQP per (n, sigma, method) for one replicate, or failure markers."""
+def _replicate_eqps(config: ScenarioConfig, replicate_id: int) -> np.ndarray:
+    """EQP of one replicate indexed [n, sigma, method], NaN in the cells
+    whose prefix the rank guard refused."""
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
     bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
-    truth = TruthSpec.default(spec.n_slopes)
-    out = {}
-    for sigma in config.sigma_list:
-        y = replicate_response(config, replicate_id, spec, x, sigma)
-        for n in config.n_grid:
-            try:
-                fit = _fit_prefix(bundle, blocks, pi, y, n)
-            except RankDeficient:
-                out[(n, sigma)] = None
-                continue
-            out[(n, sigma)] = {
-                method: eqp(est, truth)
-                for method, est in zip(METHODS, _method_estimates(fit))
-            }
-    return out
+    ys = replicate_responses(config, replicate_id, spec, x, config.sigma_list)
+    fits = fit_prefixes(bundle.design_star, ys, config.n_grid, pi, blocks)
+    estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
+    return eqp(estimates, TruthSpec.default(spec.n_slopes))
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
@@ -352,6 +354,7 @@ def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
             per_rep = list(pool.map(lambda r: _replicate_eqps(config, r), ids))
     else:
         per_rep = [_replicate_eqps(config, r) for r in ids]
+    eqps = np.stack(per_rep)  # [replicate, n, sigma, method]
 
     levels_sig = (
         "-".join(str(lk) for lk in config.levels)
@@ -359,13 +362,13 @@ def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
         else "random"
     )
     records = []
-    for sigma in config.sigma_list:
-        for n in config.n_grid:
-            cells = [rep[(n, sigma)] for rep in per_rep]
-            ok = [c for c in cells if c is not None]
+    for s, sigma in enumerate(config.sigma_list):
+        for i, n in enumerate(config.n_grid):
+            cells = eqps[:, i, s]
+            ok = cells[~np.isnan(cells[:, 0])]
             failures = len(cells) - len(ok)
-            for method in METHODS:
-                vals = np.array([c[method] for c in ok])
+            for j, method in enumerate(METHODS):
+                vals = ok[:, j]
                 if len(vals) == 0:
                     mean, mcse = math.nan, math.nan
                 else:

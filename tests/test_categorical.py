@@ -102,6 +102,13 @@ def test_validate_flags_missing_level():
     assert "RankRisk(k=1, level=2)" in report.warnings
 
 
+def test_validate_names_the_row_column_and_value_of_an_out_of_range_category():
+    spec = CategoricalSpec((2, 3))
+    w = np.array([[0, 0], [1, 1], [0, 5], [1, -1], [0, 2]])
+    report = validate_dataset(spec, ObservedDataset(y=np.zeros(5), w=w))
+    assert report.errors == ("OutOfRangeCategory: data row 3, column w2: 5 is not in 0..2",)
+
+
 def test_validate_flags_insufficient_rows():
     spec = CategoricalSpec((2, 3))  # M = 4
     w = np.array([[0, 0], [1, 1], [0, 2]])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from miscorr import __version__
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.cli import main
 from miscorr.misclass import scenario_theta
@@ -160,6 +161,18 @@ def test_fit_bad_input_exits_2_with_one_json_line(tmp_path, capsys, corrupt, cod
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, argv[0]
         assert json.loads(lines[0])["error"] == code, argv[0]
+
+
+def test_fit_out_of_range_category_names_its_row_column_and_value(tmp_path, capsys):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    rows[7] = rows[7].split(",")[0] + ",2"  # data row 7; the binary theta allows 0..1
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path),
+                 "--p", str(p_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DATA_INVALID"
+    assert err["message"] == "OutOfRangeCategory: data row 7, column w1: 2 is not in 0..1"
 
 
 _CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1 ", "#"]
@@ -393,6 +406,52 @@ def test_diagnose_variance_sim_writes_curve(tmp_path):
         _, theo, emp = line.split(",")
         assert float(theo) > 0 and float(emp) > 0
     assert (out / "intercept_variance.svg").exists()
+
+
+def test_diagnose_variance_sim_with_one_replicate_exits_2(tmp_path):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main([
+            "diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
+            "--n-grid", "50", "--replicates", "1", "--out", str(tmp_path / "vs"),
+        ])
+    assert rc == 2
+    assert caught == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CONFIG_INVALID"
+    assert not (tmp_path / "vs" / "intercept_variance.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "low", "--n-grid", "-5,100"],
+        ["simulate", "--scenario", "low", "--no-such-flag"],
+        ["simulate", "--scenario", "extreme"],
+        ["fit", "--k", "2"],
+        ["simulate", "--replicates", "many"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_error_exits_2_with_one_json_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["--version"]])
+def test_help_and_version_print_and_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: miscorr") or captured.out.strip() == __version__
 
 
 def test_scenario_tables_output(capsys):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
-from miscorr.errors import RankDeficient
+from miscorr.errors import RankDeficient, ValidationError
 from miscorr.estimators import (
+    correct,
     correct_intercept,
     correct_slopes,
     fit_corrected,
+    fit_prefixes,
     ols_fit,
 )
-from miscorr.misclass import scenario_theta
+from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import build_moment_blocks
 from miscorr.simkit import simulate_w, simulate_x, simulate_y, TruthSpec
 
@@ -151,3 +153,83 @@ def test_reference_relabel_leaves_fitted_values_unchanged():
     yhat1 = bundle.design_star @ fit.gamma_star
     yhat2 = bundle2.design_star @ fit2.gamma_star
     np.testing.assert_allclose(yhat1, yhat2, atol=1e-8)
+
+
+def _prefix_case(w):
+    """Design, two response columns, posterior rows and blocks of an
+    observed table with levels (3, 2, 2)."""
+    levels = (3, 2, 2)
+    spec = CategoricalSpec(levels)
+    thetas = [scenario_theta("medium", lk) for lk in levels]
+    ps = [np.full(lk, 1.0 / lk) for lk in levels]
+    ys = np.random.default_rng(30).standard_normal((len(w), 2))
+    pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
+    blocks = build_moment_blocks(spec, thetas, ps)
+    return encode_dummy(spec, w).design_star, ys, pi, blocks
+
+
+def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks):
+    """fit_prefixes refuses exactly the prefixes ols_fit raises on and
+    agrees with ols_fit -> correct on the others; returns the refused n."""
+    fits = fit_prefixes(design_star, ys, ns, pi, blocks)
+    refused = set()
+    for k, n in enumerate(ns):
+        for s in range(ys.shape[1]):
+            try:
+                naive = ols_fit(design_star[:n], ys[:n, s])
+            except RankDeficient:
+                refused.add(n)
+                assert fits.refused[k], n
+                assert np.isnan(fits.beta_full[k, s]).all()
+                continue
+            assert not fits.refused[k], n
+            one = correct(naive, ys[:n, s], pi[:n], blocks)
+            np.testing.assert_allclose(fits.gamma_star[k, s], naive.gamma_star, rtol=1e-12)
+            np.testing.assert_allclose(fits.beta_c_star[k, s], one.beta_c_star, rtol=1e-12)
+            np.testing.assert_allclose(fits.beta_full[k, s], one.beta_full, rtol=1e-12)
+    return refused
+
+
+@pytest.mark.parametrize("collinear", ["level_absent", "covariates_equal"])
+def test_fit_prefixes_refuses_prefixes_collinear_by_construction(collinear):
+    rng = np.random.default_rng(31)
+    w = np.column_stack([rng.integers(0, 3, 80), rng.integers(0, 2, 80), rng.integers(0, 2, 80)])
+    if collinear == "level_absent":
+        w[:12, 0] = rng.choice([0, 2], 12)  # level 1 of w1 is absent from the first 12 rows
+        w[12, 0] = 1
+    else:
+        w[:25, 2] = w[:25, 1]  # w2 and w3 are equal on the first 25 rows
+        w[25, 1:] = [0, 1]
+    design_star, ys, pi, blocks = _prefix_case(w)
+    ns = (10, 12, 13, 25, 26, 40, 80)
+    refused = _assert_matches_one_design_path(design_star, ys, ns, pi, blocks)
+    assert refused == ({10, 12} if collinear == "level_absent" else {10, 12, 13, 25})
+
+
+def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
+    rng = np.random.default_rng(32)
+    w = np.column_stack([rng.integers(0, 3, 60), rng.integers(0, 2, 60), rng.integers(0, 2, 60)])
+    w[:9, 0] = 2  # an exactly zero column on the first 9 rows: R is exactly singular
+    design_star, ys, pi, blocks = _prefix_case(w)
+    ns = (30, 9, 60)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.linalg.qr(design_star[:9])[1], np.ones(5))
+    assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {9}
+    assert np.isfinite(fit_prefixes(design_star, ys, ns, pi, blocks).beta0_c[[0, 2]]).all()
+
+
+def test_fit_prefixes_refuses_no_more_rows_than_columns():
+    # the first 5 rows span all 5 columns, so only the row count refuses n = 5
+    w = np.array([[2, 1, 1], [0, 1, 1], [1, 1, 1], [2, 0, 1], [2, 1, 0], [0, 0, 0],
+                  [1, 0, 1], [2, 1, 1], [0, 1, 0], [1, 1, 0]])
+    design_star, ys, pi, blocks = _prefix_case(w)
+    assert np.linalg.matrix_rank(design_star[:5]) == 5
+    ns = (1, 4, 5, 6, 10)
+    assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {1, 4, 5}
+
+
+def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
+    design_star, ys, pi, blocks = _prefix_case(np.zeros((10, 3), dtype=int) + [0, 1, 0])
+    for ns in ((0, 5), (5, 11), ()):
+        with pytest.raises(ValidationError):
+            fit_prefixes(design_star, ys, ns, pi, blocks)

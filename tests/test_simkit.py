@@ -16,6 +16,7 @@ from miscorr.simkit import (
     ScenarioConfig,
     TruthSpec,
     eqp,
+    intercept_variance_curve,
     replicate_designs,
     replicate_response,
     run_grid,
@@ -188,6 +189,44 @@ def test_grid_cells_are_exact_prefix_fits():
     assert (50, 0.2) not in failures
     for r in run_grid(cfg).records:
         assert r.failures == failures.get((r.n, r.sigma), 0)
+
+
+def test_grid_eqp_matches_per_cell_fits():
+    # run_grid fits every (n, sigma) cell of a replicate in one stacked
+    # kernel; each cell must score what the one-design path scores
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=3, levels=None,
+        n_grid=(8, 12, 50, 500), sigma_list=(0.2, 1.0), replicates=8, master_seed=22,
+    )
+    scores, failures = {}, {}
+    for rep in range(cfg.replicates):
+        truth = TruthSpec.default(replicate_designs(cfg, rep)[0].n_slopes)
+        for sigma in cfg.sigma_list:
+            for n in cfg.n_grid:
+                try:
+                    est = run_replicate(cfg, (n, sigma), rep)
+                except RankDeficient:
+                    failures[(n, sigma)] = failures.get((n, sigma), 0) + 1
+                    continue
+                for method in METHODS:
+                    scores.setdefault((n, sigma, method), []).append(eqp(est[method], truth))
+    assert failures.get((8, 0.2)) and (500, 0.2) not in failures
+    for r in run_grid(cfg).records:
+        vals = scores.get((r.n, r.sigma, r.method), [])
+        assert r.failures == failures.get((r.n, r.sigma), 0)
+        assert r.replicates == len(vals)
+        if vals:
+            assert r.eqp == pytest.approx(np.mean(vals), rel=1e-12, abs=0)
+        else:
+            assert np.isnan(r.eqp)
+
+
+def test_intercept_variance_curve_needs_two_replicates():
+    cfg = ScenarioConfig(
+        distortion="low", levels=(2,), n_grid=(50,), sigma_list=(0.2,), replicates=1,
+    )
+    with pytest.raises(ValidationError):
+        intercept_variance_curve(cfg, 0.2)
 
 
 def test_duplicate_n_values_are_dropped():
