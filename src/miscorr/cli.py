@@ -341,6 +341,8 @@ def cmd_simulate(args, cfg) -> int:
                 for r in table.records
                 if r.method == method and r.sigma == sigma and np.isfinite(r.eqp)
             ]
+        if not any(series.values()):  # every cell failed; eqp.csv holds the counts
+            continue
         title = (
             f"EQP, {config.distortion} distortion, K={config.n_covariates}, "
             f"sigma={sigma:g}"
@@ -401,10 +403,11 @@ def _cmd_diagnose_bias(args, cfg, out: Path) -> int:
 
 def _cmd_diagnose_variance_sim(args, cfg, out: Path) -> int:
     config = _scenario_config_from(args, cfg)
-    if config.replicates < 2:
-        raise CliError("CONFIG_INVALID", "--variance-sim needs at least 2 replicates")
     sigma = _value(args, cfg, "sigma", float, 0.2)
-    points = intercept_variance_curve(config, sigma)
+    try:
+        points = intercept_variance_curve(config, sigma)
+    except ValidationError as exc:  # the scenario cannot give a variance curve
+        raise CliError("CONFIG_INVALID", str(exc)) from exc
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
     _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
     series = {

@@ -180,10 +180,14 @@ def fit_prefixes(
         raise ValidationError(f"need one response row per design row, got {ys.shape}")
     top = int(ns.max())
     in_prefix = (np.arange(top) < ns[:, None]).astype(float)
-    q_mat, r_mat = np.linalg.qr(design_star[:top] * in_prefix[:, :, None])
+    stack = design_star[:top] * in_prefix[:, :, None]
+    if top < m:  # zero rows up to m, so that every R factor is m x m
+        stack = np.pad(stack, ((0, 0), (0, m - top), (0, 0)))
+    q_mat, r_mat = np.linalg.qr(stack)
     refused = _refused(r_mat, ns)
     r_mat[refused] = np.eye(m)  # one singular R would fail the whole stacked solve
-    gamma = np.linalg.solve(r_mat, q_mat.transpose(0, 2, 1) @ ys[:top]).transpose(0, 2, 1)
+    q_t = q_mat[:, :top].transpose(0, 2, 1)
+    gamma = np.linalg.solve(r_mat, q_t @ ys[:top]).transpose(0, 2, 1)
     gamma[refused] = np.nan
     beta_c = gamma[..., 1:] @ blocks.correction.T
     sum_pi = in_prefix @ np.asarray(pi_rows, dtype=float)[:top]

@@ -334,15 +334,15 @@ class EqpTable:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_eqps(config: ScenarioConfig, replicate_id: int) -> np.ndarray:
+def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
     """EQP of one replicate indexed [n, sigma, method], NaN in the cells
-    whose prefix the rank guard refused."""
+    whose prefix the rank guard refused, and the refused mask over n."""
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
     bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
     ys = replicate_responses(config, replicate_id, spec, x, config.sigma_list)
     fits = fit_prefixes(bundle.design_star, ys, config.n_grid, pi, blocks)
     estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
-    return eqp(estimates, TruthSpec.default(spec.n_slopes))
+    return eqp(estimates, TruthSpec.default(spec.n_slopes)), fits.refused
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
@@ -354,7 +354,8 @@ def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
             per_rep = list(pool.map(lambda r: _replicate_eqps(config, r), ids))
     else:
         per_rep = [_replicate_eqps(config, r) for r in ids]
-    eqps = np.stack(per_rep)  # [replicate, n, sigma, method]
+    eqps = np.stack([e for e, _ in per_rep])  # [replicate, n, sigma, method]
+    refused = np.stack([r for _, r in per_rep])  # [replicate, n]
 
     levels_sig = (
         "-".join(str(lk) for lk in config.levels)
@@ -364,9 +365,8 @@ def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
     records = []
     for s, sigma in enumerate(config.sigma_list):
         for i, n in enumerate(config.n_grid):
-            cells = eqps[:, i, s]
-            ok = cells[~np.isnan(cells[:, 0])]
-            failures = len(cells) - len(ok)
+            ok = eqps[~refused[:, i], i, s]
+            failures = int(refused[:, i].sum())
             for j, method in enumerate(METHODS):
                 vals = ok[:, j]
                 if len(vals) == 0:

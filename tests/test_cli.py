@@ -285,6 +285,17 @@ def test_simulate_threads_env_fallback(tmp_path, monkeypatch):
     assert json.loads((out / "config.json").read_text())["threads"] == 4
 
 
+def test_simulate_grid_below_the_column_count_reports_failures(tmp_path):
+    out = tmp_path / "sim"
+    assert main([
+        "simulate", "--scenario", "low", "--levels", "2", "--n-grid", "1",
+        "--sigmas", "0.1", "--replicates", "2", "--out", str(out),
+    ]) == 0
+    for line in (out / "eqp.csv").read_text().strip().split("\n")[1:]:
+        assert line.endswith(",nan,nan,2,0")
+    assert not list(out.glob("*.svg"))  # no chart without a single fitted cell
+
+
 def test_simulate_high_with_three_levels_exits_2(tmp_path, capsys):
     rc = main([
         "simulate", "--scenario", "high", "--levels", "3",

@@ -228,6 +228,15 @@ def test_fit_prefixes_refuses_no_more_rows_than_columns():
     assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {1, 4, 5}
 
 
+@pytest.mark.parametrize("rows", [3, 5])
+def test_fit_prefixes_refuses_every_prefix_when_no_n_exceeds_the_columns(rows):
+    # 5 columns; with 3 rows the stack has fewer rows than columns
+    w = np.array([[2, 1, 1], [0, 1, 1], [1, 1, 1], [2, 0, 1], [2, 1, 0]])[:rows]
+    design_star, ys, pi, blocks = _prefix_case(w)
+    ns = tuple(range(1, rows + 1))
+    assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == set(ns)
+
+
 def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
     design_star, ys, pi, blocks = _prefix_case(np.zeros((10, 3), dtype=int) + [0, 1, 0])
     for ns in ((0, 5), (5, 11), ()):

@@ -221,6 +221,29 @@ def test_grid_eqp_matches_per_cell_fits():
             assert np.isnan(r.eqp)
 
 
+@pytest.mark.parametrize("levels, n_grid", [((2,), (1,)), (None, (5, 8))])
+def test_run_grid_counts_grids_no_larger_than_the_design_as_failures(levels, n_grid):
+    # K = 3 with random levels has up to 10 columns, so n = 8 fails whenever
+    # a replicate draws more than 7 slopes
+    k = 1 if levels else 3
+    cfg = ScenarioConfig(
+        distortion="low", n_covariates=k, levels=levels,
+        n_grid=n_grid, sigma_list=(0.2, 1.0), replicates=6, master_seed=23,
+    )
+    failures, too_few_rows = {}, 0
+    for rep in range(cfg.replicates):
+        too_few_rows += max(n_grid) <= replicate_designs(cfg, rep)[0].n_params
+        for n in n_grid:
+            try:
+                run_replicate(cfg, (n, 0.2), rep)
+            except RankDeficient:
+                failures[n] = failures.get(n, 0) + 1
+    assert too_few_rows > 0
+    for r in run_grid(cfg).records:
+        assert r.failures == failures.get(r.n, 0)
+        assert r.replicates == cfg.replicates - r.failures
+
+
 def test_intercept_variance_curve_needs_two_replicates():
     cfg = ScenarioConfig(
         distortion="low", levels=(2,), n_grid=(50,), sigma_list=(0.2,), replicates=1,
