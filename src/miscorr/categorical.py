@@ -74,6 +74,21 @@ class DesignBundle:
     column_map: dict = field(compare=False)
 
 
+def _category_table(spec: CategoricalSpec, categories) -> np.ndarray:
+    """The n x K integer category matrix, with every category in range."""
+    cats = np.asarray(categories, dtype=int)
+    if cats.ndim == 1:
+        cats = cats[:, None]
+    if cats.shape[1] != spec.n_covariates:
+        raise ValueError(f"expected {spec.n_covariates} covariates, got {cats.shape[1]}")
+    for j, lk in enumerate(spec.levels):
+        bad = np.nonzero((cats[:, j] < 0) | (cats[:, j] >= lk))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise OutOfRangeCategory(i, j, int(cats[i, j]))
+    return cats
+
+
 def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     """Dummy-encode an n x K integer category matrix.
 
@@ -81,18 +96,8 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     is the reference and encodes to all zeros.  ``design_star`` prepends an
     all-ones intercept column.
     """
-    cats = np.asarray(categories, dtype=int)
-    if cats.ndim == 1:
-        cats = cats[:, None]
-    n, k = cats.shape
-    if k != spec.n_covariates:
-        raise ValueError(f"expected {spec.n_covariates} covariates, got {k}")
-    for j, lk in enumerate(spec.levels):
-        bad = np.nonzero((cats[:, j] < 0) | (cats[:, j] >= lk))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise OutOfRangeCategory(i, j, int(cats[i, j]))
-
+    cats = _category_table(spec, categories)
+    n = len(cats)
     design = np.zeros((n, spec.n_slopes))
     column_map = {}
     col = 0
@@ -106,6 +111,40 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
 
 
 @dataclass(frozen=True)
+class Cells:
+    """The occupied cells of an n x K category table.
+
+    A cell is one category combination that occurs in the table.  Every
+    design row depends on its cell only, so a fit needs the design row of
+    each cell (``design_star``), the rows in it (``counts``) and the cell
+    of each row (``inverse``), never the n-row design.
+    """
+
+    categories: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+    design_star: np.ndarray
+    column_map: dict = field(compare=False)
+
+
+def encode_cells(spec: CategoricalSpec, categories: np.ndarray) -> Cells:
+    """Find the occupied cells by their mixed-radix ids and dummy-encode
+    one row per cell."""
+    cats = _category_table(spec, categories)
+    ids, size = np.zeros(len(cats), dtype=np.int64), 1
+    for col, lk in zip(cats.T, spec.levels):
+        if size * lk > 2**62:  # renumber the combinations so far: at most n
+            ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
+        ids, size = ids * lk + col, size * lk
+    inverse = np.unique(ids, return_inverse=True)[1]
+    counts = np.bincount(inverse)
+    rows = np.empty((len(counts), cats.shape[1]), dtype=int)
+    rows[inverse] = cats  # every row of a cell holds the same categories
+    bundle = encode_dummy(spec, rows)
+    return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     warnings: tuple[str, ...]
@@ -113,8 +152,11 @@ class ValidationReport:
     level_counts: tuple
 
 
-def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset) -> ValidationReport:
-    """Report-only sanity checks: level coverage and degrees of freedom."""
+def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
+                     names=None) -> ValidationReport:
+    """Report-only sanity checks: level coverage and degrees of freedom.
+    Messages name covariate k by names[k] (default w1..wK)."""
+    names = names or [f"w{j + 1}" for j in range(spec.n_covariates)]
     warnings = []
     errors = []
     counts = []
@@ -124,7 +166,7 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset) -> ValidationRe
         if not in_range.all():
             i = int(np.argmin(in_range))
             errors.append(
-                f"OutOfRangeCategory: data row {i + 1}, column w{j + 1}: "
+                f"OutOfRangeCategory: data row {i + 1}, column {names[j]}: "
                 f"{int(col[i])} is not in 0..{lk - 1}"
             )
         cnt = np.bincount(col[in_range], minlength=lk)

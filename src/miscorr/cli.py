@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .categorical import CategoricalSpec, ObservedDataset, encode_dummy, validate_dataset
+from .categorical import CategoricalSpec, ObservedDataset, encode_cells, validate_dataset
 from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NumericalError, ValidationError
@@ -35,7 +35,7 @@ from .simkit import (
 )
 
 FMT = "%.17g"  # round-trips IEEE doubles
-# On the data path an overflow is a numerical failure (exit 3), not an inf output.
+# An overflow is a numerical failure (exit 3), not an inf output.
 _STRICT_FLOATS = np.errstate(over="raise", invalid="raise")
 
 
@@ -90,10 +90,18 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str, default=None):
 
 
 def _int(value) -> int:
-    """int() that refuses to truncate a non-integral number."""
-    if not isinstance(value, str) and int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """int() that refuses to truncate a non-integral number or to leave 64 bits."""
+    number = int(value)
+    if (not isinstance(value, str) and number != value) or abs(number) >= 2**63:
+        raise ValueError(f"{value!r} is not a 64-bit integer")
+    return number
+
+
+def _text(value) -> str:
+    """A file name or a choice: str() would turn true or 1 into a name."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
 
 
 def _tuple_of(kind, value) -> tuple:
@@ -108,7 +116,7 @@ def _value(args, cfg, key: str, kind, default=None):
     val = _resolve(args, cfg, key, default)
     try:
         return None if val is None else kind(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
 
 
@@ -167,19 +175,17 @@ def _label_converter(labels: list[str]):
     return lambda cell: index[cell.strip()]
 
 
-def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """y and the n x K integer categories of a CSV with header y,w1..wK.
-    Columns named in labels.json hold labels, the others integral numbers."""
+def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """y, the n x K integer categories and the K column names of a CSV with
+    header y,w1..wK.  Columns named in labels.json hold labels, the others
+    integral numbers."""
     labels = _load_labels(path)
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in _loadtxt(path, islice(fh, 1), dtype=str).ravel()]
         if len(names) < 2 or names[0].lower() != "y":
             raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
-        converters = {
-            j: _label_converter(labels[name])
-            for j, name in enumerate(names)
-            if j and name in labels
-        }
+        converters = {j: _label_converter(labels[name])
+                      for j, name in enumerate(names) if j and name in labels}
         table = _loadtxt(path, fh, names, labels, dtype=float, converters=converters)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
@@ -189,17 +195,14 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     bad = np.argwhere(~((w == np.round(w)) & (np.abs(w) <= 2**53)))  # exact int cast
     if len(bad):
         i, j = bad[0]
-        raise CliError(
-            "DATA_INVALID",
-            f"{path}: data row {i + 1}, column {names[j + 1]}: "
-            f"{float(w[i, j])!r} is not an integer",
-        )
-    return table[:, 0], w.astype(int)
+        raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j + 1]}: "
+                                       f"{float(w[i, j])!r} is not an integer")
+    return table[:, 0], w.astype(int), names[1:]
 
 
 def _paths(args, cfg, key: str, k: int, code: str) -> list[str]:
     """One file per covariate, or one file shared by all of them."""
-    paths = [v for v in _value(args, cfg, key, partial(_tuple_of, str), ()) if v]
+    paths = [v for v in _value(args, cfg, key, partial(_tuple_of, _text), ()) if v]
     if len(paths) == 1:
         paths *= k
     if len(paths) != k:
@@ -221,8 +224,11 @@ def _load_marginals(args, cfg, thetas, level_counts):
 
 
 def _out_dir(args, cfg) -> Path:
-    out = Path(_resolve(args, cfg, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(_value(args, cfg, "out", _text, "."))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name
+        raise CliError("CONFIG_INVALID", f"cannot create {out}: {exc.strerror}") from exc
     return out
 
 
@@ -240,25 +246,26 @@ def _param_names(spec: CategoricalSpec) -> list[str]:
 
 def _load_and_fit(args, cfg):
     """The input boundary shared by fit and diagnose: read the dataset and
-    its mechanism files, validate, then encode and correct."""
-    y, w = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
+    its mechanism files, validate, then find the occupied cells and correct."""
+    y, w, names = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
     paths = _paths(args, cfg, "theta", w.shape[1], "THETA_MISSING")
     thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
     spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
     ds = ObservedDataset(y=y, w=w)
-    report = validate_dataset(spec, ds)
+    report = validate_dataset(spec, ds, names)
     if not report.ok:
         raise CliError("DATA_INVALID", "; ".join(report.errors))
     ps, p_residuals = _load_marginals(args, cfg, thetas, report.level_counts)
-    bundle = encode_dummy(spec, w)
-    fit = fit_corrected(spec, ds, thetas, ps, bundle)
-    return spec, ds, report, p_residuals, bundle, fit
+    cells = encode_cells(spec, w)
+    fit = fit_corrected(spec, ds, thetas, ps, cells)
+    return spec, ds, report, p_residuals, cells, fit
 
 
 @_STRICT_FLOATS
 def cmd_fit(args, cfg) -> int:
-    spec, ds, report, p_residuals, bundle, fit = _load_and_fit(args, cfg)
-    var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w)
+    spec, ds, report, p_residuals, cells, fit = _load_and_fit(args, cfg)
+    var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
+                          cells.counts)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
     out = _out_dir(args, cfg)
@@ -266,13 +273,10 @@ def cmd_fit(args, cfg) -> int:
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
-        "n": ds.n,
-        "n_params": spec.n_params,
-        "sigma2_w": fit.naive.sigma2_w,
+        "n": ds.n, "n_params": spec.n_params, "sigma2_w": fit.naive.sigma2_w,
         "condition_sigma_w": float(np.linalg.cond(fit.blocks.sigma_w)),
         "condition_correction": float(np.linalg.cond(fit.blocks.correction)),
-        "warnings": list(report.warnings),
-        "estimated_p_residuals": p_residuals,
+        "warnings": list(report.warnings), "estimated_p_residuals": p_residuals,
     }
     (out / "diagnostics.json").write_text(json.dumps(diag, indent=2) + "\n")
     _echo_config(out, {"command": "fit", "n": ds.n, "levels": list(spec.levels)})
@@ -280,7 +284,7 @@ def cmd_fit(args, cfg) -> int:
 
 
 def _require(args, cfg, key, code):
-    val = _resolve(args, cfg, key)
+    val = _value(args, cfg, key, _text)
     if not val:
         raise CliError(code, f"--{key} is required")
     return val
@@ -324,73 +328,63 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
                    header=header, comments="")
 
 
+@_STRICT_FLOATS
 def cmd_simulate(args, cfg) -> int:
     config = _scenario_config_from(args, cfg)
     threads = _threads(args, cfg)
-    out = _out_dir(args, cfg)
     table = run_grid(config, threads=threads)
+    out = _out_dir(args, cfg)
     (out / "eqp.csv").write_text(table.to_csv())
     if _resolve(args, cfg, "dump-data", False):
         _dump_data(config, out)
 
     for sigma in config.sigma_list:
-        series = {}
-        for method in ("none", "partial", "full"):
-            series[method] = [
-                (r.n, r.eqp)
-                for r in table.records
-                if r.method == method and r.sigma == sigma and np.isfinite(r.eqp)
-            ]
+        series = {
+            method: [(r.n, r.eqp) for r in table.records
+                     if r.method == method and r.sigma == sigma and np.isfinite(r.eqp)]
+            for method in ("none", "partial", "full")
+        }
         if not any(series.values()):  # every cell failed; eqp.csv holds the counts
             continue
-        title = (
-            f"EQP, {config.distortion} distortion, K={config.n_covariates}, "
-            f"sigma={sigma:g}"
-        )
+        where = f"{config.distortion} distortion, K={config.n_covariates}, sigma={sigma:g}"
         name = f"eqp_{config.distortion}_K{config.n_covariates}_sigma{sigma:g}.svg"
+        title = f"EQP, {where}"
         (out / name).write_text(line_chart(series, title, y_label="EQP"))
 
-    _echo_config(
-        out,
-        {
-            "command": "simulate",
-            "scenario": config.distortion,
-            "k": config.n_covariates,
-            "levels": "random" if config.levels is None else list(config.levels),
-            "n_grid": list(config.n_grid),
-            "sigmas": list(config.sigma_list),
-            "replicates": config.replicates,
-            "seed": config.master_seed,
-            "threads": threads,
-        },
-    )
+    _echo_config(out, {
+        "command": "simulate", "scenario": config.distortion, "k": config.n_covariates,
+        "levels": "random" if config.levels is None else list(config.levels),
+        "n_grid": list(config.n_grid), "sigmas": list(config.sigma_list),
+        "replicates": config.replicates, "seed": config.master_seed, "threads": threads,
+    })
     return 0
 
 
 def cmd_diagnose(args, cfg) -> int:
-    out = _out_dir(args, cfg)
     if _resolve(args, cfg, "variance-sim", False):
-        return _cmd_diagnose_variance_sim(args, cfg, out)
-    return _cmd_diagnose_bias(args, cfg, out)
+        return _cmd_diagnose_variance_sim(args, cfg)
+    return _cmd_diagnose_bias(args, cfg)
 
 
 @_STRICT_FLOATS
-def _cmd_diagnose_bias(args, cfg, out: Path) -> int:
+def _cmd_diagnose_bias(args, cfg) -> int:
     truth_path = _require(args, cfg, "truth", "TRUTH_REQUIRED")
-    spec, ds, _, _, bundle, fit = _load_and_fit(args, cfg)
+    spec, ds, _, _, cells, fit = _load_and_fit(args, cfg)
     beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
     if len(beta_star) != spec.n_params:
         raise CliError(
             "TRUTH_REQUIRED",
             f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
         )
-    pi_star = np.hstack([np.ones((ds.n, 1)), fit.pi_rows])
-    bias = conditional_bias(bundle.design_star, pi_star, fit.blocks.z_star, beta_star)
+    pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
+    z_star = fit.blocks.z_star
+    bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
 
     plugin = _value(args, cfg, "plugin-sigma", float)
     sigma2 = fit.naive.sigma2_w if plugin is None else plugin**2
-    var = variance_report(bundle.design_star, fit.blocks, fit.pi_rows, sigma2)
+    var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, sigma2, cells.counts)
 
+    out = _out_dir(args, cfg)
     names = _param_names(spec)
     rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
     _write_csv(out / "bias.csv", "parameter,bias", rows)
@@ -401,37 +395,27 @@ def _cmd_diagnose_bias(args, cfg, out: Path) -> int:
     return 0
 
 
-def _cmd_diagnose_variance_sim(args, cfg, out: Path) -> int:
+@_STRICT_FLOATS
+def _cmd_diagnose_variance_sim(args, cfg) -> int:
     config = _scenario_config_from(args, cfg)
     sigma = _value(args, cfg, "sigma", float, 0.2)
     try:
         points = intercept_variance_curve(config, sigma)
     except ValidationError as exc:  # the scenario cannot give a variance curve
         raise CliError("CONFIG_INVALID", str(exc)) from exc
+    out = _out_dir(args, cfg)
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
     _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
     series = {
         "theoretical": [(p.n, p.theoretical) for p in points],
         "empirical": [(p.n, p.empirical) for p in points],
     }
-    (out / "intercept_variance.svg").write_text(
-        line_chart(
-            series,
-            f"Corrected-intercept variance, {config.distortion} distortion",
-            y_label="variance",
-        )
-    )
-    _echo_config(
-        out,
-        {
-            "command": "diagnose",
-            "variance_sim": True,
-            "scenario": config.distortion,
-            "sigma": sigma,
-            "replicates": config.replicates,
-            "seed": config.master_seed,
-        },
-    )
+    title = f"Corrected-intercept variance, {config.distortion} distortion"
+    (out / "intercept_variance.svg").write_text(line_chart(series, title, y_label="variance"))
+    _echo_config(out, {
+        "command": "diagnose", "variance_sim": True, "scenario": config.distortion,
+        "sigma": sigma, "replicates": config.replicates, "seed": config.master_seed,
+    })
     return 0
 
 
@@ -471,28 +455,23 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--replicates", type=int)
     grid.add_argument("--seed", type=int)
 
-    sub.add_parser(
-        "fit", parents=[common, data], help="fit and correct estimates from a dataset"
-    ).set_defaults(func=cmd_fit)
+    p_fit = sub.add_parser("fit", parents=[common, data],
+                           help="fit and correct estimates from a dataset")
+    p_fit.set_defaults(func=cmd_fit)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common, grid], help="run the simulation study grid"
-    )
+    p_sim = sub.add_parser("simulate", parents=[common, grid],
+                           help="run the simulation study grid")
     p_sim.add_argument("--sigmas", help="comma-separated noise standard deviations")
-    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument("--threads", type=int, help="accepted; has no effect")
     p_sim.add_argument("--dump-data", **switch)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_diag = sub.add_parser(
-        "diagnose", parents=[common, data, grid], help="bias and variance diagnostics"
-    )
+    p_diag = sub.add_parser("diagnose", parents=[common, data, grid],
+                            help="bias and variance diagnostics")
     p_diag.add_argument("--truth", help="CSV with the true parameter vector")
     p_diag.add_argument("--plugin-sigma", type=float, help="known noise sd to plug in")
-    p_diag.add_argument(
-        "--variance-sim",
-        help="compare theoretical vs empirical intercept variance per n",
-        **switch,
-    )
+    p_diag.add_argument("--variance-sim", **switch,
+                        help="compare theoretical vs empirical intercept variance per n")
     p_diag.add_argument("--sigma", type=float)
     p_diag.set_defaults(func=cmd_diagnose)
 
@@ -506,7 +485,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _load_config_file(getattr(args, "config", None))
         return args.func(args, cfg)
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
         return 3
     except MiscorrError as exc:
@@ -514,7 +493,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _emit_error(exc: MiscorrError | FloatingPointError) -> None:
+def _emit_error(exc: MiscorrError | ArithmeticError) -> None:
     code = getattr(exc, "code", NumericalError.code)
     sys.stderr.write(json.dumps({"error": code, "message": str(exc)}) + "\n")
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .estimators import RANK_TOL
-from .moments import MomentBlocks, _reciprocal_cond
+from .estimators import _refused, _weighted_rows
+from .moments import MomentBlocks
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,19 @@ class VarianceReport:
     var_beta_c_star: np.ndarray
     var_beta0_c: float
     a_matrix: np.ndarray
-    v_rows: np.ndarray
 
 
-def _solve_spd(design_star: np.ndarray):
-    xtx = design_star.T @ design_star
-    try:
-        xtx_inv = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("observed design is collinear") from exc
-    if not np.isfinite(xtx_inv).all():
+def _gram_inverse(design_star_w, counts):
+    """The design as floats, the observations behind each of its rows (one
+    unless ``counts`` makes the rows cells) and (W*^T W*)^-1 = R^-1 R^-T from
+    the R factor of sqrt(c) U, behind the rank guard of the fit."""
+    w_star = np.asarray(design_star_w, dtype=float)
+    counts = np.ones(len(w_star)) if counts is None else np.asarray(counts, dtype=float)
+    r_mat = np.linalg.qr(_weighted_rows(w_star, counts), mode="r")
+    if _refused(r_mat, counts.sum()):
         raise RankDeficient("observed design is collinear")
-    return xtx_inv
+    r_inv = np.linalg.solve(r_mat, np.eye(len(r_mat)))
+    return w_star, counts, r_inv @ r_inv.T
 
 
 def conditional_bias(
@@ -49,22 +50,23 @@ def conditional_bias(
     pi_star: np.ndarray,
     z_star: np.ndarray,
     beta_star_true: np.ndarray,
+    counts=None,
 ) -> BiasReport:
     """Bias of (gamma0_hat, beta_c_hat) given the observed design:
     (Z (W*^T W*)^-1 W*^T pi* - I) beta*.
 
     The intercept-correction bias is the derivation-consistent form
-    B0 = mean_i pi_(i) (beta - E[beta_c_hat | W]).
+    B0 = mean_i pi_(i) (beta - E[beta_c_hat | W]).  Row j of the design
+    and of ``pi_star`` may stand for counts[j] identical observations.
     """
-    w_star = np.asarray(design_star_w, dtype=float)
+    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
     pi_star = np.asarray(pi_star, dtype=float)
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
-    xtx_inv = _solve_spd(w_star)
-    transfer = z_star @ xtx_inv @ w_star.T @ pi_star
+    transfer = z_star @ xtx_inv @ (w_star.T * counts) @ pi_star
     expected = transfer @ beta_star_true
     b_star = expected - beta_star_true
-    pi_rows = pi_star[:, 1:]
-    b0 = intercept_bias(pi_rows, beta_star_true[1:], expected[1:])
+    pi_bar = counts @ pi_star[:, 1:] / counts.sum()
+    b0 = intercept_bias(pi_bar[None, :], beta_star_true[1:], expected[1:])
     return BiasReport(
         b_star=b_star, b0=b0, pi_star=pi_star, expected_beta_c_star=expected
     )
@@ -79,52 +81,39 @@ def intercept_bias(
     return float(np.mean(pi_rows @ gap))
 
 
-def _centered_design(design_star_w: np.ndarray):
-    """Centered indicator columns W - W_bar and A = W^T (W - W_bar), the
-    centered Gram matrix of the slopes, with the identical-rows guard."""
-    w = np.asarray(design_star_w, dtype=float)[:, 1:]
-    w_centered = w - w.mean(axis=0)
-    a_matrix = w.T @ w_centered
-    if _reciprocal_cond(a_matrix) < RANK_TOL:
-        raise RankDeficient("all observed indicator rows are identical")
-    return w_centered, a_matrix
-
-
 def variance_report(
     design_star_w: np.ndarray,
     blocks: MomentBlocks,
     pi_rows: np.ndarray,
     sigma2: float,
+    counts=None,
 ) -> VarianceReport:
     """Conditional variances of the naive and corrected estimators.
 
     ``sigma2`` is the caller's plug-in for Var(Y_i | W), taken as the same
     for every observation; both the fitted residual variance and a known
     noise variance are valid choices.  theta and p are treated as known.
+    Row j of the design and of ``pi_rows`` may stand for counts[j]
+    identical observations.
 
     ``var_beta0_c`` is the exact variance of the corrected intercept given
     W under that homoscedastic plug-in.  The intercept is linear in y,
     beta0_c = mean(y) - pi_bar^T C gamma_hat, and mean(y) is uncorrelated
     with the slopes, so the variance is
-    sigma2 (1/n + pi_bar^T C A^-1 C^T pi_bar) with A = W^T (W - W_bar).
+    sigma2 (1/n + pi_bar^T C A^-1 C^T pi_bar) with A = W^T (W - W_bar), the
+    centered Gram matrix of the slopes; A^-1 is the slope block of
+    (W*^T W*)^-1.
     """
-    w_star = np.asarray(design_star_w, dtype=float)
-    n = w_star.shape[0]
-    xtx_inv = _solve_spd(w_star)
-    var_gamma_star = xtx_inv * sigma2
+    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
+    n = counts.sum()
     z = blocks.z_star
-    var_beta_c_star = sigma2 * (z @ xtx_inv @ z.T)
-
-    _, a_matrix = _centered_design(w_star)
-    v_rows = np.asarray(pi_rows, dtype=float) @ blocks.correction
-    v_bar = v_rows.mean(axis=0)  # C^T pi_bar
-    var_beta0_c = float(sigma2 * (1.0 / n + v_bar @ np.linalg.solve(a_matrix, v_bar)))
+    w = w_star[:, 1:]
+    v_bar = counts @ np.asarray(pi_rows, dtype=float) @ blocks.correction / n  # C^T pi_bar
     return VarianceReport(
-        var_gamma_star=var_gamma_star,
-        var_beta_c_star=var_beta_c_star,
-        var_beta0_c=var_beta0_c,
-        a_matrix=a_matrix,
-        v_rows=v_rows,
+        var_gamma_star=xtx_inv * sigma2,
+        var_beta_c_star=sigma2 * (z @ xtx_inv @ z.T),
+        var_beta0_c=float(sigma2 * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)),
+        a_matrix=(w.T * counts) @ (w - counts @ w / n),
     )
 
 
@@ -133,6 +122,7 @@ def var_beta0_c_uncorrelated(
     blocks: MomentBlocks,
     pi_rows: np.ndarray,
     sigma2: float,
+    counts=None,
 ) -> float:
     """Corrected-intercept variance summed over per-observation terms
     y_i - pi_(i) beta_c_hat as if they were uncorrelated.
@@ -140,17 +130,18 @@ def var_beta0_c_uncorrelated(
     Every term shares the same beta_c_hat, so this drops the i != j
     cross-covariances and falls short of the exact conditional variance
     in ``variance_report``; it is kept as the expression whose shortfall
-    ``simkit.intercept_variance_curve`` measures.
+    ``simkit.intercept_variance_curve`` measures.  With v_i = C^T pi_(i)
+    and A as in ``variance_report``, term i is
+    sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of the
+    design and of ``pi_rows`` may stand for counts[j] such terms.
     """
-    w_centered, a_matrix = _centered_design(design_star_w)
-    n = w_centered.shape[0]
-    s_matrix = w_centered.T @ w_centered
+    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
+    n = counts.sum()
+    w_centered = w_star[:, 1:] - counts @ w_star[:, 1:] / n
     v_rows = np.asarray(pi_rows, dtype=float) @ blocks.correction
-    u = np.linalg.solve(a_matrix.T, v_rows.T)  # A^-T V_i^T, one column per i
-    quad = np.einsum("pi,pq,qi->i", u, s_matrix, u)
-    cross = np.einsum("ip,pi->i", w_centered, u)
-    per_obs = sigma2 + sigma2 * quad - 2.0 * sigma2 * cross
-    return float(per_obs.sum() / n**2)
+    u = v_rows @ xtx_inv[1:, 1:]  # v_i A^-1; A is symmetric
+    per_row = 1.0 + np.einsum("ip,ip->i", u, v_rows - 2.0 * w_centered)
+    return float(sigma2 * (counts @ per_row) / n**2)
 
 
 def conditional_response_variance(

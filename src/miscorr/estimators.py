@@ -11,11 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .categorical import (
-    CategoricalSpec,
-    DesignBundle,
-    ObservedDataset,
-    encode_dummy,
-    require_fit_ready,
+    CategoricalSpec, Cells, ObservedDataset, encode_cells, require_fit_ready
 )
 from .errors import RankDeficient, ValidationError
 from .misclass import posterior_from, posterior_rows
@@ -30,7 +26,6 @@ class NaiveFit:
 
     gamma_star: np.ndarray
     sigma2_w: float
-    xtx_inv: np.ndarray
     rss: float
 
     @property
@@ -48,6 +43,8 @@ class CorrectedFit:
 
     ``beta_c_star`` keeps the uncorrected intercept alongside the corrected
     slopes; the corrected intercept is exposed separately as ``beta0_c``.
+    ``pi_rows`` are the posterior rows of the fitted design's rows: one per
+    occupied cell when the fit ran on cells.
     """
 
     naive: NaiveFit
@@ -66,14 +63,6 @@ class CorrectedFit:
         return np.concatenate([[self.beta0_c], self.beta_c])
 
 
-def _describe_column(column_map: dict | None, col: int) -> str:
-    if column_map:
-        for (k, level), idx in column_map.items():
-            if idx == col - 1:  # col 0 is the intercept
-                return f" (covariate {k}, level {level})"
-    return ""
-
-
 def _refused(r_mat: np.ndarray, n) -> np.ndarray:
     """The rank guard, over one R factor or a stack of them: True where the
     fit has no more rows than columns, or where an |R| diagonal entry falls
@@ -84,27 +73,57 @@ def _refused(r_mat: np.ndarray, n) -> np.ndarray:
     return (np.asarray(n) <= r_mat.shape[-1]) | collinear
 
 
-def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None) -> NaiveFit:
-    """Least squares via QR factorization with a rank guard."""
+def _weighted_rows(design_star: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sqrt(c) U, stacked over leading axes of ``counts``: its R factor has
+    R^T R = W*^T W*.  Zero rows pad it to the column count, so R is square."""
+    rows = np.sqrt(counts)[..., None] * design_star
+    short = design_star.shape[-1] - rows.shape[-2]
+    if short > 0:
+        rows = np.concatenate([rows, np.zeros((*rows.shape[:-2], short, rows.shape[-1]))], -2)
+    return rows
+
+
+def _solve_cells(design_star, counts, sums, n):
+    """Least squares from cell counts and sums over a stack of fits: the QR
+    of sqrt(c) U and gamma = R^-1 Q^T (sums / sqrt(c)), 0 for an empty cell.
+    Returns R, gamma [..., response column, parameter] (NaN where refused)
+    and the refused mask."""
+    root = np.sqrt(counts)[..., None]
+    rhs = np.divide(sums, root, out=np.zeros(sums.shape), where=root > 0)
+    q_mat, r_mat = np.linalg.qr(_weighted_rows(design_star, counts))
+    refused = _refused(r_mat, n)
+    # one singular R would fail the whole stacked solve
+    solvable = np.where(refused[..., None, None], np.eye(r_mat.shape[-1]), r_mat)
+    q_t = np.swapaxes(q_mat[..., : rhs.shape[-2], :], -1, -2)
+    gamma = np.swapaxes(np.linalg.solve(solvable, q_t @ rhs), -1, -2)
+    gamma[refused] = np.nan
+    return r_mat, gamma, refused
+
+
+def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None,
+            inverse: np.ndarray | None = None) -> NaiveFit:
+    """Least squares via QR factorization with a rank guard.  By default each
+    row of ``design_star`` is one observation; with ``inverse`` its rows are
+    cells, y[i] lies in cell inverse[i], and the fit reads only the cells'
+    counts and sums of y (and the residuals for the RSS)."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    n, m = design_star.shape
-    q_mat, r_mat = np.linalg.qr(design_star)
-    if _refused(r_mat, n):
+    n, m = len(y), design_star.shape[1]
+    inverse = np.arange(n) if inverse is None else inverse  # c = 1: sqrt(1) U = U, y / 1 = y
+    counts = np.bincount(inverse, minlength=len(design_star))
+    sums = np.bincount(inverse, weights=y, minlength=len(design_star))
+    r_mat, gamma, refused = _solve_cells(design_star, counts, sums[:, None], n)
+    if refused:
         if n <= m:
             raise RankDeficient(f"need more than {m} rows, got {n}")
         col = int(np.argmin(np.abs(np.diag(r_mat))))
-        raise RankDeficient(
-            f"design column {col} is collinear{_describe_column(column_map, col)}"
-        )
-    gamma = np.linalg.solve(r_mat, q_mat.T @ y)
-    resid = y - design_star @ gamma
+        where = [f" (covariate {k}, level {lv})"  # column 0 is the intercept
+                 for (k, lv), i in (column_map or {}).items() if i + 1 == col]
+        raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
+    gamma = gamma[0]
+    resid = y - (design_star @ gamma)[inverse]
     rss = float(resid @ resid)
-    r_inv = np.linalg.solve(r_mat, np.eye(m))
-    xtx_inv = r_inv @ r_inv.T
-    return NaiveFit(
-        gamma_star=gamma, sigma2_w=rss / (n - m), xtx_inv=xtx_inv, rss=rss
-    )
+    return NaiveFit(gamma_star=gamma, sigma2_w=rss / (n - m), rss=rss)
 
 
 def correct_slopes(naive: NaiveFit, blocks: MomentBlocks) -> np.ndarray:
@@ -112,23 +131,26 @@ def correct_slopes(naive: NaiveFit, blocks: MomentBlocks) -> np.ndarray:
     return blocks.correction @ naive.slopes
 
 
-def correct_intercept(y: np.ndarray, pi_rows: np.ndarray, beta_c: np.ndarray) -> float:
+def correct_intercept(y: np.ndarray, pi_rows: np.ndarray, beta_c: np.ndarray,
+                      counts=None) -> float:
     """Mean of y minus the posterior-expected indicator row times the
-    corrected slopes."""
+    corrected slopes, (sum y - (c^T pi) beta_c) / n, where row j of
+    ``pi_rows`` stands for counts[j] observations (default 1 each)."""
     y = np.asarray(y, dtype=float).ravel()
-    return float(np.mean(y - np.asarray(pi_rows) @ np.asarray(beta_c)))
+    pi_rows = np.asarray(pi_rows, dtype=float)
+    counts = np.ones(len(pi_rows)) if counts is None else counts
+    return float((y.sum() - (counts @ pi_rows) @ np.asarray(beta_c)) / len(y))
 
 
 def correct(
-    naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks
+    naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks, counts=None
 ) -> CorrectedFit:
     """Correct a naive fit: slopes through the attenuation inverse, then the
-    intercept through the posterior rows of the same observations."""
+    intercept through the posterior rows of the same observations (row j
+    standing for counts[j] of them, if given)."""
     beta_c = correct_slopes(naive, blocks)
-    beta0_c = correct_intercept(y, pi_rows, beta_c)
-    return CorrectedFit(
-        naive=naive, beta_c=beta_c, beta0_c=beta0_c, blocks=blocks, pi_rows=pi_rows
-    )
+    beta0_c = correct_intercept(y, pi_rows, beta_c, counts)
+    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
 
 
 @dataclass(frozen=True)
@@ -138,12 +160,14 @@ class PrefixFits:
 
     Arrays are indexed [prefix, response column, parameter]; ``refused``
     marks the prefixes the rank guard turned down, whose estimates are NaN.
+    ``counts`` holds the rows of each prefix in each cell.
     """
 
     refused: np.ndarray
     gamma_star: np.ndarray
     beta_c: np.ndarray
     beta0_c: np.ndarray
+    counts: np.ndarray
 
     @property
     def beta_c_star(self) -> np.ndarray:
@@ -154,61 +178,58 @@ class PrefixFits:
         return np.concatenate([self.beta0_c[..., None], self.beta_c], axis=-1)
 
 
-def fit_prefixes(
-    design_star: np.ndarray,
-    ys: np.ndarray,
-    ns: Sequence[int],
-    pi_rows: np.ndarray,
-    blocks: MomentBlocks,
-) -> PrefixFits:
+def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
+                 pi_rows: np.ndarray, blocks: MomentBlocks,
+                 inverse: np.ndarray | None = None) -> PrefixFits:
     """``ols_fit`` then ``correct`` on the first n rows, for every n in
     ``ns`` and every column of ``ys`` at once.
 
-    The zero-padded prefixes of the design are QR-factored in one stacked
-    call, and all response columns share their prefix's factors.  The
-    corrected intercept is (sum y - sum pi_(i) beta_c) / n over the prefix.
-    Each fit equals the one-design path to rounding (about 1e-15 relative),
-    not bit for bit.
+    Rows of ``design_star`` and ``pi_rows`` are rows of ``ys`` by default,
+    or cells that hold row i at inverse[i].  Each prefix's cell counts and
+    sums are one bincount per interval between the sorted cut points,
+    summed up to each cut; all prefixes are QR-factored in one stacked call
+    whose factors every response column shares.  Each fit equals the
+    one-design path to rounding (about 1e-15 relative), not bit for bit.
     """
     design_star = np.asarray(design_star, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ns = np.asarray(ns, dtype=int)
-    rows, m = design_star.shape
+    rows = len(ys)
     if ns.ndim != 1 or not ns.size or ns.min() < 1 or ns.max() > rows:
         raise ValidationError(f"prefix sizes must lie in 1..{rows}, got {ns.tolist()}")
-    if ys.ndim != 2 or len(ys) != rows:
+    if ys.ndim != 2 or (inverse is None and len(design_star) != rows):
         raise ValidationError(f"need one response row per design row, got {ys.shape}")
-    top = int(ns.max())
-    in_prefix = (np.arange(top) < ns[:, None]).astype(float)
-    stack = design_star[:top] * in_prefix[:, :, None]
-    if top < m:  # zero rows up to m, so that every R factor is m x m
-        stack = np.pad(stack, ((0, 0), (0, m - top), (0, 0)))
-    q_mat, r_mat = np.linalg.qr(stack)
-    refused = _refused(r_mat, ns)
-    r_mat[refused] = np.eye(m)  # one singular R would fail the whole stacked solve
-    q_t = q_mat[:, :top].transpose(0, 2, 1)
-    gamma = np.linalg.solve(r_mat, q_t @ ys[:top]).transpose(0, 2, 1)
-    gamma[refused] = np.nan
+    cuts = np.unique(ns)
+    cells = len(design_star)
+    inverse = np.arange(rows) if inverse is None else np.asarray(inverse)
+    # row i < cuts[-1] lies in interval k when cuts[k-1] <= i < cuts[k]
+    key = np.searchsorted(cuts, np.arange(cuts[-1]), side="right") * cells
+    key += inverse[: cuts[-1]]
+
+    def per_prefix(weights=None):
+        total = np.bincount(key, weights, minlength=len(cuts) * cells)
+        return total.reshape(len(cuts), cells).cumsum(axis=0)[np.searchsorted(cuts, ns)]
+
+    counts = per_prefix()
+    sums = np.stack([per_prefix(col) for col in ys[: cuts[-1]].T], axis=-1)
+    _, gamma, refused = _solve_cells(design_star, counts, sums, ns)
     beta_c = gamma[..., 1:] @ blocks.correction.T
-    sum_pi = in_prefix @ np.asarray(pi_rows, dtype=float)[:top]
+    sum_pi = counts @ np.asarray(pi_rows, dtype=float)
     sum_beta = np.einsum("kd,ksd->ks", sum_pi, beta_c)
-    beta0_c = (in_prefix @ ys[:top] - sum_beta) / ns[:, None]
-    return PrefixFits(refused=refused, gamma_star=gamma, beta_c=beta_c, beta0_c=beta0_c)
+    beta0_c = (sums.sum(axis=1) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
+    return PrefixFits(refused, gamma, beta_c, beta0_c, counts)
 
 
-def fit_corrected(
-    spec: CategoricalSpec,
-    ds: ObservedDataset,
-    thetas: Sequence,
-    ps: Sequence,
-    bundle: DesignBundle | None = None,
-) -> CorrectedFit:
-    """Full pipeline: encode (unless ``bundle`` already holds the encoded
-    ``ds.w``), naive fit, moment blocks, posterior rows, correction."""
+def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, ps: Sequence,
+                  cells: Cells | None = None) -> CorrectedFit:
+    """Full pipeline over the occupied cells of ``ds.w`` (``cells``, if
+    already encoded): naive fit, moment blocks, posterior rows of the
+    cells, correction."""
     require_fit_ready(spec, ds)
-    if bundle is None:
-        bundle = encode_dummy(spec, ds.w)
-    naive = ols_fit(bundle.design_star, ds.y, bundle.column_map)
+    if cells is None:
+        cells = encode_cells(spec, ds.w)
+    naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
     blocks = build_moment_blocks(spec, thetas, ps)
     posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    return correct(naive, ds.y, posterior_rows(posteriors, ds.w), blocks)
+    pi = posterior_rows(posteriors, cells.categories)
+    return correct(naive, ds.y, pi, blocks, cells.counts)

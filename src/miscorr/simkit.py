@@ -3,20 +3,20 @@ engine, and weighted mean squared error aggregation.
 
 Replicate streams are derived by counter from (master_seed, stream tag,
 replicate id), so results are bitwise reproducible regardless of execution
-order or thread count.  Within a replicate, designs are generated once at
-the largest sample size and truncated, so smaller samples are exact
-prefixes of larger ones, and one stacked fit covers every (n, sigma) cell.
+order.  Within a replicate, designs are generated once at the largest
+sample size and truncated, so smaller samples are exact prefixes of larger
+ones, and one stacked fit over the replicate's occupied cells covers every
+(n, sigma) cell of the grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .categorical import CategoricalSpec, encode_dummy
+from .categorical import CategoricalSpec, encode_cells, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
 from .estimators import correct, fit_prefixes, ols_fit
@@ -201,13 +201,8 @@ def replicate_designs(config: ScenarioConfig, replicate_id: int):
     return spec, thetas, ps, x, w
 
 
-def replicate_responses(
-    config: ScenarioConfig,
-    replicate_id: int,
-    spec: CategoricalSpec,
-    x: np.ndarray,
-    sigmas,
-) -> np.ndarray:
+def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
+                        x: np.ndarray, sigmas) -> np.ndarray:
     """One response column per sigma, each from its own y stream; x is
     encoded once."""
     design = encode_dummy(spec, x).design
@@ -219,35 +214,30 @@ def replicate_responses(
     ])
 
 
-def replicate_response(
-    config: ScenarioConfig,
-    replicate_id: int,
-    spec: CategoricalSpec,
-    x: np.ndarray,
-    sigma: float,
-) -> np.ndarray:
+def replicate_response(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
+                       x: np.ndarray, sigma: float) -> np.ndarray:
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
 def _replicate_mechanism(spec, thetas, ps, w):
-    """Encoded W, moment blocks, posteriors and posterior rows of one
-    replicate, built once at the generation size and shared by its cells."""
-    bundle = encode_dummy(spec, w)
+    """Occupied cells of W, moment blocks, posteriors and the posterior rows
+    of the cells, built once per replicate and shared by its fits."""
+    cells = encode_cells(spec, w)
     blocks = build_moment_blocks(spec, thetas, ps)
     posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    return bundle, blocks, posteriors, posterior_rows(posteriors, w)
+    return cells, blocks, posteriors, posterior_rows(posteriors, cells.categories)
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
     """Estimate vectors in METHODS order for one (n, sigma) cell of one
-    replicate.  Every row of the design and of the posterior rows depends on
-    its own observation only, so this is bit for bit fit_corrected on
-    w[:n], y[:n]."""
+    replicate: the steps of fit_corrected on w[:n], y[:n], so bit for bit
+    its result, but a prefix too small to fit raises RankDeficient."""
     n, sigma = cell
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
+    cells, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w[:n])
     y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
-    fit = correct(ols_fit(bundle.design_star[:n], y, bundle.column_map), y, pi[:n], blocks)
+    naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
+    fit = correct(naive, y, pi, blocks, cells.counts)
     return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
 
@@ -275,25 +265,25 @@ def intercept_variance_curve(
     """
     if config.replicates < 2:
         raise ValidationError("an empirical variance needs at least 2 replicates")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
     n_list = tuple(config.n_grid if n_list is None else n_list)
     beta0_hats = []
     theoreticals = []
     for rep in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, rep)
-        bundle, blocks, posteriors, pi = _replicate_mechanism(spec, thetas, ps, w)
+        cells, blocks, posteriors, pi = _replicate_mechanism(spec, thetas, ps, w)
         y = replicate_response(config, rep, spec, x, sigma)
-        fits = fit_prefixes(bundle.design_star, y[:, None], n_list, pi, blocks)
+        fits = fit_prefixes(cells.design_star, y[:, None], n_list, pi, blocks, cells.inverse)
         if fits.refused.any():
             n = n_list[int(np.argmax(fits.refused))]
             raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
         beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
-        sigma2 = conditional_response_variance(posteriors, w, beta, sigma)
+        sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
         theoreticals.append([
-            var_beta0_c_uncorrelated(
-                bundle.design_star[:n], blocks, pi[:n], float(sigma2[:n].mean())
-            )
-            for n in n_list
+            var_beta0_c_uncorrelated(cells.design_star, blocks, pi, c @ sigma2 / n, c)
+            for n, c in zip(n_list, fits.counts)
         ])
     return [
         InterceptVariancePoint(
@@ -338,58 +328,33 @@ def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
     """EQP of one replicate indexed [n, sigma, method], NaN in the cells
     whose prefix the rank guard refused, and the refused mask over n."""
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    bundle, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
+    cells, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
     ys = replicate_responses(config, replicate_id, spec, x, config.sigma_list)
-    fits = fit_prefixes(bundle.design_star, ys, config.n_grid, pi, blocks)
+    fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
     estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
     return eqp(estimates, TruthSpec.default(spec.n_slopes)), fits.refused
 
 
 def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
     """Full factorial over n_grid x sigma_list x methods, aggregated over
-    replicates in fixed replicate order."""
-    ids = range(config.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(lambda r: _replicate_eqps(config, r), ids))
-    else:
-        per_rep = [_replicate_eqps(config, r) for r in ids]
+    replicates in fixed replicate order.  ``threads`` is accepted and has no
+    effect: replicates run one after another, because each is a few
+    milliseconds of small numpy calls and a thread pool made runs slower."""
+    per_rep = [_replicate_eqps(config, r) for r in range(config.replicates)]
     eqps = np.stack([e for e, _ in per_rep])  # [replicate, n, sigma, method]
     refused = np.stack([r for _, r in per_rep])  # [replicate, n]
 
-    levels_sig = (
-        "-".join(str(lk) for lk in config.levels)
-        if config.levels is not None
-        else "random"
-    )
+    levels_sig = "random" if config.levels is None else "-".join(map(str, config.levels))
     records = []
     for s, sigma in enumerate(config.sigma_list):
         for i, n in enumerate(config.n_grid):
             ok = eqps[~refused[:, i], i, s]
-            failures = int(refused[:, i].sum())
-            for j, method in enumerate(METHODS):
-                vals = ok[:, j]
-                if len(vals) == 0:
-                    mean, mcse = math.nan, math.nan
-                else:
-                    mean = float(vals.mean())
-                    mcse = (
-                        float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                        if len(vals) > 1
-                        else 0.0
-                    )
-                records.append(
-                    EqpRecord(
-                        distortion=config.distortion,
-                        n_covariates=config.n_covariates,
-                        levels=levels_sig,
-                        n=n,
-                        sigma=sigma,
-                        method=method,
-                        eqp=mean,
-                        mcse=mcse,
-                        failures=failures,
-                        replicates=len(ok),
-                    )
-                )
+            for method, vals in zip(METHODS, ok.T):
+                mean, mcse = (float(vals.mean()), 0.0) if len(vals) else (math.nan, math.nan)
+                if len(vals) > 1:
+                    mcse = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                records.append(EqpRecord(
+                    config.distortion, config.n_covariates, levels_sig, n, sigma, method,
+                    mean, mcse, failures=int(refused[:, i].sum()), replicates=len(ok),
+                ))
     return EqpTable(records=tuple(records))

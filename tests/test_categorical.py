@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from miscorr.categorical import (
     CategoricalSpec,
     ObservedDataset,
+    encode_cells,
     encode_dummy,
     require_fit_ready,
     validate_dataset,
@@ -107,6 +108,39 @@ def test_validate_names_the_row_column_and_value_of_an_out_of_range_category():
     w = np.array([[0, 0], [1, 1], [0, 5], [1, -1], [0, 2]])
     report = validate_dataset(spec, ObservedDataset(y=np.zeros(5), w=w))
     assert report.errors == ("OutOfRangeCategory: data row 3, column w2: 5 is not in 0..2",)
+
+
+def test_validate_names_columns_by_the_given_names():
+    spec = CategoricalSpec((2,))
+    report = validate_dataset(spec, ObservedDataset(y=np.zeros(3), w=[[0], [5], [1]]), ["region"])
+    assert report.errors == ("OutOfRangeCategory: data row 2, column region: 5 is not in 0..1",)
+
+
+@pytest.mark.parametrize("levels", [(3,), (4, 2, 3), (2,) * 70])
+def test_encode_cells_groups_equal_rows_into_one_cell(levels):
+    # 2^70 combinations overflow a 64-bit mixed-radix id, so the ids are
+    # renumbered on the way; the cells must be the same either way
+    spec = CategoricalSpec(levels)
+    rng = np.random.default_rng(len(levels))
+    w = np.column_stack([rng.integers(0, lk, 300) for lk in levels])
+    w[1] = w[0]
+    w[1, 0] = (w[0, 0] + 1) % levels[0]  # with 70 binary digits its id wraps onto row 0's
+    w[150:] = w[:150]  # every combination occurs at least twice
+    cells = encode_cells(spec, w)
+    distinct, counts = np.unique(w, axis=0, return_counts=True)
+    assert len(cells.counts) == len(distinct)
+    np.testing.assert_array_equal(cells.categories[cells.inverse], w)
+    np.testing.assert_array_equal(np.sort(cells.counts), np.sort(counts))
+    np.testing.assert_array_equal(cells.counts, np.bincount(cells.inverse))
+    bundle = encode_dummy(spec, cells.categories)
+    np.testing.assert_array_equal(cells.design_star, bundle.design_star)
+    assert cells.column_map == bundle.column_map
+
+
+def test_encode_cells_reports_the_row_of_an_out_of_range_category():
+    with pytest.raises(OutOfRangeCategory) as exc:
+        encode_cells(CategoricalSpec((2, 3)), np.array([[0, 0], [1, 1], [0, 3], [1, 3]]))
+    assert (exc.value.row, exc.value.covariate, exc.value.value) == (2, 1, 3)
 
 
 def test_validate_flags_insufficient_rows():

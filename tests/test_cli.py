@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from miscorr import __version__
+from miscorr import __version__, categorical, cli, estimators, simkit
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.cli import main
 from miscorr.misclass import scenario_theta
@@ -178,6 +178,15 @@ def test_fit_out_of_range_category_names_its_row_column_and_value(tmp_path, caps
 _CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1 ", "#"]
 
 
+def _run_quietly(argv):
+    """main(argv) and what it printed on stderr, warnings counted as lines."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
 @settings(
     max_examples=50,
     deadline=None,
@@ -190,10 +199,11 @@ _CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1
             st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(",".join),
             max_size=12,
         ).map(lambda rows: "\n".join(["y,w1", *rows]).encode()),
-    )
+    ),
+    command=st.sampled_from(["fit", "diagnose"]),
 )
 def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
-    tmp_path, body
+    tmp_path, body, command
 ):
     data = tmp_path / "data.csv"
     data.write_bytes(body)
@@ -201,14 +211,60 @@ def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
     _write_theta(theta, LOW2)
     p_path = tmp_path / "p.csv"
     p_path.write_text("0.5,0.5\n")
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-        warnings.simplefilter("always")
-        rc = main([
-            "fit", "--data", str(data), "--theta", str(theta),
-            "--p", str(p_path), "--out", str(tmp_path / "out"),
-        ])
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0.5,0.7\n")
+    rc, lines = _run_quietly([
+        command, "--data", str(data), "--theta", str(theta),
+        "--p", str(p_path), "--out", str(tmp_path / "out"),
+        *(["--truth", str(truth)] if command == "diagnose" else []),
+    ])
+    assert rc in (0, 2, 3)
+    assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
+
+
+_CONFIG_KEYS = [
+    "scenario", "k", "levels", "n-grid", "sigmas", "seed", "threads", "dump-data", "data",
+    "theta", "p", "estimate-p", "truth", "plugin-sigma", "variance-sim", "sigma", "out",
+]
+_CONFIG_VALUES = [
+    None, True, False, -1, 0, 1, 2, 2.5, 1e308, "", "x", "1,2", "nan", "low", "high",
+    "random", [], [1, 2], {}, "data.csv", "theta.csv", "p.csv", "truth.csv",
+]
+# a config every command runs with; the fuzzed entries override some of it
+_RUNNABLE = {
+    "data": "data.csv", "theta": "theta.csv", "p": "p.csv", "truth": "truth.csv",
+    "scenario": "low", "levels": "2", "sigmas": "0.5",
+}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    body=st.one_of(
+        st.binary(max_size=60),
+        st.dictionaries(
+            st.sampled_from(_CONFIG_KEYS), st.sampled_from(_CONFIG_VALUES), max_size=4
+        ).map(lambda cfg: json.dumps({**_RUNNABLE, **cfg}).encode()),
+    ),
+    command=st.sampled_from(["fit", "diagnose", "simulate"]),
+)
+def test_any_config_file_ends_in_one_exit_status_and_at_most_one_json_line(
+    tmp_path, body, command
+):
+    # relative paths in the config resolve against the fixture directory;
+    # the grid size is pinned by flags so that no example runs long
+    data, _, _ = _make_binary_fixture(tmp_path, LOW2, n=60)
+    _write_theta(tmp_path / "theta.csv", LOW2)
+    (tmp_path / "truth.csv").write_text("0.5,0.7\n")
+    config = tmp_path / "config.json"
+    config.write_bytes(body)
+    small = ["--replicates", "2", "--n-grid", "20,40"] if command != "fit" else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        rc, lines = _run_quietly([command, "--config", str(config), *small])
     assert rc in (0, 2, 3)
     assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
 
@@ -432,6 +488,84 @@ def test_diagnose_variance_sim_with_one_replicate_exits_2(tmp_path):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "CONFIG_INVALID"
     assert not (tmp_path / "vs" / "intercept_variance.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("fit", {"data": True}, "CONFIG_INVALID"),
+        ("fit", {"out": "data.csv"}, "CONFIG_INVALID"),
+        ("simulate", {"k": 1e308}, "CONFIG_INVALID"),
+        ("diagnose", {"plugin-sigma": 1e308}, "NUMERICAL"),
+        ("diagnose", {"variance-sim": True, "sigma": -1}, "CONFIG_INVALID"),
+        ("simulate", {"sigmas": 1e300}, "NUMERICAL"),
+    ],
+)
+def test_config_values_that_raised_tracebacks_end_in_one_json_line(
+    tmp_path, monkeypatch, command, config, code
+):
+    _make_binary_fixture(tmp_path, LOW2, n=60)
+    _write_theta(tmp_path / "theta.csv", LOW2)
+    (tmp_path / "truth.csv").write_text("0.5,0.7\n")
+    (tmp_path / "config.json").write_text(json.dumps({**_RUNNABLE, **config}))
+    monkeypatch.chdir(tmp_path)
+    small = ["--replicates", "2", "--n-grid", "20,40"] if command != "fit" else []
+    rc, lines = _run_quietly([command, "--config", "config.json", *small])
+    assert rc == (3 if code == "NUMERICAL" else 2)
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == code
+
+
+def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "vs"
+    assert main([
+        "diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
+        "--n-grid", "50", "--replicates", "1", "--out", str(out),
+    ]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["5", "x"])
+def test_a_bad_category_is_reported_in_its_header_column(tmp_path, capsys, cell):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    rows[0] = "y,region"
+    rows[4] = rows[4].split(",")[0] + "," + cell
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path),
+                 "--p", str(p_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DATA_INVALID"
+    assert "data row 4, column region: " in err["message"]
+
+
+def test_fit_and_diagnose_encode_no_more_rows_than_occupied_cells(tmp_path, monkeypatch):
+    # the n-row dummy design is never built: every encode_dummy call sees
+    # at most one row per distinct category combination of the data
+    rng = np.random.default_rng(12)
+    w = np.column_stack([rng.integers(0, 2, 500), rng.integers(0, 3, 500)])
+    data = tmp_path / "data.csv"
+    _write_dataset(data, rng.standard_normal(500), w)
+    thetas = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+    _write_theta(thetas[0], LOW2)
+    _write_theta(thetas[1], scenario_theta("low", 3))
+    (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
+    occupied = len(np.unique(w, axis=0))
+    encoded = []
+    original = categorical.encode_dummy
+
+    def counting(spec, categories):
+        encoded.append(len(categories))
+        return original(spec, categories)
+
+    for module in (categorical, cli, estimators, simkit):
+        if hasattr(module, "encode_dummy"):
+            monkeypatch.setattr(module, "encode_dummy", counting)
+    files = ["--data", str(data), "--theta", ",".join(map(str, thetas)), "--estimate-p"]
+    assert main(["fit", *files, "--out", str(tmp_path / "fit")]) == 0
+    assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv"),
+                 "--out", str(tmp_path / "diag")]) == 0
+    assert encoded and max(encoded) <= occupied < 500
 
 
 @pytest.mark.parametrize(

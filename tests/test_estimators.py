@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
+from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_cells, encode_dummy
+from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
 from miscorr.errors import RankDeficient, ValidationError
 from miscorr.estimators import (
     correct,
@@ -168,10 +169,11 @@ def _prefix_case(w):
     return encode_dummy(spec, w).design_star, ys, pi, blocks
 
 
-def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks):
-    """fit_prefixes refuses exactly the prefixes ols_fit raises on and
-    agrees with ols_fit -> correct on the others; returns the refused n."""
-    fits = fit_prefixes(design_star, ys, ns, pi, blocks)
+def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
+    """fit_prefixes (or the given fits of these prefixes) refuses exactly
+    the prefixes ols_fit raises on and agrees with ols_fit -> correct on the
+    others; returns the refused n."""
+    fits = fit_prefixes(design_star, ys, ns, pi, blocks) if fits is None else fits
     refused = set()
     for k, n in enumerate(ns):
         for s in range(ys.shape[1]):
@@ -242,3 +244,85 @@ def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
     for ns in ((0, 5), (5, 11), ()):
         with pytest.raises(ValidationError):
             fit_prefixes(design_star, ys, ns, pi, blocks)
+
+
+def _random_table(k, n, seed):
+    rng = np.random.default_rng(seed)
+    spec = CategoricalSpec(tuple(rng.integers(2, 5, k)))
+    thetas = [scenario_theta("medium", lk) for lk in spec.levels]
+    ps = [rng.dirichlet(np.full(lk, 4.0)) for lk in spec.levels]
+    w = np.column_stack([rng.integers(0, lk, n) for lk in spec.levels])
+    y = w @ rng.uniform(0.5, 1.5, k) + rng.standard_normal(n)
+    return spec, thetas, ps, w, y
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_cell_path_matches_the_encoded_design(k):
+    # with K = 10 nearly every row is a cell of its own
+    spec, thetas, ps, w, y = _random_table(k, 500, seed=40 + k)
+    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
+    cells = encode_cells(spec, w)
+    if k == 10:
+        assert len(cells.counts) > 450
+    design_star = encode_dummy(spec, w).design_star
+    blocks = build_moment_blocks(spec, thetas, ps)
+    pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
+    rows = correct(ols_fit(design_star, y), y, pi, blocks)
+    np.testing.assert_allclose(fit.naive.gamma_star, rows.naive.gamma_star, rtol=1e-12)
+    np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
+    assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)
+
+    by_cell = variance_report(cells.design_star, blocks, fit.pi_rows, 0.3, cells.counts)
+    by_row = variance_report(design_star, blocks, pi, 0.3)
+    for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c", "a_matrix"):
+        np.testing.assert_allclose(
+            getattr(by_cell, field), getattr(by_row, field), rtol=1e-12, atol=1e-15
+        )
+    assert var_beta0_c_uncorrelated(
+        cells.design_star, blocks, fit.pi_rows, 0.3, cells.counts
+    ) == pytest.approx(var_beta0_c_uncorrelated(design_star, blocks, pi, 0.3), rel=1e-12)
+    truth = 0.5 + 0.2 * np.arange(spec.n_params)
+    pi_cells = np.hstack([np.ones((len(cells.counts), 1)), fit.pi_rows])
+    bias_cell = conditional_bias(cells.design_star, pi_cells, blocks.z_star, truth, cells.counts)
+    bias_row = conditional_bias(design_star, np.hstack([np.ones((500, 1)), pi]), blocks.z_star, truth)
+    scale = 1e-12 * np.abs(truth).sum()  # slope biases are 0 up to rounding here
+    np.testing.assert_allclose(bias_cell.b_star, bias_row.b_star, rtol=1e-12, atol=scale)
+    assert bias_cell.b0 == pytest.approx(bias_row.b0, rel=1e-12, abs=scale)
+
+
+def test_fit_names_the_column_of_an_absent_level():
+    spec = CategoricalSpec((3, 2))
+    rng = np.random.default_rng(41)
+    w = np.column_stack([rng.choice([0, 2], 60), rng.integers(0, 2, 60)])  # w1 never 1
+    ds = ObservedDataset(y=rng.standard_normal(60), w=w)
+    thetas = [scenario_theta("low", 3), LOW2]
+    with pytest.raises(RankDeficient) as exc:
+        fit_corrected(spec, ds, thetas, [np.ones(3) / 3, U2])
+    assert str(exc.value) == "design column 2 is collinear (covariate 0, level 1)"
+    bundle = encode_dummy(spec, w)
+    with pytest.raises(RankDeficient) as by_row:
+        ols_fit(bundle.design_star, ds.y, bundle.column_map)
+    assert str(by_row.value) == str(exc.value)
+
+
+@pytest.mark.parametrize("collinear", ["level_absent", "covariates_equal", "few_rows"])
+def test_fit_prefixes_over_cells_refuses_what_ols_fit_refuses(collinear):
+    # cells that are empty in the small prefixes make those stacks rank
+    # deficient; the refused set must be the one of per-prefix ols_fit
+    rng = np.random.default_rng(33)
+    w = np.column_stack([rng.integers(0, 3, 80), rng.integers(0, 2, 80), rng.integers(0, 2, 80)])
+    if collinear == "level_absent":
+        w[:12, 0] = rng.choice([0, 2], 12)
+        w[12, 0] = 1
+    elif collinear == "covariates_equal":
+        w[:25, 2] = w[:25, 1]
+        w[25, 1:] = [0, 1]
+    design_star, ys, pi, blocks = _prefix_case(w)
+    cells = encode_cells(CategoricalSpec((3, 2, 2)), w)
+    ns = (3, 5, 6, 10, 12, 13, 25, 26, 40, 80)
+    pi_cells = pi[np.argmax(cells.inverse[:, None] == np.arange(len(cells.counts)), axis=0)]
+    fits = fit_prefixes(cells.design_star, ys, ns, pi_cells, blocks, cells.inverse)
+    refused = _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits)
+    assert {3, 5} <= refused and 80 not in refused
+    counts = np.array([np.bincount(cells.inverse[:n], minlength=len(cells.counts)) for n in ns])
+    np.testing.assert_array_equal(fits.counts, counts)
