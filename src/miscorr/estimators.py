@@ -109,7 +109,7 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, m = len(y), design_star.shape[1]
-    inverse = np.arange(n) if inverse is None else inverse  # c = 1: sqrt(1) U = U, y / 1 = y
+    inverse = np.arange(len(design_star)) if inverse is None else inverse  # sqrt(1) U = U
     counts = np.bincount(inverse, minlength=len(design_star))
     sums = np.bincount(inverse, weights=y, minlength=len(design_star))
     r_mat, gamma, refused = _solve_cells(design_star, counts, sums[:, None], n)

@@ -290,6 +290,13 @@ def test_cell_path_matches_the_encoded_design(k):
     assert bias_cell.b0 == pytest.approx(bias_row.b0, rel=1e-12, abs=scale)
 
 
+@pytest.mark.parametrize("rows", [8, 12])
+def test_ols_fit_rejects_a_response_of_another_length(rows):
+    design_star = np.column_stack([np.ones(10), np.arange(10) % 2])
+    with pytest.raises(ValueError):
+        ols_fit(design_star, np.arange(float(rows)))
+
+
 def test_fit_names_the_column_of_an_absent_level():
     spec = CategoricalSpec((3, 2))
     rng = np.random.default_rng(41)
