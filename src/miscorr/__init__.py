@@ -14,7 +14,6 @@ from .diagnostics import (
     BiasReport,
     VarianceReport,
     conditional_bias,
-    intercept_bias,
     var_beta0_c_uncorrelated,
     variance_report,
 )
@@ -33,13 +32,7 @@ from .misclass import (
     posterior_rows,
     scenario_theta,
 )
-from .moments import (
-    MomentBlocks,
-    build_moment_blocks,
-    cov_w_pair,
-    cov_wx_entry,
-    var_w,
-)
+from .moments import MomentBlocks, build_moment_blocks
 from .simkit import (
     EqpTable,
     ScenarioConfig,
@@ -69,13 +62,10 @@ __all__ = [
     "conditional_bias",
     "correct_intercept",
     "correct_slopes",
-    "cov_w_pair",
-    "cov_wx_entry",
     "encode_dummy",
     "eqp",
     "estimate_marginal",
     "fit_corrected",
-    "intercept_bias",
     "ols_fit",
     "posterior_from",
     "posterior_rows",
@@ -87,6 +77,5 @@ __all__ = [
     "simulate_y",
     "validate_dataset",
     "var_beta0_c_uncorrelated",
-    "var_w",
     "variance_report",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import warnings
@@ -35,8 +34,6 @@ from .simkit import (
 )
 
 FMT = "%.17g"  # round-trips IEEE doubles
-# An overflow is a numerical failure (exit 3), not an inf output.
-_STRICT_FLOATS = np.errstate(over="raise", invalid="raise")
 
 
 class CliError(ValidationError):
@@ -94,6 +91,14 @@ def _int(value) -> int:
     number = int(value)
     if (not isinstance(value, str) and number != value) or abs(number) >= 2**63:
         raise ValueError(f"{value!r} is not a 64-bit integer")
+    return number
+
+
+def _positive(value) -> float:
+    """float() that refuses a value that is not finite and above 0."""
+    number = float(value)
+    if not (np.isfinite(number) and number > 0):
+        raise ValueError(f"{value!r} is not finite and positive")
     return number
 
 
@@ -261,7 +266,6 @@ def _load_and_fit(args, cfg):
     return spec, ds, report, p_residuals, cells, fit
 
 
-@_STRICT_FLOATS
 def cmd_fit(args, cfg) -> int:
     spec, ds, report, p_residuals, cells, fit = _load_and_fit(args, cfg)
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
@@ -306,11 +310,6 @@ def _scenario_config_from(args, cfg) -> ScenarioConfig:
     )
 
 
-def _threads(args, cfg) -> int:
-    env = os.environ.get("MISCORR_THREADS", 1)
-    return max(1, _value(args, cfg, "threads", _int, env))
-
-
 def _dump_data(config: ScenarioConfig, out: Path) -> None:
     """Write replicate 0 at the largest n, one file per sigma, with the
     matching theta and p matrices."""
@@ -328,10 +327,9 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
                    header=header, comments="")
 
 
-@_STRICT_FLOATS
 def cmd_simulate(args, cfg) -> int:
     config = _scenario_config_from(args, cfg)
-    threads = _threads(args, cfg)
+    threads = max(1, _value(args, cfg, "threads", _int, 1))
     table = run_grid(config, threads=threads)
     out = _out_dir(args, cfg)
     (out / "eqp.csv").write_text(table.to_csv())
@@ -366,7 +364,6 @@ def cmd_diagnose(args, cfg) -> int:
     return _cmd_diagnose_bias(args, cfg)
 
 
-@_STRICT_FLOATS
 def _cmd_diagnose_bias(args, cfg) -> int:
     truth_path = _require(args, cfg, "truth", "TRUTH_REQUIRED")
     spec, ds, _, _, cells, fit = _load_and_fit(args, cfg)
@@ -376,11 +373,13 @@ def _cmd_diagnose_bias(args, cfg) -> int:
             "TRUTH_REQUIRED",
             f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
         )
+    if not np.all(np.isfinite(beta_star)):
+        raise CliError("DATA_INVALID", f"{truth_path}: truth entries must be finite")
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
 
-    plugin = _value(args, cfg, "plugin-sigma", float)
+    plugin = _value(args, cfg, "plugin-sigma", _positive)
     sigma2 = fit.naive.sigma2_w if plugin is None else plugin**2
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, sigma2, cells.counts)
 
@@ -395,7 +394,6 @@ def _cmd_diagnose_bias(args, cfg) -> int:
     return 0
 
 
-@_STRICT_FLOATS
 def _cmd_diagnose_variance_sim(args, cfg) -> int:
     config = _scenario_config_from(args, cfg)
     sigma = _value(args, cfg, "sigma", float, 0.2)
@@ -484,12 +482,17 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config_file(getattr(args, "config", None))
-        return args.func(args, cfg)
+        # every command: an overflow is a numerical failure (exit 3), not an inf output
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args, cfg)
     except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
         return 3
     except MiscorrError as exc:
         _emit_error(exc)
+        return 2
+    except OSError as exc:  # inputs are opened by _open, so an output file failed
+        _emit_error(CliError("CONFIG_INVALID", f"cannot write {exc.filename}: {exc.strerror}"))
         return 2
 
 

@@ -20,8 +20,6 @@ class BiasReport:
 
     b_star: np.ndarray
     b0: float
-    pi_star: np.ndarray
-    expected_beta_c_star: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class VarianceReport:
     var_gamma_star: np.ndarray
     var_beta_c_star: np.ndarray
     var_beta0_c: float
-    a_matrix: np.ndarray
 
 
 def _gram_inverse(design_star_w, counts):
@@ -56,8 +53,9 @@ def conditional_bias(
     (Z (W*^T W*)^-1 W*^T pi* - I) beta*.
 
     The intercept-correction bias is the derivation-consistent form
-    B0 = mean_i pi_(i) (beta - E[beta_c_hat | W]).  Row j of the design
-    and of ``pi_star`` may stand for counts[j] identical observations.
+    B0 = pi_bar (beta - E[beta_c_hat | W]) with pi_bar = mean_i pi_(i).
+    Row j of the design and of ``pi_star`` may stand for counts[j]
+    identical observations.
     """
     w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
     pi_star = np.asarray(pi_star, dtype=float)
@@ -66,19 +64,8 @@ def conditional_bias(
     expected = transfer @ beta_star_true
     b_star = expected - beta_star_true
     pi_bar = counts @ pi_star[:, 1:] / counts.sum()
-    b0 = intercept_bias(pi_bar[None, :], beta_star_true[1:], expected[1:])
-    return BiasReport(
-        b_star=b_star, b0=b0, pi_star=pi_star, expected_beta_c_star=expected
-    )
-
-
-def intercept_bias(
-    pi_rows: np.ndarray, beta_true: np.ndarray, expected_beta_c: np.ndarray
-) -> float:
-    """B0 = mean_i pi_(i) (beta - E[beta_c_hat | W])."""
-    pi_rows = np.asarray(pi_rows, dtype=float)
-    gap = np.asarray(beta_true, dtype=float) - np.asarray(expected_beta_c, dtype=float)
-    return float(np.mean(pi_rows @ gap))
+    b0 = float(pi_bar @ (beta_star_true[1:] - expected[1:]))
+    return BiasReport(b_star=b_star, b0=b0)
 
 
 def variance_report(
@@ -107,13 +94,11 @@ def variance_report(
     w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
     n = counts.sum()
     z = blocks.z_star
-    w = w_star[:, 1:]
     v_bar = counts @ np.asarray(pi_rows, dtype=float) @ blocks.correction / n  # C^T pi_bar
     return VarianceReport(
         var_gamma_star=xtx_inv * sigma2,
         var_beta_c_star=sigma2 * (z @ xtx_inv @ z.T),
         var_beta0_c=float(sigma2 * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)),
-        a_matrix=(w.T * counts) @ (w - counts @ w / n),
     )
 
 

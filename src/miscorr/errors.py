@@ -43,10 +43,6 @@ class ZeroObservedMass(ValidationError):
         super().__init__(f"observed category {level} has zero marginal probability")
 
 
-class SameLevel(ValidationError):
-    code = "SAME_LEVEL"
-
-
 class UndefinedScenario(ValidationError):
     code = "UNDEFINED_SCENARIO"
 

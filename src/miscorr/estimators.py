@@ -26,7 +26,6 @@ class NaiveFit:
 
     gamma_star: np.ndarray
     sigma2_w: float
-    rss: float
 
     @property
     def intercept(self) -> float:
@@ -122,8 +121,7 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
         raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
     gamma = gamma[0]
     resid = y - (design_star @ gamma)[inverse]
-    rss = float(resid @ resid)
-    return NaiveFit(gamma_star=gamma, sigma2_w=rss / (n - m), rss=rss)
+    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m))
 
 
 def correct_slopes(naive: NaiveFit, blocks: MomentBlocks) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
 
 SIMPLEX_TOL = 1e-12
 RENORM_TOL = 1e-9
+RCOND_MIN = 1e-10  # below this reciprocal condition number a matrix counts as singular
 
 # Distortion presets used throughout the simulation study.  Row = true
 # category, column = observed category.
@@ -66,6 +67,13 @@ def _check_simplex_rows(mat: np.ndarray, name: str) -> np.ndarray:
         warnings.warn(f"renormalizing {name} rows (max error {err.max():.3g})")
         mat = mat / sums[..., None]
     return mat
+
+
+def _near_singular(mat: np.ndarray) -> bool:
+    """True when the reciprocal 2-norm condition number of ``mat`` is below
+    RCOND_MIN (or ``mat`` is zero)."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return bool(s[0] == 0 or s[-1] / s[0] < RCOND_MIN)
 
 
 def check_theta(theta) -> np.ndarray:
@@ -137,7 +145,7 @@ def estimate_marginal(theta, observed_freq) -> tuple[np.ndarray, float]:
     if len(q_hat) != theta.shape[0]:
         raise ValidationError("theta and observed_freq dimensions differ")
     at = theta.T
-    if 1.0 / np.linalg.cond(at) < 1e-10:
+    if _near_singular(at):
         raise IllConditionedTheta("theta is numerically singular")
     p_raw = np.linalg.lstsq(at, q_hat, rcond=None)[0]
     p = project_simplex(p_raw)

@@ -15,40 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .categorical import CategoricalSpec
-from .errors import NonIdentifiable, SameLevel, ValidationError
-from .misclass import check_marginal, check_theta, observed_marginal
-
-RCOND_MIN = 1e-10
-
-
-def var_w(theta, p, l: int) -> float:
-    """Variance of the observed-category indicator for level l: q_l(1 - q_l)."""
-    q = observed_marginal(check_theta(theta), check_marginal(p))
-    return float(q[l] - q[l] ** 2)
-
-
-def cov_w_pair(theta, p, l: int, m: int) -> float:
-    """Covariance of two distinct observed-level indicators: -q_l q_m."""
-    if l == m:
-        raise SameLevel("use var_w for matching levels")
-    q = observed_marginal(check_theta(theta), check_marginal(p))
-    return float(-q[l] * q[m])
-
-
-def cov_wx_entry(theta, p, l_w: int, l_x: int) -> float:
-    """Covariance between observed indicator l_w and true indicator l_x:
-    (theta[l_x, l_w] - q[l_w]) p[l_x]."""
-    theta = check_theta(theta)
-    p = check_marginal(p)
-    q = observed_marginal(theta, p)
-    return float((theta[l_x, l_w] - q[l_w]) * p[l_x])
-
-
-def _reciprocal_cond(mat: np.ndarray) -> float:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0:
-        return 0.0
-    return float(s[-1] / s[0])
+from .errors import NonIdentifiable, ValidationError
+from .misclass import _near_singular, check_marginal, check_theta, observed_marginal
 
 
 @dataclass(frozen=True)
@@ -62,7 +30,6 @@ class MomentBlocks:
 
     sigma_w: np.ndarray
     sigma_wx: np.ndarray
-    sigma_x: np.ndarray
     correction: np.ndarray
     z_star: np.ndarray
 
@@ -83,7 +50,6 @@ def build_moment_blocks(
     d = spec.n_slopes
     sigma_w = np.zeros((d, d))
     sigma_wx = np.zeros((d, d))
-    sigma_x = np.zeros((d, d))
     off = 0
     for k, lk in enumerate(spec.levels):
         theta = check_theta(thetas[k])
@@ -94,16 +60,15 @@ def build_moment_blocks(
         dk = lk - 1
         sl = slice(off, off + dk)
         sigma_w[sl, sl] = _indicator_cov(q)
-        sigma_x[sl, sl] = _indicator_cov(p)
         # rows indexed by observed level, columns by true level
         block = (theta[:dk, :dk].T - q[:dk, None]) * p[None, :dk]
         sigma_wx[sl, sl] = block
         off += dk
 
-    if _reciprocal_cond(sigma_w) < RCOND_MIN:
+    if _near_singular(sigma_w):
         raise NonIdentifiable("sigma_w is numerically singular")
     attenuation = np.linalg.solve(sigma_w, sigma_wx)
-    if _reciprocal_cond(attenuation) < RCOND_MIN:
+    if _near_singular(attenuation):
         raise NonIdentifiable(
             "observed categories carry no information about the true ones"
         )
@@ -114,7 +79,6 @@ def build_moment_blocks(
     return MomentBlocks(
         sigma_w=sigma_w,
         sigma_wx=sigma_wx,
-        sigma_x=sigma_x,
         correction=correction,
         z_star=z_star,
     )

@@ -74,7 +74,6 @@ class ScenarioConfig:
     sigma_list: tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
     replicates: int = 300
     master_seed: int = 0
-    force_identity_theta: bool = False  # debug: disables the error mechanism
 
     def __post_init__(self):
         if self.distortion not in DISTORTION_LEVELS:
@@ -185,10 +184,7 @@ def replicate_structure(config: ScenarioConfig, replicate_id: int):
                 for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates)
             )
     spec = CategoricalSpec(levels)
-    if config.force_identity_theta:
-        thetas = [np.eye(lk) for lk in levels]
-    else:
-        thetas = [scenario_theta(config.distortion, lk) for lk in levels]
+    thetas = [scenario_theta(config.distortion, lk) for lk in levels]
     ps = [np.full(lk, 1.0 / lk) for lk in levels]
     return spec, thetas, ps
 

@@ -330,17 +330,6 @@ def test_simulate_byte_identical_across_runs_and_threads(tmp_path):
     assert (out_a / "eqp.csv").read_bytes() == (out_b / "eqp.csv").read_bytes()
 
 
-def test_simulate_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("MISCORR_THREADS", "4")
-    out = tmp_path / "sim"
-    assert main([
-        "simulate", "--scenario", "low", "--levels", "2",
-        "--n-grid", "80", "--sigmas", "0.1", "--replicates", "2",
-        "--seed", "2", "--out", str(out),
-    ]) == 0
-    assert json.loads((out / "config.json").read_text())["threads"] == 4
-
-
 def test_simulate_grid_below_the_column_count_reports_failures(tmp_path):
     out = tmp_path / "sim"
     assert main([
@@ -386,16 +375,6 @@ def test_simulate_bad_setting_exits_2_with_config_invalid(tmp_path, capsys, flag
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
-
-
-def test_simulate_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MISCORR_THREADS", "many")
-    rc = main([
-        "simulate", "--scenario", "low", "--levels", "2", "--n-grid", "50",
-        "--replicates", "1", "--out", str(tmp_path / "o"),
-    ])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):
@@ -513,6 +492,64 @@ def test_config_values_that_raised_tracebacks_end_in_one_json_line(
     rc, lines = _run_quietly([command, "--config", "config.json", *small])
     assert rc == (3 if code == "NUMERICAL" else 2)
     assert len(lines) == 1 and json.loads(lines[0])["error"] == code
+
+
+def _fixture_argv(tmp_path, command):
+    """A runnable fit/diagnose/simulate command line without --out."""
+    if command == "simulate":
+        return ["simulate", "--scenario", "low", "--levels", "2", "--n-grid", "40",
+                "--sigmas", "0.1", "--replicates", "2"]
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=100)
+    (tmp_path / "truth.csv").write_text("0.5,0.7\n")
+    argv = [command, "--data", str(data), "--theta", str(theta_path), "--p", str(p_path)]
+    return argv + (["--truth", str(tmp_path / "truth.csv")] if command == "diagnose" else [])
+
+
+@pytest.mark.parametrize(
+    "command, extra, blocked",
+    [
+        ("fit", [], "estimates.csv"),
+        ("fit", [], "diagnostics.json"),
+        ("diagnose", [], "variance.csv"),
+        ("simulate", [], "eqp.csv"),
+        ("simulate", ["--dump-data"], "theta_w1.csv"),
+    ],
+)
+def test_an_output_file_that_cannot_be_written_exits_2_naming_it(
+    tmp_path, capsys, command, extra, blocked
+):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    rc = main(_fixture_argv(tmp_path, command) + extra + ["--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG_INVALID"
+    assert str(out / blocked) in err["message"]
+
+
+@pytest.mark.parametrize("sd", ["nan", "inf", "-0.5", "0"])
+def test_diagnose_plugin_sigma_must_be_finite_and_positive(tmp_path, capsys, sd):
+    out = tmp_path / "diag"
+    rc = main(_fixture_argv(tmp_path, "diagnose") + [f"--plugin-sigma={sd}", "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CONFIG_INVALID"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("truth", ["nan,0.7", "0.5,inf"])
+def test_diagnose_truth_with_a_non_finite_entry_is_data_invalid(tmp_path, capsys, truth):
+    argv = _fixture_argv(tmp_path, "diagnose")
+    (tmp_path / "truth.csv").write_text(truth + "\n")
+    out = tmp_path / "diag"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DATA_INVALID" and str(tmp_path / "truth.csv") in err["message"]
+    assert not out.exists()
 
 
 def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):

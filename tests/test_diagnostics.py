@@ -5,7 +5,6 @@ from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.diagnostics import (
     conditional_bias,
     conditional_response_variance,
-    intercept_bias,
     variance_report,
 )
 from miscorr.errors import RankDeficient
@@ -55,15 +54,14 @@ def test_bias_linear_in_truth():
     np.testing.assert_allclose(b3, 3 * b1, atol=1e-12)
 
 
-def test_intercept_bias_zero_when_expectation_matches_truth():
-    pi = np.array([[0.3], [0.9]])
-    assert intercept_bias(pi, np.array([1.0]), np.array([1.0])) == 0.0
-
-
 def test_intercept_bias_hand_arithmetic():
-    assert intercept_bias(
-        np.array([[0.5]]), np.array([1.0]), np.array([0.8])
-    ) == pytest.approx(0.1)
+    # two cells holding 1 and 2 rows: the fit interpolates them, so
+    # E[gamma_hat | W] = W^-1 pi* beta = (0.5, 0) and pi_bar = 0.5
+    design = np.array([[1.0, 1.0], [1.0, 0.0]])
+    pi_star = np.array([[1.0, 0.5], [1.0, 0.5]])
+    report = conditional_bias(design, pi_star, np.eye(2), np.array([0.0, 1.0]), [1, 2])
+    np.testing.assert_allclose(report.b_star, [0.5, -1.0], atol=1e-12)
+    assert report.b0 == pytest.approx(0.5 * (1.0 - 0.0))
 
 
 def test_bias_matches_fixed_design_monte_carlo():
@@ -129,6 +127,8 @@ def test_intercept_variance_is_exact_for_asymmetric_correction():
 
 
 def test_a_matrix_hand_arithmetic():
+    # A = W^T (W - W_bar) = 4 * 0.25 for dummies 1,1,0,0; its inverse is the
+    # slope block of (W*^T W*)^-1
     spec, blocks = CategoricalSpec((2,)), build_moment_blocks(
         CategoricalSpec((2,)), [LOW2], [U2]
     )
@@ -137,7 +137,7 @@ def test_a_matrix_hand_arithmetic():
     post = posterior_from(LOW2, U2)
     pi = posterior_rows([post], w)
     report = variance_report(bundle.design_star, blocks, pi, 1.0)
-    assert report.a_matrix[0, 0] == pytest.approx(1.0)
+    assert 1.0 / report.var_gamma_star[1, 1] == pytest.approx(1.0)
 
 
 def test_variance_matrices_symmetric_psd():

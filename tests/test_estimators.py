@@ -274,7 +274,7 @@ def test_cell_path_matches_the_encoded_design(k):
 
     by_cell = variance_report(cells.design_star, blocks, fit.pi_rows, 0.3, cells.counts)
     by_row = variance_report(design_star, blocks, pi, 0.3)
-    for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c", "a_matrix"):
+    for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c"):
         np.testing.assert_allclose(
             getattr(by_cell, field), getattr(by_row, field), rtol=1e-12, atol=1e-15
         )

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from miscorr.categorical import CategoricalSpec, encode_dummy
-from miscorr.errors import NonIdentifiable, SameLevel
+from miscorr.errors import NonIdentifiable
 from miscorr.misclass import observed_marginal, scenario_theta
-from miscorr.moments import (
-    build_moment_blocks,
-    cov_w_pair,
-    cov_wx_entry,
-    var_w,
-)
+from miscorr.moments import build_moment_blocks
 from miscorr.simkit import simulate_w, simulate_x
 
 LOW2 = scenario_theta("low", 2)
@@ -20,47 +15,51 @@ U3 = np.ones(3) / 3
 U4 = np.full(4, 0.25)
 
 
+def _blocks(theta, p):
+    return build_moment_blocks(CategoricalSpec((len(p),)), [theta], [p])
+
+
 def test_var_w_low_binary():
-    assert var_w(LOW2, U2, 0) == pytest.approx(0.525 * 0.475)
+    assert _blocks(LOW2, U2).sigma_w[0, 0] == pytest.approx(0.525 * 0.475)
 
 
 def test_var_w_degenerate_column():
+    # W is always level 0, so its indicator has no variance and sigma_w is zero
     theta = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert var_w(theta, U2, 0) == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(NonIdentifiable, match="sigma_w"):
+        _blocks(theta, U2)
 
 
 def test_var_w_medium_three_levels():
-    assert var_w(MED3, U3, 0) == pytest.approx(0.216389, abs=1e-6)
+    assert _blocks(MED3, U3).sigma_w[0, 0] == pytest.approx(0.216389, abs=1e-6)
 
 
 def test_cov_w_pair_medium():
-    assert cov_w_pair(MED3, U3, 0, 1) == pytest.approx(-0.116111, abs=1e-6)
+    assert _blocks(MED3, U3).sigma_w[0, 1] == pytest.approx(-0.116111, abs=1e-6)
 
 
 def test_cov_w_pair_zero_mass_level():
-    theta = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert cov_w_pair(theta, U2, 0, 1) == pytest.approx(0.0, abs=1e-15)
+    # observed level 1 never occurs: its row and column of sigma_w are zero
+    theta = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NonIdentifiable, match="sigma_w"):
+        _blocks(theta, U3)
 
 
 def test_cov_w_pair_high():
-    assert cov_w_pair(HIGH4, U4, 0, 1) == pytest.approx(-0.062344, abs=1e-6)
+    assert _blocks(HIGH4, U4).sigma_w[0, 1] == pytest.approx(-0.062344, abs=1e-6)
 
 
-def test_cov_w_pair_rejects_same_level():
-    with pytest.raises(SameLevel):
-        cov_w_pair(LOW2, U2, 0, 0)
-
-
+# sigma_wx rows are observed levels, columns true levels
 def test_cov_wx_low_binary():
-    assert cov_wx_entry(LOW2, U2, 0, 0) == pytest.approx(0.1875)
+    assert _blocks(LOW2, U2).sigma_wx[0, 0] == pytest.approx(0.1875)
 
 
 def test_cov_wx_identity_reduces_to_bernoulli_variance():
-    assert cov_wx_entry(np.eye(2), U2, 0, 0) == pytest.approx(0.25)
+    assert _blocks(np.eye(2), U2).sigma_wx[0, 0] == pytest.approx(0.25)
 
 
 def test_cov_wx_medium_off_diagonal():
-    assert cov_wx_entry(MED3, U3, 0, 1) == pytest.approx(-0.055556, abs=1e-6)
+    assert _blocks(MED3, U3).sigma_wx[0, 1] == pytest.approx(-0.055556, abs=1e-6)
 
 
 def test_blocks_identity_theta_gives_identity_correction():
@@ -68,7 +67,8 @@ def test_blocks_identity_theta_gives_identity_correction():
     blocks = build_moment_blocks(spec, [np.eye(3)], [U3])
     np.testing.assert_allclose(blocks.correction, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(blocks.sigma_wx, blocks.sigma_w, atol=1e-12)
-    np.testing.assert_allclose(blocks.sigma_x, blocks.sigma_w, atol=1e-12)
+    sigma_x = np.diag(U3[:2]) - np.outer(U3[:2], U3[:2])
+    np.testing.assert_allclose(sigma_x, blocks.sigma_w, atol=1e-12)
 
 
 def test_blocks_low_binary_attenuation_reciprocal():

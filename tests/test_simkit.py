@@ -121,21 +121,6 @@ def test_eqp_hand_arithmetic():
     assert eqp(np.array([0.5, 0.9]), truth) == pytest.approx(0.04 / 0.7 / 2)
 
 
-def test_run_replicate_identity_debug_flag():
-    cfg = ScenarioConfig(
-        distortion="low",
-        levels=(3,),
-        n_grid=(100,),
-        sigma_list=(0.1,),
-        replicates=1,
-        master_seed=9,
-        force_identity_theta=True,
-    )
-    est = run_replicate(cfg, (100, 0.1), 0)
-    np.testing.assert_allclose(est["none"], est["partial"], atol=1e-10)
-    np.testing.assert_allclose(est["none"], est["full"], atol=1e-10)
-
-
 def test_run_replicate_deterministic():
     cfg = ScenarioConfig(
         distortion="medium", n_covariates=2, levels=None,
