@@ -26,10 +26,11 @@ from .errors import MiscorrError, NumericalError, ValidationError
 from .estimators import fit_corrected
 from .misclass import SCENARIO_THETAS, check_theta, estimate_marginal
 from .simkit import (
+    METHODS,
     ScenarioConfig,
     intercept_variance_curve,
     replicate_designs,
-    replicate_response,
+    replicate_responses,
     run_grid,
 )
 
@@ -320,8 +321,8 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
         np.savetxt(out / f"p_w{k + 1}.csv", p[None, :], delimiter=",", fmt=FMT)
     header = "y," + ",".join(f"w{k + 1}" for k in range(spec.n_covariates))
     fmt = [FMT] + ["%d"] * spec.n_covariates
-    for sigma in config.sigma_list:
-        y = replicate_response(config, 0, spec, x, sigma)
+    ys = replicate_responses(config, 0, spec, x, config.sigma_list)
+    for sigma, y in zip(config.sigma_list, ys.T):
         table = np.column_stack([y[:n], w[:n]])
         np.savetxt(out / f"data_sigma{sigma:g}.csv", table, delimiter=",", fmt=fmt,
                    header=header, comments="")
@@ -340,7 +341,7 @@ def cmd_simulate(args, cfg) -> int:
         series = {
             method: [(r.n, r.eqp) for r in table.records
                      if r.method == method and r.sigma == sigma and np.isfinite(r.eqp)]
-            for method in ("none", "partial", "full")
+            for method in METHODS
         }
         if not any(series.values()):  # every cell failed; eqp.csv holds the counts
             continue

@@ -227,7 +227,13 @@ def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, 
     if cells is None:
         cells = encode_cells(spec, ds.w)
     naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
+    blocks, _, pi = _mechanism(spec, thetas, ps, cells.categories)
+    return correct(naive, ds.y, pi, blocks, cells.counts)
+
+
+def _mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, categories: np.ndarray):
+    """What the correction reads of (theta, p): the moment blocks, the
+    posteriors, and the posterior rows of ``categories`` (the occupied cells)."""
     blocks = build_moment_blocks(spec, thetas, ps)
     posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    pi = posterior_rows(posteriors, cells.categories)
-    return correct(naive, ds.y, pi, blocks, cells.counts)
+    return blocks, posteriors, posterior_rows(posteriors, categories)

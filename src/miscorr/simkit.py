@@ -19,15 +19,8 @@ import numpy as np
 from .categorical import CategoricalSpec, encode_cells, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
-from .estimators import correct, fit_prefixes, ols_fit
-from .misclass import (
-    DISTORTION_LEVELS,
-    SCENARIO_THETAS,
-    posterior_from,
-    posterior_rows,
-    scenario_theta,
-)
-from .moments import build_moment_blocks
+from .estimators import _mechanism, correct, fit_prefixes, ols_fit
+from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, scenario_theta
 
 METHODS = ("none", "partial", "full")
 RANDOM_LEVEL_CHOICES = (2, 3, 4)
@@ -172,17 +165,10 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
 
 def replicate_structure(config: ScenarioConfig, replicate_id: int):
     """Per-replicate covariate layout and error mechanism."""
-    if config.levels is not None:
-        levels = config.levels
-    else:
+    levels = config.levels  # ScenarioConfig fixes 4 levels under high distortion
+    if levels is None:
         rng = _rng(config.master_seed, _STREAM_STRUCTURE, replicate_id)
-        if config.distortion == "high":
-            levels = (4,) * config.n_covariates
-        else:
-            levels = tuple(
-                int(v)
-                for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates)
-            )
+        levels = tuple(int(v) for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates))
     spec = CategoricalSpec(levels)
     thetas = [scenario_theta(config.distortion, lk) for lk in levels]
     ps = [np.full(lk, 1.0 / lk) for lk in levels]
@@ -215,13 +201,17 @@ def replicate_response(config: ScenarioConfig, replicate_id: int, spec: Categori
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
-def _replicate_mechanism(spec, thetas, ps, w):
-    """Occupied cells of W, moment blocks, posteriors and the posterior rows
-    of the cells, built once per replicate and shared by its fits."""
+def _replicate_fits(config: ScenarioConfig, replicate_id: int, sigmas):
+    """The replicate pipeline of the grid and the variance curve: designs,
+    occupied cells, mechanism, one response column per sigma, then every
+    n-prefix of ``config.n_grid`` fitted at once.  Returns the spec, cells,
+    mechanism (blocks, posteriors, posterior rows) and the PrefixFits."""
+    spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
     cells = encode_cells(spec, w)
-    blocks = build_moment_blocks(spec, thetas, ps)
-    posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    return cells, blocks, posteriors, posterior_rows(posteriors, cells.categories)
+    blocks, posteriors, pi = _mechanism(spec, thetas, ps, cells.categories)
+    ys = replicate_responses(config, replicate_id, spec, x, sigmas)
+    fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
+    return spec, cells, (blocks, posteriors, pi), fits
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
@@ -230,9 +220,10 @@ def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id:
     its result, but a prefix too small to fit raises RankDeficient."""
     n, sigma = cell
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    cells, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w[:n])
+    cells = encode_cells(spec, w[:n])
     y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
     naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
+    blocks, _, pi = _mechanism(spec, thetas, ps, cells.categories)
     fit = correct(naive, y, pi, blocks, cells.counts)
     return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
@@ -244,10 +235,9 @@ class InterceptVariancePoint:
     empirical: float
 
 
-def intercept_variance_curve(
-    config: ScenarioConfig, sigma: float, n_list=None
-) -> list[InterceptVariancePoint]:
-    """Theoretical vs empirical variance of the corrected intercept per n.
+def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[InterceptVariancePoint]:
+    """Theoretical vs empirical variance of the corrected intercept per n of
+    ``config.n_grid``.
 
     Every replicate draws its designs and response once and fits all their
     n-prefixes together; the empirical variance is taken across replicates.
@@ -263,29 +253,22 @@ def intercept_variance_curve(
         raise ValidationError("an empirical variance needs at least 2 replicates")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma}")
-    n_list = tuple(config.n_grid if n_list is None else n_list)
-    beta0_hats = []
-    theoreticals = []
+    beta0_hats, theoreticals = [], []
     for rep in range(config.replicates):
-        spec, thetas, ps, x, w = replicate_designs(config, rep)
-        cells, blocks, posteriors, pi = _replicate_mechanism(spec, thetas, ps, w)
-        y = replicate_response(config, rep, spec, x, sigma)
-        fits = fit_prefixes(cells.design_star, y[:, None], n_list, pi, blocks, cells.inverse)
+        spec, cells, (blocks, posteriors, pi), fits = _replicate_fits(config, rep, (sigma,))
         if fits.refused.any():
-            n = n_list[int(np.argmax(fits.refused))]
+            n = config.n_grid[int(np.argmax(fits.refused))]
             raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
         beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
         sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
         theoreticals.append([
             var_beta0_c_uncorrelated(cells.design_star, blocks, pi, c @ sigma2 / n, c)
-            for n, c in zip(n_list, fits.counts)
+            for n, c in zip(config.n_grid, fits.counts)
         ])
     return [
-        InterceptVariancePoint(
-            n=n, theoretical=float(np.mean(th)), empirical=float(np.var(b0, ddof=1))
-        )
-        for n, th, b0 in zip(n_list, np.transpose(theoreticals), np.transpose(beta0_hats))
+        InterceptVariancePoint(n, float(np.mean(th)), float(np.var(b0, ddof=1)))
+        for n, th, b0 in zip(config.n_grid, np.transpose(theoreticals), np.transpose(beta0_hats))
     ]
 
 
@@ -323,10 +306,7 @@ class EqpTable:
 def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
     """EQP of one replicate indexed [n, sigma, method], NaN in the cells
     whose prefix the rank guard refused, and the refused mask over n."""
-    spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    cells, blocks, _, pi = _replicate_mechanism(spec, thetas, ps, w)
-    ys = replicate_responses(config, replicate_id, spec, x, config.sigma_list)
-    fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
+    spec, _, _, fits = _replicate_fits(config, replicate_id, config.sigma_list)
     estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
     return eqp(estimates, TruthSpec.default(spec.n_slopes)), fits.refused
 
