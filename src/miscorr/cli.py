@@ -72,10 +72,19 @@ def _read_json(path, missing: str, invalid: str):
             raise CliError(invalid, f"bad JSON in {path}: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Every sub-command's settings, as its namespace names them, spelled like flags."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
+    return {name.replace("_", "-") for name in names - {"func", "config"}}
+
+
+def _load_config_file(path: str | None, keys: set[str]) -> dict:
     cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
     if not isinstance(cfg, dict):
         raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
+    if unknown := sorted(set(cfg) - keys):
+        raise CliError("CONFIG_INVALID", f"{path}: unknown keys {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -101,6 +110,13 @@ def _positive(value) -> float:
     if not (np.isfinite(number) and number > 0):
         raise ValueError(f"{value!r} is not finite and positive")
     return number
+
+
+def _switch(value) -> bool:
+    """A JSON true or false: truthiness would read "no" or 0 as a choice."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
 
 
 def _text(value) -> str:
@@ -159,6 +175,8 @@ def _read_matrix(path: str, code: str) -> np.ndarray:
         table = _loadtxt(path, fh, dtype=float)
     if table.size == 0:
         raise CliError(code, f"empty file: {path}")
+    if not np.all(np.isfinite(table)):
+        raise CliError("DATA_INVALID", f"{path}: entries must be finite")
     return table
 
 
@@ -217,10 +235,11 @@ def _paths(args, cfg, key: str, k: int, code: str) -> list[str]:
 
 
 def _load_marginals(args, cfg, thetas, level_counts):
+    estimate = _value(args, cfg, "estimate-p", _switch, False)
     if _resolve(args, cfg, "p"):
         paths = _paths(args, cfg, "p", len(thetas), "P_MISSING")
         return [_read_matrix(path, "P_MISSING").ravel() for path in paths], {}
-    if not _resolve(args, cfg, "estimate-p", False):
+    if not estimate:
         raise CliError("P_MISSING", "supply --p files or --estimate-p")
     ps, residuals = [], {}
     for k, (theta, counts) in enumerate(zip(thetas, level_counts)):
@@ -331,10 +350,11 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
 def cmd_simulate(args, cfg) -> int:
     config = _scenario_config_from(args, cfg)
     threads = max(1, _value(args, cfg, "threads", _int, 1))
+    dump = _value(args, cfg, "dump-data", _switch, False)
     table = run_grid(config, threads=threads)
     out = _out_dir(args, cfg)
     (out / "eqp.csv").write_text(table.to_csv())
-    if _resolve(args, cfg, "dump-data", False):
+    if dump:
         _dump_data(config, out)
 
     for sigma in config.sigma_list:
@@ -347,8 +367,7 @@ def cmd_simulate(args, cfg) -> int:
             continue
         where = f"{config.distortion} distortion, K={config.n_covariates}, sigma={sigma:g}"
         name = f"eqp_{config.distortion}_K{config.n_covariates}_sigma{sigma:g}.svg"
-        title = f"EQP, {where}"
-        (out / name).write_text(line_chart(series, title, y_label="EQP"))
+        (out / name).write_text(line_chart(series, f"EQP, {where}", y_label="EQP"))
 
     _echo_config(out, {
         "command": "simulate", "scenario": config.distortion, "k": config.n_covariates,
@@ -360,7 +379,7 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_diagnose(args, cfg) -> int:
-    if _resolve(args, cfg, "variance-sim", False):
+    if _value(args, cfg, "variance-sim", _switch, False):
         return _cmd_diagnose_variance_sim(args, cfg)
     return _cmd_diagnose_bias(args, cfg)
 
@@ -370,12 +389,8 @@ def _cmd_diagnose_bias(args, cfg) -> int:
     spec, ds, _, _, cells, fit = _load_and_fit(args, cfg)
     beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
     if len(beta_star) != spec.n_params:
-        raise CliError(
-            "TRUTH_REQUIRED",
-            f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
-        )
-    if not np.all(np.isfinite(beta_star)):
-        raise CliError("DATA_INVALID", f"{truth_path}: truth entries must be finite")
+        raise CliError("TRUTH_REQUIRED", f"truth length {len(beta_star)} does not match "
+                                         f"{spec.n_params} parameters")
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
@@ -405,10 +420,7 @@ def _cmd_diagnose_variance_sim(args, cfg) -> int:
     out = _out_dir(args, cfg)
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
     _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
-    series = {
-        "theoretical": [(p.n, p.theoretical) for p in points],
-        "empirical": [(p.n, p.empirical) for p in points],
-    }
+    series = {key: [(p.n, getattr(p, key)) for p in points] for key in ("theoretical", "empirical")}
     title = f"Corrected-intercept variance, {config.distortion} distortion"
     (out / "intercept_variance.svg").write_text(line_chart(series, title, y_label="variance"))
     _echo_config(out, {
@@ -481,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = _load_config_file(getattr(args, "config", None))
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        cfg = _load_config_file(getattr(args, "config", None), _config_keys(parser))
         # every command: an overflow is a numerical failure (exit 3), not an inf output
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args, cfg)

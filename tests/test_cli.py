@@ -117,7 +117,8 @@ ROW5 = {
 @pytest.mark.parametrize(
     "corrupt, code",
     [
-        ("p_nan", "VALIDATION"),
+        ("p_nan", "DATA_INVALID"),
+        ("theta_nan", "DATA_INVALID"),
         ("w_negative", "DATA_INVALID"),
         ("y_inf", "VALIDATION"),
         ("w_fraction", "DATA_INVALID"),
@@ -148,6 +149,8 @@ def test_fit_bad_input_exits_2_with_one_json_line(tmp_path, capsys, corrupt, cod
     data.write_text("\n".join(rows[:1] if corrupt == "header_only" else rows) + "\n")
     if corrupt == "p_nan":
         p_path.write_text("nan,0.5\n")
+    if corrupt == "theta_nan":
+        theta_path.write_text("nan,0.1\n0.2,0.8\n")
     if corrupt == "theta_one_row":
         theta_path.write_text("1\n")
     files = ["--data", str(data), "--theta", str(theta_path), "--out", str(tmp_path / "out")]
@@ -550,6 +553,64 @@ def test_diagnose_truth_with_a_non_finite_entry_is_data_invalid(tmp_path, capsys
     err = json.loads(lines[0])
     assert err["error"] == "DATA_INVALID" and str(tmp_path / "truth.csv") in err["message"]
     assert not out.exists()
+
+
+_SWITCHES = {"estimate-p": "fit", "dump-data": "simulate", "variance-sim": "diagnose"}
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0])
+@pytest.mark.parametrize("key", sorted(_SWITCHES))
+def test_a_config_switch_takes_only_true_or_false(tmp_path, capsys, key, value):
+    # truthiness read "no" and "false" as on, and 0 as off
+    (tmp_path / "config.json").write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = _fixture_argv(tmp_path, _SWITCHES[key])
+    assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG_INVALID" and key in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(_SWITCHES))
+def test_a_config_switch_set_to_false_is_off_and_its_flag_turns_it_on(tmp_path, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: False}))
+    argv = [*_fixture_argv(tmp_path, _SWITCHES[key]), "--config", str(config)]
+    if key == "estimate-p":  # fit then has no p unless it estimates one
+        del argv[argv.index("--p"):argv.index("--p") + 2]
+    if key == "variance-sim":
+        argv += ["--scenario", "low", "--levels", "2", "--n-grid", "40", "--replicates", "2"]
+    made = {"estimate-p": "estimates.csv", "dump-data": "theta_w1.csv",
+            "variance-sim": "intercept_variance.csv"}[key]
+    rc, _ = _run_quietly([*argv, "--out", str(tmp_path / "off")])
+    assert rc == (2 if key == "estimate-p" else 0)
+    assert not (tmp_path / "off" / made).exists()
+    assert main([*argv, "--" + key, "--out", str(tmp_path / "on")]) == 0
+    assert (tmp_path / "on" / made).exists()
+
+
+@pytest.mark.parametrize("key, value", [("replicate", 3), ("n_grid", "40")])
+def test_an_unknown_config_key_is_config_invalid_naming_it(tmp_path, capsys, key, value):
+    # a misspelled key used to be ignored: "replicate" ran the default 300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([*_fixture_argv(tmp_path, "simulate"), "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CONFIG_INVALID"
+    assert repr(key) in err["message"] and str(path) in err["message"]
+    assert not out.exists()
+
+
+def test_a_config_key_of_another_command_is_accepted(tmp_path):
+    # one config file may serve fit, simulate and diagnose
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"replicates": 3, "dump-data": True, "plugin-sigma": 0.5}))
+    argv = _fixture_argv(tmp_path, "fit")
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):

@@ -237,6 +237,20 @@ def test_intercept_variance_curve_needs_two_replicates():
         intercept_variance_curve(cfg, 0.2)
 
 
+def test_intercept_variance_curve_matches_per_cell_fits():
+    # the curve fits every n-prefix of a replicate at once; its empirical
+    # variance must be that of the one-design path's corrected intercept
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=2, levels=(3, 2),
+        n_grid=(40, 100, 300), sigma_list=(0.5,), replicates=8, master_seed=5,
+    )
+    points = intercept_variance_curve(cfg, 0.5)
+    assert [pt.n for pt in points] == list(cfg.n_grid)
+    for pt in points:
+        b0 = [run_replicate(cfg, (pt.n, 0.5), rep)["full"][0] for rep in range(cfg.replicates)]
+        assert pt.empirical == pytest.approx(np.var(b0, ddof=1), rel=1e-12, abs=0)
+
+
 def test_duplicate_n_values_are_dropped():
     cfg = ScenarioConfig(
         distortion="low", levels=(2,), n_grid=(50, 50, 100),
