@@ -72,18 +72,15 @@ def _read_json(path, missing: str, invalid: str):
             raise CliError(invalid, f"bad JSON in {path}: {exc}") from exc
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Every sub-command's settings, as its namespace names them, spelled like flags."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
-    return {name.replace("_", "-") for name in names - {"func", "config"}}
-
-
-def _load_config_file(path: str | None, keys: set[str]) -> dict:
+def _load_config_file(path: str | None, parser: argparse.ArgumentParser) -> dict:
+    """The config file, whose keys must be settings of some sub-command: the
+    names in its namespace, spelled like its flags."""
     cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
     if not isinstance(cfg, dict):
         raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
-    if unknown := sorted(set(cfg) - keys):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
+    if unknown := sorted(set(cfg) - {n.replace("_", "-") for n in names - {"func", "config"}}):
         raise CliError("CONFIG_INVALID", f"{path}: unknown keys {', '.join(map(repr, unknown))}")
     return cfg
 
@@ -389,8 +386,10 @@ def _cmd_diagnose_bias(args, cfg) -> int:
     spec, ds, _, _, cells, fit = _load_and_fit(args, cfg)
     beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
     if len(beta_star) != spec.n_params:
-        raise CliError("TRUTH_REQUIRED", f"truth length {len(beta_star)} does not match "
-                                         f"{spec.n_params} parameters")
+        raise CliError(
+            "TRUTH_REQUIRED",
+            f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
+        )
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        cfg = _load_config_file(getattr(args, "config", None), _config_keys(parser))
+        cfg = _load_config_file(getattr(args, "config", None), parser)
         # every command: an overflow is a numerical failure (exit 3), not an inf output
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args, cfg)
