@@ -561,7 +561,7 @@ _SWITCHES = {"estimate-p": "fit", "dump-data": "simulate", "variance-sim": "diag
 @pytest.mark.parametrize("value", ["no", "false", 0])
 @pytest.mark.parametrize("key", sorted(_SWITCHES))
 def test_a_config_switch_takes_only_true_or_false(tmp_path, capsys, key, value):
-    # truthiness read "no" and "false" as on, and 0 as off
+    # read by truthiness, "no" and "false" would turn a switch on and 0 off
     (tmp_path / "config.json").write_text(json.dumps({key: value}))
     out = tmp_path / "out"
     argv = _fixture_argv(tmp_path, _SWITCHES[key])
@@ -593,7 +593,7 @@ def test_a_config_switch_set_to_false_is_off_and_its_flag_turns_it_on(tmp_path, 
 
 @pytest.mark.parametrize("key, value", [("replicate", 3), ("n_grid", "40")])
 def test_an_unknown_config_key_is_config_invalid_naming_it(tmp_path, capsys, key, value):
-    # a misspelled key used to be ignored: "replicate" ran the default 300
+    # an ignored misspelling would run the default, e.g. 300 replicates
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: value}))
     out = tmp_path / "out"
