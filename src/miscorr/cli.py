@@ -12,7 +12,6 @@ import json
 import re
 import sys
 import warnings
-from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -72,27 +71,6 @@ def _read_json(path, missing: str, invalid: str):
             raise CliError(invalid, f"bad JSON in {path}: {exc}") from exc
 
 
-def _load_config_file(path: str | None, parser: argparse.ArgumentParser) -> dict:
-    """The config file, whose keys must be settings of some sub-command: the
-    names in its namespace, spelled like its flags."""
-    cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
-    if not isinstance(cfg, dict):
-        raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
-    if unknown := sorted(set(cfg) - {n.replace("_", "-") for n in names - {"func", "config"}}):
-        raise CliError("CONFIG_INVALID", f"{path}: unknown keys {', '.join(map(repr, unknown))}")
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """The flag, else the config value, else ``default``; null counts as unset."""
-    for val in (getattr(args, key.replace("-", "_"), None), cfg.get(key)):
-        if val is not None:
-            return val
-    return default
-
-
 def _int(value) -> int:
     """int() that refuses to truncate a non-integral number or to leave 64 bits."""
     number = int(value)
@@ -109,34 +87,56 @@ def _positive(value) -> float:
     return number
 
 
-def _switch(value) -> bool:
-    """A JSON true or false: truthiness would read "no" or 0 as a choice."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
+def _exactly(kind: type):
+    """A ``kind``, taken as is: str() would make true a name, truthiness "no" a yes."""
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not a {kind.__name__}")
+        return value
+    return parse
 
 
-def _text(value) -> str:
-    """A file name or a choice: str() would turn true or 1 into a name."""
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
+def _list_of(kind):
+    """A comma-separated string, a JSON list or one value, each parsed by ``kind``."""
+    def parse(value) -> tuple:
+        if isinstance(value, str):
+            value = value.split(",")
+        return tuple(map(kind, value if isinstance(value, list) else [value]))
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
-def _tuple_of(kind, value) -> tuple:
-    """A comma-separated string, a list or a single value, parsed by ``kind``."""
-    if isinstance(value, str):
-        value = value.split(",")
-    return tuple(map(kind, value if isinstance(value, (list, tuple)) else [value]))
+def _levels(value):
+    """L_k per covariate, or "random" (ScenarioConfig's default) for a draw."""
+    return value if value == "random" else _ints(value)
 
 
-def _value(args, cfg, key: str, kind, default=None):
-    """A flag or config value parsed by ``kind``; one it rejects is CONFIG_INVALID."""
-    val = _resolve(args, cfg, key, default)
-    try:
-        return None if val is None else kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
+# the names argparse prints in "invalid <name> value: ..."
+_int.__name__, _positive.__name__ = "int", "positive float"
+_switch, _text = _exactly(bool), _exactly(str)
+_ints, _floats, _texts = _list_of(_int), _list_of(float), _list_of(_text)
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fold the --config file into ``args``: its keys name settings of any
+    sub-command, spelled like their flags; each fills a setting of this one
+    that no flag set, parsed by that flag's own type.  null is unset."""
+    path = getattr(args, "config", None)
+    cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
+    if not isinstance(cfg, dict):
+        raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
+    if unknown := sorted(set(cfg) - {n.replace("_", "-") for n in names - {"func", "config"}}):
+        raise CliError("CONFIG_INVALID", f"{path}: unknown keys {', '.join(map(repr, unknown))}")
+    for action in sub.choices[args.command]._actions:
+        key = action.dest.replace("_", "-")
+        if (val := cfg.get(key)) is None or getattr(args, action.dest) is not None:
+            continue
+        try:  # the switches, store_const flags, have no type
+            setattr(args, action.dest, (action.type or _switch)(val))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
 
 
 def _loadtxt(path: str, lines, names=(), labels=(), **kwargs) -> np.ndarray:
@@ -221,9 +221,9 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return table[:, 0], w.astype(int), names[1:]
 
 
-def _paths(args, cfg, key: str, k: int, code: str) -> list[str]:
+def _paths(args, key: str, k: int, code: str) -> list[str]:
     """One file per covariate, or one file shared by all of them."""
-    paths = [v for v in _value(args, cfg, key, partial(_tuple_of, _text), ()) if v]
+    paths = [v for v in getattr(args, key) or () if v]
     if len(paths) == 1:
         paths *= k
     if len(paths) != k:
@@ -231,12 +231,11 @@ def _paths(args, cfg, key: str, k: int, code: str) -> list[str]:
     return paths
 
 
-def _load_marginals(args, cfg, thetas, level_counts):
-    estimate = _value(args, cfg, "estimate-p", _switch, False)
-    if _resolve(args, cfg, "p"):
-        paths = _paths(args, cfg, "p", len(thetas), "P_MISSING")
+def _load_marginals(args, thetas, level_counts):
+    if any(args.p or ()):  # an empty name is no file
+        paths = _paths(args, "p", len(thetas), "P_MISSING")
         return [_read_matrix(path, "P_MISSING").ravel() for path in paths], {}
-    if not estimate:
+    if not args.estimate_p:
         raise CliError("P_MISSING", "supply --p files or --estimate-p")
     ps, residuals = [], {}
     for k, (theta, counts) in enumerate(zip(thetas, level_counts)):
@@ -245,8 +244,8 @@ def _load_marginals(args, cfg, thetas, level_counts):
     return ps, residuals
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(_value(args, cfg, "out", _text, "."))
+def _out_dir(args) -> Path:
+    out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. a file of that name
@@ -266,30 +265,30 @@ def _param_names(spec: CategoricalSpec) -> list[str]:
     return names
 
 
-def _load_and_fit(args, cfg):
+def _load_and_fit(args):
     """The input boundary shared by fit and diagnose: read the dataset and
     its mechanism files, validate, then find the occupied cells and correct."""
-    y, w, names = _read_dataset(_require(args, cfg, "data", "DATA_MISSING"))
-    paths = _paths(args, cfg, "theta", w.shape[1], "THETA_MISSING")
+    y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
+    paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
     thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
     spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
     ds = ObservedDataset(y=y, w=w)
     report = validate_dataset(spec, ds, names)
     if not report.ok:
         raise CliError("DATA_INVALID", "; ".join(report.errors))
-    ps, p_residuals = _load_marginals(args, cfg, thetas, report.level_counts)
+    ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
     cells = encode_cells(spec, w)
     fit = fit_corrected(spec, ds, thetas, ps, cells)
     return spec, ds, report, p_residuals, cells, fit
 
 
-def cmd_fit(args, cfg) -> int:
-    spec, ds, report, p_residuals, cells, fit = _load_and_fit(args, cfg)
+def cmd_fit(args) -> int:
+    spec, ds, report, p_residuals, cells, fit = _load_and_fit(args)
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
                           cells.counts)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     rows = zip(_param_names(spec), fit.naive.gamma_star, fit.beta_full, var_diag)
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
@@ -304,27 +303,19 @@ def cmd_fit(args, cfg) -> int:
     return 0
 
 
-def _require(args, cfg, key, code):
-    val = _value(args, cfg, key, _text)
-    if not val:
+def _require(args, key, code):
+    if not (val := getattr(args, key)):
         raise CliError(code, f"--{key} is required")
     return val
 
 
-def _scenario_config_from(args, cfg) -> ScenarioConfig:
-    ints, floats = partial(_tuple_of, _int), partial(_tuple_of, float)
-    levels = None
-    if _resolve(args, cfg, "levels", "random") != "random":
-        levels = _value(args, cfg, "levels", ints)
-    return ScenarioConfig(
-        distortion=_require(args, cfg, "scenario", "SCENARIO_MISSING"),
-        n_covariates=_value(args, cfg, "k", _int, 1),
-        levels=levels,
-        n_grid=_value(args, cfg, "n-grid", ints) or ScenarioConfig.n_grid,
-        sigma_list=_value(args, cfg, "sigmas", floats) or ScenarioConfig.sigma_list,
-        replicates=_value(args, cfg, "replicates", _int, 300),
-        master_seed=_value(args, cfg, "seed", _int, 0),
-    )
+def _scenario_config_from(args) -> ScenarioConfig:
+    """The grid settings given, over ScenarioConfig's defaults."""
+    given = {"n_covariates": args.k, "levels": args.levels, "n_grid": args.n_grid,
+             "sigma_list": getattr(args, "sigmas", None), "replicates": args.replicates,
+             "master_seed": args.seed}
+    return ScenarioConfig(distortion=_require(args, "scenario", "SCENARIO_MISSING"),
+                          **{f: v for f, v in given.items() if v not in (None, "random")})
 
 
 def _dump_data(config: ScenarioConfig, out: Path) -> None:
@@ -344,14 +335,13 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
                    header=header, comments="")
 
 
-def cmd_simulate(args, cfg) -> int:
-    config = _scenario_config_from(args, cfg)
-    threads = max(1, _value(args, cfg, "threads", _int, 1))
-    dump = _value(args, cfg, "dump-data", _switch, False)
+def cmd_simulate(args) -> int:
+    config = _scenario_config_from(args)
+    threads = max(1, args.threads or 1)
     table = run_grid(config, threads=threads)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     (out / "eqp.csv").write_text(table.to_csv())
-    if dump:
+    if args.dump_data:
         _dump_data(config, out)
 
     for sigma in config.sigma_list:
@@ -375,15 +365,15 @@ def cmd_simulate(args, cfg) -> int:
     return 0
 
 
-def cmd_diagnose(args, cfg) -> int:
-    if _value(args, cfg, "variance-sim", _switch, False):
-        return _cmd_diagnose_variance_sim(args, cfg)
-    return _cmd_diagnose_bias(args, cfg)
+def cmd_diagnose(args) -> int:
+    if args.variance_sim:
+        return _cmd_diagnose_variance_sim(args)
+    return _cmd_diagnose_bias(args)
 
 
-def _cmd_diagnose_bias(args, cfg) -> int:
-    truth_path = _require(args, cfg, "truth", "TRUTH_REQUIRED")
-    spec, ds, _, _, cells, fit = _load_and_fit(args, cfg)
+def _cmd_diagnose_bias(args) -> int:
+    truth_path = _require(args, "truth", "TRUTH_REQUIRED")
+    spec, ds, _, _, cells, fit = _load_and_fit(args)
     beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
     if len(beta_star) != spec.n_params:
         raise CliError(
@@ -394,11 +384,10 @@ def _cmd_diagnose_bias(args, cfg) -> int:
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
 
-    plugin = _value(args, cfg, "plugin-sigma", _positive)
-    sigma2 = fit.naive.sigma2_w if plugin is None else plugin**2
+    sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else args.plugin_sigma**2
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, sigma2, cells.counts)
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     names = _param_names(spec)
     rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
     _write_csv(out / "bias.csv", "parameter,bias", rows)
@@ -409,14 +398,14 @@ def _cmd_diagnose_bias(args, cfg) -> int:
     return 0
 
 
-def _cmd_diagnose_variance_sim(args, cfg) -> int:
-    config = _scenario_config_from(args, cfg)
-    sigma = _value(args, cfg, "sigma", float, 0.2)
+def _cmd_diagnose_variance_sim(args) -> int:
+    config = _scenario_config_from(args)
+    sigma = 0.2 if args.sigma is None else args.sigma
     try:
         points = intercept_variance_curve(config, sigma)
     except ValidationError as exc:  # the scenario cannot give a variance curve
         raise CliError("CONFIG_INVALID", str(exc)) from exc
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
     _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
     series = {key: [(p.n, getattr(p, key)) for p in points] for key in ("theoretical", "empirical")}
@@ -429,7 +418,7 @@ def _cmd_diagnose_variance_sim(args, cfg) -> int:
     return 0
 
 
-def cmd_scenario_tables(args, cfg) -> int:
+def cmd_scenario_tables(args) -> int:
     for (level, lk), rows in sorted(SCENARIO_THETAS.items()):
         print(f"# {level} distortion, L={lk}")
         for row in rows:
@@ -451,19 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     switch = dict(action="store_const", const=True, default=None)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override")
-    common.add_argument("--out", help="output directory (default: .)")
+    common.add_argument("--out", type=_text, help="output directory (default: .)")
     data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--data", help="CSV with header y,w1..wK")
-    data.add_argument("--theta", help="comma-separated theta CSV files, one per covariate")
-    data.add_argument("--p", help="comma-separated marginal CSV files")
+    data.add_argument("--data", type=_text, help="CSV with header y,w1..wK")
+    data.add_argument("--theta", type=_texts,
+                      help="comma-separated theta CSV files, one per covariate")
+    data.add_argument("--p", type=_texts, help="comma-separated marginal CSV files")
     data.add_argument("--estimate-p", **switch)
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--scenario", choices=["low", "medium", "high"])
-    grid.add_argument("--k", type=int, help="number of covariates")
-    grid.add_argument("--levels", help="comma-separated L_k values or 'random'")
-    grid.add_argument("--n-grid", help="comma-separated sample sizes")
-    grid.add_argument("--replicates", type=int)
-    grid.add_argument("--seed", type=int)
+    grid.add_argument("--scenario", type=_text, choices=["low", "medium", "high"])
+    grid.add_argument("--k", type=_int, help="number of covariates")
+    grid.add_argument("--levels", type=_levels, help="comma-separated L_k values or 'random'")
+    grid.add_argument("--n-grid", type=_ints, help="comma-separated sample sizes")
+    grid.add_argument("--replicates", type=_int)
+    grid.add_argument("--seed", type=_int)
 
     p_fit = sub.add_parser("fit", parents=[common, data],
                            help="fit and correct estimates from a dataset")
@@ -471,15 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common, grid],
                            help="run the simulation study grid")
-    p_sim.add_argument("--sigmas", help="comma-separated noise standard deviations")
-    p_sim.add_argument("--threads", type=int, help="accepted; has no effect")
+    p_sim.add_argument("--sigmas", type=_floats, help="comma-separated noise standard deviations")
+    p_sim.add_argument("--threads", type=_int, help="accepted; has no effect")
     p_sim.add_argument("--dump-data", **switch)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", parents=[common, data, grid],
                             help="bias and variance diagnostics")
-    p_diag.add_argument("--truth", help="CSV with the true parameter vector")
-    p_diag.add_argument("--plugin-sigma", type=float, help="known noise sd to plug in")
+    p_diag.add_argument("--truth", type=_text, help="CSV with the true parameter vector")
+    p_diag.add_argument("--plugin-sigma", type=_positive, help="known noise sd to plug in")
     p_diag.add_argument("--variance-sim", **switch,
                         help="compare theoretical vs empirical intercept variance per n")
     p_diag.add_argument("--sigma", type=float)
@@ -494,10 +484,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        cfg = _load_config_file(getattr(args, "config", None), parser)
+        _apply_config(parser, args)
         # every command: an overflow is a numerical failure (exit 3), not an inf output
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args, cfg)
+            return args.func(args)
     except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
         return 3
