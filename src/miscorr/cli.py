@@ -72,16 +72,24 @@ def _read_json(path, missing: str, invalid: str):
 
 
 def _int(value) -> int:
-    """int() that refuses to truncate a non-integral number or to leave 64 bits."""
+    """int() that refuses a bool (JSON true is not the number 1), a
+    non-integral number or one beyond 64 bits."""
     number = int(value)
-    if (not isinstance(value, str) and number != value) or abs(number) >= 2**63:
+    if type(value) is bool or (type(value) is float and number != value) or abs(number) >= 2**63:
         raise ValueError(f"{value!r} is not a 64-bit integer")
     return number
 
 
+def _float(value) -> float:
+    """float() that refuses a bool."""
+    if type(value) is bool:
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _positive(value) -> float:
     """float() that refuses a value that is not finite and above 0."""
-    number = float(value)
+    number = _float(value)
     if not (np.isfinite(number) and number > 0):
         raise ValueError(f"{value!r} is not finite and positive")
     return number
@@ -112,9 +120,10 @@ def _levels(value):
 
 
 # the names argparse prints in "invalid <name> value: ..."
-_int.__name__, _positive.__name__ = "int", "positive float"
+_int.__name__, _float.__name__, _positive.__name__, _levels.__name__ = (
+    "int", "float", "positive float", "levels")
 _switch, _text = _exactly(bool), _exactly(str)
-_ints, _floats, _texts = _list_of(_int), _list_of(float), _list_of(_text)
+_ints, _floats, _texts = _list_of(_int), _list_of(_float), _list_of(_text)
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -213,11 +222,11 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     if table.shape[1] != len(names):
         raise CliError("DATA_INVALID", f"{path}: data row 1 does not match the header")
     w = table[:, 1:]
-    bad = np.argwhere(~((w == np.round(w)) & (np.abs(w) <= 2**53)))  # exact int cast
-    if len(bad):
+    ok = np.column_stack([np.isfinite(table[:, 0]), (w == np.round(w)) & (np.abs(w) <= 2**53)])
+    if len(bad := np.argwhere(~ok)):  # y must be finite, w cast exactly to int
         i, j = bad[0]
-        raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j + 1]}: "
-                                       f"{float(w[i, j])!r} is not an integer")
+        raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
+                       f"{float(table[i, j])!r} is not {'an integer' if j else 'finite'}")
     return table[:, 0], w.astype(int), names[1:]
 
 
@@ -233,6 +242,8 @@ def _paths(args, key: str, k: int, code: str) -> list[str]:
 
 def _load_marginals(args, thetas, level_counts):
     if any(args.p or ()):  # an empty name is no file
+        if args.estimate_p:
+            raise CliError("CONFIG_INVALID", "give --p files or --estimate-p, not both")
         paths = _paths(args, "p", len(thetas), "P_MISSING")
         return [_read_matrix(path, "P_MISSING").ravel() for path in paths], {}
     if not args.estimate_p:
@@ -257,12 +268,8 @@ def _echo_config(out: Path, resolved: dict) -> None:
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def _param_names(spec: CategoricalSpec) -> list[str]:
-    names = ["intercept"]
-    for k, lk in enumerate(spec.levels):
-        for level in range(lk - 1):
-            names.append(f"w{k + 1}_level{level}")
-    return names
+def _param_names(cells) -> list[str]:
+    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in cells.column_map)]
 
 
 def _load_and_fit(args):
@@ -289,7 +296,7 @@ def cmd_fit(args) -> int:
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
     out = _out_dir(args)
-    rows = zip(_param_names(spec), fit.naive.gamma_star, fit.beta_full, var_diag)
+    rows = zip(_param_names(cells), fit.naive.gamma_star, fit.beta_full, var_diag)
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
@@ -310,7 +317,8 @@ def _require(args, key, code):
 
 
 def _scenario_config_from(args) -> ScenarioConfig:
-    """The grid settings given, over ScenarioConfig's defaults."""
+    """The grid settings given, over ScenarioConfig's defaults (diagnose has
+    no --sigmas)."""
     given = {"n_covariates": args.k, "levels": args.levels, "n_grid": args.n_grid,
              "sigma_list": getattr(args, "sigmas", None), "replicates": args.replicates,
              "master_seed": args.seed}
@@ -388,7 +396,7 @@ def _cmd_diagnose_bias(args) -> int:
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, sigma2, cells.counts)
 
     out = _out_dir(args)
-    names = _param_names(spec)
+    names = _param_names(cells)
     rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
     _write_csv(out / "bias.csv", "parameter,bias", rows)
     rows = zip(names, np.diag(var.var_gamma_star), np.diag(var.var_beta_c_star))
@@ -472,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--plugin-sigma", type=_positive, help="known noise sd to plug in")
     p_diag.add_argument("--variance-sim", **switch,
                         help="compare theoretical vs empirical intercept variance per n")
-    p_diag.add_argument("--sigma", type=float)
+    p_diag.add_argument("--sigma", type=_float)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_tab = sub.add_parser("scenario-tables", help="print the theta presets as CSV")

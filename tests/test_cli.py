@@ -107,6 +107,7 @@ def test_fit_missing_theta_exits_2(tmp_path, capsys):
 ROW5 = {
     "w_negative": "{y},-1",
     "y_inf": "inf,{w}",
+    "y_nan": "nan,{w}",
     "w_fraction": "{y},0.5",
     "w_text": "{y},one",
     "ragged": "{y},{w},{w}",
@@ -120,7 +121,8 @@ ROW5 = {
         ("p_nan", "DATA_INVALID"),
         ("theta_nan", "DATA_INVALID"),
         ("w_negative", "DATA_INVALID"),
-        ("y_inf", "VALIDATION"),
+        ("y_inf", "DATA_INVALID"),
+        ("y_nan", "DATA_INVALID"),
         ("w_fraction", "DATA_INVALID"),
         ("w_text", "DATA_INVALID"),
         ("ragged", "DATA_INVALID"),
@@ -164,6 +166,19 @@ def test_fit_bad_input_exits_2_with_one_json_line(tmp_path, capsys, corrupt, cod
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, argv[0]
         assert json.loads(lines[0])["error"] == code, argv[0]
+
+
+def test_a_non_finite_y_names_its_file_row_and_header_column(tmp_path, capsys):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    rows[0] = "Y,w1"
+    rows[2] = "nan," + rows[2].split(",")[1]  # data row 2
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path),
+                 "--p", str(p_path), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "DATA_INVALID",
+                   "message": f"{data}: data row 2, column Y: nan is not finite"}
 
 
 def test_fit_out_of_range_category_names_its_row_column_and_value(tmp_path, capsys):
@@ -613,6 +628,105 @@ def test_a_config_key_of_another_command_is_accepted(tmp_path):
     assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def _without(argv, flag):
+    """argv with ``flag`` and its value taken out."""
+    if flag not in argv:
+        return argv
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def _config_invalid_and_no_out(capsys, argv, out):
+    """Run argv; it exits 2 with one CONFIG_INVALID line and makes no ``out``."""
+    assert main([*argv, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG_INVALID"
+    assert not out.exists()
+    return err["message"]
+
+
+_TYPED = {
+    "simulate": ["k", "levels", "n-grid", "replicates", "seed", "sigmas", "threads"],
+    "diagnose": ["k", "levels", "n-grid", "replicates", "seed", "plugin-sigma", "sigma"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in _TYPED.items() for k in keys])
+def test_a_malformed_setting_is_config_invalid_before_the_command_runs(
+    tmp_path, capsys, command, key, source
+):
+    # diagnose runs in bias mode, which reads neither the grid settings nor sigma
+    argv = _without(_fixture_argv(tmp_path, command), "--" + key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: "abc"} if source == "config" else {}))
+    flag = ["--" + key, "abc"] if source == "flag" else []
+    msg = _config_invalid_and_no_out(
+        capsys, [*argv, *flag, "--config", str(config)], tmp_path / "out")
+    if source == "flag":
+        assert f"argument --{key}: invalid " in msg and "'abc'" in msg and "0x" not in msg
+    else:
+        assert msg == f"bad value for {key}: 'abc'"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(k, True) for k in ["k", "replicates", "seed", "threads", "n-grid", "levels", "sigmas",
+                         "sigma", "plugin-sigma"]]
+    + [("n-grid", [True]), ("levels", [2, True]), ("sigmas", [0.1, True])],
+)
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys, key, value):
+    # read as 1, {"replicates": true, "sigmas": true} ran 1 replicate at sigma 1
+    command = "diagnose" if "sigma" in key.split("-") else "simulate"
+    argv = _without(_fixture_argv(tmp_path, command), "--" + key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    msg = _config_invalid_and_no_out(capsys, [*argv, "--config", str(config)], tmp_path / "out")
+    assert msg == f"bad value for {key}: {value!r}"
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_p_files_and_estimate_p_together_are_config_invalid(tmp_path, capsys, command, source):
+    # the files used to win silently, with no estimated_p_residuals
+    argv = _fixture_argv(tmp_path, command)
+    p_file = argv[argv.index("--p") + 1]
+    config = tmp_path / "config.json"
+    if source == "flags":
+        argv, settings = [*argv, "--estimate-p"], {}
+    else:
+        argv, settings = _without(argv, "--p"), {"p": p_file, "estimate-p": True}
+    config.write_text(json.dumps(settings))
+    msg = _config_invalid_and_no_out(capsys, [*argv, "--config", str(config)], tmp_path / "out")
+    assert msg == "give --p files or --estimate-p, not both"
+    config.write_text(json.dumps({**settings, "estimate-p": False}))
+    argv = [a for a in argv if a != "--estimate-p"]
+    assert main([*argv, "--config", str(config), "--out", str(tmp_path / "off")]) == 0
+
+
+@pytest.mark.parametrize("key", ["n-grid", "sigmas"])
+def test_an_empty_grid_list_in_a_config_is_refused_not_defaulted(tmp_path, capsys, key):
+    # an empty list used to run the default grid, e.g. 19 sample sizes
+    argv = _without(_fixture_argv(tmp_path, "simulate"), "--" + key)
+    (tmp_path / "config.json").write_text(json.dumps({key: []}))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION"
+    assert not out.exists()
+
+
+def test_a_setting_of_another_command_is_not_read(tmp_path):
+    # diagnose has no --sigmas: a config file's sigmas is simulate's alone
+    (tmp_path / "config.json").write_text(json.dumps({"sigmas": "x", "threads": "x"}))
+    assert main([
+        "diagnose", "--variance-sim", "--scenario", "low", "--levels", "2", "--n-grid", "50",
+        "--replicates", "2", "--config", str(tmp_path / "config.json"),
+        "--out", str(tmp_path / "vs"),
+    ]) == 0
+
+
 def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):
     out = tmp_path / "vs"
     assert main([
@@ -670,6 +784,7 @@ def test_fit_and_diagnose_encode_no_more_rows_than_occupied_cells(tmp_path, monk
     "argv",
     [
         ["simulate", "--scenario", "low", "--n-grid", "-5,100"],
+        ["simulate", "--n-grid", "abc"],  # a bad value before the missing --scenario
         ["simulate", "--scenario", "low", "--no-such-flag"],
         ["simulate", "--scenario", "extreme"],
         ["fit", "--k", "2"],

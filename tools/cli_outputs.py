@@ -11,11 +11,13 @@ script in a checkout of the parent and in the changed one, then
 The commands: ``fit``, ``fit --estimate-p`` and ``diagnose`` on the
 benchmark's ``large_n`` inputs at 30,000 rows; the benchmark's ``simulate``
 grid with ``--dump-data``; ``diagnose --variance-sim``; and ``simulate``
-under high distortion with the default random levels.
+under high distortion with the default random levels, once from flags and
+once from a ``--config`` file whose seed a flag overrides.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -39,6 +41,9 @@ def commands(out: Path) -> dict[str, list[str]]:
     data = ["--data", str(inputs / "data.csv"),
             "--theta", ",".join(str(inputs / f"theta_w{i}.csv") for i in k)]
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
+    high = inputs / "simulate_high.json"
+    high.write_text(json.dumps({"scenario": "high", "k": 2, "levels": "random",
+                                "n-grid": [30, 60], "replicates": 5, "seed": 3}))
     return {
         "fit": ["fit", *data, *known_p],
         "fit_estimate_p": ["fit", *data, "--estimate-p"],
@@ -49,6 +54,7 @@ def commands(out: Path) -> dict[str, list[str]]:
                          "--replicates", "100", "--seed", "3"],
         "simulate_high": ["simulate", "--scenario", "high", "--k", "2",
                           "--n-grid", "30,60", "--replicates", "5", "--seed", "11"],
+        "simulate_high_config": ["simulate", "--config", str(high), "--seed", "11"],
     }
 
 
