@@ -128,16 +128,19 @@ class Cells:
 
 
 def encode_cells(spec: CategoricalSpec, categories: np.ndarray) -> Cells:
-    """Find the occupied cells by their mixed-radix ids and dummy-encode
-    one row per cell."""
+    """Find the occupied cells by their mixed-radix ids, in ascending id
+    order, and dummy-encode one row per cell."""
     cats = _category_table(spec, categories)
     ids, size = np.zeros(len(cats), dtype=np.int64), 1
     for col, lk in zip(cats.T, spec.levels):
         if size * lk > 2**62:  # renumber the combinations so far: at most n
             ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
         ids, size = ids * lk + col, size * lk
-    inverse = np.unique(ids, return_inverse=True)[1]
-    counts = np.bincount(inverse)
+    if size > len(cats):  # more combinations than rows: renumber the occupied ones
+        ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
+    counts = np.bincount(ids, minlength=size)
+    inverse = (np.cumsum(counts > 0) - 1)[ids]  # occupied cells below each id
+    counts = counts[counts > 0]
     rows = np.empty((len(counts), cats.shape[1]), dtype=int)
     rows[inverse] = cats  # every row of a cell holds the same categories
     bundle = encode_dummy(spec, rows)

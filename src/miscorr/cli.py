@@ -34,6 +34,7 @@ from .simkit import (
 )
 
 FMT = "%.17g"  # round-trips IEEE doubles
+_LABEL_WIDTH = 32  # longer labels are matched only by the full-width re-read
 
 
 class CliError(ValidationError):
@@ -56,9 +57,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n")
 
 
-def _open(path: str, code: str):
+def _open(path: str, code: str, mode: str = "r"):
     try:
-        return open(path)
+        return open(path, mode)
     except OSError as exc:
         raise CliError(code, f"cannot read {path}: {exc.strerror}") from exc
 
@@ -148,31 +149,29 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
 
 
-def _loadtxt(path: str, lines, names=(), labels=(), **kwargs) -> np.ndarray:
+def _loadtxt(path: str, lines, names=(), ndmin=2, **kwargs) -> np.ndarray:
     """The one CSV parser: '#' is data (labels may hold it), fields may be
     double-quoted, and a parse error is DATA_INVALID naming the data row."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
             return np.loadtxt(
-                lines, delimiter=",", comments=None, quotechar='"', ndmin=2, **kwargs
+                lines, delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs
             )
     except ValueError as exc:  # UnicodeDecodeError included
-        raise _parse_error(path, names, labels, exc) from exc
+        raise _parse_error(path, names, exc) from exc
 
 
-def _parse_error(path: str, names, labels, exc: ValueError) -> CliError:
+def _parse_error(path: str, names, exc: ValueError) -> CliError:
     """Restate a np.loadtxt error (its conversion errors count rows from 0)."""
     msg = str(exc)
     if m := re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", msg):
         col = int(m[3])
         name = names[col - 1] if col <= len(names) else col
-        what = "is not in labels.json" if name in labels else "is not a number"
-        msg = f"data row {int(m[2]) + 1}, column {name}: {m[1]} {what}"
-    elif m := re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", msg):
-        msg = f"data row {m[3]} has {m[2]} columns, not {m[1]} like the rows above it"
-    elif names and "number of fields" in msg:  # a label column past row 1's end
-        msg = "data row 1 does not match the header"
+        msg = f"data row {int(m[2]) + 1}, column {name}: {m[1]} is not a number"
+    elif m := re.search(r"(?:changed from|requires) (\d+)\D+(\d+)\D+at row (\d+)", msg):
+        msg = ("data row 1 does not match the header" if m[3] == "1" else
+               f"data row {m[3]} has {m[2]} columns, not {m[1]} like the rows above it")
     return CliError("DATA_INVALID", f"{path}: {msg}")
 
 
@@ -200,34 +199,65 @@ def _load_labels(data_path: str) -> dict:
     return labels
 
 
-def _label_converter(labels: list[str]):
-    index = {label: i for i, label in enumerate(labels)}
-    return lambda cell: index[cell.strip()]
+def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
+    """The category of each cell as read, -1 where it is not exactly a label.
+    Only a label shorter than the field, with no surrounding whitespace and
+    no NUL (the field drops trailing NULs) can match a cell as read."""
+    width = cells.dtype.itemsize // 4
+    keys = sorted((s, i) for i, s in enumerate(labels)
+                  if len(s) < width and s == s.strip() and "\0" not in s)
+    if not keys:
+        return np.full(len(cells), -1)
+    texts, cats = np.array([s for s, _ in keys], cells.dtype), np.array([i for _, i in keys])
+    pos = np.minimum(np.searchsorted(texts, cells), len(keys) - 1)
+    return np.where(texts[pos] == cells, cats[pos], -1)
 
 
 def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """y, the n x K integer categories and the K column names of a CSV with
     header y,w1..wK.  Columns named in labels.json hold labels, the others
-    integral numbers."""
+    integral numbers.  One parse reads a label column into a text field one
+    character wider than its longest label (at most _LABEL_WIDTH), so a cell
+    that matches as read is not a truncated one; only when some cell misses
+    is that column re-read at full width and matched with spaces stripped."""
     labels = _load_labels(path)
+    with _open(path, "DATA_MISSING", "rb") as fh:  # a text field drops trailing NULs
+        nul = any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in _loadtxt(path, islice(fh, 1), dtype=str).ravel()]
         if len(names) < 2 or names[0].lower() != "y":
             raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
-        converters = {j: _label_converter(labels[name])
-                      for j, name in enumerate(names) if j and name in labels}
-        table = _loadtxt(path, fh, names, labels, dtype=float, converters=converters)
+        labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
+        width = {j: min(max(map(len, v), default=0), _LABEL_WIDTH) + 1
+                 for j, v in labelled.items()}
+        dtype = np.dtype([("", f"U{width[j]}" if j in width else "f8")
+                          for j in range(len(names))])
+        table = _loadtxt(path, fh, names, ndmin=1, dtype=dtype)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
-    if table.shape[1] != len(names):
-        raise CliError("DATA_INVALID", f"{path}: data row 1 does not match the header")
-    w = table[:, 1:]
-    ok = np.column_stack([np.isfinite(table[:, 0]), (w == np.round(w)) & (np.abs(w) <= 2**53)])
-    if len(bad := np.argwhere(~ok)):  # y must be finite, w cast exactly to int
-        i, j = bad[0]
+    cols, full = [table[f] for f in dtype.names], {}
+    for j, col_labels in labelled.items():
+        cats = cols[j] = _match(cols[j], col_labels)
+        if not (miss := np.flatnonzero((cats < 0) | nul)).size:
+            continue
+        with _open(path, "DATA_MISSING") as fh:
+            next(fh)  # the header
+            full[j] = _loadtxt(path, fh, names, ndmin=1, dtype=object, usecols=j)
+        index = {label: i for i, label in enumerate(col_labels)}
+        cats[miss] = [index.get(cell.strip(), -1) for cell in full[j][miss]]
+    if unknown := [(np.argmax(cols[j] < 0), j) for j in full if (cols[j] < 0).any()]:
+        i, j = min(unknown)
+        cell = repr(full[j][i])[:100]  # cut as numpy cuts a cell in its own messages
         raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
-                       f"{float(table[i, j])!r} is not {'an integer' if j else 'finite'}")
-    return table[:, 0], w.astype(int), names[1:]
+                       f"{cell} is not in labels.json")
+    table = np.array(cols, dtype=float)  # one contiguous row per column
+    w = table[1:]
+    ok = np.vstack([np.isfinite(table[0]), (w == np.round(w)) & (np.abs(w) <= 2**53)])
+    if not ok.all():  # y must be finite, w cast exactly to int
+        i, j = np.argwhere(~ok.T)[0]
+        raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
+                       f"{float(table[j, i])!r} is not {'an integer' if j else 'finite'}")
+    return table[0], w.T.astype(int), names[1:]
 
 
 def _paths(args, key: str, k: int, code: str) -> list[str]:

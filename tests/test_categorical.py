@@ -116,21 +116,28 @@ def test_validate_names_columns_by_the_given_names():
     assert report.errors == ("OutOfRangeCategory: data row 2, column region: 5 is not in 0..1",)
 
 
-@pytest.mark.parametrize("levels", [(3,), (4, 2, 3), (2,) * 70])
-def test_encode_cells_groups_equal_rows_into_one_cell(levels):
+@pytest.mark.parametrize(
+    "levels, rows",
+    [((3,), 300), ((4, 2, 3), 300), ((2,) * 70, 300), ((5, 5, 5), 40), ((2,) * 61, 40)],
+    ids=[f"levels{i}" for i in range(5)],
+)
+def test_encode_cells_groups_equal_rows_into_one_cell(levels, rows):
     # 2^70 combinations overflow a 64-bit mixed-radix id, so the ids are
-    # renumbered on the way; the cells must be the same either way
+    # renumbered on the way; 5^3 and 2^61 combinations outnumber 40 rows, so
+    # they are renumbered before counting (2^61 counters would not fit in
+    # memory); the cells must be the same either way
     spec = CategoricalSpec(levels)
     rng = np.random.default_rng(len(levels))
-    w = np.column_stack([rng.integers(0, lk, 300) for lk in levels])
+    w = np.column_stack([rng.integers(0, lk, rows) for lk in levels])
     w[1] = w[0]
     w[1, 0] = (w[0, 0] + 1) % levels[0]  # with 70 binary digits its id wraps onto row 0's
-    w[150:] = w[:150]  # every combination occurs at least twice
+    w[rows // 2:] = w[:rows // 2]  # every combination occurs at least twice
     cells = encode_cells(spec, w)
+    # cells in ascending mixed-radix id order: the rows of np.unique(axis=0)
     distinct, counts = np.unique(w, axis=0, return_counts=True)
-    assert len(cells.counts) == len(distinct)
+    np.testing.assert_array_equal(cells.categories, distinct)
+    np.testing.assert_array_equal(cells.counts, counts)
     np.testing.assert_array_equal(cells.categories[cells.inverse], w)
-    np.testing.assert_array_equal(np.sort(cells.counts), np.sort(counts))
     np.testing.assert_array_equal(cells.counts, np.bincount(cells.inverse))
     bundle = encode_dummy(spec, cells.categories)
     np.testing.assert_array_equal(cells.design_star, bundle.design_star)

@@ -205,26 +205,11 @@ def _run_quietly(argv):
     return rc, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
-@settings(
-    max_examples=50,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    body=st.one_of(
-        st.binary(max_size=120),
-        st.lists(
-            st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(",".join),
-            max_size=12,
-        ).map(lambda rows: "\n".join(["y,w1", *rows]).encode()),
-    ),
-    command=st.sampled_from(["fit", "diagnose"]),
-)
-def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
-    tmp_path, body, command
-):
+def _fit_or_diagnose_ends_in_one_exit_status(tmp_path, body, command, labels=None):
     data = tmp_path / "data.csv"
     data.write_bytes(body)
+    if labels is not None:
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
     theta = tmp_path / "theta.csv"
     _write_theta(theta, LOW2)
     p_path = tmp_path / "p.csv"
@@ -238,6 +223,45 @@ def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
     ])
     assert rc in (0, 2, 3)
     assert lines == [] or (len(lines) == 1 and "error" in json.loads(lines[0]))
+
+
+def _data_bodies(cells):
+    """Raw bytes, or a y,w1 header over rows of 1 to 3 of the given cells."""
+    return st.one_of(
+        st.binary(max_size=120),
+        st.lists(
+            st.lists(st.sampled_from(cells), min_size=1, max_size=3).map(",".join),
+            max_size=12,
+        ).map(lambda rows: "\n".join(["y,w1", *rows]).encode()),
+    )
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(body=_data_bodies(_CELLS), command=st.sampled_from(["fit", "diagnose"]))
+def test_fit_any_data_bytes_end_in_one_exit_status_and_at_most_one_json_line(
+    tmp_path, body, command
+):
+    _fit_or_diagnose_ends_in_one_exit_status(tmp_path, body, command)
+
+
+# label cells that match as read, only after the full-width re-read, or never
+_LABEL_CELLS = ["a", "bb", " a ", '"a"', '" bb "', "a" * 20, "", "zz", "a\0", "\u3000a"]
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(body=_data_bodies(_CELLS + _LABEL_CELLS), command=st.sampled_from(["fit", "diagnose"]))
+def test_fit_any_labelled_data_ends_in_one_exit_status_and_at_most_one_json_line(
+    tmp_path, body, command
+):
+    _fit_or_diagnose_ends_in_one_exit_status(tmp_path, body, command, {"w1": ["a", "bb"]})
 
 
 _CONFIG_KEYS = [
@@ -292,19 +316,138 @@ def test_fit_labels_sidecar(tmp_path):
     argv = ["fit", "--data", str(data), "--theta", str(theta_path), "--p", str(p_path)]
     assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
     # rewrite the data file with string labels and add the sidecar; a label
-    # may hold '#' and, quoted, a comma, and blank lines are skipped
+    # may hold '#' and, quoted, a comma, a padded cell is stripped, a label
+    # may be longer than the text field of the first read, and blank lines
+    # are skipped
     rows = data.read_text().strip().split("\n")
-    names = ["yes #1", "no, really"]
+    names = ["yes #1", "no, really, " + "o" * 30]
+    forms = ['"{}"', '" {} "', '"\t{}"']
     relabeled = [rows[0], ""]
-    for line in rows[1:]:
+    for i, line in enumerate(rows[1:]):
         yv, wv = line.split(",")
-        relabeled.append(f'"{yv}","{names[int(wv)]}"')
+        relabeled.append(f'"{yv}",' + forms[i % len(forms)].format(names[int(wv)]))
     data.write_text("\n".join(relabeled) + "\n")
     (tmp_path / "labels.json").write_text(json.dumps({"w1": names}))
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     estimates = (out / "estimates.csv").read_bytes()
     assert estimates == (tmp_path / "plain" / "estimates.csv").read_bytes()
+
+
+def _labelled_fixture(tmp_path):
+    """The binary fixture with w1 written as the labels a (0) and bb (1)."""
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    for i, line in enumerate(rows[1:], 1):
+        yv, wv = line.split(",")
+        rows[i] = f"{yv},{['a', 'bb'][int(wv)]}"
+    data.write_text("\n".join(rows) + "\n")
+    (tmp_path / "labels.json").write_text('{"w1": ["a", "bb"]}')
+    return data, ["--theta", str(theta_path), "--p", str(p_path)]
+
+
+@pytest.mark.parametrize(
+    "cell, blank_lines, shown",
+    [
+        ("zz", 0, "'zz'"),
+        ("", 0, "''"),
+        ("bbbbbbbbbbbbbb", 0, "'bbbbbbbbbbbbbb'"),  # a truncating read would see bb
+        ("zz", 2, "'zz'"),  # blank lines above it are not data rows
+        (" zz ", 0, "' zz '"),
+        ("a\0", 0, "'a\\x00'"),  # a text field drops trailing NULs
+        ("z" * 150, 0, repr("z" * 150)[:100]),  # cut like numpy's own messages
+    ],
+    ids=["unknown", "empty", "longer_than_any", "after_blank_lines", "padded", "nul", "long"],
+)
+def test_an_unknown_label_names_its_data_row_column_and_cell(
+    tmp_path, capsys, cell, blank_lines, shown
+):
+    data, files = _labelled_fixture(tmp_path)
+    rows = data.read_text().splitlines()
+    rows[4] = rows[4].split(",")[0] + "," + cell  # data row 4
+    rows[2:2] = [""] * blank_lines
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), *files, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DATA_INVALID",
+        "message": f"{data}: data row 4, column w1: {shown} is not in labels.json",
+    }
+
+
+@pytest.mark.parametrize(
+    "row, line, message",
+    [
+        (5, "{y},a,a", "data row 5 has 3 columns, not 2 like the rows above it"),
+        (5, "{y}", "data row 5 has 1 columns, not 2 like the rows above it"),
+        # the first data row is compared with the header, whatever follows it
+        (1, "{y},a,a", "data row 1 does not match the header"),
+        (1, "{y}", "data row 1 does not match the header"),
+    ],
+)
+def test_a_ragged_row_of_a_labelled_file_names_its_data_row(
+    tmp_path, capsys, row, line, message
+):
+    data, files = _labelled_fixture(tmp_path)
+    rows = data.read_text().splitlines()
+    rows[row] = line.format(y=rows[row].split(",")[0])
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), *files, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DATA_INVALID", "message": f"{data}: {message}"}
+
+
+def test_the_first_unknown_label_in_file_order_is_reported(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("y,w1,w2\n1,a,a\n1,a,zz\n1,zz,a\n")
+    (tmp_path / "labels.json").write_text('{"w1": ["a", "b"], "w2": ["a", "b"]}')
+    with pytest.raises(cli.CliError) as exc:
+        cli._read_dataset(str(data))
+    assert str(exc.value) == f"{data}: data row 2, column w2: 'zz' is not in labels.json"
+
+
+def test_a_non_number_is_reported_before_an_earlier_unknown_label(tmp_path, capsys):
+    # the parse stops at the first cell it cannot read; labels are matched after it
+    data, files = _labelled_fixture(tmp_path)
+    rows = data.read_text().splitlines()
+    rows[2] = rows[2].split(",")[0] + ",zz"
+    rows[6] = "x," + rows[6].split(",")[1]
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--data", str(data), *files, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"{data}: data row 6, column y: 'x' is not a number")
+
+
+@pytest.mark.parametrize(
+    "labels, cells, expected",
+    [
+        # a label with surrounding spaces never matches: cells are stripped
+        (["a ", "a"], ["a ", " a", "a"], [1, 1, 1]),
+        (["", "a"], ["", " ", '""', "a"], [0, 0, 0, 1]),
+        (["é", "中"], ["中", " é "], [1, 0]),
+        # longer than the text field of the first read: matched on re-read
+        (["a", "x" * 40], ['"x' + "x" * 39 + '"', "x" * 40], [1, 1]),
+        (["a", "x" * 40], ["x" * 39 + "y"], "'" + "x" * 39 + "y'"),
+        # the text field would read a label "b" + NUL as "b"
+        (["a", "b\0"], ["a", "b"], "'b'"),
+        ([], ["a"], "'a'"),
+    ],
+    ids=["spaced_label", "empty_label", "unicode", "long_label", "long_prefix", "nul_label",
+         "no_labels"],
+)
+def test_read_dataset_matches_each_cell_stripped_against_the_labels(
+    tmp_path, labels, cells, expected
+):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["y,w1", *(f"1,{c}" for c in cells)]) + "\n")
+    (tmp_path / "labels.json").write_text(json.dumps({"w1": labels}))
+    if isinstance(expected, str):
+        with pytest.raises(cli.CliError) as exc:
+            cli._read_dataset(str(data))
+        assert str(exc.value) == (  # the last cell is the unknown one
+            f"{data}: data row {len(cells)}, column w1: {expected} is not in labels.json")
+    else:
+        y, w, names = cli._read_dataset(str(data))
+        assert w[:, 0].tolist() == expected and names == ["w1"]
 
 
 def test_fit_overflowing_response_exits_3(tmp_path, capsys):

@@ -9,10 +9,12 @@ script in a checkout of the parent and in the changed one, then
 ``diff -r`` the two OUT directories.
 
 The commands: ``fit``, ``fit --estimate-p`` and ``diagnose`` on the
-benchmark's ``large_n`` inputs at 30,000 rows; the benchmark's ``simulate``
-grid with ``--dump-data``; ``diagnose --variance-sim``; and ``simulate``
-under high distortion with the default random levels, once from flags and
-once from a ``--config`` file whose seed a flag overrides.
+benchmark's ``large_n`` inputs at 30,000 rows; ``fit`` on the same data with
+every labelled cell quoted and space-padded, whose ``estimates.csv`` must
+equal the plain ``fit``'s; the benchmark's ``simulate`` grid with
+``--dump-data``; ``diagnose --variance-sim``; and ``simulate`` under high
+distortion with the default random levels, once from flags and once from a
+``--config`` file whose seed a flag overrides.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from run import LARGE_N_LEVELS, _grid_args, write_large_n_inputs  # noqa: E402  (pins BLAS)
+from run import (  # noqa: E402  (pins BLAS)
+    LARGE_N_LABELS,
+    LARGE_N_LEVELS,
+    _grid_args,
+    write_large_n_inputs,
+)
 
 import miscorr.cli  # noqa: E402
 
@@ -33,13 +40,27 @@ SEED = 7
 ROWS = 30_000
 
 
+def write_padded_labels(inputs: Path, to: Path) -> Path:
+    """The inputs' data.csv with every cell of a labels.json column written
+    as '" label "', and the labels.json beside it."""
+    to.mkdir()
+    shutil.copy(inputs / "labels.json", to)
+    header, *rows = (inputs / "data.csv").read_text().splitlines()
+    labelled = [name in LARGE_N_LABELS for name in header.split(",")]
+    rows = [",".join(f'" {c} "' if pad else c for c, pad in zip(row.split(","), labelled))
+            for row in rows]
+    (to / "data.csv").write_text("\n".join([header, *rows]) + "\n")
+    return to / "data.csv"
+
+
 def commands(out: Path) -> dict[str, list[str]]:
     """Output directory name -> argv, with the large_n inputs in out/inputs."""
     inputs = out / "inputs"
     write_large_n_inputs(inputs, SEED, ROWS)
     k = range(1, len(LARGE_N_LEVELS) + 1)
-    data = ["--data", str(inputs / "data.csv"),
-            "--theta", ",".join(str(inputs / f"theta_w{i}.csv") for i in k)]
+    theta = ["--theta", ",".join(str(inputs / f"theta_w{i}.csv") for i in k)]
+    data = ["--data", str(inputs / "data.csv"), *theta]
+    padded = write_padded_labels(inputs, inputs / "padded")
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
     high = inputs / "simulate_high.json"
     high.write_text(json.dumps({"scenario": "high", "k": 2, "levels": "random",
@@ -47,6 +68,7 @@ def commands(out: Path) -> dict[str, list[str]]:
     return {
         "fit": ["fit", *data, *known_p],
         "fit_estimate_p": ["fit", *data, "--estimate-p"],
+        "fit_padded_labels": ["fit", "--data", str(padded), *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
         "simulate_grid": [*_grid_args(SEED, 24, 1, out / "simulate_grid"), "--dump-data"],
         "variance_sim": ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
@@ -72,6 +94,9 @@ def main(argv=None) -> int:
             failed.append(name)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
+    if ((out / "fit_padded_labels" / "estimates.csv").read_bytes()
+            != (out / "fit" / "estimates.csv").read_bytes()):
+        sys.exit("cli_outputs: fit_padded_labels/estimates.csv differs from fit's")
     return 0
 
 
