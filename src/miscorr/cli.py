@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
@@ -57,11 +58,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n")
 
 
+def _unreadable(path: str, code: str, exc: OSError) -> CliError:
+    return CliError(code, f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _open(path: str, code: str, mode: str = "r"):
     try:
         return open(path, mode)
     except OSError as exc:
-        raise CliError(code, f"cannot read {path}: {exc.strerror}") from exc
+        raise _unreadable(path, code, exc) from exc
 
 
 def _read_json(path, missing: str, invalid: str):
@@ -149,17 +154,26 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
 
 
-def _loadtxt(path: str, lines, names=(), ndmin=2, **kwargs) -> np.ndarray:
-    """The one CSV parser: '#' is data (labels may hold it), fields may be
-    double-quoted, and a parse error is DATA_INVALID naming the data row."""
+def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> np.ndarray:
+    """The one CSV parser, of the file at ``path`` or of ``lines`` read from it:
+    '#' is data (labels may hold it), fields may be double-quoted, a parse
+    error is DATA_INVALID naming the data row and a read error is ``code``.
+    numpy reads a path in blocks, through np.lib._datasource, which would
+    fetch a name that parses as a URL (an absolute path never does) and
+    decompresses by suffix (those names are refused)."""
+    if lines is None and os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
+        raise CliError("DATA_INVALID", f"{path}: compressed data files are not read")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
             return np.loadtxt(
-                lines, delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs
+                os.path.abspath(path) if lines is None else lines,
+                delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs,
             )
     except ValueError as exc:  # UnicodeDecodeError included
         raise _parse_error(path, names, exc) from exc
+    except OSError as exc:  # e.g. the file went away since it was opened
+        raise _unreadable(path, code, exc) from exc
 
 
 def _parse_error(path: str, names, exc: ValueError) -> CliError:
@@ -176,8 +190,8 @@ def _parse_error(path: str, names, exc: ValueError) -> CliError:
 
 
 def _read_matrix(path: str, code: str) -> np.ndarray:
-    with _open(path, code) as fh:
-        table = _loadtxt(path, fh, dtype=float)
+    _open(path, code).close()  # were it missing, numpy would try path.gz and others
+    table = _loadtxt(path, code, dtype=float)
     if table.size == 0:
         raise CliError(code, f"empty file: {path}")
     if not np.all(np.isfinite(table)):
@@ -224,15 +238,18 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     with _open(path, "DATA_MISSING", "rb") as fh:  # a text field drops trailing NULs
         nul = any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
     with _open(path, "DATA_MISSING") as fh:
-        names = [h.strip() for h in _loadtxt(path, islice(fh, 1), dtype=str).ravel()]
-        if len(names) < 2 or names[0].lower() != "y":
-            raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
-        labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
-        width = {j: min(max(map(len, v), default=0), _LABEL_WIDTH) + 1
-                 for j, v in labelled.items()}
-        dtype = np.dtype([("", f"U{width[j]}" if j in width else "f8")
-                          for j in range(len(names))])
-        table = _loadtxt(path, fh, names, ndmin=1, dtype=dtype)
+        names = [h.strip() for h in
+                 _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=str).ravel()]
+    if len(names) < 2 or names[0].lower() != "y":
+        raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
+    labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
+    width = {j: min(max(map(len, v), default=0), _LABEL_WIDTH) + 1
+             for j, v in labelled.items()}
+    dtype = np.dtype([("", f"U{width[j]}" if j in width else "f8")
+                      for j in range(len(names))])
+    # the body from the path; skiprows counts lines, as islice does
+    body = dict(code="DATA_MISSING", names=names, ndmin=1, skiprows=1)
+    table = _loadtxt(path, dtype=dtype, **body)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
     cols, full = [table[f] for f in dtype.names], {}
@@ -240,9 +257,7 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
         cats = cols[j] = _match(cols[j], col_labels)
         if not (miss := np.flatnonzero((cats < 0) | nul)).size:
             continue
-        with _open(path, "DATA_MISSING") as fh:
-            next(fh)  # the header
-            full[j] = _loadtxt(path, fh, names, ndmin=1, dtype=object, usecols=j)
+        full[j] = _loadtxt(path, dtype=object, usecols=j, **body)
         index = {label: i for i, label in enumerate(col_labels)}
         cats[miss] = [index.get(cell.strip(), -1) for cell in full[j][miss]]
     if unknown := [(np.argmax(cols[j] < 0), j) for j in full if (cols[j] < 0).any()]:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shutil
+import urllib.request
 import warnings
 from contextlib import redirect_stderr
 
@@ -448,6 +450,85 @@ def test_read_dataset_matches_each_cell_stripped_against_the_labels(
     else:
         y, w, names = cli._read_dataset(str(data))
         assert w[:, 0].tolist() == expected and names == ["w1"]
+
+
+def _fit_error(capsys, data, theta_path, p_path, out):
+    """fit on these files: it exits 2, writes one JSON line and no ``out``."""
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path),
+                 "--p", str(p_path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert not out.exists()
+    return json.loads(lines[0])
+
+
+def test_a_data_name_that_parses_as_a_url_is_read_as_the_local_file(tmp_path, monkeypatch):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=200)
+    (tmp_path / "s3:" / "bucket").mkdir(parents=True)
+    shutil.copy(data, tmp_path / "s3:" / "bucket" / "data.csv")
+
+    def no_fetch(*args, **kwargs):
+        raise AssertionError(f"fetched {args}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    files = ["--theta", str(theta_path), "--p", str(p_path)]
+    assert main(["fit", "--data", "data.csv", *files, "--out", "plain"]) == 0
+    assert main(["fit", "--data", "s3://bucket/data.csv", *files, "--out", "url"]) == 0
+    estimates = [(tmp_path / out / "estimates.csv").read_bytes() for out in ("plain", "url")]
+    assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize(
+    "name, suffix",
+    [("data", s) for s in (".gz", ".bz2", ".xz", ".lzma")] + [("theta", ".gz")],
+)
+def test_a_compressed_file_name_is_data_invalid(tmp_path, capsys, name, suffix):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    files = {"data": data, "theta": theta_path}
+    plain_text = files[name] = files[name].rename(f"{files[name]}{suffix}")
+    err = _fit_error(capsys, files["data"], files["theta"], p_path, tmp_path / "out")
+    assert err == {"error": "DATA_INVALID",
+                   "message": f"{plain_text}: compressed data files are not read"}
+
+
+@pytest.mark.parametrize("name, code", [("data", "DATA_MISSING"), ("theta", "THETA_MISSING")])
+def test_a_file_removed_before_its_parse_is_missing_not_an_output_error(
+    tmp_path, capsys, monkeypatch, name, code
+):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    gone = {"data": data, "theta": theta_path}[name]
+    loadtxt = np.loadtxt
+
+    def remove_then_load(source, *args, **kwargs):
+        if source == str(gone):  # after the data file's NUL scan and header line
+            gone.unlink()
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", remove_then_load)
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    assert err == {"error": code, "message": f"cannot read {gone}: {gone} not found."}
+
+
+@pytest.mark.parametrize("name, code", [("data", "DATA_MISSING"), ("theta", "THETA_MISSING")])
+def test_a_missing_file_is_not_read_from_a_compressed_sibling(tmp_path, capsys, name, code):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    missing = {"data": data, "theta": theta_path}[name]
+    missing.rename(f"{missing}.gz")  # numpy, given the missing name, would open this one
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    assert err == {"error": code, "message": f"cannot read {missing}: No such file or directory"}
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_mebibyte_names_the_file(tmp_path, capsys):
+    _, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = [b"y,w1"] + [b"0.5,0", b"1.5,1"] * 100_000
+    rows[180_001] = b"1.5,\xff"  # byte 1,080,009 of 1,200,005
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\n".join(rows) + b"\n")
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    # the position counts from the start of the 16 KiB block numpy read
+    assert err == {"error": "DATA_INVALID", "message": f"{data}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 15049: invalid start byte"}
 
 
 def test_fit_overflowing_response_exits_3(tmp_path, capsys):

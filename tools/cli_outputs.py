@@ -10,7 +10,8 @@ script in a checkout of the parent and in the changed one, then
 
 The commands: ``fit``, ``fit --estimate-p`` and ``diagnose`` on the
 benchmark's ``large_n`` inputs at 30,000 rows; ``fit`` on the same data with
-every labelled cell quoted and space-padded, whose ``estimates.csv`` must
+every labelled cell quoted and space-padded, and ``fit`` with ``--data``
+given relative to the current directory, whose ``estimates.csv`` must each
 equal the plain ``fit``'s; the benchmark's ``simulate`` grid with
 ``--dump-data``; ``diagnose --variance-sim``; and ``simulate`` under high
 distortion with the default random levels, once from flags and once from a
@@ -20,6 +21,7 @@ distortion with the default random levels, once from flags and once from a
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -69,6 +71,8 @@ def commands(out: Path) -> dict[str, list[str]]:
         "fit": ["fit", *data, *known_p],
         "fit_estimate_p": ["fit", *data, "--estimate-p"],
         "fit_padded_labels": ["fit", "--data", str(padded), *theta, *known_p],
+        "fit_relative_path": ["fit", "--data", os.path.relpath(inputs / "data.csv"),
+                              *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
         "simulate_grid": [*_grid_args(SEED, 24, 1, out / "simulate_grid"), "--dump-data"],
         "variance_sim": ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
@@ -94,9 +98,10 @@ def main(argv=None) -> int:
             failed.append(name)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
-    if ((out / "fit_padded_labels" / "estimates.csv").read_bytes()
-            != (out / "fit" / "estimates.csv").read_bytes()):
-        sys.exit("cli_outputs: fit_padded_labels/estimates.csv differs from fit's")
+    for name in ("fit_padded_labels", "fit_relative_path"):
+        if ((out / name / "estimates.csv").read_bytes()
+                != (out / "fit" / "estimates.csv").read_bytes()):
+            sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
     return 0
 
 
