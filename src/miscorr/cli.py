@@ -170,10 +170,29 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
                 os.path.abspath(path) if lines is None else lines,
                 delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs,
             )
-    except ValueError as exc:  # UnicodeDecodeError included
+    except UnicodeDecodeError as exc:  # its position counts within numpy's read block
+        raise _parse_error(path, names, _file_decode_error(path, exc)) from exc
+    except ValueError as exc:
         raise _parse_error(path, names, exc) from exc
     except OSError as exc:  # e.g. the file went away since it was opened
+        try:
+            os.getcwd()  # numpy resolves even an absolute path against it
+        except OSError:
+            raise CliError(code, f"cannot read {path}: "
+                           "the working directory no longer exists") from exc
         raise _unreadable(path, code, exc) from exc
+
+
+def _file_decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """The first decode error in the whole file, whose position is a byte
+    offset from its start; ``exc`` if the file cannot be read again."""
+    try:
+        Path(path).read_bytes().decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        return whole
+    except OSError:
+        pass
+    return exc
 
 
 def _parse_error(path: str, names, exc: ValueError) -> CliError:
@@ -319,23 +338,30 @@ def _param_names(cells) -> list[str]:
 
 def _load_and_fit(args):
     """The input boundary shared by fit and diagnose: read the dataset and
-    its mechanism files, validate, then find the occupied cells and correct."""
-    y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
-    paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
-    thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
-    spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
-    ds = ObservedDataset(y=y, w=w)
-    report = validate_dataset(spec, ds, names)
-    if not report.ok:
-        raise CliError("DATA_INVALID", "; ".join(report.errors))
-    ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
-    cells = encode_cells(spec, w)
-    fit = fit_corrected(spec, ds, thetas, ps, cells)
-    return spec, ds, report, p_residuals, cells, fit
+    its mechanism files, validate, then find the occupied cells and correct.
+    A warning raised on the way (a renormalized theta or p) is written to
+    stderr as one JSON line, and returned after the dataset's warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
+        paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
+        thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
+        spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
+        ds = ObservedDataset(y=y, w=w)
+        report = validate_dataset(spec, ds, names)
+        if not report.ok:
+            raise CliError("DATA_INVALID", "; ".join(report.errors))
+        ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
+        cells = encode_cells(spec, w)
+        fit = fit_corrected(spec, ds, thetas, ps, cells)
+    notes = [str(note.message) for note in caught]
+    for note, message in zip(caught, notes):
+        _emit("warning", getattr(note.category, "code", note.category.__name__), message)
+    return spec, ds, [*report.warnings, *notes], p_residuals, cells, fit
 
 
 def cmd_fit(args) -> int:
-    spec, ds, report, p_residuals, cells, fit = _load_and_fit(args)
+    spec, ds, notes, p_residuals, cells, fit = _load_and_fit(args)
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
                           cells.counts)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
@@ -348,7 +374,7 @@ def cmd_fit(args) -> int:
         "n": ds.n, "n_params": spec.n_params, "sigma2_w": fit.naive.sigma2_w,
         "condition_sigma_w": float(np.linalg.cond(fit.blocks.sigma_w)),
         "condition_correction": float(np.linalg.cond(fit.blocks.correction)),
-        "warnings": list(report.warnings), "estimated_p_residuals": p_residuals,
+        "warnings": notes, "estimated_p_residuals": p_residuals,
     }
     (out / "diagnostics.json").write_text(json.dumps(diag, indent=2) + "\n")
     _echo_config(out, {"command": "fit", "n": ds.n, "levels": list(spec.levels)})
@@ -553,8 +579,11 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc: MiscorrError | ArithmeticError) -> None:
-    code = getattr(exc, "code", NumericalError.code)
-    sys.stderr.write(json.dumps({"error": code, "message": str(exc)}) + "\n")
+    _emit("error", getattr(exc, "code", NumericalError.code), str(exc))
+
+
+def _emit(kind: str, code: str, message: str) -> None:
+    sys.stderr.write(json.dumps({kind: code, "message": message}) + "\n")
 
 
 if __name__ == "__main__":

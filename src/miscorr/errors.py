@@ -62,3 +62,9 @@ class NonIdentifiable(NumericalError):
 
 class RankDeficient(NumericalError):
     code = "RANK_DEFICIENT"
+
+
+class Renormalized(UserWarning):
+    """A theta or p row off its sum of 1 by at most RENORM_TOL was rescaled."""
+
+    code = "RENORMALIZED"

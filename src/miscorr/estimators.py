@@ -14,8 +14,8 @@ from .categorical import (
     CategoricalSpec, Cells, ObservedDataset, encode_cells, require_fit_ready
 )
 from .errors import RankDeficient, ValidationError
-from .misclass import posterior_from, posterior_rows
-from .moments import MomentBlocks, build_moment_blocks
+from .misclass import _posterior, posterior_rows
+from .moments import MomentBlocks, _checked_pairs, _moment_blocks
 
 RANK_TOL = 1e-10
 
@@ -227,13 +227,14 @@ def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, 
     if cells is None:
         cells = encode_cells(spec, ds.w)
     naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
-    blocks, _, pi = _mechanism(spec, thetas, ps, cells.categories)
-    return correct(naive, ds.y, pi, blocks, cells.counts)
+    blocks, posteriors = _mechanism(spec, thetas, ps)
+    return correct(naive, ds.y, posterior_rows(posteriors, cells.categories), blocks,
+                   cells.counts)
 
 
-def _mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, categories: np.ndarray):
-    """What the correction reads of (theta, p): the moment blocks, the
-    posteriors, and the posterior rows of ``categories`` (the occupied cells)."""
-    blocks = build_moment_blocks(spec, thetas, ps)
-    posteriors = [posterior_from(t, p) for t, p in zip(thetas, ps)]
-    return blocks, posteriors, posterior_rows(posteriors, categories)
+def _mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
+    """What the correction reads of (theta, p): the moment blocks and the
+    posteriors, from one check of each theta and p."""
+    pairs = _checked_pairs(spec, thetas, ps)
+    blocks = _moment_blocks(spec, pairs)
+    return blocks, [_posterior(theta, p) for theta, p in pairs]

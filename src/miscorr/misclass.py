@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     IllConditionedTheta,
+    Renormalized,
     UndefinedScenario,
     ValidationError,
     ZeroObservedMass,
@@ -64,7 +65,7 @@ def _check_simplex_rows(mat: np.ndarray, name: str) -> np.ndarray:
     if np.any(err > RENORM_TOL):
         raise ValidationError(f"{name} rows do not sum to 1 (max error {err.max():.3g})")
     if np.any(err > SIMPLEX_TOL):
-        warnings.warn(f"renormalizing {name} rows (max error {err.max():.3g})")
+        warnings.warn(f"renormalizing {name} rows (max error {err.max():.3g})", Renormalized)
         mat = mat / sums[..., None]
     return mat
 
@@ -115,6 +116,11 @@ def posterior_from(theta, p) -> Posterior:
     p = check_marginal(p)
     if len(p) != theta.shape[0]:
         raise ValidationError("theta and p dimensions differ")
+    return _posterior(theta, p)
+
+
+def _posterior(theta: np.ndarray, p: np.ndarray) -> Posterior:
+    """posterior_from on a checked theta and p of matching size."""
     q = observed_marginal(theta, p)
     zero = np.nonzero(q <= 0)[0]
     if zero.size:

@@ -45,17 +45,31 @@ def build_moment_blocks(
 ) -> MomentBlocks:
     """Assemble sigma_w, sigma_wx and the correction transform from one
     (theta, p) pair per covariate."""
+    return _moment_blocks(spec, _checked_pairs(spec, thetas, ps))
+
+
+def _checked_pairs(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> list:
+    """(theta, p) per covariate as checked arrays, theta then p, covariate
+    by covariate, each sized to its L_k."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
-    d = spec.n_slopes
-    sigma_w = np.zeros((d, d))
-    sigma_wx = np.zeros((d, d))
-    off = 0
+    pairs = []
     for k, lk in enumerate(spec.levels):
         theta = check_theta(thetas[k])
         p = check_marginal(ps[k])
         if theta.shape[0] != lk or len(p) != lk:
             raise ValidationError(f"covariate {k}: theta/p size does not match L={lk}")
+        pairs.append((theta, p))
+    return pairs
+
+
+def _moment_blocks(spec: CategoricalSpec, pairs: list) -> MomentBlocks:
+    """build_moment_blocks on the checked pairs of ``_checked_pairs``."""
+    d = spec.n_slopes
+    sigma_w = np.zeros((d, d))
+    sigma_wx = np.zeros((d, d))
+    off = 0
+    for (theta, p), lk in zip(pairs, spec.levels):
         q = observed_marginal(theta, p)
         dk = lk - 1
         sl = slice(off, off + dk)

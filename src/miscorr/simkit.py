@@ -20,7 +20,7 @@ from .categorical import CategoricalSpec, encode_cells, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
 from .estimators import _mechanism, correct, fit_prefixes, ols_fit
-from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, scenario_theta
+from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, posterior_rows, scenario_theta
 
 METHODS = ("none", "partial", "full")
 RANDOM_LEVEL_CHOICES = (2, 3, 4)
@@ -201,14 +201,19 @@ def replicate_response(config: ScenarioConfig, replicate_id: int, spec: Categori
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
-def _replicate_fits(config: ScenarioConfig, replicate_id: int, sigmas):
+def _replicate_fits(config: ScenarioConfig, replicate_id: int, sigmas, mechanisms: dict):
     """The replicate pipeline of the grid and the variance curve: designs,
     occupied cells, mechanism, one response column per sigma, then every
     n-prefix of ``config.n_grid`` fitted at once.  Returns the spec, cells,
-    mechanism (blocks, posteriors, posterior rows) and the PrefixFits."""
+    mechanism (blocks, posteriors, posterior rows) and the PrefixFits.  The
+    mechanism is built once per level structure, kept in the caller's
+    ``mechanisms`` dict: the config fixes theta and p for each L_k."""
     spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
     cells = encode_cells(spec, w)
-    blocks, posteriors, pi = _mechanism(spec, thetas, ps, cells.categories)
+    if spec.levels not in mechanisms:
+        mechanisms[spec.levels] = _mechanism(spec, thetas, ps)
+    blocks, posteriors = mechanisms[spec.levels]
+    pi = posterior_rows(posteriors, cells.categories)
     ys = replicate_responses(config, replicate_id, spec, x, sigmas)
     fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
     return spec, cells, (blocks, posteriors, pi), fits
@@ -223,8 +228,8 @@ def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id:
     cells = encode_cells(spec, w[:n])
     y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
     naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
-    blocks, _, pi = _mechanism(spec, thetas, ps, cells.categories)
-    fit = correct(naive, y, pi, blocks, cells.counts)
+    blocks, posteriors = _mechanism(spec, thetas, ps)
+    fit = correct(naive, y, posterior_rows(posteriors, cells.categories), blocks, cells.counts)
     return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
 
@@ -253,9 +258,10 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         raise ValidationError("an empirical variance needs at least 2 replicates")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma}")
-    beta0_hats, theoreticals = [], []
+    beta0_hats, theoreticals, mechanisms = [], [], {}
     for rep in range(config.replicates):
-        spec, cells, (blocks, posteriors, pi), fits = _replicate_fits(config, rep, (sigma,))
+        spec, cells, (blocks, posteriors, pi), fits = _replicate_fits(
+            config, rep, (sigma,), mechanisms)
         if fits.refused.any():
             n = config.n_grid[int(np.argmax(fits.refused))]
             raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
@@ -303,10 +309,10 @@ class EqpTable:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_eqps(config: ScenarioConfig, replicate_id: int):
+def _replicate_eqps(config: ScenarioConfig, replicate_id: int, mechanisms: dict):
     """EQP of one replicate indexed [n, sigma, method], NaN in the cells
     whose prefix the rank guard refused, and the refused mask over n."""
-    spec, _, _, fits = _replicate_fits(config, replicate_id, config.sigma_list)
+    spec, _, _, fits = _replicate_fits(config, replicate_id, config.sigma_list, mechanisms)
     estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
     return eqp(estimates, TruthSpec.default(spec.n_slopes)), fits.refused
 
@@ -316,21 +322,28 @@ def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
     replicates in fixed replicate order.  ``threads`` is accepted and has no
     effect: replicates run one after another, because each is a few
     milliseconds of small numpy calls and a thread pool made runs slower."""
-    per_rep = [_replicate_eqps(config, r) for r in range(config.replicates)]
+    mechanisms = {}
+    per_rep = [_replicate_eqps(config, r, mechanisms) for r in range(config.replicates)]
     eqps = np.stack([e for e, _ in per_rep])  # [replicate, n, sigma, method]
     refused = np.stack([r for _, r in per_rep])  # [replicate, n]
 
+    # per n, one reduction over the last axis of its surviving replicates'
+    # contiguous [sigma, method, replicate] EQPs sums in the 1-D call's order
+    mean = np.full(eqps.shape[1:], math.nan)  # [n, sigma, method]
+    mcse = np.full(eqps.shape[1:], math.nan)
+    for i in range(len(config.n_grid)):
+        ok = np.ascontiguousarray(np.moveaxis(eqps[~refused[:, i], i], 0, -1))
+        if k := ok.shape[-1]:
+            mean[i] = ok.mean(axis=-1)
+            mcse[i] = ok.std(axis=-1, ddof=1) / math.sqrt(k) if k > 1 else 0.0
+
     levels_sig = "random" if config.levels is None else "-".join(map(str, config.levels))
-    records = []
-    for s, sigma in enumerate(config.sigma_list):
-        for i, n in enumerate(config.n_grid):
-            ok = eqps[~refused[:, i], i, s]
-            for method, vals in zip(METHODS, ok.T):
-                mean, mcse = (float(vals.mean()), 0.0) if len(vals) else (math.nan, math.nan)
-                if len(vals) > 1:
-                    mcse = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                records.append(EqpRecord(
-                    config.distortion, config.n_covariates, levels_sig, n, sigma, method,
-                    mean, mcse, failures=int(refused[:, i].sum()), replicates=len(ok),
-                ))
-    return EqpTable(records=tuple(records))
+    failures = refused.sum(axis=0)
+    return EqpTable(records=tuple(
+        EqpRecord(config.distortion, config.n_covariates, levels_sig, n, sigma, method,
+                  float(mean[i, s, j]), float(mcse[i, s, j]), failures=int(failures[i]),
+                  replicates=config.replicates - int(failures[i]))
+        for s, sigma in enumerate(config.sigma_list)
+        for i, n in enumerate(config.n_grid)
+        for j, method in enumerate(METHODS)
+    ))

@@ -526,9 +526,42 @@ def test_a_byte_that_is_not_utf8_past_the_first_mebibyte_names_the_file(tmp_path
     data = tmp_path / "data.csv"
     data.write_bytes(b"\n".join(rows) + b"\n")
     err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
-    # the position counts from the start of the 16 KiB block numpy read
+    # the position is the byte offset from the start of the file
     assert err == {"error": "DATA_INVALID", "message": f"{data}: 'utf-8' codec can't decode "
-                   "byte 0xff in position 15049: invalid start byte"}
+                   "byte 0xff in position 1080009: invalid start byte"}
+
+
+def test_a_deleted_working_directory_is_named_as_the_cause(tmp_path, capsys, monkeypatch):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    assert err == {"error": "DATA_MISSING",
+                   "message": f"cannot read {data}: the working directory no longer exists"}
+
+
+@pytest.mark.parametrize("name", ["theta", "p"])
+def test_a_renormalized_theta_or_p_is_one_json_warning_and_listed(tmp_path, capsys, name):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    if name == "theta":
+        theta_path.write_text("0.9,0.1000000001\n0.15,0.85\n")
+    else:
+        p_path.write_text("0.5,0.5000000001\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0.5,0.7\n")
+    files = ["--data", str(data), "--theta", str(theta_path), "--p", str(p_path)]
+    line = {"warning": "RENORMALIZED",
+            "message": f"renormalizing {name} rows (max error 1e-10)"}
+    for command, extra in [("fit", []), ("diagnose", ["--truth", str(truth)])]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, *files, *extra, "--out", str(tmp_path / command)]) == 0
+        assert caught == []
+        assert [json.loads(s) for s in capsys.readouterr().err.splitlines()] == [line]
+    diag = json.loads((tmp_path / "fit" / "diagnostics.json").read_text())
+    assert diag["warnings"] == [line["message"]]
 
 
 def test_fit_overflowing_response_exits_3(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from miscorr import simkit
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.errors import (
     InsufficientRows,
@@ -19,6 +22,7 @@ from miscorr.simkit import (
     intercept_variance_curve,
     replicate_designs,
     replicate_response,
+    replicate_structure,
     run_grid,
     run_replicate,
     simulate_w,
@@ -227,6 +231,47 @@ def test_run_grid_counts_grids_no_larger_than_the_design_as_failures(levels, n_g
     for r in run_grid(cfg).records:
         assert r.failures == failures.get(r.n, 0)
         assert r.replicates == cfg.replicates - r.failures
+
+
+@pytest.mark.parametrize("curve", [False, True])
+def test_the_mechanism_is_built_once_per_level_structure(monkeypatch, curve):
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=2 if curve else 3, levels=None,
+        n_grid=(60, 200) if curve else (8, 50), sigma_list=(0.2, 1.0), replicates=24,
+        master_seed=7,
+    )
+    built = []
+    mechanism = simkit._mechanism
+
+    def counted(spec, thetas, ps):
+        built.append(spec.levels)
+        return mechanism(spec, thetas, ps)
+
+    monkeypatch.setattr(simkit, "_mechanism", counted)
+    intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
+    structures = {replicate_structure(cfg, rep)[0].levels for rep in range(cfg.replicates)}
+    assert sorted(built) == sorted(structures)
+    assert len(structures) < cfg.replicates
+
+
+def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():
+    # K=3 random levels: n=8 is refused in some replicates but not all
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=3, levels=None,
+        n_grid=(8, 12, 50), sigma_list=(0.2, 1.0), replicates=12, master_seed=21,
+    )
+    per_rep = [simkit._replicate_eqps(cfg, rep, {}) for rep in range(cfg.replicates)]
+    table = run_grid(cfg)
+    records = iter(table.records)
+    for s in range(len(cfg.sigma_list)):
+        for i in range(len(cfg.n_grid)):
+            for j in range(len(METHODS)):
+                vals = np.array([e[i, s, j] for e, refused in per_rep if not refused[i]])
+                r = next(records)
+                assert r.replicates == len(vals)
+                assert r.eqp == np.mean(vals)
+                assert r.mcse == np.std(vals, ddof=1) / math.sqrt(len(vals))
+    assert 0 < table.records[0].failures < cfg.replicates
 
 
 def test_intercept_variance_curve_needs_two_replicates():

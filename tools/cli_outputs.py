@@ -15,7 +15,9 @@ given relative to the current directory, whose ``estimates.csv`` must each
 equal the plain ``fit``'s; the benchmark's ``simulate`` grid with
 ``--dump-data``; ``diagnose --variance-sim``; and ``simulate`` under high
 distortion with the default random levels, once from flags and once from a
-``--config`` file whose seed a flag overrides.
+``--config`` file whose seed a flag overrides; and ``simulate`` at K=10
+with random levels, where most replicates have a level structure of their
+own and many small n are refused.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ def commands(out: Path) -> dict[str, list[str]]:
         "simulate_high": ["simulate", "--scenario", "high", "--k", "2",
                           "--n-grid", "30,60", "--replicates", "5", "--seed", "11"],
         "simulate_high_config": ["simulate", "--config", str(high), "--seed", "11"],
+        "simulate_k10_random": ["simulate", "--scenario", "medium", "--k", "10",
+                                "--levels", "random", "--n-grid", "12,17,20,25,30,40,80,160",
+                                "--replicates", "30", "--seed", "3"],
     }
 
 
