@@ -14,8 +14,8 @@ from .categorical import (
     CategoricalSpec, Cells, ObservedDataset, encode_cells, require_fit_ready
 )
 from .errors import RankDeficient, ValidationError
-from .misclass import _posterior, posterior_rows
-from .moments import MomentBlocks, _checked_pairs, _moment_blocks
+from .misclass import posterior_rows
+from .moments import MomentBlocks, mechanism
 
 RANK_TOL = 1e-10
 
@@ -227,14 +227,7 @@ def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, 
     if cells is None:
         cells = encode_cells(spec, ds.w)
     naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
-    blocks, posteriors = _mechanism(spec, thetas, ps)
+    blocks, posteriors = mechanism(spec, thetas, ps)
     return correct(naive, ds.y, posterior_rows(posteriors, cells.categories), blocks,
                    cells.counts)
 
-
-def _mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
-    """What the correction reads of (theta, p): the moment blocks and the
-    posteriors, from one check of each theta and p."""
-    pairs = _checked_pairs(spec, thetas, ps)
-    blocks = _moment_blocks(spec, pairs)
-    return blocks, [_posterior(theta, p) for theta, p in pairs]

@@ -1,5 +1,6 @@
 """Theoretical covariance blocks of the indicator variables and the
-slope-correction transform.
+slope-correction transform, built by ``mechanism`` together with the
+posteriors the intercept correction reads.
 
 For one covariate with observed marginal q, the indicator covariance is the
 multinomial identity diag(q) - q q^T restricted to the non-reference levels.
@@ -16,7 +17,7 @@ import numpy as np
 
 from .categorical import CategoricalSpec
 from .errors import NonIdentifiable, ValidationError
-from .misclass import _near_singular, check_marginal, check_theta, observed_marginal
+from .misclass import _near_singular, _posterior, check_marginal, check_theta, observed_marginal
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,17 @@ def _indicator_cov(q: np.ndarray) -> np.ndarray:
     return np.diag(qd) - np.outer(qd, qd)
 
 
-def build_moment_blocks(
-    spec: CategoricalSpec, thetas: Sequence, ps: Sequence
-) -> MomentBlocks:
+def build_moment_blocks(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> MomentBlocks:
     """Assemble sigma_w, sigma_wx and the correction transform from one
     (theta, p) pair per covariate."""
-    return _moment_blocks(spec, _checked_pairs(spec, thetas, ps))
+    return mechanism(spec, thetas, ps)[0]
 
 
-def _checked_pairs(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> list:
-    """(theta, p) per covariate as checked arrays, theta then p, covariate
-    by covariate, each sized to its L_k."""
+def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
+    """What the correction reads of (theta, p): the moment blocks, for the
+    slopes, and the posteriors, for the intercept.  Each theta and p is
+    checked once, theta then p, covariate by covariate, each sized to its
+    L_k; the blocks are built before any posterior."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
     pairs = []
@@ -60,11 +61,7 @@ def _checked_pairs(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> lis
         if theta.shape[0] != lk or len(p) != lk:
             raise ValidationError(f"covariate {k}: theta/p size does not match L={lk}")
         pairs.append((theta, p))
-    return pairs
 
-
-def _moment_blocks(spec: CategoricalSpec, pairs: list) -> MomentBlocks:
-    """build_moment_blocks on the checked pairs of ``_checked_pairs``."""
     d = spec.n_slopes
     sigma_w = np.zeros((d, d))
     sigma_wx = np.zeros((d, d))
@@ -90,9 +87,6 @@ def _moment_blocks(spec: CategoricalSpec, pairs: list) -> MomentBlocks:
     z_star = np.zeros((d + 1, d + 1))
     z_star[0, 0] = 1.0
     z_star[1:, 1:] = correction
-    return MomentBlocks(
-        sigma_w=sigma_w,
-        sigma_wx=sigma_wx,
-        correction=correction,
-        z_star=z_star,
-    )
+    blocks = MomentBlocks(sigma_w=sigma_w, sigma_wx=sigma_wx, correction=correction,
+                          z_star=z_star)
+    return blocks, [_posterior(theta, p) for theta, p in pairs]

@@ -19,8 +19,9 @@ import numpy as np
 from .categorical import CategoricalSpec, encode_cells, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
-from .estimators import _mechanism, correct, fit_prefixes, ols_fit
+from .estimators import correct, fit_prefixes, ols_fit
 from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, posterior_rows, scenario_theta
+from .moments import mechanism
 
 METHODS = ("none", "partial", "full")
 RANDOM_LEVEL_CHOICES = (2, 3, 4)
@@ -201,22 +202,25 @@ def replicate_response(config: ScenarioConfig, replicate_id: int, spec: Categori
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
-def _replicate_fits(config: ScenarioConfig, replicate_id: int, sigmas, mechanisms: dict):
-    """The replicate pipeline of the grid and the variance curve: designs,
-    occupied cells, mechanism, one response column per sigma, then every
-    n-prefix of ``config.n_grid`` fitted at once.  Returns the spec, cells,
-    mechanism (blocks, posteriors, posterior rows) and the PrefixFits.  The
-    mechanism is built once per level structure, kept in the caller's
-    ``mechanisms`` dict: the config fixes theta and p for each L_k."""
-    spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    cells = encode_cells(spec, w)
-    if spec.levels not in mechanisms:
-        mechanisms[spec.levels] = _mechanism(spec, thetas, ps)
-    blocks, posteriors = mechanisms[spec.levels]
-    pi = posterior_rows(posteriors, cells.categories)
-    ys = replicate_responses(config, replicate_id, spec, x, sigmas)
-    fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
-    return spec, cells, (blocks, posteriors, pi), fits
+def _replicate_fits(config: ScenarioConfig, sigmas):
+    """The replicate pipeline of the grid and the variance curve, yielding
+    each replicate in order: designs, occupied cells, mechanism, one
+    response column per sigma, then every n-prefix of ``config.n_grid``
+    fitted at once.  Yields the spec, cells, mechanism (blocks, posteriors,
+    posterior rows) and the PrefixFits.  The mechanism is built once per
+    level structure, since the config fixes theta and p for each L_k; each
+    replicate takes the posterior rows of its own cells."""
+    by_levels = {}
+    for replicate_id in range(config.replicates):
+        spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
+        cells = encode_cells(spec, w)
+        if spec.levels not in by_levels:
+            by_levels[spec.levels] = mechanism(spec, thetas, ps)
+        blocks, posteriors = by_levels[spec.levels]
+        pi = posterior_rows(posteriors, cells.categories)
+        ys = replicate_responses(config, replicate_id, spec, x, sigmas)
+        fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
+        yield spec, cells, (blocks, posteriors, pi), fits
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
@@ -228,7 +232,7 @@ def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id:
     cells = encode_cells(spec, w[:n])
     y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
     naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
-    blocks, posteriors = _mechanism(spec, thetas, ps)
+    blocks, posteriors = mechanism(spec, thetas, ps)
     fit = correct(naive, y, posterior_rows(posteriors, cells.categories), blocks, cells.counts)
     return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
@@ -258,10 +262,9 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         raise ValidationError("an empirical variance needs at least 2 replicates")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma}")
-    beta0_hats, theoreticals, mechanisms = [], [], {}
-    for rep in range(config.replicates):
-        spec, cells, (blocks, posteriors, pi), fits = _replicate_fits(
-            config, rep, (sigma,), mechanisms)
+    beta0_hats, theoreticals = [], []
+    for rep, (spec, cells, (blocks, posteriors, pi), fits) in enumerate(
+            _replicate_fits(config, (sigma,))):
         if fits.refused.any():
             n = config.n_grid[int(np.argmax(fits.refused))]
             raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
@@ -309,23 +312,18 @@ class EqpTable:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_eqps(config: ScenarioConfig, replicate_id: int, mechanisms: dict):
-    """EQP of one replicate indexed [n, sigma, method], NaN in the cells
-    whose prefix the rank guard refused, and the refused mask over n."""
-    spec, _, _, fits = _replicate_fits(config, replicate_id, config.sigma_list, mechanisms)
-    estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
-    return eqp(estimates, TruthSpec.default(spec.n_slopes)), fits.refused
-
-
 def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
     """Full factorial over n_grid x sigma_list x methods, aggregated over
     replicates in fixed replicate order.  ``threads`` is accepted and has no
     effect: replicates run one after another, because each is a few
     milliseconds of small numpy calls and a thread pool made runs slower."""
-    mechanisms = {}
-    per_rep = [_replicate_eqps(config, r, mechanisms) for r in range(config.replicates)]
-    eqps = np.stack([e for e, _ in per_rep])  # [replicate, n, sigma, method]
-    refused = np.stack([r for _, r in per_rep])  # [replicate, n]
+    eqps, refused = [], []
+    for spec, _, _, fits in _replicate_fits(config, config.sigma_list):
+        estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
+        eqps.append(eqp(estimates, TruthSpec.default(spec.n_slopes)))
+        refused.append(fits.refused)
+    eqps = np.stack(eqps)  # [replicate, n, sigma, method], NaN where refused
+    refused = np.stack(refused)  # [replicate, n]
 
     # per n, one reduction over the last axis of its surviving replicates'
     # contiguous [sigma, method, replicate] EQPs sums in the 1-D call's order

@@ -241,13 +241,13 @@ def test_the_mechanism_is_built_once_per_level_structure(monkeypatch, curve):
         master_seed=7,
     )
     built = []
-    mechanism = simkit._mechanism
+    mechanism = simkit.mechanism
 
     def counted(spec, thetas, ps):
         built.append(spec.levels)
         return mechanism(spec, thetas, ps)
 
-    monkeypatch.setattr(simkit, "_mechanism", counted)
+    monkeypatch.setattr(simkit, "mechanism", counted)
     intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
     structures = {replicate_structure(cfg, rep)[0].levels for rep in range(cfg.replicates)}
     assert sorted(built) == sorted(structures)
@@ -260,7 +260,11 @@ def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():
         distortion="medium", n_covariates=3, levels=None,
         n_grid=(8, 12, 50), sigma_list=(0.2, 1.0), replicates=12, master_seed=21,
     )
-    per_rep = [simkit._replicate_eqps(cfg, rep, {}) for rep in range(cfg.replicates)]
+    per_rep = [
+        (eqp(np.stack([f.gamma_star, f.beta_c_star, f.beta_full], axis=2),
+             TruthSpec.default(spec.n_slopes)), f.refused)
+        for spec, _, _, f in simkit._replicate_fits(cfg, cfg.sigma_list)
+    ]
     table = run_grid(cfg)
     records = iter(table.records)
     for s in range(len(cfg.sigma_list)):
