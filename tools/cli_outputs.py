@@ -13,11 +13,12 @@ benchmark's ``large_n`` inputs at 30,000 rows; ``fit`` on the same data with
 every labelled cell quoted and space-padded, and ``fit`` with ``--data``
 given relative to the current directory, whose ``estimates.csv`` must each
 equal the plain ``fit``'s; the benchmark's ``simulate`` grid with
-``--dump-data``; ``diagnose --variance-sim``; and ``simulate`` under high
-distortion with the default random levels, once from flags and once from a
-``--config`` file whose seed a flag overrides; and ``simulate`` at K=10
-with random levels, where most replicates have a level structure of their
-own and many small n are refused.
+``--dump-data``; ``diagnose --variance-sim``, once at fixed levels and once
+at K=2 with random levels, whose 40 replicates have 8 level structures;
+``simulate`` under high distortion with the default random levels, once
+from flags and once from a ``--config`` file whose seed a flag overrides;
+and ``simulate`` at K=10 with random levels, where most replicates have a
+level structure of their own and many small n are refused.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def commands(out: Path) -> dict[str, list[str]]:
         "variance_sim": ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
                          "--n-grid", "50,100,200,500", "--sigma", "0.2",
                          "--replicates", "100", "--seed", "3"],
+        "variance_sim_random": ["diagnose", "--variance-sim", "--scenario", "medium", "--k", "2",
+                                "--levels", "random", "--n-grid", "50,100,200", "--sigma", "0.2",
+                                "--replicates", "40", "--seed", "5"],
         "simulate_high": ["simulate", "--scenario", "high", "--k", "2",
                           "--n-grid", "30,60", "--replicates", "5", "--seed", "11"],
         "simulate_high_config": ["simulate", "--config", str(high), "--seed", "11"],
