@@ -13,9 +13,8 @@ def _scale(value, lo, hi, out_lo, out_hi):
     return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def line_chart(series: dict[str, list[tuple[float, float]]], title: str,
-               x_label: str = "n", y_label: str = "") -> str:
-    """Render named (x, y) series as an SVG document string."""
+def line_chart(series: dict[str, list[tuple[float, float]]], title: str, y_label: str) -> str:
+    """Render named (x, y) series over n as an SVG document string."""
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         raise ValueError("no data to chart")
@@ -58,15 +57,13 @@ def line_chart(series: dict[str, list[tuple[float, float]]], title: str,
         )
     parts.append(
         f'<text x="{(plot_l + plot_r) / 2:.1f}" y="{HEIGHT - 10}" '
-        f'text-anchor="middle" font-size="12" font-family="sans-serif">'
-        f"{x_label}</text>"
+        'text-anchor="middle" font-size="12" font-family="sans-serif">n</text>'
     )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{(plot_t + plot_b) / 2:.1f}" font-size="12" '
-            f'font-family="sans-serif" transform="rotate(-90 16 '
-            f'{(plot_t + plot_b) / 2:.1f})" text-anchor="middle">{y_label}</text>'
-        )
+    parts.append(
+        f'<text x="16" y="{(plot_t + plot_b) / 2:.1f}" font-size="12" '
+        f'font-family="sans-serif" transform="rotate(-90 16 '
+        f'{(plot_t + plot_b) / 2:.1f})" text-anchor="middle">{y_label}</text>'
+    )
     for idx, (name, pts) in enumerate(series.items()):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(pts))

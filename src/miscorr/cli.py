@@ -24,7 +24,7 @@ from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NumericalError, ValidationError
 from .estimators import fit_corrected
-from .misclass import SCENARIO_THETAS, check_theta, estimate_marginal
+from .misclass import SCENARIO_THETAS, check_marginal, check_theta, estimate_marginal
 from .simkit import (
     METHODS,
     ScenarioConfig,
@@ -58,15 +58,22 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n")
 
 
-def _unreadable(path: str, code: str, exc: OSError) -> CliError:
-    return CliError(code, f"cannot read {path}: {exc.strerror or exc}")
+def _os_error(path, code: str, exc: OSError, verb: str = "read") -> CliError:
+    """``cannot <verb> <path>`` and why.  A relative path, and in numpy even
+    an absolute one, resolves against the working directory, so where that
+    directory has been removed, its removal is the reason given."""
+    try:
+        os.getcwd()
+    except OSError:
+        return CliError(code, f"cannot {verb} {path}: the working directory no longer exists")
+    return CliError(code, f"cannot {verb} {path}: {exc.strerror or exc}")
 
 
 def _open(path: str, code: str, mode: str = "r"):
     try:
         return open(path, mode)
     except OSError as exc:
-        raise _unreadable(path, code, exc) from exc
+        raise _os_error(path, code, exc) from exc
 
 
 def _read_json(path, missing: str, invalid: str):
@@ -175,12 +182,7 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
     except ValueError as exc:
         raise _parse_error(path, names, exc) from exc
     except OSError as exc:  # e.g. the file went away since it was opened
-        try:
-            os.getcwd()  # numpy resolves even an absolute path against it
-        except OSError:
-            raise CliError(code, f"cannot read {path}: "
-                           "the working directory no longer exists") from exc
-        raise _unreadable(path, code, exc) from exc
+        raise _os_error(path, code, exc) from exc
 
 
 def _file_decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
@@ -216,6 +218,21 @@ def _read_matrix(path: str, code: str) -> np.ndarray:
     if not np.all(np.isfinite(table)):
         raise CliError("DATA_INVALID", f"{path}: entries must be finite")
     return table
+
+
+def _read_checked(path: str, code: str, check) -> np.ndarray:
+    """A theta or p file through ``check_theta`` or ``check_marginal``, whose
+    error and renormalizing warning are prefixed with the file's path."""
+    table = _read_matrix(path, code)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            checked = check(table)
+        except ValidationError as exc:
+            raise CliError(exc.code, f"{path}: {exc}") from exc
+    for note in caught:
+        warnings.warn(f"{path}: {note.message}", note.category)
+    return checked
 
 
 def _load_labels(data_path: str) -> dict:
@@ -309,7 +326,7 @@ def _load_marginals(args, thetas, level_counts):
         if args.estimate_p:
             raise CliError("CONFIG_INVALID", "give --p files or --estimate-p, not both")
         paths = _paths(args, "p", len(thetas), "P_MISSING")
-        return [_read_matrix(path, "P_MISSING").ravel() for path in paths], {}
+        return [_read_checked(path, "P_MISSING", check_marginal) for path in paths], {}
     if not args.estimate_p:
         raise CliError("P_MISSING", "supply --p files or --estimate-p")
     ps, residuals = [], {}
@@ -324,7 +341,7 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. a file of that name
-        raise CliError("CONFIG_INVALID", f"cannot create {out}: {exc.strerror}") from exc
+        raise _os_error(out, "CONFIG_INVALID", exc, "create") from exc
     return out
 
 
@@ -345,7 +362,7 @@ def _load_and_fit(args):
         warnings.simplefilter("always")
         y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
         paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
-        thetas = [check_theta(_read_matrix(path, "THETA_MISSING")) for path in paths]
+        thetas = [_read_checked(path, "THETA_MISSING", check_theta) for path in paths]
         spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
         ds = ObservedDataset(y=y, w=w)
         report = validate_dataset(spec, ds, names)
@@ -574,7 +591,7 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 2
     except OSError as exc:  # inputs are opened by _open, so an output file failed
-        _emit_error(CliError("CONFIG_INVALID", f"cannot write {exc.filename}: {exc.strerror}"))
+        _emit_error(_os_error(exc.filename, "CONFIG_INVALID", exc, "write"))
         return 2
 
 

@@ -542,6 +542,63 @@ def test_a_deleted_working_directory_is_named_as_the_cause(tmp_path, capsys, mon
                    "message": f"cannot read {data}: the working directory no longer exists"}
 
 
+def test_a_deleted_working_directory_is_named_when_an_output_is_written(
+        tmp_path, capsys, monkeypatch):
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert main(["simulate", "--scenario", "low", "--levels", "2", "--n-grid", "50",
+                 "--sigmas", "0.1", "--replicates", "2"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CONFIG_INVALID",
+        "message": "cannot write eqp.csv: the working directory no longer exists"}
+
+
+def _two_covariate_files(tmp_path):
+    """A K=2 dataset with its theta and p files: data, [theta1, theta2], [p1, p2]."""
+    rng = np.random.default_rng(5)
+    x = simulate_x([np.full(2, 0.5)] * 2, 200, rng)
+    w = simulate_w(x, [LOW2, LOW2], rng)
+    design = encode_dummy(CategoricalSpec((2, 2)), x).design
+    _write_dataset(tmp_path / "data.csv", simulate_y(design, TruthSpec.default(2), 0.1, rng), w)
+    thetas = [tmp_path / f"theta{k}.csv" for k in (1, 2)]
+    ps = [tmp_path / f"p{k}.csv" for k in (1, 2)]
+    for theta_path, p_path in zip(thetas, ps):
+        _write_theta(theta_path, LOW2)
+        p_path.write_text("0.5,0.5\n")
+    return tmp_path / "data.csv", thetas, ps
+
+
+def _fit_two(tmp_path, data, thetas, ps):
+    return main(["fit", "--data", str(data), "--theta", ",".join(map(str, thetas)),
+                 "--p", ",".join(map(str, ps)), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name, row", [("theta", "0.9,0.2\n0.15,0.85\n"), ("p", "0.5,0.6\n")],
+                         ids=["theta", "p"])
+def test_a_bad_theta_or_p_file_is_named_in_its_error(tmp_path, capsys, name, row):
+    data, thetas, ps = _two_covariate_files(tmp_path)
+    bad = (thetas if name == "theta" else ps)[1]
+    bad.write_text(row)
+    assert _fit_two(tmp_path, data, thetas, ps) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "VALIDATION", "message": f"{bad}: {name} rows do not sum to 1 (max error 0.1)"}
+
+
+@pytest.mark.parametrize("name, row",
+                         [("theta", "0.9,0.1000000001\n0.15,0.85\n"), ("p", "0.5,0.5000000001\n")],
+                         ids=["theta", "p"])
+def test_a_renormalized_theta_or_p_file_is_named_in_its_warning(tmp_path, capsys, name, row):
+    data, thetas, ps = _two_covariate_files(tmp_path)
+    off = (thetas if name == "theta" else ps)[1]
+    off.write_text(row)
+    assert _fit_two(tmp_path, data, thetas, ps) == 0
+    message = f"{off}: renormalizing {name} rows (max error 1e-10)"
+    assert json.loads(capsys.readouterr().err) == {"warning": "RENORMALIZED", "message": message}
+    assert json.loads((tmp_path / "out" / "diagnostics.json").read_text())["warnings"] == [message]
+
+
 @pytest.mark.parametrize("name", ["theta", "p"])
 def test_a_renormalized_theta_or_p_is_one_json_warning_and_listed(tmp_path, capsys, name):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
@@ -552,8 +609,9 @@ def test_a_renormalized_theta_or_p_is_one_json_warning_and_listed(tmp_path, caps
     truth = tmp_path / "truth.csv"
     truth.write_text("0.5,0.7\n")
     files = ["--data", str(data), "--theta", str(theta_path), "--p", str(p_path)]
-    line = {"warning": "RENORMALIZED",
-            "message": f"renormalizing {name} rows (max error 1e-10)"}
+    line = {"warning": "RENORMALIZED", "message":
+            f"{theta_path if name == 'theta' else p_path}: renormalizing {name} rows "
+            "(max error 1e-10)"}
     for command, extra in [("fit", []), ("diagnose", ["--truth", str(truth)])]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
