@@ -20,8 +20,6 @@ from .diagnostics import (
 from .estimators import (
     CorrectedFit,
     NaiveFit,
-    correct_intercept,
-    correct_slopes,
     fit_corrected,
     ols_fit,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "VarianceReport",
     "build_moment_blocks",
     "conditional_bias",
-    "correct_intercept",
-    "correct_slopes",
     "encode_dummy",
     "eqp",
     "estimate_marginal",

@@ -149,18 +149,20 @@ def encode_cells(spec: CategoricalSpec, categories: np.ndarray) -> Cells:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    warnings: tuple[str, ...]
     errors: tuple[str, ...]
     level_counts: tuple
 
 
+def _too_few_rows(spec: CategoricalSpec, n: int) -> str:
+    return f"need at least {spec.n_params + 1} rows to fit {spec.n_params} parameters, got {n}"
+
+
 def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
                      names=None) -> ValidationReport:
-    """Report-only sanity checks: level coverage and degrees of freedom.
-    Messages name covariate k by names[k] (default w1..wK)."""
+    """Report-only sanity checks: categories in range, every level present
+    (an absent level makes the design singular) and enough rows.  Messages
+    name covariate k by names[k] (default w1..wK)."""
     names = names or [f"w{j + 1}" for j in range(spec.n_covariates)]
-    warnings = []
     errors = []
     counts = []
     for j, lk in enumerate(spec.levels):
@@ -174,26 +176,16 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
             )
         cnt = np.bincount(col[in_range], minlength=lk)
         counts.append(tuple(int(c) for c in cnt))
-        for level in range(lk):
-            if cnt[level] == 0:
-                warnings.append(f"RankRisk(k={j}, level={level})")
+        errors += [f"column {names[j]}: level {lv} never occurs" for lv in np.flatnonzero(cnt == 0)]
     if ds.n < spec.n_params + 1:
-        errors.append("InsufficientRows")
-    return ValidationReport(
-        ok=not errors,
-        warnings=tuple(warnings),
-        errors=tuple(errors),
-        level_counts=tuple(counts),
-    )
+        errors.append(_too_few_rows(spec, ds.n))
+    return ValidationReport(errors=tuple(errors), level_counts=tuple(counts))
 
 
 def require_fit_ready(spec: CategoricalSpec, ds: ObservedDataset) -> None:
     """Raise when the dataset cannot support a fit at all."""
     if ds.n < spec.n_params + 1:
-        raise InsufficientRows(
-            f"need at least {spec.n_params + 1} rows to fit {spec.n_params} "
-            f"parameters, got {ds.n}"
-        )
+        raise InsufficientRows(_too_few_rows(spec, ds.n))
     bad = np.nonzero(~np.isfinite(ds.y))[0]
     if bad.size:
         raise ValidationError(f"y is not finite at row {int(bad[0])}: {ds.y[bad[0]]}")

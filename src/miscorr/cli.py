@@ -357,7 +357,7 @@ def _load_and_fit(args):
     """The input boundary shared by fit and diagnose: read the dataset and
     its mechanism files, validate, then find the occupied cells and correct.
     A warning raised on the way (a renormalized theta or p) is written to
-    stderr as one JSON line, and returned after the dataset's warnings."""
+    stderr as one JSON line, and returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
@@ -366,7 +366,7 @@ def _load_and_fit(args):
         spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
         ds = ObservedDataset(y=y, w=w)
         report = validate_dataset(spec, ds, names)
-        if not report.ok:
+        if report.errors:
             raise CliError("DATA_INVALID", "; ".join(report.errors))
         ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
         cells = encode_cells(spec, w)
@@ -374,7 +374,7 @@ def _load_and_fit(args):
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):
         _emit("warning", getattr(note.category, "code", note.category.__name__), message)
-    return spec, ds, [*report.warnings, *notes], p_residuals, cells, fit
+    return spec, ds, notes, p_residuals, cells, fit
 
 
 def cmd_fit(args) -> int:

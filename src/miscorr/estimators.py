@@ -124,30 +124,14 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
     return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m))
 
 
-def correct_slopes(naive: NaiveFit, blocks: MomentBlocks) -> np.ndarray:
-    """Undo the asymptotic attenuation of the naive slopes."""
-    return blocks.correction @ naive.slopes
-
-
-def correct_intercept(y: np.ndarray, pi_rows: np.ndarray, beta_c: np.ndarray,
-                      counts=None) -> float:
-    """Mean of y minus the posterior-expected indicator row times the
-    corrected slopes, (sum y - (c^T pi) beta_c) / n, where row j of
-    ``pi_rows`` stands for counts[j] observations (default 1 each)."""
+def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks,
+            counts: np.ndarray) -> CorrectedFit:
+    """Correct a naive fit: the slopes through the attenuation inverse,
+    beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n, where
+    row j of ``pi_rows`` is the posterior row of counts[j] observations."""
     y = np.asarray(y, dtype=float).ravel()
-    pi_rows = np.asarray(pi_rows, dtype=float)
-    counts = np.ones(len(pi_rows)) if counts is None else counts
-    return float((y.sum() - (counts @ pi_rows) @ np.asarray(beta_c)) / len(y))
-
-
-def correct(
-    naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks, counts=None
-) -> CorrectedFit:
-    """Correct a naive fit: slopes through the attenuation inverse, then the
-    intercept through the posterior rows of the same observations (row j
-    standing for counts[j] of them, if given)."""
-    beta_c = correct_slopes(naive, blocks)
-    beta0_c = correct_intercept(y, pi_rows, beta_c, counts)
+    beta_c = blocks.correction @ naive.slopes
+    beta0_c = float((y.sum() - (counts @ np.asarray(pi_rows, dtype=float)) @ beta_c) / len(y))
     return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
 
 
@@ -177,13 +161,12 @@ class PrefixFits:
 
 
 def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
-                 pi_rows: np.ndarray, blocks: MomentBlocks,
-                 inverse: np.ndarray | None = None) -> PrefixFits:
+                 pi_rows: np.ndarray, blocks: MomentBlocks, inverse: np.ndarray) -> PrefixFits:
     """``ols_fit`` then ``correct`` on the first n rows, for every n in
     ``ns`` and every column of ``ys`` at once.
 
-    Rows of ``design_star`` and ``pi_rows`` are rows of ``ys`` by default,
-    or cells that hold row i at inverse[i].  Each prefix's cell counts and
+    Rows of ``design_star`` and ``pi_rows`` are cells; row i of ``ys`` lies
+    in cell inverse[i] (np.arange for one cell per row).  Each prefix's cell counts and
     sums are one bincount per interval between the sorted cut points,
     summed up to each cut; all prefixes are QR-factored in one stacked call
     whose factors every response column shares.  Each fit equals the
@@ -195,11 +178,12 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     rows = len(ys)
     if ns.ndim != 1 or not ns.size or ns.min() < 1 or ns.max() > rows:
         raise ValidationError(f"prefix sizes must lie in 1..{rows}, got {ns.tolist()}")
-    if ys.ndim != 2 or (inverse is None and len(design_star) != rows):
-        raise ValidationError(f"need one response row per design row, got {ys.shape}")
+    inverse = np.asarray(inverse)
+    if ys.ndim != 2 or len(inverse) != rows:
+        raise ValidationError(f"need one cell index per response row, got {len(inverse)} "
+                              f"for responses of shape {ys.shape}")
     cuts = np.unique(ns)
     cells = len(design_star)
-    inverse = np.arange(rows) if inverse is None else np.asarray(inverse)
     # row i < cuts[-1] lies in interval k when cuts[k-1] <= i < cuts[k]
     key = np.searchsorted(cuts, np.arange(cuts[-1]), side="right") * cells
     key += inverse[: cuts[-1]]

@@ -195,6 +195,25 @@ def test_fit_out_of_range_category_names_its_row_column_and_value(tmp_path, caps
     assert err["message"] == "OutOfRangeCategory: data row 7, column w1: 2 is not in 0..1"
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_a_level_that_never_occurs_is_data_invalid_naming_column_and_level(
+    tmp_path, capsys, command
+):
+    # w1 takes 0..2 under a 4-level theta: the design would be singular
+    rng = np.random.default_rng(12)
+    _write_dataset(tmp_path / "data.csv", rng.standard_normal(40), rng.integers(0, 3, (40, 1)))
+    _write_theta(tmp_path / "theta.csv", scenario_theta("low", 4))
+    (tmp_path / "p.csv").write_text("0.25,0.25,0.25,0.25\n")
+    (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
+    truth = ["--truth", str(tmp_path / "truth.csv")] if command == "diagnose" else []
+    assert main([command, "--data", str(tmp_path / "data.csv"),
+                 "--theta", str(tmp_path / "theta.csv"), "--p", str(tmp_path / "p.csv"),
+                 *truth, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "DATA_INVALID", "message": "column w1: level 3 never occurs"}
+    assert not (tmp_path / "out").exists()
+
+
 _CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1 ", "#"]
 
 

@@ -4,14 +4,7 @@ import pytest
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_cells, encode_dummy
 from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
 from miscorr.errors import RankDeficient, ValidationError
-from miscorr.estimators import (
-    correct,
-    correct_intercept,
-    correct_slopes,
-    fit_corrected,
-    fit_prefixes,
-    ols_fit,
-)
+from miscorr.estimators import NaiveFit, correct, fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import build_moment_blocks
 from miscorr.simkit import simulate_w, simulate_x, simulate_y, TruthSpec
@@ -53,17 +46,19 @@ def test_ols_rank_deficient_reports_column():
 
 def test_correct_slopes_identity_is_noop():
     blocks = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])
-    fit = ols_fit(np.column_stack([np.ones(4), [1, 1, 0, 0]]), np.array([3.0, 3, 1, 1]))
-    np.testing.assert_allclose(correct_slopes(fit, blocks), fit.slopes)
+    y = np.array([3.0, 3, 1, 1])
+    design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
+    fit = ols_fit(design_star, y)
+    corrected = correct(fit, y, design_star[:, 1:], blocks, np.ones(4))
+    np.testing.assert_allclose(corrected.beta_c, fit.slopes)
 
 
 def test_correct_slopes_undoes_binary_attenuation():
     blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
-    fit = ols_fit(
-        np.column_stack([np.ones(4), [1, 1, 0, 0]]),
-        np.array([0.751880, 0.751880, 0.0, 0.0]),
-    )
-    beta_c = correct_slopes(fit, blocks)
+    y = np.array([0.751880, 0.751880, 0.0, 0.0])
+    design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
+    fit = ols_fit(design_star, y)
+    beta_c = correct(fit, y, np.zeros((4, 1)), blocks, np.ones(4)).beta_c  # slopes read no pi
     assert beta_c[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -76,15 +71,23 @@ def test_correct_slopes_roundtrip():
     )
 
 
+# with theta = I the correction matrix is the identity, so the naive slopes
+# given here are the corrected slopes beta_c that the intercept reads
+IDENTITY2 = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])
+
+
 def test_correct_intercept_zero_slopes_gives_mean():
     y = np.array([1.0, 2.0, 6.0])
-    assert correct_intercept(y, np.zeros((3, 1)), np.zeros(1)) == pytest.approx(3.0)
+    naive = NaiveFit(gamma_star=np.array([0.0, 0.0]), sigma2_w=0.0)
+    fit = correct(naive, y, np.zeros((3, 1)), IDENTITY2, np.ones(3))
+    assert fit.beta0_c == pytest.approx(3.0)
 
 
 def test_correct_intercept_hand_arithmetic():
     y = np.array([2.0, 3.0])
     pi = np.array([[0.8], [0.6]])
-    assert correct_intercept(y, pi, np.array([1.0])) == pytest.approx(1.8)
+    naive = NaiveFit(gamma_star=np.array([0.0, 1.0]), sigma2_w=0.0)
+    assert correct(naive, y, pi, IDENTITY2, np.ones(2)).beta0_c == pytest.approx(1.8)
 
 
 def test_correct_intercept_identity_noiseless():
@@ -173,7 +176,8 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
     """fit_prefixes (or the given fits of these prefixes) refuses exactly
     the prefixes ols_fit raises on and agrees with ols_fit -> correct on the
     others; returns the refused n."""
-    fits = fit_prefixes(design_star, ys, ns, pi, blocks) if fits is None else fits
+    if fits is None:
+        fits = fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
     refused = set()
     for k, n in enumerate(ns):
         for s in range(ys.shape[1]):
@@ -185,7 +189,7 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
                 assert np.isnan(fits.beta_full[k, s]).all()
                 continue
             assert not fits.refused[k], n
-            one = correct(naive, ys[:n, s], pi[:n], blocks)
+            one = correct(naive, ys[:n, s], pi[:n], blocks, np.ones(n))
             np.testing.assert_allclose(fits.gamma_star[k, s], naive.gamma_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_c_star[k, s], one.beta_c_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_full[k, s], one.beta_full, rtol=1e-12)
@@ -217,7 +221,8 @@ def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.linalg.qr(design_star[:9])[1], np.ones(5))
     assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {9}
-    assert np.isfinite(fit_prefixes(design_star, ys, ns, pi, blocks).beta0_c[[0, 2]]).all()
+    fits = fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
+    assert np.isfinite(fits.beta0_c[[0, 2]]).all()
 
 
 def test_fit_prefixes_refuses_no_more_rows_than_columns():
@@ -243,7 +248,7 @@ def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
     design_star, ys, pi, blocks = _prefix_case(np.zeros((10, 3), dtype=int) + [0, 1, 0])
     for ns in ((0, 5), (5, 11), ()):
         with pytest.raises(ValidationError):
-            fit_prefixes(design_star, ys, ns, pi, blocks)
+            fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
 
 
 def _random_table(k, n, seed):
@@ -267,7 +272,7 @@ def test_cell_path_matches_the_encoded_design(k):
     design_star = encode_dummy(spec, w).design_star
     blocks = build_moment_blocks(spec, thetas, ps)
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
-    rows = correct(ols_fit(design_star, y), y, pi, blocks)
+    rows = correct(ols_fit(design_star, y), y, pi, blocks, np.ones(len(y)))
     np.testing.assert_allclose(fit.naive.gamma_star, rows.naive.gamma_star, rtol=1e-12)
     np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
     assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)
