@@ -176,7 +176,8 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
             )
         cnt = np.bincount(col[in_range], minlength=lk)
         counts.append(tuple(int(c) for c in cnt))
-        errors += [f"column {names[j]}: level {lv} never occurs" for lv in np.flatnonzero(cnt == 0)]
+        errors += [f"column {names[j]}: level {level} never occurs"
+                   for level in np.flatnonzero(cnt == 0)]
     if ds.n < spec.n_params + 1:
         errors.append(_too_few_rows(spec, ds.n))
     return ValidationReport(errors=tuple(errors), level_counts=tuple(counts))

@@ -142,7 +142,8 @@ _ints, _floats, _texts = _list_of(_int), _list_of(_float), _list_of(_text)
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Fold the --config file into ``args``: its keys name settings of any
     sub-command, spelled like their flags; each fills a setting of this one
-    that no flag set, parsed by that flag's own type.  null is unset."""
+    that no flag set, parsed by that flag's own type and held to its
+    choices.  null is unset."""
     path = getattr(args, "config", None)
     cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
     if not isinstance(cfg, dict):
@@ -156,9 +157,12 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if (val := cfg.get(key)) is None or getattr(args, action.dest) is not None:
             continue
         try:  # the switches, store_const flags, have no type
-            setattr(args, action.dest, (action.type or _switch)(val))
+            value = (action.type or _switch)(val)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliError("CONFIG_INVALID", f"bad value for {key}: {val!r}") from exc
+        setattr(args, action.dest, value)
 
 
 def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> np.ndarray:
@@ -210,20 +214,24 @@ def _parse_error(path: str, names, exc: ValueError) -> CliError:
     return CliError("DATA_INVALID", f"{path}: {msg}")
 
 
-def _read_matrix(path: str, code: str) -> np.ndarray:
+def _read_matrix(path: str, code: str, entries: int | None = None) -> np.ndarray:
+    """A table of finite numbers; with ``entries``, one row of that many."""
     _open(path, code).close()  # were it missing, numpy would try path.gz and others
     table = _loadtxt(path, code, dtype=float)
     if table.size == 0:
         raise CliError(code, f"empty file: {path}")
     if not np.all(np.isfinite(table)):
         raise CliError("DATA_INVALID", f"{path}: entries must be finite")
+    if entries is not None and table.shape != (1, entries):
+        raise CliError("DATA_INVALID", f"{path}: expected one row of {entries} entries, "
+                       f"got {table.shape[0]} x {table.shape[1]}")
     return table
 
 
-def _read_checked(path: str, code: str, check) -> np.ndarray:
+def _read_checked(path: str, code: str, check, entries: int | None = None) -> np.ndarray:
     """A theta or p file through ``check_theta`` or ``check_marginal``, whose
     error and renormalizing warning are prefixed with the file's path."""
-    table = _read_matrix(path, code)
+    table = _read_matrix(path, code, entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -326,7 +334,8 @@ def _load_marginals(args, thetas, level_counts):
         if args.estimate_p:
             raise CliError("CONFIG_INVALID", "give --p files or --estimate-p, not both")
         paths = _paths(args, "p", len(thetas), "P_MISSING")
-        return [_read_checked(path, "P_MISSING", check_marginal) for path in paths], {}
+        return [_read_checked(path, "P_MISSING", check_marginal, len(theta))
+                for path, theta in zip(paths, thetas)], {}
     if not args.estimate_p:
         raise CliError("P_MISSING", "supply --p files or --estimate-p")
     ps, residuals = [], {}
@@ -470,12 +479,7 @@ def cmd_diagnose(args) -> int:
 def _cmd_diagnose_bias(args) -> int:
     truth_path = _require(args, "truth", "TRUTH_REQUIRED")
     spec, ds, _, _, cells, fit = _load_and_fit(args)
-    beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED").ravel()
-    if len(beta_star) != spec.n_params:
-        raise CliError(
-            "TRUTH_REQUIRED",
-            f"truth length {len(beta_star)} does not match {spec.n_params} parameters",
-        )
+    beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED", spec.n_params)[0]
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)

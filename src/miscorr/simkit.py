@@ -58,7 +58,8 @@ class ScenarioConfig:
     from {2, 3, 4} per replicate (forced to 4 under high distortion).
     Marginals of the true categories are uniform per level.  ``n_grid`` is
     sorted and duplicate sizes are dropped.  Each sigma seeds its own y
-    stream, so sigmas that ``_sigma_key`` cannot tell apart are refused.
+    stream and labels its output files as ``{:g}``, so sigmas that
+    ``_sigma_key`` or that label cannot tell apart are refused.
     """
 
     distortion: str
@@ -101,9 +102,10 @@ class ScenarioConfig:
             sigmas = tuple(s for s in sigmas if s in HIGH_DISTORTION_SIGMAS)
         if not sigmas:
             raise ValidationError("no usable sigma values for this scenario")
-        keys = [_sigma_key(s) for s in sigmas]
-        if len(set(keys)) < len(keys):
+        if len({_sigma_key(s) for s in sigmas}) < len(sigmas):
             raise ValidationError(f"sigmas {sigmas} collide after rounding to 1e-6")
+        if len({f"{s:g}" for s in sigmas}) < len(sigmas):
+            raise ValidationError(f"sigmas {sigmas} share a file label at 6 significant digits")
         object.__setattr__(self, "sigma_list", sigmas)
 
     @property

@@ -195,23 +195,56 @@ def test_fit_out_of_range_category_names_its_row_column_and_value(tmp_path, caps
     assert err["message"] == "OutOfRangeCategory: data row 7, column w1: 2 is not in 0..1"
 
 
+def _four_level_fixture(tmp_path, drawn=4):
+    """40 rows of w1 drawn from 0..drawn-1 under a 4-level theta, with a
+    uniform p and a truth of 4 parameters; returns the fit arguments."""
+    rng = np.random.default_rng(12)
+    _write_dataset(tmp_path / "data.csv", rng.standard_normal(40), rng.integers(0, drawn, (40, 1)))
+    _write_theta(tmp_path / "theta.csv", scenario_theta("low", 4))
+    (tmp_path / "p.csv").write_text("0.25,0.25,0.25,0.25\n")
+    (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
+    return ["--data", str(tmp_path / "data.csv"), "--theta", str(tmp_path / "theta.csv"),
+            "--p", str(tmp_path / "p.csv"), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("command", ["fit", "diagnose"])
 def test_a_level_that_never_occurs_is_data_invalid_naming_column_and_level(
     tmp_path, capsys, command
 ):
     # w1 takes 0..2 under a 4-level theta: the design would be singular
-    rng = np.random.default_rng(12)
-    _write_dataset(tmp_path / "data.csv", rng.standard_normal(40), rng.integers(0, 3, (40, 1)))
-    _write_theta(tmp_path / "theta.csv", scenario_theta("low", 4))
-    (tmp_path / "p.csv").write_text("0.25,0.25,0.25,0.25\n")
-    (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
+    files = _four_level_fixture(tmp_path, drawn=3)
     truth = ["--truth", str(tmp_path / "truth.csv")] if command == "diagnose" else []
-    assert main([command, "--data", str(tmp_path / "data.csv"),
-                 "--theta", str(tmp_path / "theta.csv"), "--p", str(tmp_path / "p.csv"),
-                 *truth, "--out", str(tmp_path / "out")]) == 2
+    assert main([command, *files, *truth]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "DATA_INVALID", "message": "column w1: level 3 never occurs"}
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, body, message", [
+    ("p", "0.25,0.25\n0.25,0.25\n", "expected one row of 4 entries, got 2 x 2"),
+    ("p", "0.2,0.3,0.5\n", "expected one row of 4 entries, got 1 x 3"),
+    ("truth", "0.5,0.7\n0.9,1.1\n", "expected one row of 4 entries, got 2 x 2"),
+    ("truth", "0.5,0.7,0.9\n", "expected one row of 4 entries, got 1 x 3"),
+], ids=["p_2x2", "p_3", "truth_2x2", "truth_3"])
+def test_a_p_or_truth_file_of_the_wrong_shape_is_data_invalid_naming_it(
+    tmp_path, capsys, name, body, message
+):
+    files = _four_level_fixture(tmp_path)
+    (tmp_path / f"{name}.csv").write_text(body)
+    assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "DATA_INVALID", "message": f"{tmp_path / name}.csv: {message}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, code", [
+    ("theta", "THETA_MISSING"), ("p", "P_MISSING"), ("truth", "TRUTH_REQUIRED")])
+def test_an_empty_theta_p_or_truth_file_is_named(tmp_path, capsys, name, code):
+    files = _four_level_fixture(tmp_path)
+    (tmp_path / f"{name}.csv").write_text("")
+    assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": code, "message": f"empty file: {tmp_path / name}.csv"}
 
 
 _CELLS = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "", "x", '"1"', " 1 ", "#"]
@@ -729,6 +762,33 @@ def test_simulate_bad_setting_exits_2_with_config_invalid(tmp_path, capsys, flag
     assert json.loads(lines[0])["error"] == "CONFIG_INVALID"
 
 
+def test_two_sigmas_that_share_a_file_label_are_refused(tmp_path, capsys):
+    # 12.345671 and 12.345672 have their own y streams but both write sigma12.3457
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "low", "--levels", "3", "--n-grid", "50",
+                 "--replicates", "2", "--sigmas", "12.345671,12.345672", "--dump-data",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "VALIDATION"
+    assert "share a file label" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_unknown_scenario_is_config_invalid_from_a_flag_or_a_config_file(
+    tmp_path, capsys, source
+):
+    config = tmp_path / "config.json"
+    config.write_text('{"scenario": "extreme"}')
+    given = ["--scenario", "extreme"] if source == "flag" else ["--config", str(config)]
+    assert main(["simulate", *given, "--out", str(tmp_path / "sim")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CONFIG_INVALID"
+    if source == "config":
+        assert err["message"] == "bad value for scenario: 'extreme'"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -1059,6 +1119,16 @@ def test_a_setting_of_another_command_is_not_read(tmp_path):
         "--replicates", "2", "--config", str(tmp_path / "config.json"),
         "--out", str(tmp_path / "vs"),
     ]) == 0
+
+
+def test_variance_sim_with_a_rank_deficient_first_prefix_exits_3(tmp_path, capsys):
+    out = tmp_path / "vs"
+    assert main(["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
+                 "--n-grid", "2,50", "--replicates", "3", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "RANK_DEFICIENT",
+                   "message": "replicate 0: the first 2 rows are rank deficient"}
+    assert not out.exists()
 
 
 def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):

@@ -18,15 +18,29 @@ at K=2 with random levels, whose 40 replicates have 8 level structures;
 ``simulate`` under high distortion with the default random levels, once
 from flags and once from a ``--config`` file whose seed a flag overrides;
 and ``simulate`` at K=10 with random levels, where most replicates have a
-level structure of their own and many small n are refused.
+level structure of their own and many small n are refused.  Each of these
+must succeed, or the script fails.
+
+The refusals are commands whose inputs a command should refuse: on a
+four-level dataset, a level that never occurs, a p or truth file of the
+wrong shape and an empty theta, p or truth file; two sigmas that share a
+file label; an unknown scenario from a flag and from a config file; and a
+variance curve whose first prefix is rank deficient.  They are recorded,
+not required to fail, so that ``diff -r`` shows every changed error.
+
+Beside each command's directory, ``NAME.status.jsonl`` holds its exit
+status as ``{"exit": N}`` and then its stderr lines, with OUT written as
+``$OUT``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +53,9 @@ from run import (  # noqa: E402  (pins BLAS)
     write_large_n_inputs,
 )
 
+import numpy as np  # noqa: E402
 import miscorr.cli  # noqa: E402
+from miscorr.misclass import scenario_theta  # noqa: E402
 
 SEED = 7
 ROWS = 30_000
@@ -93,18 +109,70 @@ def commands(out: Path) -> dict[str, list[str]]:
     }
 
 
+def refusals(out: Path) -> dict[str, list[str]]:
+    """Output directory name -> argv of each refused input, with a K=1,
+    L=4 dataset and its bad variants in out/inputs/refusals."""
+    inputs = out / "inputs" / "refusals"
+    inputs.mkdir(parents=True)
+    rng = np.random.default_rng(SEED)
+    theta = scenario_theta("low", 4)
+    files = {
+        "theta.csv": "\n".join(",".join(f"{v:.17g}" for v in row) for row in theta),
+        "p.csv": "0.25,0.25,0.25,0.25", "p_2x2.csv": "0.25,0.25\n0.25,0.25",
+        "p_3.csv": "0.2,0.3,0.5", "truth.csv": "0.5,0.7,0.9,1.1",
+        "truth_2x2.csv": "0.5,0.7\n0.9,1.1", "truth_3.csv": "0.5,0.7,0.9",
+        "empty.csv": None, "scenario.json": '{"scenario": "extreme"}',
+    }
+    for level, name in ((4, "data.csv"), (3, "data_absent_level.csv")):
+        rows = zip(rng.standard_normal(40), rng.integers(0, level, 40))
+        files[name] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
+    for name, body in files.items():
+        (inputs / name).write_text("" if body is None else body + "\n")
+
+    def diagnose(data="data.csv", theta="theta.csv", p="p.csv", truth="truth.csv"):
+        return ["diagnose", "--data", str(inputs / data), "--theta", str(inputs / theta),
+                "--p", str(inputs / p), "--truth", str(inputs / truth)]
+
+    return {
+        "refused_absent_level": diagnose(data="data_absent_level.csv"),
+        "refused_p_2x2": diagnose(p="p_2x2.csv"),
+        "refused_p_3": diagnose(p="p_3.csv"),
+        "refused_truth_2x2": diagnose(truth="truth_2x2.csv"),
+        "refused_truth_3": diagnose(truth="truth_3.csv"),
+        "refused_empty_theta": diagnose(theta="empty.csv"),
+        "refused_empty_p": diagnose(p="empty.csv"),
+        "refused_empty_truth": diagnose(truth="empty.csv"),
+        "refused_sigma_labels": ["simulate", "--scenario", "low", "--levels", "3",
+                                 "--n-grid", "50", "--replicates", "2",
+                                 "--sigmas", "12.345671,12.345672", "--dump-data"],
+        "refused_scenario_flag": ["simulate", "--scenario", "extreme"],
+        "refused_scenario_config": ["simulate", "--config", str(inputs / "scenario.json")],
+        "refused_variance_sim_rank": ["diagnose", "--variance-sim", "--scenario", "low",
+                                      "--levels", "3", "--n-grid", "2,50", "--replicates", "3"],
+    }
+
+
+def run(out: Path, name: str, cmd: list[str]) -> int:
+    """Run one command into out/name; write its exit status and stderr."""
+    if "--out" not in cmd:
+        cmd = [*cmd, "--out", str(out / name)]
+    with redirect_stderr(io.StringIO()) as err:
+        status = miscorr.cli.main(cmd)
+    lines = [json.dumps({"exit": status}), *err.getvalue().splitlines()]
+    text = "".join(line.replace(str(out), "$OUT") + "\n" for line in lines)
+    (out / f"{name}.status.jsonl").write_text(text)
+    return status
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
         sys.exit(__doc__)
-    out = Path(args[0])
+    out = Path(args[0]).absolute()  # its name is masked in stderr as $OUT
     shutil.rmtree(out, ignore_errors=True)
-    failed = []
-    for name, cmd in commands(out).items():
-        if "--out" not in cmd:
-            cmd = [*cmd, "--out", str(out / name)]
-        if miscorr.cli.main(cmd) != 0:
-            failed.append(name)
+    failed = [name for name, cmd in commands(out).items() if run(out, name, cmd) != 0]
+    for name, cmd in refusals(out).items():
+        run(out, name, cmd)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
     for name in ("fit_padded_labels", "fit_relative_path"):
