@@ -141,8 +141,9 @@ def encode_cells(spec: CategoricalSpec, categories: np.ndarray) -> Cells:
     counts = np.bincount(ids, minlength=size)
     inverse = (np.cumsum(counts > 0) - 1)[ids]  # occupied cells below each id
     counts = counts[counts > 0]
-    rows = np.empty((len(counts), cats.shape[1]), dtype=int)
-    rows[inverse] = cats  # every row of a cell holds the same categories
+    last = np.empty(len(counts), dtype=np.intp)
+    last[inverse] = np.arange(len(cats))  # every row of a cell holds the same categories
+    rows = cats[last]
     bundle = encode_dummy(spec, rows)
     return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
 
@@ -158,11 +159,14 @@ def _too_few_rows(spec: CategoricalSpec, n: int) -> str:
 
 
 def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
-                     names=None) -> ValidationReport:
+                     names=None, labels=None) -> ValidationReport:
     """Report-only sanity checks: categories in range, every level present
     (an absent level makes the design singular) and enough rows.  Messages
-    name covariate k by names[k] (default w1..wK)."""
+    name covariate k by names[k] (default w1..wK), and an absent level also
+    by its label where ``labels`` (column name -> labels in level order, as
+    in labels.json) has one."""
     names = names or [f"w{j + 1}" for j in range(spec.n_covariates)]
+    labels = labels or {}
     errors = []
     counts = []
     for j, lk in enumerate(spec.levels):
@@ -174,9 +178,12 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
                 f"OutOfRangeCategory: data row {i + 1}, column {names[j]}: "
                 f"{int(col[i])} is not in 0..{lk - 1}"
             )
-        cnt = np.bincount(col[in_range], minlength=lk)
+            col = col[in_range]
+        cnt = np.bincount(col, minlength=lk)
         counts.append(tuple(int(c) for c in cnt))
-        errors += [f"column {names[j]}: level {level} never occurs"
+        shown = labels.get(names[j], [])
+        errors += [f"column {names[j]}: level {level}"
+                   f"{f' ({shown[level]!r})' if level < len(shown) else ''} never occurs"
                    for level in np.flatnonzero(cnt == 0)]
     if ds.n < spec.n_params + 1:
         errors.append(_too_few_rows(spec, ds.n))

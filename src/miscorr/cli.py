@@ -271,14 +271,19 @@ def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
     return np.where(texts[pos] == cells, cats[pos], -1)
 
 
-def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _read_dataset(path: str, labels: dict | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """y, the n x K integer categories and the K column names of a CSV with
-    header y,w1..wK.  Columns named in labels.json hold labels, the others
-    integral numbers.  One parse reads a label column into a text field one
-    character wider than its longest label (at most _LABEL_WIDTH), so a cell
-    that matches as read is not a truncated one; only when some cell misses
-    is that column re-read at full width and matched with spaces stripped."""
-    labels = _load_labels(path)
+    header y,w1..wK.  Columns named in ``labels`` (by default the labels.json
+    beside the file) hold labels, the others integral numbers, parsed as
+    integers; only where that parse refuses a cell (a float spelling such as
+    1.0, 1e0 or 1.) or reads one beyond 2**53 is the file parsed again with
+    them as floats, which accept and round such a cell.  One parse reads a
+    label column into a text field one character wider than its longest
+    label (at most _LABEL_WIDTH), so a cell that matches as read is not a
+    truncated one; only when some cell misses is that column re-read at full
+    width and matched with spaces stripped."""
+    labels = _load_labels(path) if labels is None else labels
     with _open(path, "DATA_MISSING", "rb") as fh:  # a text field drops trailing NULs
         nul = any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
     with _open(path, "DATA_MISSING") as fh:
@@ -289,14 +294,26 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
     width = {j: min(max(map(len, v), default=0), _LABEL_WIDTH) + 1
              for j, v in labelled.items()}
-    dtype = np.dtype([("", f"U{width[j]}" if j in width else "f8")
-                      for j in range(len(names))])
+
+    def fields(number: str) -> list:  # y a float, a labelled column text, the rest ``number``
+        return [("", f"U{width[j]}" if j in width else number if j else "f8")
+                for j in range(len(names))]
     # the body from the path; skiprows counts lines, as islice does
     body = dict(code="DATA_MISSING", names=names, ndmin=1, skiprows=1)
-    table = _loadtxt(path, dtype=dtype, **body)
+    try:
+        table = _loadtxt(path, dtype=fields("i8"), **body)
+    except CliError as exc:
+        if exc.code != "DATA_INVALID":
+            raise
+        table = None
+    if table is None or any(
+        not -(2**53) <= table[f].min(initial=0) <= table[f].max(initial=0) <= 2**53
+        for f in table.dtype.names[1:] if table.dtype[f].kind == "i"
+    ):
+        table = _loadtxt(path, dtype=fields("f8"), **body)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
-    cols, full = [table[f] for f in dtype.names], {}
+    cols, full = [table[f] for f in table.dtype.names], {}
     for j, col_labels in labelled.items():
         cats = cols[j] = _match(cols[j], col_labels)
         if not (miss := np.flatnonzero((cats < 0) | nul)).size:
@@ -309,14 +326,14 @@ def _read_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
         cell = repr(full[j][i])[:100]  # cut as numpy cuts a cell in its own messages
         raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
                        f"{cell} is not in labels.json")
-    table = np.array(cols, dtype=float)  # one contiguous row per column
-    w = table[1:]
-    ok = np.vstack([np.isfinite(table[0]), (w == np.round(w)) & (np.abs(w) <= 2**53)])
-    if not ok.all():  # y must be finite, w cast exactly to int
-        i, j = np.argwhere(~ok.T)[0]
+    # y must be finite, and a category read as a float cast exactly to int
+    bad = {j: ~np.isfinite(col) if j == 0 else (col != np.round(col)) | (np.abs(col) > 2**53)
+           for j, col in enumerate(cols) if col.dtype.kind == "f"}
+    if first := [(np.argmax(mask), j) for j, mask in bad.items() if mask.any()]:
+        i, j = min(first)
         raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
-                       f"{float(table[j, i])!r} is not {'an integer' if j else 'finite'}")
-    return table[0], w.T.astype(int), names[1:]
+                       f"{float(cols[j][i])!r} is not {'an integer' if j else 'finite'}")
+    return np.ascontiguousarray(cols[0]), np.array(cols[1:], dtype=int).T, names[1:]
 
 
 def _paths(args, key: str, k: int, code: str) -> list[str]:
@@ -362,19 +379,24 @@ def _param_names(cells) -> list[str]:
     return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in cells.column_map)]
 
 
-def _load_and_fit(args):
-    """The input boundary shared by fit and diagnose: read the dataset and
-    its mechanism files, validate, then find the occupied cells and correct.
-    A warning raised on the way (a renormalized theta or p) is written to
-    stderr as one JSON line, and returned."""
+def _load_and_fit(args, truth_path: str | None = None):
+    """The input boundary shared by fit and diagnose: read the dataset, its
+    theta files and the truth file if given (one row of a parameter per
+    design column), validate, read the p files, then find the occupied cells
+    and correct.  A warning raised on the way (a renormalized theta or p) is
+    written to stderr as one JSON line, and returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        y, w, names = _read_dataset(_require(args, "data", "DATA_MISSING"))
+        data_path = _require(args, "data", "DATA_MISSING")
+        labels = _load_labels(data_path)
+        y, w, names = _read_dataset(data_path, labels)
         paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
         thetas = [_read_checked(path, "THETA_MISSING", check_theta) for path in paths]
         spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
+        truth = (None if truth_path is None else
+                 _read_matrix(truth_path, "TRUTH_REQUIRED", spec.n_params)[0])
         ds = ObservedDataset(y=y, w=w)
-        report = validate_dataset(spec, ds, names)
+        report = validate_dataset(spec, ds, names, labels)
         if report.errors:
             raise CliError("DATA_INVALID", "; ".join(report.errors))
         ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
@@ -383,11 +405,11 @@ def _load_and_fit(args):
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):
         _emit("warning", getattr(note.category, "code", note.category.__name__), message)
-    return spec, ds, notes, p_residuals, cells, fit
+    return spec, ds, notes, p_residuals, cells, fit, truth
 
 
 def cmd_fit(args) -> int:
-    spec, ds, notes, p_residuals, cells, fit = _load_and_fit(args)
+    spec, ds, notes, p_residuals, cells, fit, _ = _load_and_fit(args)
     var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
                           cells.counts)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
@@ -477,9 +499,8 @@ def cmd_diagnose(args) -> int:
 
 
 def _cmd_diagnose_bias(args) -> int:
-    truth_path = _require(args, "truth", "TRUTH_REQUIRED")
-    spec, ds, _, _, cells, fit = _load_and_fit(args)
-    beta_star = _read_matrix(truth_path, "TRUTH_REQUIRED", spec.n_params)[0]
+    _, _, _, _, cells, fit, beta_star = _load_and_fit(
+        args, _require(args, "truth", "TRUTH_REQUIRED"))
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     z_star = fit.blocks.z_star
     bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)

@@ -220,6 +220,20 @@ def test_a_level_that_never_occurs_is_data_invalid_naming_column_and_level(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_level_that_never_occurs_is_named_by_its_label_in_a_labelled_column(
+    tmp_path, capsys
+):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().splitlines()
+    data.write_text("\n".join([rows[0], *(f"{r.split(',')[0]},{'ab'[int(r[-1])]}"
+                                           for r in rows[1:])]) + "\n")
+    (tmp_path / "labels.json").write_text('{"w1": ["a", "b", "c"]}')
+    _write_theta(theta_path, scenario_theta("low", 3))
+    p_path.write_text("0.3,0.3,0.4\n")
+    assert _fit_error(capsys, data, theta_path, p_path, tmp_path / "out") == {
+        "error": "DATA_INVALID", "message": "column w1: level 2 ('c') never occurs"}
+
+
 @pytest.mark.parametrize("name, body, message", [
     ("p", "0.25,0.25\n0.25,0.25\n", "expected one row of 4 entries, got 2 x 2"),
     ("p", "0.2,0.3,0.5\n", "expected one row of 4 entries, got 1 x 3"),
@@ -235,6 +249,22 @@ def test_a_p_or_truth_file_of_the_wrong_shape_is_data_invalid_naming_it(
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "DATA_INVALID", "message": f"{tmp_path / name}.csv: {message}"}
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("drawn", [4, 3], ids=["valid_data", "absent_level"])
+def test_a_bad_truth_file_is_refused_before_the_data_is_validated_or_fit(
+    tmp_path, capsys, monkeypatch, drawn
+):
+    def no_fit(*args):
+        raise AssertionError("fit_corrected ran before the truth file was checked")
+
+    monkeypatch.setattr(cli, "fit_corrected", no_fit)
+    files = _four_level_fixture(tmp_path, drawn)
+    (tmp_path / "truth.csv").write_text("0.5,0.7,0.9\n")
+    assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DATA_INVALID",
+        "message": f"{tmp_path / 'truth.csv'}: expected one row of 4 entries, got 1 x 3"}
 
 
 @pytest.mark.parametrize("name, code", [
@@ -502,6 +532,38 @@ def test_read_dataset_matches_each_cell_stripped_against_the_labels(
     else:
         y, w, names = cli._read_dataset(str(data))
         assert w[:, 0].tolist() == expected and names == ["w1"]
+
+
+_NOT_A_NUMBER, _NOT_AN_INTEGER = "{!r} is not a number", "{} is not an integer"
+
+
+@pytest.mark.parametrize("cell, read", [
+    *((cell, 1) for cell in ["1", "1.0", "1e0", " 1", "+1", "01", '"1"', "\t1", "1."]),
+    ("-0", 0), (".5e1", 5),
+    ("9007199254740993", 9007199254740992),  # read as a float, and rounded
+    *((cell, _NOT_A_NUMBER.format(cell)) for cell in ["1_0", "0x1", ""]),
+    ("1.5", _NOT_AN_INTEGER.format("1.5")), ("nan", _NOT_AN_INTEGER.format("nan")),
+    ("inf", _NOT_AN_INTEGER.format("inf")),
+    ("99999999999999999999", _NOT_AN_INTEGER.format("1e+20")),
+])
+def test_a_category_cell_is_read_as_an_integer_or_named(tmp_path, cell, read):
+    data = tmp_path / "data.csv"
+    data.write_text(f"y,w1\n0.5,{cell}\n1.5,0\n")
+    if isinstance(read, str):
+        with pytest.raises(cli.CliError) as exc:
+            cli._read_dataset(str(data))
+        assert str(exc.value) == f"{data}: data row 1, column w1: {read}"
+    else:
+        y, w, names = cli._read_dataset(str(data))
+        assert w.tolist() == [[read], [0]] and y.tolist() == [0.5, 1.5]
+
+
+def test_a_float_spelled_category_in_the_last_row_reads_the_whole_file_as_numbers(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("y,w1\n" + "".join(f"{i}.5,{i % 3}\n" for i in range(499)) + "499.5,1.0\n")
+    y, w, names = cli._read_dataset(str(data))
+    assert w[:, 0].tolist() == [i % 3 for i in range(499)] + [1]
+    assert y.tolist() == [i + 0.5 for i in range(500)] and names == ["w1"]
 
 
 def _fit_error(capsys, data, theta_path, p_path, out):

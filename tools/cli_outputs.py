@@ -10,9 +10,11 @@ script in a checkout of the parent and in the changed one, then
 
 The commands: ``fit``, ``fit --estimate-p`` and ``diagnose`` on the
 benchmark's ``large_n`` inputs at 30,000 rows; ``fit`` on the same data with
-every labelled cell quoted and space-padded, and ``fit`` with ``--data``
-given relative to the current directory, whose ``estimates.csv`` must each
-equal the plain ``fit``'s; the benchmark's ``simulate`` grid with
+every labelled cell quoted and space-padded, ``fit`` with every numeric
+category cell written as a float (``%.1f``, which the integer parse refuses,
+so the file is parsed again as numbers) and ``fit`` with ``--data`` given
+relative to the current directory, whose ``estimates.csv`` must each equal
+the plain ``fit``'s; the benchmark's ``simulate`` grid with
 ``--dump-data``; ``diagnose --variance-sim``, once at fixed levels and once
 at K=2 with random levels, whose 40 replicates have 8 level structures;
 ``simulate`` under high distortion with the default random levels, once
@@ -61,14 +63,16 @@ SEED = 7
 ROWS = 30_000
 
 
-def write_padded_labels(inputs: Path, to: Path) -> Path:
-    """The inputs' data.csv with every cell of a labels.json column written
-    as '" label "', and the labels.json beside it."""
+def write_respelled(inputs: Path, to: Path, labelled: bool, spell) -> Path:
+    """The inputs' data.csv with every cell of its labels.json columns
+    (``labelled``) or of its numeric category columns written as
+    ``spell(cell)``, and the labels.json beside it."""
     to.mkdir()
     shutil.copy(inputs / "labels.json", to)
     header, *rows = (inputs / "data.csv").read_text().splitlines()
-    labelled = [name in LARGE_N_LABELS for name in header.split(",")]
-    rows = [",".join(f'" {c} "' if pad else c for c, pad in zip(row.split(","), labelled))
+    chosen = [j > 0 and (name in LARGE_N_LABELS) == labelled
+              for j, name in enumerate(header.split(","))]
+    rows = [",".join(spell(c) if pick else c for c, pick in zip(row.split(","), chosen))
             for row in rows]
     (to / "data.csv").write_text("\n".join([header, *rows]) + "\n")
     return to / "data.csv"
@@ -81,7 +85,8 @@ def commands(out: Path) -> dict[str, list[str]]:
     k = range(1, len(LARGE_N_LEVELS) + 1)
     theta = ["--theta", ",".join(str(inputs / f"theta_w{i}.csv") for i in k)]
     data = ["--data", str(inputs / "data.csv"), *theta]
-    padded = write_padded_labels(inputs, inputs / "padded")
+    padded = write_respelled(inputs, inputs / "padded", True, lambda c: f'" {c} "')
+    floats = write_respelled(inputs, inputs / "floats", False, lambda c: "%.1f" % int(c))
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
     high = inputs / "simulate_high.json"
     high.write_text(json.dumps({"scenario": "high", "k": 2, "levels": "random",
@@ -90,6 +95,7 @@ def commands(out: Path) -> dict[str, list[str]]:
         "fit": ["fit", *data, *known_p],
         "fit_estimate_p": ["fit", *data, "--estimate-p"],
         "fit_padded_labels": ["fit", "--data", str(padded), *theta, *known_p],
+        "fit_float_categories": ["fit", "--data", str(floats), *theta, *known_p],
         "fit_relative_path": ["fit", "--data", os.path.relpath(inputs / "data.csv"),
                               *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
@@ -175,7 +181,7 @@ def main(argv=None) -> int:
         run(out, name, cmd)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
-    for name in ("fit_padded_labels", "fit_relative_path"):
+    for name in ("fit_padded_labels", "fit_float_categories", "fit_relative_path"):
         if ((out / name / "estimates.csv").read_bytes()
                 != (out / "fit" / "estimates.csv").read_bytes()):
             sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
