@@ -177,13 +177,16 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
+            # numpy 1.23 to 1.26 read an integer field's 1.5 or nan through a
+            # float and truncate it, with only this warning: make it a parse error
+            warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(
                 os.path.abspath(path) if lines is None else lines,
                 delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs,
             )
     except UnicodeDecodeError as exc:  # its position counts within numpy's read block
         raise _parse_error(path, names, _file_decode_error(path, exc)) from exc
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise _parse_error(path, names, exc) from exc
     except OSError as exc:  # e.g. the file went away since it was opened
         raise _os_error(path, code, exc) from exc
@@ -201,7 +204,7 @@ def _file_decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError
     return exc
 
 
-def _parse_error(path: str, names, exc: ValueError) -> CliError:
+def _parse_error(path: str, names, exc: Exception) -> CliError:
     """Restate a np.loadtxt error (its conversion errors count rows from 0)."""
     msg = str(exc)
     if m := re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", msg):
@@ -271,19 +274,17 @@ def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
     return np.where(texts[pos] == cells, cats[pos], -1)
 
 
-def _read_dataset(path: str, labels: dict | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """y, the n x K integer categories and the K column names of a CSV with
-    header y,w1..wK.  Columns named in ``labels`` (by default the labels.json
-    beside the file) hold labels, the others integral numbers, parsed as
-    integers; only where that parse refuses a cell (a float spelling such as
-    1.0, 1e0 or 1.) or reads one beyond 2**53 is the file parsed again with
-    them as floats, which accept and round such a cell.  One parse reads a
+    header y,w1..wK.  Columns named in ``labels`` hold labels, the others
+    integral numbers, parsed as integers; only where that parse refuses a
+    cell (a float spelling such as 1.0, 1e0 or 1.) or reads one beyond 2**53
+    is the file parsed again with them as floats, which accept and round such
+    a cell.  One parse reads a
     label column into a text field one character wider than its longest
     label (at most _LABEL_WIDTH), so a cell that matches as read is not a
     truncated one; only when some cell misses is that column re-read at full
     width and matched with spaces stripped."""
-    labels = _load_labels(path) if labels is None else labels
     with _open(path, "DATA_MISSING", "rb") as fh:  # a text field drops trailing NULs
         nul = any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
     with _open(path, "DATA_MISSING") as fh:

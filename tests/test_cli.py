@@ -480,12 +480,17 @@ def test_a_ragged_row_of_a_labelled_file_names_its_data_row(
         "error": "DATA_INVALID", "message": f"{data}: {message}"}
 
 
+def _read_dataset(data):
+    """The data file as ``fit`` reads it, with the labels.json beside it."""
+    return cli._read_dataset(str(data), cli._load_labels(str(data)))
+
+
 def test_the_first_unknown_label_in_file_order_is_reported(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("y,w1,w2\n1,a,a\n1,a,zz\n1,zz,a\n")
     (tmp_path / "labels.json").write_text('{"w1": ["a", "b"], "w2": ["a", "b"]}')
     with pytest.raises(cli.CliError) as exc:
-        cli._read_dataset(str(data))
+        _read_dataset(data)
     assert str(exc.value) == f"{data}: data row 2, column w2: 'zz' is not in labels.json"
 
 
@@ -526,39 +531,69 @@ def test_read_dataset_matches_each_cell_stripped_against_the_labels(
     (tmp_path / "labels.json").write_text(json.dumps({"w1": labels}))
     if isinstance(expected, str):
         with pytest.raises(cli.CliError) as exc:
-            cli._read_dataset(str(data))
+            _read_dataset(data)
         assert str(exc.value) == (  # the last cell is the unknown one
             f"{data}: data row {len(cells)}, column w1: {expected} is not in labels.json")
     else:
-        y, w, names = cli._read_dataset(str(data))
+        y, w, names = _read_dataset(data)
         assert w[:, 0].tolist() == expected and names == ["w1"]
 
 
-@pytest.mark.parametrize("cell, read", [
+CATEGORY_CELLS = [
     *((cell, 1) for cell in ["1", "1.0", "1e0", " 1", "+1", "01", '"1"', "\t1", "1."]),
     ("-0", 0), (".5e1", 5),
     ("9007199254740993", 9007199254740992),  # read as a float, and rounded
     ("1_0", "'1_0' is not a number"), ("0x1", "'0x1' is not a number"),
     ("", "'' is not a number"),
-    ("1.5", "1.5 is not an integer"), ("nan", "nan is not an integer"),
-    ("inf", "inf is not an integer"), ("99999999999999999999", "1e+20 is not an integer"),
-])
+    ("1.5", "1.5 is not an integer"), ("-0.5", "-0.5 is not an integer"),
+    ("nan", "nan is not an integer"), ("inf", "inf is not an integer"),
+    ("99999999999999999999", "1e+20 is not an integer"),
+]
+
+
+@pytest.mark.parametrize("cell, read", CATEGORY_CELLS)
 def test_a_category_cell_is_read_as_an_integer_or_named(tmp_path, cell, read):
     data = tmp_path / "data.csv"
     data.write_text(f"y,w1\n0.5,{cell}\n1.5,0\n")
     if isinstance(read, str):
         with pytest.raises(cli.CliError) as exc:
-            cli._read_dataset(str(data))
+            _read_dataset(data)
         assert str(exc.value) == f"{data}: data row 1, column w1: {read}"
     else:
-        y, w, names = cli._read_dataset(str(data))
+        y, w, names = _read_dataset(data)
         assert w.tolist() == [[read], [0]] and y.tolist() == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("cell, read", CATEGORY_CELLS)
+def test_a_category_cell_is_read_alike_where_numpy_reads_an_integer_through_a_float(
+    tmp_path, monkeypatch, cell, read
+):
+    # numpy 1.23 to 1.26 read an integer field's 1.0, 1.5 or nan through a
+    # float: a DeprecationWarning, then the value cast with truncation
+    real = np.loadtxt
+
+    def loadtxt(*args, dtype=float, **kwargs):
+        try:
+            return real(*args, dtype=dtype, **kwargs)
+        except ValueError:
+            dtype = np.dtype(dtype)
+            if dtype.names is None:
+                raise
+            floats = [(f, "f8" if dtype[f].kind == "i" else dtype[f]) for f in dtype.names]
+            table = real(*args, dtype=floats, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            with np.errstate(invalid="ignore"):
+                return table.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    test_a_category_cell_is_read_as_an_integer_or_named(tmp_path, cell, read)
 
 
 def test_a_float_spelled_category_in_the_last_row_reads_the_whole_file_as_numbers(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("y,w1\n" + "".join(f"{i}.5,{i % 3}\n" for i in range(499)) + "499.5,1.0\n")
-    y, w, names = cli._read_dataset(str(data))
+    y, w, names = _read_dataset(data)
     assert w[:, 0].tolist() == [i % 3 for i in range(499)] + [1]
     assert y.tolist() == [i + 0.5 for i in range(500)] and names == ["w1"]
 
