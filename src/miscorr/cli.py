@@ -22,7 +22,7 @@ from . import __version__
 from .categorical import CategoricalSpec, ObservedDataset, encode_cells, validate_dataset
 from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
-from .errors import MiscorrError, NumericalError, ValidationError
+from .errors import MiscorrError, NonIdentifiable, NumericalError, ValidationError
 from .estimators import fit_corrected
 from .misclass import SCENARIO_THETAS, check_marginal, check_theta, estimate_marginal
 from .simkit import (
@@ -278,9 +278,10 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
     """y, the n x K integer categories and the K column names of a CSV with
     header y,w1..wK.  Columns named in ``labels`` hold labels, the others
     integral numbers, parsed as integers; only where that parse refuses a
-    cell (a float spelling such as 1.0, 1e0 or 1.) or reads one beyond 2**53
-    is the file parsed again with them as floats, which accept and round such
-    a cell.  One parse reads a
+    cell (a float spelling such as 1.0, 1e0 or 1., or an integer beyond 64
+    bits) is the file parsed again with them as floats, where a cell of 2**53
+    or more, which a float may have rounded, is out of range and quoted as
+    written.  One parse reads a
     label column into a text field one character wider than its longest
     label (at most _LABEL_WIDTH), so a cell that matches as read is not a
     truncated one; only when some cell misses is that column re-read at full
@@ -306,11 +307,6 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
     except CliError as exc:
         if exc.code != "DATA_INVALID":
             raise
-        table = None
-    if table is None or any(
-        not -(2**53) <= table[f].min(initial=0) <= table[f].max(initial=0) <= 2**53
-        for f in table.dtype.names[1:] if table.dtype[f].kind == "i"
-    ):
         table = _loadtxt(path, dtype=fields("f8"), **body)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
@@ -327,13 +323,17 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
         cell = repr(full[j][i])[:100]  # cut as numpy cuts a cell in its own messages
         raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
                        f"{cell} is not in labels.json")
-    # y must be finite, and a category read as a float cast exactly to int
-    bad = {j: ~np.isfinite(col) if j == 0 else (col != np.round(col)) | (np.abs(col) > 2**53)
+    # y must be finite, and a category read as a float an integer below 2**53
+    bad = {j: ~np.isfinite(col) if j == 0 else (col != np.round(col)) | (np.abs(col) >= 2**53)
            for j, col in enumerate(cols) if col.dtype.kind == "f"}
     if first := [(np.argmax(mask), j) for j, mask in bad.items() if mask.any()]:
         i, j = min(first)
-        raise CliError("DATA_INVALID", f"{path}: data row {i + 1}, column {names[j]}: "
-                       f"{float(cols[j][i])!r} is not {'an integer' if j else 'finite'}")
+        where, value = f"{path}: data row {i + 1}, column {names[j]}", cols[j][i]
+        if j and np.isfinite(value) and value == np.round(value):  # no category is this large
+            cell = _loadtxt(path, dtype=object, usecols=j, **body)[i]
+            raise CliError("DATA_INVALID", f"{where}: {repr(cell)[:100]} is out of range")
+        raise CliError("DATA_INVALID",
+                       f"{where}: {float(value)!r} is not {'an integer' if j else 'finite'}")
     return np.ascontiguousarray(cols[0]), np.array(cols[1:], dtype=int).T, names[1:]
 
 
@@ -402,7 +402,18 @@ def _load_and_fit(args, truth_path: str | None = None):
             raise CliError("DATA_INVALID", "; ".join(report.errors))
         ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
         cells = encode_cells(spec, w)
-        fit = fit_corrected(spec, ds, thetas, ps, cells)
+        try:
+            fit = fit_corrected(spec, ds, thetas, ps, cells)
+        except NonIdentifiable as exc:  # a true level of p 0 makes its indicators collinear
+            zero = [(name, np.flatnonzero(p == 0), res)  # p_residuals is {} for p files
+                    for name, p, res in zip(names, ps, p_residuals.values()) if not p.all()]
+            if not zero:
+                raise
+            raise NonIdentifiable("; ".join(
+                f"column {name}: the estimated p is 0 at level{'s' * (len(at) > 1)} "
+                f"{', '.join(map(str, at))} (projection residual {res:.3g})"
+                for name, at, res in zero) + ", so the correction is not identified; give --p files"
+            ) from exc
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):
         _emit("warning", getattr(note.category, "code", note.category.__name__), message)
@@ -411,8 +422,7 @@ def _load_and_fit(args, truth_path: str | None = None):
 
 def cmd_fit(args) -> int:
     spec, ds, notes, p_residuals, cells, fit, _ = _load_and_fit(args)
-    var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, fit.naive.sigma2_w,
-                          cells.counts)
+    var = variance_report(fit, fit.naive.sigma2_w)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
     out = _out_dir(args)
@@ -502,12 +512,9 @@ def cmd_diagnose(args) -> int:
 def _cmd_diagnose_bias(args) -> int:
     _, _, _, _, cells, fit, beta_star = _load_and_fit(
         args, _require(args, "truth", "TRUTH_REQUIRED"))
-    pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
-    z_star = fit.blocks.z_star
-    bias = conditional_bias(cells.design_star, pi_star, z_star, beta_star, cells.counts)
-
+    bias = conditional_bias(fit, cells.design_star, beta_star)
     sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else args.plugin_sigma**2
-    var = variance_report(cells.design_star, fit.blocks, fit.pi_rows, sigma2, cells.counts)
+    var = variance_report(fit, sigma2)
 
     out = _out_dir(args)
     names = _param_names(cells)

@@ -1,5 +1,7 @@
 """Closed-form conditional bias and variance of the corrected estimators,
-given the observed design, the error mechanism, and a supplied truth.
+given the observed design, the error mechanism, and a supplied truth, all
+read from a fit: the R factor it kept, its cell counts, posterior rows and
+moment blocks.
 """
 
 from __future__ import annotations
@@ -8,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
-from .estimators import _refused, _weighted_rows
-from .moments import MomentBlocks
+from .estimators import CorrectedFit, PrefixFits
 
 
 @dataclass(frozen=True)
@@ -29,59 +29,43 @@ class VarianceReport:
     var_beta0_c: float
 
 
-def _gram_inverse(design_star_w, counts):
-    """The design as floats, the observations behind each of its rows (one
-    unless ``counts`` makes the rows cells) and (W*^T W*)^-1 = R^-1 R^-T from
-    the R factor of sqrt(c) U, behind the rank guard of the fit."""
-    w_star = np.asarray(design_star_w, dtype=float)
-    counts = np.ones(len(w_star)) if counts is None else np.asarray(counts, dtype=float)
-    r_mat = np.linalg.qr(_weighted_rows(w_star, counts), mode="r")
-    if _refused(r_mat, counts.sum()):
-        raise RankDeficient("observed design is collinear")
+def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
+    """(W*^T W*)^-1 = R^-1 R^-T from the R factor a fit kept."""
     r_inv = np.linalg.solve(r_mat, np.eye(len(r_mat)))
-    return w_star, counts, r_inv @ r_inv.T
+    return r_inv @ r_inv.T
 
 
-def conditional_bias(
-    design_star_w: np.ndarray,
-    pi_star: np.ndarray,
-    z_star: np.ndarray,
-    beta_star_true: np.ndarray,
-    counts=None,
-) -> BiasReport:
+def conditional_bias(fit: CorrectedFit, design_star: np.ndarray,
+                     beta_star_true: np.ndarray) -> BiasReport:
     """Bias of (gamma0_hat, beta_c_hat) given the observed design:
-    (Z (W*^T W*)^-1 W*^T pi* - I) beta*.
+    (Z (W*^T W*)^-1 W*^T pi* - I) beta*, with pi* the fit's posterior rows
+    behind a column of ones.
 
     The intercept-correction bias is the derivation-consistent form
     B0 = pi_bar (beta - E[beta_c_hat | W]) with pi_bar = mean_i pi_(i).
-    Row j of the design and of ``pi_star`` may stand for counts[j]
-    identical observations.
+    ``design_star`` holds the rows ``fit`` was fitted on; row j stands for
+    fit.counts[j] identical observations.
     """
-    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
-    pi_star = np.asarray(pi_star, dtype=float)
+    counts = fit.counts
+    pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
-    transfer = z_star @ xtx_inv @ (w_star.T * counts) @ pi_star
+    design_t = np.asarray(design_star, dtype=float).T
+    transfer = fit.blocks.z_star @ _gram_inverse(fit.naive.r) @ (design_t * counts) @ pi_star
     expected = transfer @ beta_star_true
     b_star = expected - beta_star_true
-    pi_bar = counts @ pi_star[:, 1:] / counts.sum()
+    pi_bar = counts @ pi_star[:, 1:] / counts.sum()  # on fit.pi_rows, matmul rounds otherwise
     b0 = float(pi_bar @ (beta_star_true[1:] - expected[1:]))
     return BiasReport(b_star=b_star, b0=b0)
 
 
-def variance_report(
-    design_star_w: np.ndarray,
-    blocks: MomentBlocks,
-    pi_rows: np.ndarray,
-    sigma2: float,
-    counts=None,
-) -> VarianceReport:
-    """Conditional variances of the naive and corrected estimators.
+def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
+    """Conditional variances of the naive and corrected estimators of
+    ``fit``.
 
     ``sigma2`` is the caller's plug-in for Var(Y_i | W), taken as the same
-    for every observation; both the fitted residual variance and a known
-    noise variance are valid choices.  theta and p are treated as known.
-    Row j of the design and of ``pi_rows`` may stand for counts[j]
-    identical observations.
+    for every observation; both the fitted residual variance
+    (fit.naive.sigma2_w) and a known noise variance are valid choices.
+    theta and p are treated as known.
 
     ``var_beta0_c`` is the exact variance of the corrected intercept given
     W under that homoscedastic plug-in.  The intercept is linear in y,
@@ -91,10 +75,10 @@ def variance_report(
     centered Gram matrix of the slopes; A^-1 is the slope block of
     (W*^T W*)^-1.
     """
-    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
-    n = counts.sum()
-    z = blocks.z_star
-    v_bar = counts @ np.asarray(pi_rows, dtype=float) @ blocks.correction / n  # C^T pi_bar
+    xtx_inv = _gram_inverse(fit.naive.r)
+    n = fit.counts.sum()
+    z = fit.blocks.z_star
+    v_bar = fit.counts @ fit.pi_rows @ fit.blocks.correction / n  # C^T pi_bar
     return VarianceReport(
         var_gamma_star=xtx_inv * sigma2,
         var_beta_c_star=sigma2 * (z @ xtx_inv @ z.T),
@@ -102,31 +86,33 @@ def variance_report(
     )
 
 
-def var_beta0_c_uncorrelated(
-    design_star_w: np.ndarray,
-    blocks: MomentBlocks,
-    pi_rows: np.ndarray,
-    sigma2: float,
-    counts=None,
-) -> float:
+def var_beta0_c_uncorrelated(fits: PrefixFits, design_star: np.ndarray,
+                             sigma2) -> np.ndarray:
     """Corrected-intercept variance summed over per-observation terms
-    y_i - pi_(i) beta_c_hat as if they were uncorrelated.
+    y_i - pi_(i) beta_c_hat as if they were uncorrelated, one value per
+    prefix of ``fits`` with sigma2[k] the plug-in of prefix k (NaN where
+    the prefix was refused).
 
     Every term shares the same beta_c_hat, so this drops the i != j
     cross-covariances and falls short of the exact conditional variance
     in ``variance_report``; it is kept as the expression whose shortfall
     ``simkit.intercept_variance_curve`` measures.  With v_i = C^T pi_(i)
     and A as in ``variance_report``, term i is
-    sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of the
-    design and of ``pi_rows`` may stand for counts[j] such terms.
+    sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of
+    ``design_star``, the cells ``fits`` were fitted on, stands for
+    fits.counts[k, j] such terms.
     """
-    w_star, counts, xtx_inv = _gram_inverse(design_star_w, counts)
-    n = counts.sum()
-    w_centered = w_star[:, 1:] - counts @ w_star[:, 1:] / n
-    v_rows = np.asarray(pi_rows, dtype=float) @ blocks.correction
-    u = v_rows @ xtx_inv[1:, 1:]  # v_i A^-1; A is symmetric
-    per_row = 1.0 + np.einsum("ip,ip->i", u, v_rows - 2.0 * w_centered)
-    return float(sigma2 * (counts @ per_row) / n**2)
+    w_star = np.asarray(design_star, dtype=float)
+    v_rows = fits.pi_rows @ fits.blocks.correction
+    out = np.full(len(fits.counts), np.nan)
+    for k in np.flatnonzero(~fits.refused):
+        counts = fits.counts[k]
+        n = counts.sum()
+        w_centered = w_star[:, 1:] - counts @ w_star[:, 1:] / n
+        u = v_rows @ _gram_inverse(fits.r[k])[1:, 1:]  # v_i A^-1; A is symmetric
+        per_row = 1.0 + np.einsum("ip,ip->i", u, v_rows - 2.0 * w_centered)
+        out[k] = sigma2[k] * (counts @ per_row) / n**2
+    return out
 
 
 def conditional_response_variance(

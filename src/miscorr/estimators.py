@@ -22,10 +22,12 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NaiveFit:
-    """OLS result for the regression of y on the observed-category design."""
+    """OLS result for the regression of y on the observed-category design.
+    ``r`` is the R factor of the fit's QR: R^T R = W*^T W*."""
 
     gamma_star: np.ndarray
     sigma2_w: float
+    r: np.ndarray
 
     @property
     def intercept(self) -> float:
@@ -43,7 +45,8 @@ class CorrectedFit:
     ``beta_c_star`` keeps the uncorrected intercept alongside the corrected
     slopes; the corrected intercept is exposed separately as ``beta0_c``.
     ``pi_rows`` are the posterior rows of the fitted design's rows: one per
-    occupied cell when the fit ran on cells.
+    occupied cell when the fit ran on cells, which ``counts`` observations
+    fill.
     """
 
     naive: NaiveFit
@@ -51,6 +54,7 @@ class CorrectedFit:
     beta0_c: float
     blocks: MomentBlocks
     pi_rows: np.ndarray
+    counts: np.ndarray
 
     @property
     def beta_c_star(self) -> np.ndarray:
@@ -72,24 +76,18 @@ def _refused(r_mat: np.ndarray, n) -> np.ndarray:
     return (np.asarray(n) <= r_mat.shape[-1]) | collinear
 
 
-def _weighted_rows(design_star: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sqrt(c) U, stacked over leading axes of ``counts``: its R factor has
-    R^T R = W*^T W*.  Zero rows pad it to the column count, so R is square."""
-    rows = np.sqrt(counts)[..., None] * design_star
-    short = design_star.shape[-1] - rows.shape[-2]
-    if short > 0:
-        rows = np.concatenate([rows, np.zeros((*rows.shape[:-2], short, rows.shape[-1]))], -2)
-    return rows
-
-
 def _solve_cells(design_star, counts, sums, n):
     """Least squares from cell counts and sums over a stack of fits: the QR
-    of sqrt(c) U and gamma = R^-1 Q^T (sums / sqrt(c)), 0 for an empty cell.
-    Returns R, gamma [..., response column, parameter] (NaN where refused)
-    and the refused mask."""
+    of sqrt(c) U, whose R has R^T R = W*^T W*, and gamma = R^-1 Q^T (sums /
+    sqrt(c)), 0 for an empty cell.  Zero rows pad sqrt(c) U to the column
+    count, so R is square.  Returns R, gamma [..., response column,
+    parameter] (NaN where refused) and the refused mask."""
     root = np.sqrt(counts)[..., None]
     rhs = np.divide(sums, root, out=np.zeros(sums.shape), where=root > 0)
-    q_mat, r_mat = np.linalg.qr(_weighted_rows(design_star, counts))
+    rows = root * design_star
+    if (short := design_star.shape[-1] - rows.shape[-2]) > 0:
+        rows = np.concatenate([rows, np.zeros((*rows.shape[:-2], short, rows.shape[-1]))], -2)
+    q_mat, r_mat = np.linalg.qr(rows)
     refused = _refused(r_mat, n)
     # one singular R would fail the whole stacked solve
     solvable = np.where(refused[..., None, None], np.eye(r_mat.shape[-1]), r_mat)
@@ -121,7 +119,7 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
         raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
     gamma = gamma[0]
     resid = y - (design_star @ gamma)[inverse]
-    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m))
+    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m), r=r_mat)
 
 
 def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks,
@@ -130,9 +128,10 @@ def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentB
     beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n, where
     row j of ``pi_rows`` is the posterior row of counts[j] observations."""
     y = np.asarray(y, dtype=float).ravel()
+    pi_rows, counts = np.asarray(pi_rows, dtype=float), np.asarray(counts)
     beta_c = blocks.correction @ naive.slopes
-    beta0_c = float((y.sum() - (counts @ np.asarray(pi_rows, dtype=float)) @ beta_c) / len(y))
-    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
+    beta0_c = float((y.sum() - (counts @ pi_rows) @ beta_c) / len(y))
+    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows, counts)
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,9 @@ class PrefixFits:
 
     Arrays are indexed [prefix, response column, parameter]; ``refused``
     marks the prefixes the rank guard turned down, whose estimates are NaN.
-    ``counts`` holds the rows of each prefix in each cell.
+    ``counts`` holds the rows of each prefix in each cell and ``r`` the R
+    factor of each prefix's fit; ``pi_rows`` (one per cell) and ``blocks``
+    are the mechanism every prefix's correction read.
     """
 
     refused: np.ndarray
@@ -150,6 +151,9 @@ class PrefixFits:
     beta_c: np.ndarray
     beta0_c: np.ndarray
     counts: np.ndarray
+    r: np.ndarray
+    pi_rows: np.ndarray
+    blocks: MomentBlocks
 
     @property
     def beta_c_star(self) -> np.ndarray:
@@ -194,12 +198,12 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
 
     counts = per_prefix()
     sums = np.stack([per_prefix(col) for col in ys[: cuts[-1]].T], axis=-1)
-    _, gamma, refused = _solve_cells(design_star, counts, sums, ns)
+    r_mat, gamma, refused = _solve_cells(design_star, counts, sums, ns)
     beta_c = gamma[..., 1:] @ blocks.correction.T
-    sum_pi = counts @ np.asarray(pi_rows, dtype=float)
-    sum_beta = np.einsum("kd,ksd->ks", sum_pi, beta_c)
+    pi_rows = np.asarray(pi_rows, dtype=float)
+    sum_beta = np.einsum("kd,ksd->ks", counts @ pi_rows, beta_c)
     beta0_c = (sums.sum(axis=1) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
-    return PrefixFits(refused, gamma, beta_c, beta0_c, counts)
+    return PrefixFits(refused, gamma, beta_c, beta0_c, counts, r_mat, pi_rows, blocks)
 
 
 def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, ps: Sequence,

@@ -208,10 +208,10 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     """The replicate pipeline of the grid and the variance curve, yielding
     each replicate in order: designs, occupied cells, mechanism, one
     response column per sigma, then every n-prefix of ``config.n_grid``
-    fitted at once.  Yields the spec, cells, mechanism (blocks, posteriors,
-    posterior rows) and the PrefixFits.  The mechanism is built once per
-    level structure, since the config fixes theta and p for each L_k; each
-    replicate takes the posterior rows of its own cells."""
+    fitted at once.  Yields the spec, cells, posteriors and the PrefixFits,
+    which hold the blocks and the cells' posterior rows.  The mechanism is
+    built once per level structure, since the config fixes theta and p for
+    each L_k; each replicate takes the posterior rows of its own cells."""
     by_levels = {}
     for replicate_id in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
@@ -222,7 +222,7 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
         pi = posterior_rows(posteriors, cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
         fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
-        yield spec, cells, (blocks, posteriors, pi), fits
+        yield spec, cells, posteriors, fits
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
@@ -265,18 +265,15 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma}")
     beta0_hats, theoreticals = [], []
-    for rep, (spec, cells, (blocks, posteriors, pi), fits) in enumerate(
-            _replicate_fits(config, (sigma,))):
+    for rep, (spec, cells, posteriors, fits) in enumerate(_replicate_fits(config, (sigma,))):
         if fits.refused.any():
             n = config.n_grid[int(np.argmax(fits.refused))]
             raise RankDeficient(f"replicate {rep}: the first {n} rows are rank deficient")
         beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
         sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
-        theoreticals.append([
-            var_beta0_c_uncorrelated(cells.design_star, blocks, pi, c @ sigma2 / n, c)
-            for n, c in zip(config.n_grid, fits.counts)
-        ])
+        plugins = [c @ sigma2 / n for n, c in zip(config.n_grid, fits.counts)]
+        theoreticals.append(var_beta0_c_uncorrelated(fits, cells.design_star, plugins))
     return [
         InterceptVariancePoint(n, float(np.mean(th)), float(np.var(b0, ddof=1)))
         for n, th, b0 in zip(config.n_grid, np.transpose(theoreticals), np.transpose(beta0_hats))

@@ -9,7 +9,7 @@ a fixed observed design.
 
 import numpy as np
 
-from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
+from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_cells, encode_dummy
 from miscorr.diagnostics import (
     conditional_bias,
     conditional_response_variance,
@@ -123,6 +123,15 @@ def test_criterion_4_moment_monte_carlo(capsys):
     assert ok
 
 
+def _fit_of_design(w):
+    """fit_corrected on the fixed design, and the cells it fitted on.  The
+    conditional bias and variance read the design only, so the response
+    is zero."""
+    spec = CategoricalSpec((2,))
+    fit = fit_corrected(spec, ObservedDataset(y=np.zeros(len(w)), w=w), [LOW2], [U2])
+    return fit, encode_cells(spec, w)
+
+
 def _fixed_w_monte_carlo(n, sigma, reps, seed):
     """Fixed-W resampling: redraw X | W from the posterior, then Y | X."""
     rng = np.random.default_rng(seed)
@@ -149,8 +158,8 @@ def test_criterion_5_bias_formula_vs_simulation(capsys):
     w, bundle, blocks, post, pi, beta_star, est, b0 = _fixed_w_monte_carlo(
         200, 0.2, 2000, 505
     )
-    pi_star = np.hstack([np.ones((len(w), 1)), pi])
-    report = conditional_bias(bundle.design_star, pi_star, blocks.z_star, beta_star)
+    fit, cells = _fit_of_design(w)
+    report = conditional_bias(fit, cells.design_star, beta_star)
     emp_bias = est.mean(axis=0) - beta_star
     mcse = est.std(axis=0, ddof=1) / np.sqrt(len(est))
     z_scores = np.abs(emp_bias - report.b_star) / mcse
@@ -172,7 +181,7 @@ def _criterion_6_setup():
     sigma2 = float(
         conditional_response_variance([post], w, beta_star[1:], 0.2).mean()
     )
-    report = variance_report(bundle.design_star, blocks, pi, sigma2)
+    report = variance_report(_fit_of_design(w)[0], sigma2)
     return report, est, b0
 
 

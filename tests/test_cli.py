@@ -96,6 +96,28 @@ def test_fit_estimate_p_flag(tmp_path):
     assert "w1" in diag["estimated_p_residuals"]
 
 
+def test_an_estimated_p_on_the_simplex_boundary_is_named_as_the_cause(tmp_path, capsys):
+    # high theta, L=4, p = (.1, .2, .3, .4), n = 3000: theta^T p = q_hat has
+    # no solution in the simplex, and its projection is (0, 0.53, 0, 0.47)
+    theta = scenario_theta("high", 4)
+    rng = np.random.default_rng(7)
+    w = simulate_w(simulate_x([[0.1, 0.2, 0.3, 0.4]], 3000, rng), [theta], rng)
+    data, theta_path, p_path = tmp_path / "data.csv", tmp_path / "theta.csv", tmp_path / "p.csv"
+    _write_dataset(data, 0.5 + rng.standard_normal(3000), w)
+    _write_theta(theta_path, theta)
+    p_path.write_text("0.1,0.2,0.3,0.4\n")
+    files = ["--data", str(data), "--theta", str(theta_path)]
+    for command in (["fit"], ["diagnose", "--truth", str(p_path)]):
+        assert main([*command, *files, "--estimate-p", "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NON_IDENTIFIABLE", "message": (
+            "column w1: the estimated p is 0 at levels 0, 2 (projection residual 0.0041), "
+            "so the correction is not identified; give --p files")}
+        assert not (tmp_path / "out").exists()
+    # with the true p the same data fits
+    assert main(["fit", *files, "--p", str(p_path), "--out", str(tmp_path / "known")]) == 0
+
+
 def test_fit_missing_theta_exits_2(tmp_path, capsys):
     data, _, p_path = _make_binary_fixture(tmp_path, np.eye(2))
     rc = main(["fit", "--data", str(data), "--p", str(p_path),
@@ -542,12 +564,14 @@ def test_read_dataset_matches_each_cell_stripped_against_the_labels(
 CATEGORY_CELLS = [
     *((cell, 1) for cell in ["1", "1.0", "1e0", " 1", "+1", "01", '"1"', "\t1", "1."]),
     ("-0", 0), (".5e1", 5),
-    ("9007199254740993", 9007199254740992),  # read as a float, and rounded
+    ("9007199254740993", 9007199254740993),  # read as an integer, exactly
     ("1_0", "'1_0' is not a number"), ("0x1", "'0x1' is not a number"),
     ("", "'' is not a number"),
     ("1.5", "1.5 is not an integer"), ("-0.5", "-0.5 is not an integer"),
     ("nan", "nan is not an integer"), ("inf", "inf is not an integer"),
-    ("99999999999999999999", "1e+20 is not an integer"),
+    # beyond 64 bits, or a float of 2**53 or more: quoted as written
+    ("99999999999999999999", "'99999999999999999999' is out of range"),
+    ("1e300", "'1e300' is out of range"), ("9007199254740993.0", "'9007199254740993.0' is out of range"),
 ]
 
 

@@ -7,7 +7,9 @@ from miscorr.errors import RankDeficient, ValidationError
 from miscorr.estimators import NaiveFit, correct, fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import build_moment_blocks
-from miscorr.simkit import simulate_w, simulate_x, simulate_y, TruthSpec
+from miscorr.simkit import (
+    ScenarioConfig, TruthSpec, intercept_variance_curve, simulate_w, simulate_x, simulate_y
+)
 
 LOW2 = scenario_theta("low", 2)
 U2 = np.full(2, 0.5)
@@ -78,7 +80,7 @@ IDENTITY2 = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])
 
 def test_correct_intercept_zero_slopes_gives_mean():
     y = np.array([1.0, 2.0, 6.0])
-    naive = NaiveFit(gamma_star=np.array([0.0, 0.0]), sigma2_w=0.0)
+    naive = NaiveFit(gamma_star=np.array([0.0, 0.0]), sigma2_w=0.0, r=np.eye(2))
     fit = correct(naive, y, np.zeros((3, 1)), IDENTITY2, np.ones(3))
     assert fit.beta0_c == pytest.approx(3.0)
 
@@ -86,7 +88,7 @@ def test_correct_intercept_zero_slopes_gives_mean():
 def test_correct_intercept_hand_arithmetic():
     y = np.array([2.0, 3.0])
     pi = np.array([[0.8], [0.6]])
-    naive = NaiveFit(gamma_star=np.array([0.0, 1.0]), sigma2_w=0.0)
+    naive = NaiveFit(gamma_star=np.array([0.0, 1.0]), sigma2_w=0.0, r=np.eye(2))
     assert correct(naive, y, pi, IDENTITY2, np.ones(2)).beta0_c == pytest.approx(1.8)
 
 
@@ -223,6 +225,8 @@ def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
     assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {9}
     fits = fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
     assert np.isfinite(fits.beta0_c[[0, 2]]).all()
+    uncorrelated = var_beta0_c_uncorrelated(fits, design_star, np.ones(3))
+    assert np.isnan(uncorrelated[1]) and np.isfinite(uncorrelated[[0, 2]]).all()
 
 
 def test_fit_prefixes_refuses_no_more_rows_than_columns():
@@ -277,22 +281,51 @@ def test_cell_path_matches_the_encoded_design(k):
     np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
     assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)
 
-    by_cell = variance_report(cells.design_star, blocks, fit.pi_rows, 0.3, cells.counts)
-    by_row = variance_report(design_star, blocks, pi, 0.3)
+    by_cell = variance_report(fit, 0.3)
+    by_row = variance_report(rows, 0.3)
     for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c"):
         np.testing.assert_allclose(
             getattr(by_cell, field), getattr(by_row, field), rtol=1e-12, atol=1e-15
         )
-    assert var_beta0_c_uncorrelated(
-        cells.design_star, blocks, fit.pi_rows, 0.3, cells.counts
-    ) == pytest.approx(var_beta0_c_uncorrelated(design_star, blocks, pi, 0.3), rel=1e-12)
+
+    def uncorrelated(design, pi_rows, inverse):  # of the one prefix of all 500 rows
+        fits = fit_prefixes(design, y[:, None], [500], pi_rows, blocks, inverse)
+        return var_beta0_c_uncorrelated(fits, design, [0.3])[0]
+
+    assert uncorrelated(cells.design_star, fit.pi_rows, cells.inverse) == pytest.approx(
+        uncorrelated(design_star, pi, np.arange(500)), rel=1e-12)
     truth = 0.5 + 0.2 * np.arange(spec.n_params)
-    pi_cells = np.hstack([np.ones((len(cells.counts), 1)), fit.pi_rows])
-    bias_cell = conditional_bias(cells.design_star, pi_cells, blocks.z_star, truth, cells.counts)
-    bias_row = conditional_bias(design_star, np.hstack([np.ones((500, 1)), pi]), blocks.z_star, truth)
+    bias_cell = conditional_bias(fit, cells.design_star, truth)
+    bias_row = conditional_bias(rows, design_star, truth)
     scale = 1e-12 * np.abs(truth).sum()  # slope biases are 0 up to rounding here
     np.testing.assert_allclose(bias_cell.b_star, bias_row.b_star, rtol=1e-12, atol=scale)
     assert bias_cell.b0 == pytest.approx(bias_row.b0, rel=1e-12, abs=scale)
+
+
+def _count_qr(monkeypatch) -> list:
+    """Record each np.linalg.qr call from here on."""
+    calls, real = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_one_factorisation_serves_the_fit_its_bias_and_its_variance(monkeypatch):
+    spec, thetas, ps, w, y = _random_table(3, 500, seed=44)
+    cells = encode_cells(spec, w)
+    calls = _count_qr(monkeypatch)
+    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps, cells)
+    conditional_bias(fit, cells.design_star, 0.5 + 0.2 * np.arange(spec.n_params))
+    variance_report(fit, fit.naive.sigma2_w)
+    assert len(calls) == 1
+
+
+def test_one_factorisation_per_replicate_for_the_variance_curve(monkeypatch):
+    # every n-prefix of a replicate is factored in the one stacked call
+    config = ScenarioConfig(distortion="medium", n_covariates=2, levels=(3, 2),
+                            n_grid=(40, 100, 300), replicates=4, master_seed=5)
+    calls = _count_qr(monkeypatch)
+    intercept_variance_curve(config, 0.5)
+    assert len(calls) == config.replicates
 
 
 @pytest.mark.parametrize("rows", [8, 12])

@@ -82,6 +82,17 @@ def test_blocks_uninformative_theta_not_identifiable():
         build_moment_blocks(CategoricalSpec((2,)), [theta], [U2])
 
 
+@pytest.mark.parametrize("level", range(4))
+def test_a_true_level_of_p_0_leaves_the_correction_unidentified(level):
+    # with p_l = 0 the true indicators are collinear (a column of sigma_wx
+    # is 0, or, for the reference level, its columns sum to 0), so a p on
+    # the simplex boundary never gives a correction
+    p = np.full(4, 1 / 3)
+    p[level] = 0.0
+    with pytest.raises(NonIdentifiable, match="no information"):
+        _blocks(HIGH4, p)
+
+
 def test_blocks_block_diagonal_structure():
     spec = CategoricalSpec((2, 3))
     blocks = build_moment_blocks(spec, [LOW2, MED3], [U2, U3])

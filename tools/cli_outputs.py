@@ -8,8 +8,9 @@ OUT.  To show that a change leaves every output byte-identical, run the
 script in a checkout of the parent and in the changed one, then
 ``diff -r`` the two OUT directories.
 
-The commands: ``fit``, ``fit --estimate-p`` and ``diagnose`` on the
-benchmark's ``large_n`` inputs at 30,000 rows; ``fit`` on the same data with
+The commands: ``fit``, ``fit --estimate-p``, ``diagnose`` and ``diagnose
+--plugin-sigma`` on the benchmark's ``large_n`` inputs at 30,000 rows; ``fit``
+on the same data with
 every labelled cell quoted and space-padded, ``fit`` with every numeric
 category cell written as a float (``%.1f``, which the integer parse refuses,
 so the file is parsed again as numbers) and ``fit`` with ``--data`` given
@@ -25,9 +26,12 @@ must succeed, or the script fails.
 
 The refusals are commands whose inputs a command should refuse: on a
 four-level dataset, a level that never occurs, a p or truth file of the
-wrong shape and an empty theta, p or truth file; two sigmas that share a
-file label; an unknown scenario from a flag and from a config file; and a
-variance curve whose first prefix is rank deficient.  They are recorded,
+wrong shape, an empty theta, p or truth file and a category cell too large
+for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
+``fit --estimate-p`` on a high-distortion sample whose estimated p has
+zeros; two sigmas that share a file label; an unknown scenario from a flag
+and from a config file; and a variance curve whose first prefix is rank
+deficient.  They are recorded,
 not required to fail, so that ``diff -r`` shows every changed error.
 
 Beside each command's directory, ``NAME.status.jsonl`` holds its exit
@@ -58,9 +62,11 @@ from run import (  # noqa: E402  (pins BLAS)
 import numpy as np  # noqa: E402
 import miscorr.cli  # noqa: E402
 from miscorr.misclass import scenario_theta  # noqa: E402
+from miscorr.simkit import simulate_w, simulate_x  # noqa: E402
 
 SEED = 7
 ROWS = 30_000
+BIG_CELLS = ("9007199254740993", "1e300", "99999999999999999999")
 
 
 def write_respelled(inputs: Path, to: Path, labelled: bool, spell) -> Path:
@@ -99,6 +105,8 @@ def commands(out: Path) -> dict[str, list[str]]:
         "fit_relative_path": ["fit", "--data", os.path.relpath(inputs / "data.csv"),
                               *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
+        "diagnose_plugin_sigma": ["diagnose", *data, *known_p, "--truth",
+                                  str(inputs / "truth.csv"), "--plugin-sigma", "0.5"],
         "simulate_grid": [*_grid_args(SEED, 24, 1, out / "simulate_grid"), "--dump-data"],
         "variance_sim": ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
                          "--n-grid", "50,100,200,500", "--sigma", "0.2",
@@ -132,6 +140,16 @@ def refusals(out: Path) -> dict[str, list[str]]:
     for level, name in ((4, "data.csv"), (3, "data_absent_level.csv")):
         rows = zip(rng.standard_normal(40), rng.integers(0, level, 40))
         files[name] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
+    header, first, rest = files["data.csv"].split("\n", 2)
+    for cell in BIG_CELLS:
+        files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
+    # high theta, p = (.1, .2, .3, .4), 3000 rows: the estimated p is (0, 0.53, 0, 0.47)
+    high = scenario_theta("high", 4)
+    boundary = np.random.default_rng(7)
+    w = simulate_w(simulate_x([[0.1, 0.2, 0.3, 0.4]], 3000, boundary), [high], boundary)
+    rows = zip(boundary.standard_normal(3000), w[:, 0])
+    files["data_boundary.csv"] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
+    files["theta_high.csv"] = "\n".join(",".join(f"{v:.17g}" for v in row) for row in high)
     for name, body in files.items():
         (inputs / name).write_text("" if body is None else body + "\n")
 
@@ -148,6 +166,9 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_empty_theta": diagnose(theta="empty.csv"),
         "refused_empty_p": diagnose(p="empty.csv"),
         "refused_empty_truth": diagnose(truth="empty.csv"),
+        **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
+        "refused_p_boundary": ["fit", "--data", str(inputs / "data_boundary.csv"),
+                               "--theta", str(inputs / "theta_high.csv"), "--estimate-p"],
         "refused_sigma_labels": ["simulate", "--scenario", "low", "--levels", "3",
                                  "--n-grid", "50", "--replicates", "2",
                                  "--sigmas", "12.345671,12.345672", "--dump-data"],
