@@ -405,14 +405,17 @@ def _load_and_fit(args, truth_path: str | None = None):
         try:
             fit = fit_corrected(spec, ds, thetas, ps, cells)
         except NonIdentifiable as exc:  # a true level of p 0 makes its indicators collinear
-            zero = [(name, np.flatnonzero(p == 0), res)  # p_residuals is {} for p files
-                    for name, p, res in zip(names, ps, p_residuals.values()) if not p.all()]
+            whose = ([("the estimated p", f" (projection residual {res:.3g})")
+                      for res in p_residuals.values()] if p_residuals else
+                     [(f"the p in {path}", "") for path in _paths(args, "p", len(ps), "P_MISSING")])
+            zero = [(name, np.flatnonzero(p == 0), *who)
+                    for name, p, who in zip(names, ps, whose) if not p.all()]
             if not zero:
                 raise
             raise NonIdentifiable("; ".join(
-                f"column {name}: the estimated p is 0 at level{'s' * (len(at) > 1)} "
-                f"{', '.join(map(str, at))} (projection residual {res:.3g})"
-                for name, at, res in zero) + ", so the correction is not identified; give --p files"
+                f"column {name}: {who} is 0 at level{'s' * (len(at) > 1)} "
+                f"{', '.join(map(str, at))}{note}" for name, at, who, note in zero)
+                + ", so the correction is not identified" + "; give --p files" * bool(p_residuals)
             ) from exc
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):

@@ -73,8 +73,13 @@ def _check_simplex_rows(mat: np.ndarray, name: str) -> np.ndarray:
 def _near_singular(mat: np.ndarray) -> bool:
     """True when the reciprocal 2-norm condition number of ``mat`` is below
     RCOND_MIN (or ``mat`` is zero)."""
-    s = np.linalg.svd(mat, compute_uv=False)
-    return bool(s[0] == 0 or s[-1] / s[0] < RCOND_MIN)
+    return _rcond_below(np.linalg.svd(mat, compute_uv=False))
+
+
+def _rcond_below(s: np.ndarray) -> bool:
+    """``_near_singular`` judged from the singular values ``s`` of a matrix.
+    Those of a block-diagonal matrix are its blocks', concatenated."""
+    return bool(s.max() == 0 or s.min() / s.max() < RCOND_MIN)
 
 
 def check_theta(theta) -> np.ndarray:

@@ -5,7 +5,8 @@ posteriors the intercept correction reads.
 For one covariate with observed marginal q, the indicator covariance is the
 multinomial identity diag(q) - q q^T restricted to the non-reference levels.
 The cross block pairs observed with true indicators.  Blocks for different
-covariates are zero by the independence assumption.
+covariates are zero by the independence assumption, so the correction is
+block-diagonal too, and each covariate's part is built on its own.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .categorical import CategoricalSpec
-from .errors import NonIdentifiable, ValidationError
-from .misclass import _near_singular, _posterior, check_marginal, check_theta, observed_marginal
+from .errors import NonIdentifiable, ValidationError, ZeroObservedMass
+from .misclass import _posterior, _rcond_below, check_marginal, check_theta, observed_marginal
 
 
 @dataclass(frozen=True)
@@ -35,58 +36,79 @@ class MomentBlocks:
     z_star: np.ndarray
 
 
-def _indicator_cov(q: np.ndarray) -> np.ndarray:
-    d = len(q) - 1
-    qd = q[:d]
-    return np.diag(qd) - np.outer(qd, qd)
-
-
 def build_moment_blocks(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> MomentBlocks:
     """Assemble sigma_w, sigma_wx and the correction transform from one
     (theta, p) pair per covariate."""
     return mechanism(spec, thetas, ps)[0]
 
 
-def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
+def _block_diag(blocks, d: int) -> np.ndarray:
+    out, off = np.zeros((d, d)), 0
+    for block in blocks:
+        out[off:off + len(block), off:off + len(block)] = block
+        off += len(block)
+    return out
+
+
+def _covariate(k: int, lk: int, theta, p):
+    """Check covariate k's theta then p, sized to L_k, and build its part of
+    the mechanism: sigma_w and sigma_wx blocks, singular values of sigma_w
+    and of the attenuation, correction block and posterior.  Past the checks
+    it never raises: what a block singular on its own would give is None,
+    and a zero observed mass takes the posterior's place, for ``mechanism``
+    to raise once every covariate is checked."""
+    theta = check_theta(theta)
+    p = check_marginal(p)
+    if theta.shape[0] != lk or len(p) != lk:
+        raise ValidationError(f"covariate {k}: theta/p size does not match L={lk}")
+    q = observed_marginal(theta, p)
+    dk = lk - 1
+    sigma_w = np.diag(q[:dk]) - np.outer(q[:dk], q[:dk])
+    # rows indexed by observed level, columns by true level
+    sigma_wx = (theta[:dk, :dk].T - q[:dk, None]) * p[None, :dk]
+    s_w = np.linalg.svd(sigma_w, compute_uv=False)
+    s_attenuation = correction = posterior = None
+    if not _rcond_below(s_w):
+        attenuation = np.linalg.solve(sigma_w, sigma_wx)
+        s_attenuation = np.linalg.svd(attenuation, compute_uv=False)
+        if not _rcond_below(s_attenuation):
+            correction = np.linalg.inv(attenuation)
+            try:
+                posterior = _posterior(theta, p)
+            except ZeroObservedMass as exc:  # sigma_w rounded off 0
+                posterior = exc
+    return sigma_w, sigma_wx, s_w, s_attenuation, correction, posterior
+
+
+def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict | None = None):
     """What the correction reads of (theta, p): the moment blocks, for the
     slopes, and the posteriors, for the intercept.  Each theta and p is
     checked once, theta then p, covariate by covariate, each sized to its
-    L_k; the blocks are built before any posterior."""
+    L_k.  Then sigma_w, then the attenuation, is judged singular from the
+    covariates' singular values, a zero observed mass is raised, and the
+    blocks are placed on the diagonal.  ``built`` maps L_k to a covariate's
+    part already built, for a caller whose theta and p are fixed by L_k;
+    parts built here join it."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
-    pairs = []
-    for k, lk in enumerate(spec.levels):
-        theta = check_theta(thetas[k])
-        p = check_marginal(ps[k])
-        if theta.shape[0] != lk or len(p) != lk:
-            raise ValidationError(f"covariate {k}: theta/p size does not match L={lk}")
-        pairs.append((theta, p))
+    memo, keys = ({}, range(spec.n_covariates)) if built is None else (built, spec.levels)
+    for k, (key, lk) in enumerate(zip(keys, spec.levels)):
+        if key not in memo:
+            memo[key] = _covariate(k, lk, thetas[k], ps[k])
+    parts = [memo[key] for key in keys]
+    sigma_ws, sigma_wxs, s_w, s_attenuation, corrections, posteriors = zip(*parts)
 
-    d = spec.n_slopes
-    sigma_w = np.zeros((d, d))
-    sigma_wx = np.zeros((d, d))
-    off = 0
-    for (theta, p), lk in zip(pairs, spec.levels):
-        q = observed_marginal(theta, p)
-        dk = lk - 1
-        sl = slice(off, off + dk)
-        sigma_w[sl, sl] = _indicator_cov(q)
-        # rows indexed by observed level, columns by true level
-        block = (theta[:dk, :dk].T - q[:dk, None]) * p[None, :dk]
-        sigma_wx[sl, sl] = block
-        off += dk
-
-    if _near_singular(sigma_w):
+    if _rcond_below(np.concatenate(s_w)):
         raise NonIdentifiable("sigma_w is numerically singular")
-    attenuation = np.linalg.solve(sigma_w, sigma_wx)
-    if _near_singular(attenuation):
+    if _rcond_below(np.concatenate(s_attenuation)):
         raise NonIdentifiable(
             "observed categories carry no information about the true ones"
         )
-    correction = np.linalg.inv(attenuation)
-    z_star = np.zeros((d + 1, d + 1))
-    z_star[0, 0] = 1.0
-    z_star[1:, 1:] = correction
-    blocks = MomentBlocks(sigma_w=sigma_w, sigma_wx=sigma_wx, correction=correction,
-                          z_star=z_star)
-    return blocks, [_posterior(theta, p) for theta, p in pairs]
+    if zero := [post for post in posteriors if isinstance(post, ZeroObservedMass)]:
+        raise zero[0]
+    d = spec.n_slopes
+    blocks = MomentBlocks(
+        sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),
+        correction=_block_diag(corrections, d), z_star=_block_diag([[[1.0]], *corrections], d + 1),
+    )
+    return blocks, list(posteriors)

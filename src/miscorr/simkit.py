@@ -209,16 +209,15 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     each replicate in order: designs, occupied cells, mechanism, one
     response column per sigma, then every n-prefix of ``config.n_grid``
     fitted at once.  Yields the spec, cells, posteriors and the PrefixFits,
-    which hold the blocks and the cells' posterior rows.  The mechanism is
-    built once per level structure, since the config fixes theta and p for
-    each L_k; each replicate takes the posterior rows of its own cells."""
-    by_levels = {}
+    which hold the blocks and the cells' posterior rows.  Each covariate's
+    part of the mechanism is built once per L_k, since the config fixes
+    theta and p for each L_k; each replicate assembles its own structure's
+    and takes the posterior rows of its own cells."""
+    built = {}
     for replicate_id in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
         cells = encode_cells(spec, w)
-        if spec.levels not in by_levels:
-            by_levels[spec.levels] = mechanism(spec, thetas, ps)
-        blocks, posteriors = by_levels[spec.levels]
+        blocks, posteriors = mechanism(spec, thetas, ps, built)
         pi = posterior_rows(posteriors, cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
         fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)

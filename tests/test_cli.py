@@ -96,17 +96,23 @@ def test_fit_estimate_p_flag(tmp_path):
     assert "w1" in diag["estimated_p_residuals"]
 
 
-def test_an_estimated_p_on_the_simplex_boundary_is_named_as_the_cause(tmp_path, capsys):
-    # high theta, L=4, p = (.1, .2, .3, .4), n = 3000: theta^T p = q_hat has
-    # no solution in the simplex, and its projection is (0, 0.53, 0, 0.47)
+def _high_theta_sample(tmp_path, p="0.1,0.2,0.3,0.4"):
+    """The --data and --theta flags of a sample of high theta, L=4,
+    p = (.1, .2, .3, .4), n = 3000, and a file holding ``p``."""
     theta = scenario_theta("high", 4)
     rng = np.random.default_rng(7)
     w = simulate_w(simulate_x([[0.1, 0.2, 0.3, 0.4]], 3000, rng), [theta], rng)
     data, theta_path, p_path = tmp_path / "data.csv", tmp_path / "theta.csv", tmp_path / "p.csv"
     _write_dataset(data, 0.5 + rng.standard_normal(3000), w)
     _write_theta(theta_path, theta)
-    p_path.write_text("0.1,0.2,0.3,0.4\n")
-    files = ["--data", str(data), "--theta", str(theta_path)]
+    p_path.write_text(p + "\n")
+    return ["--data", str(data), "--theta", str(theta_path)], p_path
+
+
+def test_an_estimated_p_on_the_simplex_boundary_is_named_as_the_cause(tmp_path, capsys):
+    # theta^T p = q_hat has no solution in the simplex, and its projection is
+    # (0, 0.53, 0, 0.47)
+    files, p_path = _high_theta_sample(tmp_path)
     for command in (["fit"], ["diagnose", "--truth", str(p_path)]):
         assert main([*command, *files, "--estimate-p", "--out", str(tmp_path / "out")]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -116,6 +122,18 @@ def test_an_estimated_p_on_the_simplex_boundary_is_named_as_the_cause(tmp_path, 
         assert not (tmp_path / "out").exists()
     # with the true p the same data fits
     assert main(["fit", *files, "--p", str(p_path), "--out", str(tmp_path / "known")]) == 0
+
+
+@pytest.mark.parametrize("p, level", [("0,0.5,0.1,0.4", 0), ("0.1,0.5,0.4,0", 3)])
+def test_a_zero_in_a_p_file_is_named_with_its_file(tmp_path, capsys, p, level):
+    files, p_path = _high_theta_sample(tmp_path, p)
+    for command in (["fit"], ["diagnose", "--truth", str(p_path)]):
+        assert main([*command, *files, "--p", str(p_path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NON_IDENTIFIABLE", "message": (
+            f"column w1: the p in {p_path} is 0 at level {level}, "
+            "so the correction is not identified")}
+        assert not (tmp_path / "out").exists()
 
 
 def test_fit_missing_theta_exits_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from miscorr.categorical import CategoricalSpec, encode_dummy
-from miscorr.errors import NonIdentifiable
-from miscorr.misclass import observed_marginal, scenario_theta
-from miscorr.moments import build_moment_blocks
+from miscorr.errors import NonIdentifiable, ValidationError, ZeroObservedMass
+from miscorr.misclass import RCOND_MIN, _near_singular, observed_marginal, scenario_theta
+from miscorr.moments import build_moment_blocks, mechanism
 from miscorr.simkit import simulate_w, simulate_x
 
 LOW2 = scenario_theta("low", 2)
@@ -135,3 +137,119 @@ def test_sample_covariance_matches_blocks_monte_carlo():
     sample_wx = dwc.T @ dxc / (n - 1)
     np.testing.assert_allclose(sample_w, blocks.sigma_w, atol=0.01)
     np.testing.assert_allclose(sample_wx, blocks.sigma_wx, atol=0.01)
+
+
+def _block_diag(blocks):
+    d = sum(len(b) for b in blocks)
+    out, off = np.zeros((d, d)), 0
+    for b in blocks:
+        out[off:off + len(b), off:off + len(b)] = b
+        off += len(b)
+    return out
+
+
+def _rcond(mat):
+    s = np.linalg.svd(mat, compute_uv=False)
+    return s[-1] / s[0] if s[0] else 0.0
+
+
+def _covariate_draw(lk):
+    """theta: uniform rows blended with weight 10^-u into random rows whose
+    entries span up to 30 decades or are 0; p: entries spanning up to 12
+    decades.  A large u leaves the attenuation near singular, spread or
+    zero entries leave sigma_w small or singular, and covariates of unlike
+    u or spread mix scales."""
+    theta_decades = st.floats(0, 1) | st.floats(0, 30) | st.just(400.0)  # 10^-400 is 0
+    return st.tuples(
+        st.lists(theta_decades, min_size=lk * lk, max_size=lk * lk),
+        st.floats(0, 1) | st.floats(9, 12) | st.floats(0, 30),
+        st.lists(st.floats(0, 1) | st.floats(0, 12), min_size=lk, max_size=lk),
+    ).map(lambda draw: _covariate_from(lk, *draw))
+
+
+def _simplex(weights):
+    """Rows of ``weights`` scaled to sum to 1; a row of zeros is uniform."""
+    weights = np.where(weights.sum(axis=-1, keepdims=True) > 0, weights, 1.0)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _covariate_from(lk, theta_decades, u, p_decades):
+    rows = _simplex(10.0 ** -np.reshape(theta_decades, (lk, lk)))
+    theta = _simplex((1 - 10.0**-u) / lk + 10.0**-u * rows)
+    return theta, _simplex(10.0 ** -np.array(p_decades))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=4).flatmap(
+    lambda levels: st.tuples(st.just(tuple(levels)),
+                             st.tuples(*map(_covariate_draw, levels)))))
+# each block is regular alone; sigma_w, then the attenuation, is singular assembled
+@example(((2, 2), (_covariate_from(2, [10.7, 0, 400, 0], 0, [0, 0]),
+                   _covariate_from(2, [0, 1, 1, 0], 0, [0, 0]))))
+@example(((2, 2), (_covariate_from(2, [0, 1, 1, 0], 10.5, [0, 0]),
+                   _covariate_from(2, [0, 1, 1, 0], 0, [0, 0]))))
+def test_the_block_decision_is_the_decision_on_the_assembled_matrices(draw):
+    levels, covariates = draw
+    thetas, ps = zip(*covariates)
+    # the assembled blocks, built as one d x d matrix was before
+    sigma_w, sigma_wx = [], []
+    for theta, p in covariates:
+        q, dk = observed_marginal(theta, p), len(p) - 1
+        sigma_w.append(np.diag(q[:dk]) - np.outer(q[:dk], q[:dk]))
+        sigma_wx.append((theta[:dk, :dk].T - q[:dk, None]) * p[None, :dk])
+    full_w, full_wx = _block_diag(sigma_w), _block_diag(sigma_wx)
+    # a decision within rounding of RCOND_MIN may go either way: Weyl bounds
+    # the move of each singular value by the 2-norm of the perturbation
+    assume(abs(_rcond(full_w) - RCOND_MIN) > 1e-4 * RCOND_MIN)
+    if _near_singular(full_w):
+        expected = "sigma_w is numerically singular"
+    else:
+        attenuation = np.linalg.solve(full_w, full_wx)
+        per_block = _block_diag([np.linalg.solve(a, b) for a, b in zip(sigma_w, sigma_wx)])
+        s_max = np.linalg.norm(attenuation, 2)
+        rounding = np.linalg.norm(attenuation - per_block, 2) / s_max if s_max else 0.0
+        assume(abs(_rcond(attenuation) - RCOND_MIN) > 1e-4 * RCOND_MIN + 4 * rounding)
+        zero = [np.flatnonzero(observed_marginal(*c) <= 0) for c in covariates]
+        expected = "observed categories carry no information about the true ones" \
+            if _near_singular(attenuation) else next(
+                (f"observed category {at[0]} has zero marginal probability" for at in zero
+                 if at.size), None)
+    try:
+        blocks, _ = mechanism(CategoricalSpec(levels), thetas, ps)
+    except (NonIdentifiable, ZeroObservedMass) as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        np.testing.assert_array_equal(blocks.sigma_w, full_w)
+        np.testing.assert_array_equal(blocks.sigma_wx, full_wx)
+
+
+def test_every_theta_and_p_is_checked_before_a_singular_block_is_refused():
+    # covariate 0's sigma_w is 0; covariate 1's theta has a negative entry
+    singular = np.array([[1.0, 0.0], [1.0, 0.0]])
+    bad = np.array([[1.1, -0.1], [0.2, 0.8]])
+    with pytest.raises(ValidationError, match="theta has negative entries"):
+        mechanism(CategoricalSpec((2, 2)), [singular, bad], [U2, U2])
+    with pytest.raises(NonIdentifiable, match="sigma_w"):
+        mechanism(CategoricalSpec((2, 2)), [singular, LOW2], [U2, U2])
+    # with this p, q = (1, 0) but sigma_w rounds to -2e-16, which is regular
+    # alone: the zero observed mass is raised only once every block is judged
+    rounded = np.array([1, 1e-3]) / 1.001
+    with pytest.raises(ZeroObservedMass):
+        mechanism(CategoricalSpec((2, 2)), [singular, singular], [rounded, rounded])
+    with pytest.raises(NonIdentifiable, match="sigma_w"):
+        mechanism(CategoricalSpec((2, 2)), [singular, LOW2], [rounded, U2])
+
+
+@pytest.mark.parametrize("levels", [(4,), (2, 3, 4), (3, 2, 4, 4, 2, 3, 3, 4, 2, 2)])
+def test_the_assembled_correction_is_the_inverse_of_the_full_attenuation(levels):
+    rng = np.random.default_rng(len(levels))
+    thetas = [scenario_theta("medium", lk) for lk in levels]
+    ps = [rng.dirichlet(np.full(lk, 2.0)) for lk in levels]
+    blocks = build_moment_blocks(CategoricalSpec(levels), thetas, ps)
+    expected = np.linalg.inv(np.linalg.solve(blocks.sigma_w, blocks.sigma_wx))
+    if len(levels) == 1:
+        np.testing.assert_array_equal(blocks.correction, expected)
+    else:
+        assert np.abs(blocks.correction - expected).max() <= 1e-13 * np.abs(expected).max()
+    np.testing.assert_array_equal(blocks.z_star[1:, 1:], blocks.correction)

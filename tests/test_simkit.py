@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from miscorr import simkit
+from miscorr import moments, simkit
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.errors import (
     InsufficientRows,
@@ -234,24 +234,24 @@ def test_run_grid_counts_grids_no_larger_than_the_design_as_failures(levels, n_g
 
 
 @pytest.mark.parametrize("curve", [False, True])
-def test_the_mechanism_is_built_once_per_level_structure(monkeypatch, curve):
+def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monkeypatch, curve):
     cfg = ScenarioConfig(
         distortion="medium", n_covariates=2 if curve else 3, levels=None,
         n_grid=(60, 200) if curve else (8, 50), sigma_list=(0.2, 1.0), replicates=24,
         master_seed=7,
     )
     built = []
-    mechanism = simkit.mechanism
+    covariate = moments._covariate
 
-    def counted(spec, thetas, ps):
-        built.append(spec.levels)
-        return mechanism(spec, thetas, ps)
+    def counted(k, lk, theta, p):
+        built.append(lk)
+        return covariate(k, lk, theta, p)
 
-    monkeypatch.setattr(simkit, "mechanism", counted)
+    monkeypatch.setattr(moments, "_covariate", counted)
     intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
     structures = {replicate_structure(cfg, rep)[0].levels for rep in range(cfg.replicates)}
-    assert sorted(built) == sorted(structures)
-    assert len(structures) < cfg.replicates
+    assert sorted(built) == sorted({lk for levels in structures for lk in levels})
+    assert len(built) <= 3 < len(structures)
 
 
 def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():

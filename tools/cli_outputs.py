@@ -29,9 +29,10 @@ four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
 ``fit --estimate-p`` on a high-distortion sample whose estimated p has
-zeros; two sigmas that share a file label; an unknown scenario from a flag
-and from a config file; and a variance curve whose first prefix is rank
-deficient.  They are recorded,
+zeros, and ``fit`` on it with a p file that has a zero; two sigmas that
+share a file label; an unknown scenario from a flag and from a config
+file; and a variance curve whose first prefix is rank deficient.  They are
+recorded,
 not required to fail, so that ``diff -r`` shows every changed error.
 
 Beside each command's directory, ``NAME.status.jsonl`` holds its exit
@@ -133,7 +134,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
     files = {
         "theta.csv": "\n".join(",".join(f"{v:.17g}" for v in row) for row in theta),
         "p.csv": "0.25,0.25,0.25,0.25", "p_2x2.csv": "0.25,0.25\n0.25,0.25",
-        "p_3.csv": "0.2,0.3,0.5", "truth.csv": "0.5,0.7,0.9,1.1",
+        "p_3.csv": "0.2,0.3,0.5", "p_zero.csv": "0,0.5,0.1,0.4", "truth.csv": "0.5,0.7,0.9,1.1",
         "truth_2x2.csv": "0.5,0.7\n0.9,1.1", "truth_3.csv": "0.5,0.7,0.9",
         "empty.csv": None, "scenario.json": '{"scenario": "extreme"}',
     }
@@ -169,6 +170,9 @@ def refusals(out: Path) -> dict[str, list[str]]:
         **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
         "refused_p_boundary": ["fit", "--data", str(inputs / "data_boundary.csv"),
                                "--theta", str(inputs / "theta_high.csv"), "--estimate-p"],
+        "refused_p_file_zero": ["fit", "--data", str(inputs / "data_boundary.csv"),
+                                "--theta", str(inputs / "theta_high.csv"),
+                                "--p", str(inputs / "p_zero.csv")],
         "refused_sigma_labels": ["simulate", "--scenario", "low", "--levels", "3",
                                  "--n-grid", "50", "--replicates", "2",
                                  "--sigmas", "12.345671,12.345672", "--dump-data"],
