@@ -165,45 +165,59 @@ class PrefixFits:
 
 
 def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
-                 pi_rows: np.ndarray, blocks: MomentBlocks, inverse: np.ndarray) -> PrefixFits:
+                 pi_rows: np.ndarray, blocks: Sequence[MomentBlocks],
+                 inverse: np.ndarray) -> list[PrefixFits]:
     """``ols_fit`` then ``correct`` on the first n rows, for every n in
-    ``ns`` and every column of ``ys`` at once.
+    ``ns`` and every column of ``ys`` at once, over a stack of designs of
+    one shape; returns one PrefixFits per design, in stack order.
 
-    Rows of ``design_star`` and ``pi_rows`` are cells; row i of ``ys`` lies
-    in cell inverse[i] (np.arange for one cell per row).  Each prefix's cell counts and
-    sums are one bincount per interval between the sorted cut points,
-    summed up to each cut; all prefixes are QR-factored in one stacked call
-    whose factors every response column shares.  Each fit equals the
-    one-design path to rounding (about 1e-15 relative), not bit for bit.
+    Every array has a leading design axis and ``blocks`` holds one
+    MomentBlocks per design; one design is a stack of one.  Rows of
+    ``design_star[j]`` and ``pi_rows[j]`` are cells; row i of ``ys[j]``
+    lies in cell ``inverse[j, i]`` (np.arange for one cell per row).  One
+    bincount gives the counts of every (design, interval between sorted cut
+    points, cell), one more the sums of every response column, adding each
+    bin's rows in row order; both are summed up to each cut.  One stacked
+    QR factors every prefix of every design, and one matmul applies the
+    stacked C's.  LAPACK works matrix by matrix, so each design's fits are
+    bit for bit those it gets alone; they equal the one-design path to
+    rounding (about 1e-15 relative), not bit for bit.
     """
     design_star = np.asarray(design_star, dtype=float)
     ys = np.asarray(ys, dtype=float)
     ns = np.asarray(ns, dtype=int)
-    rows = len(ys)
+    if ys.ndim != 3 or design_star.ndim != 3:
+        raise ValidationError(f"need stacks of designs and responses, got shapes "
+                              f"{design_star.shape} and {ys.shape}")
+    stack, rows, columns = ys.shape
     if ns.ndim != 1 or not ns.size or ns.min() < 1 or ns.max() > rows:
         raise ValidationError(f"prefix sizes must lie in 1..{rows}, got {ns.tolist()}")
     inverse = np.asarray(inverse)
-    if ys.ndim != 2 or len(inverse) != rows:
-        raise ValidationError(f"need one cell index per response row, got {len(inverse)} "
+    if inverse.shape != ys.shape[:2]:
+        raise ValidationError(f"need one cell index per response row, got {inverse.shape} "
                               f"for responses of shape {ys.shape}")
     cuts = np.unique(ns)
-    cells = len(design_star)
-    # row i < cuts[-1] lies in interval k when cuts[k-1] <= i < cuts[k]
+    cells = design_star.shape[1]
+    bins = stack * len(cuts) * cells
+    # row i < cuts[-1] of design j lies in interval k when cuts[k-1] <= i < cuts[k]
     key = np.searchsorted(cuts, np.arange(cuts[-1]), side="right") * cells
-    key += inverse[: cuts[-1]]
+    key = key + inverse[:, : cuts[-1]] + (np.arange(stack) * len(cuts) * cells)[:, None]
+    at = np.searchsorted(cuts, ns)
 
-    def per_prefix(weights=None):
-        total = np.bincount(key, weights, minlength=len(cuts) * cells)
-        return total.reshape(len(cuts), cells).cumsum(axis=0)[np.searchsorted(cuts, ns)]
+    def per_prefix(total, *trailing):
+        return total.reshape(stack, len(cuts), cells, *trailing).cumsum(axis=1)[:, at]
 
-    counts = per_prefix()
-    sums = np.stack([per_prefix(col) for col in ys[: cuts[-1]].T], axis=-1)
-    r_mat, gamma, refused = _solve_cells(design_star, counts, sums, ns)
-    beta_c = gamma[..., 1:] @ blocks.correction.T
+    counts = per_prefix(np.bincount(key.ravel(), minlength=bins))
+    sums = per_prefix(np.bincount((key[..., None] * columns + np.arange(columns)).ravel(),
+                                  ys[:, : cuts[-1]].ravel(), minlength=bins * columns), columns)
+    r_mat, gamma, refused = _solve_cells(design_star[:, None], counts, sums, ns)
+    corrections = np.stack([b.correction for b in blocks])
+    beta_c = gamma[..., 1:] @ np.swapaxes(corrections, -1, -2)[:, None]
     pi_rows = np.asarray(pi_rows, dtype=float)
-    sum_beta = np.einsum("kd,ksd->ks", counts @ pi_rows, beta_c)
-    beta0_c = (sums.sum(axis=1) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
-    return PrefixFits(refused, gamma, beta_c, beta0_c, counts, r_mat, pi_rows, blocks)
+    sum_beta = np.einsum("jkd,jksd->jks", counts @ pi_rows, beta_c)
+    beta0_c = (sums.sum(axis=2) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
+    return [PrefixFits(*fit) for fit in zip(refused, gamma, beta_c, beta0_c, counts, r_mat,
+                                             pi_rows, blocks)]
 
 
 def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, ps: Sequence,

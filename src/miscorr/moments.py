@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .categorical import CategoricalSpec
-from .errors import NonIdentifiable, ValidationError, ZeroObservedMass
+from .errors import NonIdentifiable, ValidationError
 from .misclass import _posterior, _rcond_below, check_marginal, check_theta, observed_marginal
 
 
@@ -55,8 +55,9 @@ def _covariate(k: int, lk: int, theta, p):
     the mechanism: sigma_w and sigma_wx blocks, singular values of sigma_w
     and of the attenuation, correction block and posterior.  Past the checks
     it never raises: what a block singular on its own would give is None,
-    and a zero observed mass takes the posterior's place, for ``mechanism``
-    to raise once every covariate is checked."""
+    for ``mechanism`` to raise once every covariate is checked.  det sigma_w
+    is the product of q, so a zero observed mass makes sigma_w singular,
+    and its singular values are taken as 0, whatever rounding leaves."""
     theta = check_theta(theta)
     p = check_marginal(p)
     if theta.shape[0] != lk or len(p) != lk:
@@ -66,17 +67,14 @@ def _covariate(k: int, lk: int, theta, p):
     sigma_w = np.diag(q[:dk]) - np.outer(q[:dk], q[:dk])
     # rows indexed by observed level, columns by true level
     sigma_wx = (theta[:dk, :dk].T - q[:dk, None]) * p[None, :dk]
-    s_w = np.linalg.svd(sigma_w, compute_uv=False)
+    s_w = np.linalg.svd(sigma_w, compute_uv=False) if (q > 0).all() else np.zeros(dk)
     s_attenuation = correction = posterior = None
     if not _rcond_below(s_w):
         attenuation = np.linalg.solve(sigma_w, sigma_wx)
         s_attenuation = np.linalg.svd(attenuation, compute_uv=False)
         if not _rcond_below(s_attenuation):
             correction = np.linalg.inv(attenuation)
-            try:
-                posterior = _posterior(theta, p)
-            except ZeroObservedMass as exc:  # sigma_w rounded off 0
-                posterior = exc
+            posterior = _posterior(theta, p)
     return sigma_w, sigma_wx, s_w, s_attenuation, correction, posterior
 
 
@@ -85,10 +83,9 @@ def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict
     slopes, and the posteriors, for the intercept.  Each theta and p is
     checked once, theta then p, covariate by covariate, each sized to its
     L_k.  Then sigma_w, then the attenuation, is judged singular from the
-    covariates' singular values, a zero observed mass is raised, and the
-    blocks are placed on the diagonal.  ``built`` maps L_k to a covariate's
-    part already built, for a caller whose theta and p are fixed by L_k;
-    parts built here join it."""
+    covariates' singular values, and the blocks are placed on the diagonal.
+    ``built`` maps L_k to a covariate's part already built, for a caller
+    whose theta and p are fixed by L_k; parts built here join it."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
     memo, keys = ({}, range(spec.n_covariates)) if built is None else (built, spec.levels)
@@ -104,8 +101,6 @@ def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict
         raise NonIdentifiable(
             "observed categories carry no information about the true ones"
         )
-    if zero := [post for post in posteriors if isinstance(post, ZeroObservedMass)]:
-        raise zero[0]
     d = spec.n_slopes
     blocks = MomentBlocks(
         sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),

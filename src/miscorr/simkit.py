@@ -5,8 +5,9 @@ Replicate streams are derived by counter from (master_seed, stream tag,
 replicate id), so results are bitwise reproducible regardless of execution
 order.  Within a replicate, designs are generated once at the largest
 sample size and truncated, so smaller samples are exact prefixes of larger
-ones, and one stacked fit over the replicate's occupied cells covers every
-(n, sigma) cell of the grid.
+ones.  Replicates that share a design shape are fitted in one stacked
+call, which covers every (n, sigma) cell of each of them and gives each
+the fits it would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _STREAM_STRUCTURE = 1
 _STREAM_X = 2
 _STREAM_W = 3
 _STREAM_Y = 4
+
+# float64 elements of the stacked QR input that _replicate_fits holds before
+# it fits: the bench grid's 24 replicates (K=3, random levels) take about 165k
+QR_STACK_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -212,16 +217,43 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     which hold the blocks and the cells' posterior rows.  Each covariate's
     part of the mechanism is built once per L_k, since the config fixes
     theta and p for each L_k; each replicate assembles its own structure's
-    and takes the posterior rows of its own cells."""
-    built = {}
+    and takes the posterior rows of its own cells.
+
+    Replicates are drawn one at a time and held until the next would take
+    the QR stack of the held ones past QR_STACK_BUDGET elements; a batch
+    holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
+    per design shape (occupied cells, columns)."""
+    built, held, size = {}, [], 0
     for replicate_id in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
         cells = encode_cells(spec, w)
         blocks, posteriors = mechanism(spec, thetas, ps, built)
         pi = posterior_rows(posteriors, cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
-        fits = fit_prefixes(cells.design_star, ys, config.n_grid, pi, blocks, cells.inverse)
-        yield spec, cells, posteriors, fits
+        rows, m = cells.design_star.shape
+        elements = len(config.n_grid) * max(rows, m) * m  # of the (prefix, row, column) stack
+        if held and size + elements > QR_STACK_BUDGET:
+            yield from _fit_batch(config.n_grid, held)
+            held, size = [], 0
+        held.append((spec, cells, posteriors, blocks, pi, ys))
+        size += elements
+    yield from _fit_batch(config.n_grid, held)
+
+
+def _fit_batch(ns, held):
+    """Fit the held replicates, one ``fit_prefixes`` call per design shape,
+    and yield (spec, cells, posteriors, PrefixFits) in the held order."""
+    shapes, fits = {}, [None] * len(held)
+    for i, rep in enumerate(held):
+        shapes.setdefault(rep[1].design_star.shape, []).append(i)
+    for group in shapes.values():
+        _, cells, _, blocks, pi, ys = zip(*(held[i] for i in group))
+        stacked = fit_prefixes(np.stack([c.design_star for c in cells]), np.stack(ys), ns,
+                               np.stack(pi), blocks, np.stack([c.inverse for c in cells]))
+        for i, fit in zip(group, stacked):
+            fits[i] = fit
+    for (spec, cells, posteriors, *_), fit in zip(held, fits):
+        yield spec, cells, posteriors, fit
 
 
 def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
@@ -313,8 +345,9 @@ class EqpTable:
 def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
     """Full factorial over n_grid x sigma_list x methods, aggregated over
     replicates in fixed replicate order.  ``threads`` is accepted and has no
-    effect: replicates run one after another, because each is a few
-    milliseconds of small numpy calls and a thread pool made runs slower."""
+    effect: replicates are drawn one after another and fitted in same-shape
+    stacks, because each is a few milliseconds of small numpy calls and a
+    thread pool made runs slower."""
     eqps, refused = [], []
     for spec, _, _, fits in _replicate_fits(config, config.sigma_list):
         estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)

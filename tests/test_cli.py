@@ -136,6 +136,20 @@ def test_a_zero_in_a_p_file_is_named_with_its_file(tmp_path, capsys, p, level):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("p", ["0.99900099900099915,0.00099900099900099922", "0.5,0.5"])
+def test_a_theta_that_never_observes_a_level_is_refused_alike_under_any_p(tmp_path, capsys, p):
+    # q = (1, 0) under both p; under the first, sigma_w rounds to -2e-16, not 0
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2)
+    _write_theta(theta_path, [[1.0, 0.0], [1.0, 0.0]])
+    p_path.write_text(p + "\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path),
+                 "--p", str(p_path), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NON_IDENTIFIABLE", "message": "sigma_w is numerically singular"}
+    assert not out.exists()
+
+
 def test_fit_missing_theta_exits_2(tmp_path, capsys):
     data, _, p_path = _make_binary_fixture(tmp_path, np.eye(2))
     rc = main(["fit", "--data", str(data), "--p", str(p_path),

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from miscorr.estimators import NaiveFit, correct, fit_corrected, fit_prefixes, o
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import build_moment_blocks
 from miscorr.simkit import (
-    ScenarioConfig, TruthSpec, intercept_variance_curve, simulate_w, simulate_x, simulate_y
+    ScenarioConfig, TruthSpec, intercept_variance_curve, replicate_designs, simulate_w,
+    simulate_x, simulate_y
 )
 
 LOW2 = scenario_theta("low", 2)
@@ -179,7 +182,8 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
     the prefixes ols_fit raises on and agrees with ols_fit -> correct on the
     others; returns the refused n."""
     if fits is None:
-        fits = fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
+        [fits] = fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
+                              np.arange(len(ys))[None])
     refused = set()
     for k, n in enumerate(ns):
         for s in range(ys.shape[1]):
@@ -223,10 +227,29 @@ def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.linalg.qr(design_star[:9])[1], np.ones(5))
     assert _assert_matches_one_design_path(design_star, ys, ns, pi, blocks) == {9}
-    fits = fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
+    [fits] = fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
+                          np.arange(len(ys))[None])
     assert np.isfinite(fits.beta0_c[[0, 2]]).all()
     uncorrelated = var_beta0_c_uncorrelated(fits, design_star, np.ones(3))
     assert np.isnan(uncorrelated[1]) and np.isfinite(uncorrelated[[0, 2]]).all()
+
+
+def test_a_prefix_singular_in_one_design_of_a_stack_is_refused_there_only():
+    rng = np.random.default_rng(32)
+    ws = [np.column_stack([rng.integers(0, 3, 60), rng.integers(0, 2, 60),
+                           rng.integers(0, 2, 60)]) for _ in range(3)]
+    ws[1][:9, 0] = 2  # an exactly zero column on design 1's first 9 rows
+    cases = [_prefix_case(w) for w in ws]
+    design_star, ys, pi, blocks = zip(*cases)
+    ns = (30, 9, 60)
+    stacked = fit_prefixes(np.stack(design_star), np.stack(ys), ns, np.stack(pi), blocks,
+                           np.tile(np.arange(60), (3, 1)))
+    assert [fits.refused.tolist() for fits in stacked] == [
+        [False, False, False], [False, True, False], [False, False, False]]
+    for case, fits in zip(cases, stacked):
+        assert _assert_matches_one_design_path(*case[:2], ns, *case[2:], fits) == (
+            {9} if fits.refused.any() else set())
+        assert np.isfinite(fits.beta_full[~fits.refused]).all()
 
 
 def test_fit_prefixes_refuses_no_more_rows_than_columns():
@@ -252,7 +275,8 @@ def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
     design_star, ys, pi, blocks = _prefix_case(np.zeros((10, 3), dtype=int) + [0, 1, 0])
     for ns in ((0, 5), (5, 11), ()):
         with pytest.raises(ValidationError):
-            fit_prefixes(design_star, ys, ns, pi, blocks, np.arange(len(ys)))
+            fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
+                         np.arange(len(ys))[None])
 
 
 def _random_table(k, n, seed):
@@ -289,7 +313,8 @@ def test_cell_path_matches_the_encoded_design(k):
         )
 
     def uncorrelated(design, pi_rows, inverse):  # of the one prefix of all 500 rows
-        fits = fit_prefixes(design, y[:, None], [500], pi_rows, blocks, inverse)
+        [fits] = fit_prefixes(design[None], y[None, :, None], [500], pi_rows[None], [blocks],
+                              inverse[None])
         return var_beta0_c_uncorrelated(fits, design, [0.3])[0]
 
     assert uncorrelated(cells.design_star, fit.pi_rows, cells.inverse) == pytest.approx(
@@ -319,13 +344,16 @@ def test_one_factorisation_serves_the_fit_its_bias_and_its_variance(monkeypatch)
     assert len(calls) == 1
 
 
-def test_one_factorisation_per_replicate_for_the_variance_curve(monkeypatch):
-    # every n-prefix of a replicate is factored in the one stacked call
+def test_one_factorisation_per_design_shape_for_the_variance_curve(monkeypatch):
+    # every n-prefix of every replicate of one shape is factored in one
+    # stacked call; these 4 replicates fit in one batch and share a shape
     config = ScenarioConfig(distortion="medium", n_covariates=2, levels=(3, 2),
                             n_grid=(40, 100, 300), replicates=4, master_seed=5)
+    shapes = {encode_cells(spec, w).design_star.shape
+              for spec, _, _, _, w in map(partial(replicate_designs, config), range(4))}
     calls = _count_qr(monkeypatch)
     intercept_variance_curve(config, 0.5)
-    assert len(calls) == config.replicates
+    assert len(calls) == len(shapes) == 1
 
 
 @pytest.mark.parametrize("rows", [8, 12])
@@ -366,7 +394,8 @@ def test_fit_prefixes_over_cells_refuses_what_ols_fit_refuses(collinear):
     cells = encode_cells(CategoricalSpec((3, 2, 2)), w)
     ns = (3, 5, 6, 10, 12, 13, 25, 26, 40, 80)
     pi_cells = pi[np.argmax(cells.inverse[:, None] == np.arange(len(cells.counts)), axis=0)]
-    fits = fit_prefixes(cells.design_star, ys, ns, pi_cells, blocks, cells.inverse)
+    [fits] = fit_prefixes(cells.design_star[None], ys[None], ns, pi_cells[None], [blocks],
+                          cells.inverse[None])
     refused = _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits)
     assert {3, 5} <= refused and 80 not in refused
     counts = np.array([np.bincount(cells.inverse[:n], minlength=len(cells.counts)) for n in ns])

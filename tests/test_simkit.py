@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from miscorr.errors import (
     ValidationError,
 )
 from miscorr.estimators import fit_corrected
-from miscorr.misclass import scenario_theta
+from miscorr.misclass import posterior_rows, scenario_theta
 from miscorr.simkit import (
     METHODS,
     EqpRecord,
@@ -276,6 +277,38 @@ def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():
                 assert r.eqp == np.mean(vals)
                 assert r.mcse == np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert 0 < table.records[0].failures < cfg.replicates
+
+
+def test_stacked_fits_are_bit_for_bit_the_fits_of_each_replicate_alone(monkeypatch):
+    # a small budget splits the run into batches of a few replicates, and
+    # random levels give each batch several design shapes
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=3, levels=None,
+        n_grid=(8, 12, 50, 200), sigma_list=(0.2, 1.0), replicates=16, master_seed=21,
+    )
+    batches, stacks = [], []
+    fit_batch, fit_prefixes = simkit._fit_batch, simkit.fit_prefixes
+    monkeypatch.setattr(simkit, "QR_STACK_BUDGET", 6000)
+    monkeypatch.setattr(simkit, "_fit_batch",
+                        lambda ns, held: batches.append(len(held)) or fit_batch(ns, held))
+    monkeypatch.setattr(simkit, "fit_prefixes",
+                        lambda *args: stacks.append(len(args[0])) or fit_prefixes(*args))
+    for rep, (spec, cells, posteriors, fits) in enumerate(
+            simkit._replicate_fits(cfg, cfg.sigma_list)):
+        _, thetas, ps, x, _ = replicate_designs(cfg, rep)
+        ys = simkit.replicate_responses(cfg, rep, spec, x, cfg.sigma_list)
+        [alone] = fit_prefixes(cells.design_star[None], ys[None], cfg.n_grid,
+                               posterior_rows(posteriors, cells.categories)[None],
+                               [moments.mechanism(spec, thetas, ps)[0]], cells.inverse[None])
+        for field in dataclasses.fields(fits):
+            if field.name != "blocks":
+                np.testing.assert_array_equal(getattr(fits, field.name),
+                                              getattr(alone, field.name), strict=True)
+        for field in dataclasses.fields(fits.blocks):
+            np.testing.assert_array_equal(getattr(fits.blocks, field.name),
+                                          getattr(alone.blocks, field.name), strict=True)
+    assert rep + 1 == sum(batches) == cfg.replicates
+    assert len(batches) > 2 and max(stacks) > 1 and len(stacks) > len(batches)
 
 
 def test_intercept_variance_curve_needs_two_replicates():

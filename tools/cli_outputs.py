@@ -20,20 +20,23 @@ the plain ``fit``'s; the benchmark's ``simulate`` grid with
 at K=2 with random levels, whose 40 replicates have 8 level structures;
 ``simulate`` under high distortion with the default random levels, once
 from flags and once from a ``--config`` file whose seed a flag overrides;
-and ``simulate`` at K=10 with random levels, where most replicates have a
-level structure of their own and many small n are refused.  Each of these
-must succeed, or the script fails.
+``simulate`` at K=10 with random levels, where most replicates have a
+level structure of their own and many small n are refused; and
+``simulate`` at the CLI defaults (300 replicates, n = 50..500 by 25) with
+K=3 and random levels, whose replicates are fitted in several batches.
+Each of these must succeed, or the script fails.
 
 The refusals are commands whose inputs a command should refuse: on a
 four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
 ``fit --estimate-p`` on a high-distortion sample whose estimated p has
-zeros, and ``fit`` on it with a p file that has a zero; two sigmas that
-share a file label; an unknown scenario from a flag and from a config
-file; and a variance curve whose first prefix is rank deficient.  They are
-recorded,
-not required to fail, so that ``diff -r`` shows every changed error.
+zeros, and ``fit`` on it with a p file that has a zero; ``fit`` with a
+theta that never observes a level, under a p for which sigma_w rounds to
+-2e-16 instead of 0; two sigmas that share a file label; an unknown
+scenario from a flag and from a config file; and a variance curve whose
+first prefix is rank deficient.  They are recorded, not required to fail,
+so that ``diff -r`` shows every changed error.
 
 Beside each command's directory, ``NAME.status.jsonl`` holds its exit
 status as ``{"exit": N}`` and then its stderr lines, with OUT written as
@@ -121,6 +124,8 @@ def commands(out: Path) -> dict[str, list[str]]:
         "simulate_k10_random": ["simulate", "--scenario", "medium", "--k", "10",
                                 "--levels", "random", "--n-grid", "12,17,20,25,30,40,80,160",
                                 "--replicates", "30", "--seed", "3"],
+        "simulate_k3_random": ["simulate", "--scenario", "medium", "--k", "3",
+                               "--levels", "random"],
     }
 
 
@@ -144,6 +149,11 @@ def refusals(out: Path) -> dict[str, list[str]]:
     header, first, rest = files["data.csv"].split("\n", 2)
     for cell in BIG_CELLS:
         files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
+    rows = zip(rng.standard_normal(40), rng.integers(0, 2, 40))
+    files["data_binary.csv"] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
+    # under this theta level 1 is never observed; this p rounds sigma_w to -2e-16
+    files["theta_never.csv"] = "1,0\n1,0"
+    files["p_never.csv"] = "0.99900099900099915,0.00099900099900099922"
     # high theta, p = (.1, .2, .3, .4), 3000 rows: the estimated p is (0, 0.53, 0, 0.47)
     high = scenario_theta("high", 4)
     boundary = np.random.default_rng(7)
@@ -173,6 +183,9 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_p_file_zero": ["fit", "--data", str(inputs / "data_boundary.csv"),
                                 "--theta", str(inputs / "theta_high.csv"),
                                 "--p", str(inputs / "p_zero.csv")],
+        "refused_never_observed": ["fit", "--data", str(inputs / "data_binary.csv"),
+                                   "--theta", str(inputs / "theta_never.csv"),
+                                   "--p", str(inputs / "p_never.csv")],
         "refused_sigma_labels": ["simulate", "--scenario", "low", "--levels", "3",
                                  "--n-grid", "50", "--replicates", "2",
                                  "--sigmas", "12.345671,12.345672", "--dump-data"],
