@@ -196,6 +196,11 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     if inverse.shape != ys.shape[:2]:
         raise ValidationError(f"need one cell index per response row, got {inverse.shape} "
                               f"for responses of shape {ys.shape}")
+    pi_rows = np.asarray(pi_rows, dtype=float)
+    if not len(design_star) == len(pi_rows) == len(blocks) == stack:
+        raise ValidationError(f"need one design, posterior table and MomentBlocks per response "
+                              f"stack of {stack}, got {len(design_star)}, {len(pi_rows)} and "
+                              f"{len(blocks)}")
     cuts = np.unique(ns)
     cells = design_star.shape[1]
     bins = stack * len(cuts) * cells
@@ -213,7 +218,6 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     r_mat, gamma, refused = _solve_cells(design_star[:, None], counts, sums, ns)
     corrections = np.stack([b.correction for b in blocks])
     beta_c = gamma[..., 1:] @ np.swapaxes(corrections, -1, -2)[:, None]
-    pi_rows = np.asarray(pi_rows, dtype=float)
     sum_beta = np.einsum("jkd,jksd->jks", counts @ pi_rows, beta_c)
     beta0_c = (sums.sum(axis=2) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
     return [PrefixFits(*fit) for fit in zip(refused, gamma, beta_c, beta0_c, counts, r_mat,

@@ -33,8 +33,9 @@ _STREAM_X = 2
 _STREAM_W = 3
 _STREAM_Y = 4
 
-# float64 elements of the stacked QR input that _replicate_fits holds before
-# it fits: the bench grid's 24 replicates (K=3, random levels) take about 165k
+# float64-sized elements that _replicate_fits holds before it fits: each
+# replicate's QR stack plus its rows (responses and cell index).  The bench
+# grid's 24 replicates (K=3, random levels, n_gen 500) take about 225k
 QR_STACK_BUDGET = 2**18
 
 
@@ -220,7 +221,7 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     and takes the posterior rows of its own cells.
 
     Replicates are drawn one at a time and held until the next would take
-    the QR stack of the held ones past QR_STACK_BUDGET elements; a batch
+    the held QR stacks and rows past QR_STACK_BUDGET elements; a batch
     holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
     per design shape (occupied cells, columns)."""
     built, held, size = {}, [], 0
@@ -231,7 +232,8 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
         pi = posterior_rows(posteriors, cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
         rows, m = cells.design_star.shape
-        elements = len(config.n_grid) * max(rows, m) * m  # of the (prefix, row, column) stack
+        # the (prefix, row, column) QR stack, then the responses and the cell index
+        elements = len(config.n_grid) * max(rows, m) * m + ys.size + cells.inverse.size
         if held and size + elements > QR_STACK_BUDGET:
             yield from _fit_batch(config.n_grid, held)
             held, size = [], 0

@@ -279,6 +279,17 @@ def test_fit_prefixes_rejects_prefix_sizes_outside_the_design():
                          np.arange(len(ys))[None])
 
 
+def test_fit_prefixes_needs_one_design_posterior_table_and_blocks_per_stacked_response():
+    cases = [_prefix_case(np.random.default_rng(33).integers(0, 2, (10, 3))) for _ in range(3)]
+    design_star, ys, pi, blocks = zip(*cases)
+    design_star, ys, pi = np.stack(design_star), np.stack(ys), np.stack(pi)
+    inverse = np.tile(np.arange(10), (3, 1))
+    assert len(fit_prefixes(design_star, ys, (5, 10), pi, blocks, inverse)) == 3
+    for bad in ((design_star, pi, blocks[:1]), (design_star, pi[:2], blocks),
+                (design_star[:1], pi, blocks)):
+        with pytest.raises(ValidationError):
+            fit_prefixes(bad[0], ys, (5, 10), bad[1], bad[2], inverse)
+
 def _random_table(k, n, seed):
     rng = np.random.default_rng(seed)
     spec = CategoricalSpec(tuple(rng.integers(2, 5, k)))

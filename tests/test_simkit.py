@@ -311,6 +311,20 @@ def test_stacked_fits_are_bit_for_bit_the_fits_of_each_replicate_alone(monkeypat
     assert len(batches) > 2 and max(stacks) > 1 and len(stacks) > len(batches)
 
 
+def test_a_large_n_grid_splits_into_batches_that_hold_their_rows_within_the_budget(monkeypatch):
+    # K=1 has a tiny QR stack, so the held responses and cell indices are
+    # what the budget must bound
+    cfg = ScenarioConfig(
+        distortion="medium", n_covariates=1, levels=(2,), n_grid=(40_000,),
+        sigma_list=(0.2, 1.0), replicates=5, master_seed=4,
+    )
+    batches = []
+    fit_batch = simkit._fit_batch
+    monkeypatch.setattr(simkit, "_fit_batch", lambda ns, held: batches.append(
+        sum(ys.size + cells.inverse.size for _, cells, *_, ys in held)) or fit_batch(ns, held))
+    assert len(list(simkit._replicate_fits(cfg, cfg.sigma_list))) == cfg.replicates
+    assert len(batches) == 3 and max(batches) <= simkit.QR_STACK_BUDGET
+
 def test_intercept_variance_curve_needs_two_replicates():
     cfg = ScenarioConfig(
         distortion="low", levels=(2,), n_grid=(50,), sigma_list=(0.2,), replicates=1,
