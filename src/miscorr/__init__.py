@@ -30,7 +30,7 @@ from .misclass import (
     posterior_rows,
     scenario_theta,
 )
-from .moments import MomentBlocks, build_moment_blocks
+from .moments import MomentBlocks
 from .simkit import (
     EqpTable,
     ScenarioConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "ScenarioConfig",
     "TruthSpec",
     "VarianceReport",
-    "build_moment_blocks",
     "conditional_bias",
     "encode_dummy",
     "eqp",

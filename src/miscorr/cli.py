@@ -2,7 +2,7 @@
 
 All tabular IO is CSV, configuration is JSON (``--config`` file plus flag
 overrides), charts are generated SVG.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure.
+error, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .categorical import CategoricalSpec, ObservedDataset, encode_cells, validate_dataset
+from .categorical import CategoricalSpec, ObservedDataset, validate_dataset
 from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NonIdentifiable, NumericalError, ValidationError
@@ -376,16 +376,17 @@ def _echo_config(out: Path, resolved: dict) -> None:
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def _param_names(cells) -> list[str]:
-    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in cells.column_map)]
+def _param_names(fit) -> list[str]:
+    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in fit.naive.column_map)]
 
 
 def _load_and_fit(args, truth_path: str | None = None):
     """The input boundary shared by fit and diagnose: read the dataset, its
     theta files and the truth file if given (one row of a parameter per
-    design column), validate, read the p files, then find the occupied cells
-    and correct.  A warning raised on the way (a renormalized theta or p) is
-    written to stderr as one JSON line, and returned."""
+    design column), validate, read the p files and refuse a p with a zero,
+    which leaves the correction unidentified, then fit and correct.  A
+    warning raised on the way (a renormalized theta or p) is written to
+    stderr as one JSON line, and returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data_path = _require(args, "data", "DATA_MISSING")
@@ -401,35 +402,30 @@ def _load_and_fit(args, truth_path: str | None = None):
         if report.errors:
             raise CliError("DATA_INVALID", "; ".join(report.errors))
         ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
-        cells = encode_cells(spec, w)
-        try:
-            fit = fit_corrected(spec, ds, thetas, ps, cells)
-        except NonIdentifiable as exc:  # a true level of p 0 makes its indicators collinear
-            whose = ([("the estimated p", f" (projection residual {res:.3g})")
-                      for res in p_residuals.values()] if p_residuals else
-                     [(f"the p in {path}", "") for path in _paths(args, "p", len(ps), "P_MISSING")])
-            zero = [(name, np.flatnonzero(p == 0), *who)
-                    for name, p, who in zip(names, ps, whose) if not p.all()]
-            if not zero:
-                raise
+        # a true level of p 0 makes its indicators collinear, whatever the data
+        whose = ([("the estimated p", f" (projection residual {res:.3g})")
+                  for res in p_residuals.values()] if p_residuals else
+                 [(f"the p in {path}", "") for path in _paths(args, "p", len(ps), "P_MISSING")])
+        if zero := [(name, np.flatnonzero(p == 0), *who)
+                    for name, p, who in zip(names, ps, whose) if not p.all()]:
             raise NonIdentifiable("; ".join(
                 f"column {name}: {who} is 0 at level{'s' * (len(at) > 1)} "
                 f"{', '.join(map(str, at))}{note}" for name, at, who, note in zero)
-                + ", so the correction is not identified" + "; give --p files" * bool(p_residuals)
-            ) from exc
+                + ", so the correction is not identified" + "; give --p files" * bool(p_residuals))
+        fit = fit_corrected(spec, ds, thetas, ps)
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):
         _emit("warning", getattr(note.category, "code", note.category.__name__), message)
-    return spec, ds, notes, p_residuals, cells, fit, truth
+    return spec, ds, notes, p_residuals, fit, truth
 
 
 def cmd_fit(args) -> int:
-    spec, ds, notes, p_residuals, cells, fit, _ = _load_and_fit(args)
+    spec, ds, notes, p_residuals, fit, _ = _load_and_fit(args)
     var = variance_report(fit, fit.naive.sigma2_w)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
     out = _out_dir(args)
-    rows = zip(_param_names(cells), fit.naive.gamma_star, fit.beta_full, var_diag)
+    rows = zip(_param_names(fit), fit.naive.gamma_star, fit.beta_full, var_diag)
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
@@ -479,7 +475,7 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
 def cmd_simulate(args) -> int:
     config = _scenario_config_from(args)
     threads = max(1, args.threads or 1)
-    table = run_grid(config, threads=threads)
+    table = run_grid(config)
     out = _out_dir(args)
     (out / "eqp.csv").write_text(table.to_csv())
     if args.dump_data:
@@ -513,14 +509,13 @@ def cmd_diagnose(args) -> int:
 
 
 def _cmd_diagnose_bias(args) -> int:
-    _, _, _, _, cells, fit, beta_star = _load_and_fit(
-        args, _require(args, "truth", "TRUTH_REQUIRED"))
-    bias = conditional_bias(fit, cells.design_star, beta_star)
+    _, _, _, _, fit, beta_star = _load_and_fit(args, _require(args, "truth", "TRUTH_REQUIRED"))
+    bias = conditional_bias(fit, beta_star)
     sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else args.plugin_sigma**2
     var = variance_report(fit, sigma2)
 
     out = _out_dir(args)
-    names = _param_names(cells)
+    names = _param_names(fit)
     rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
     _write_csv(out / "bias.csv", "parameter,bias", rows)
     rows = zip(names, np.diag(var.var_gamma_star), np.diag(var.var_beta_c_star))
@@ -622,6 +617,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
+        return 3
+    except MemoryError as exc:  # e.g. a grid too large to hold
+        _emit("error", "OUT_OF_MEMORY", str(exc))
         return 3
     except MiscorrError as exc:
         _emit_error(exc)

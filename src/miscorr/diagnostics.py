@@ -1,7 +1,7 @@
 """Closed-form conditional bias and variance of the corrected estimators,
 given the observed design, the error mechanism, and a supplied truth, all
-read from a fit: the R factor it kept, its cell counts, posterior rows and
-moment blocks.
+read from a fit: the design rows it was fitted on, their counts, the R
+factor it kept, posterior rows and moment blocks.
 """
 
 from __future__ import annotations
@@ -35,22 +35,20 @@ def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
     return r_inv @ r_inv.T
 
 
-def conditional_bias(fit: CorrectedFit, design_star: np.ndarray,
-                     beta_star_true: np.ndarray) -> BiasReport:
+def conditional_bias(fit: CorrectedFit, beta_star_true: np.ndarray) -> BiasReport:
     """Bias of (gamma0_hat, beta_c_hat) given the observed design:
     (Z (W*^T W*)^-1 W*^T pi* - I) beta*, with pi* the fit's posterior rows
     behind a column of ones.
 
     The intercept-correction bias is the derivation-consistent form
     B0 = pi_bar (beta - E[beta_c_hat | W]) with pi_bar = mean_i pi_(i).
-    ``design_star`` holds the rows ``fit`` was fitted on; row j stands for
-    fit.counts[j] identical observations.
+    Row j of fit.naive.design_star stands for fit.naive.counts[j] identical
+    observations.
     """
-    counts = fit.counts
+    design_star, counts = fit.naive.design_star, fit.naive.counts
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
-    design_t = np.asarray(design_star, dtype=float).T
-    transfer = fit.blocks.z_star @ _gram_inverse(fit.naive.r) @ (design_t * counts) @ pi_star
+    transfer = fit.blocks.z_star @ _gram_inverse(fit.naive.r) @ (design_star.T * counts) @ pi_star
     expected = transfer @ beta_star_true
     b_star = expected - beta_star_true
     pi_bar = counts @ pi_star[:, 1:] / counts.sum()  # on fit.pi_rows, matmul rounds otherwise
@@ -76,9 +74,9 @@ def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
     (W*^T W*)^-1.
     """
     xtx_inv = _gram_inverse(fit.naive.r)
-    n = fit.counts.sum()
+    n = fit.naive.counts.sum()
     z = fit.blocks.z_star
-    v_bar = fit.counts @ fit.pi_rows @ fit.blocks.correction / n  # C^T pi_bar
+    v_bar = fit.naive.counts @ fit.pi_rows @ fit.blocks.correction / n  # C^T pi_bar
     return VarianceReport(
         var_gamma_star=xtx_inv * sigma2,
         var_beta_c_star=sigma2 * (z @ xtx_inv @ z.T),
@@ -86,8 +84,7 @@ def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
     )
 
 
-def var_beta0_c_uncorrelated(fits: PrefixFits, design_star: np.ndarray,
-                             sigma2) -> np.ndarray:
+def var_beta0_c_uncorrelated(fits: PrefixFits, sigma2) -> np.ndarray:
     """Corrected-intercept variance summed over per-observation terms
     y_i - pi_(i) beta_c_hat as if they were uncorrelated, one value per
     prefix of ``fits`` with sigma2[k] the plug-in of prefix k (NaN where
@@ -99,10 +96,9 @@ def var_beta0_c_uncorrelated(fits: PrefixFits, design_star: np.ndarray,
     ``simkit.intercept_variance_curve`` measures.  With v_i = C^T pi_(i)
     and A as in ``variance_report``, term i is
     sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of
-    ``design_star``, the cells ``fits`` were fitted on, stands for
-    fits.counts[k, j] such terms.
+    fits.design_star stands for fits.counts[k, j] such terms.
     """
-    w_star = np.asarray(design_star, dtype=float)
+    w_star = fits.design_star
     v_rows = fits.pi_rows @ fits.blocks.correction
     out = np.full(len(fits.counts), np.nan)
     for k in np.flatnonzero(~fits.refused):

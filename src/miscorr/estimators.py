@@ -10,9 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .categorical import (
-    CategoricalSpec, Cells, ObservedDataset, encode_cells, require_fit_ready
-)
+from .categorical import CategoricalSpec, ObservedDataset, encode_cells, require_fit_ready
 from .errors import RankDeficient, ValidationError
 from .misclass import posterior_rows
 from .moments import MomentBlocks, mechanism
@@ -23,11 +21,17 @@ RANK_TOL = 1e-10
 @dataclass(frozen=True)
 class NaiveFit:
     """OLS result for the regression of y on the observed-category design.
-    ``r`` is the R factor of the fit's QR: R^T R = W*^T W*."""
+    ``r`` is the R factor of the fit's QR: R^T R = W*^T W*.  The fit holds
+    what it was fitted on: the rows of ``design_star``, each standing for
+    ``counts`` observations, and the ``column_map`` that names the columns
+    (None if none was given)."""
 
     gamma_star: np.ndarray
     sigma2_w: float
     r: np.ndarray
+    design_star: np.ndarray
+    counts: np.ndarray
+    column_map: dict | None
 
     @property
     def intercept(self) -> float:
@@ -44,9 +48,8 @@ class CorrectedFit:
 
     ``beta_c_star`` keeps the uncorrected intercept alongside the corrected
     slopes; the corrected intercept is exposed separately as ``beta0_c``.
-    ``pi_rows`` are the posterior rows of the fitted design's rows: one per
-    occupied cell when the fit ran on cells, which ``counts`` observations
-    fill.
+    ``pi_rows`` are the posterior rows of the naive fit's design rows: one
+    per occupied cell when the fit ran on cells.
     """
 
     naive: NaiveFit
@@ -54,7 +57,6 @@ class CorrectedFit:
     beta0_c: float
     blocks: MomentBlocks
     pi_rows: np.ndarray
-    counts: np.ndarray
 
     @property
     def beta_c_star(self) -> np.ndarray:
@@ -119,19 +121,21 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
         raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
     gamma = gamma[0]
     resid = y - (design_star @ gamma)[inverse]
-    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m), r=r_mat)
+    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m), r=r_mat,
+                    design_star=design_star, counts=counts, column_map=column_map)
 
 
-def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray, blocks: MomentBlocks,
-            counts: np.ndarray) -> CorrectedFit:
+def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray,
+            blocks: MomentBlocks) -> CorrectedFit:
     """Correct a naive fit: the slopes through the attenuation inverse,
     beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n, where
-    row j of ``pi_rows`` is the posterior row of counts[j] observations."""
+    row j of ``pi_rows`` is the posterior row of the naive.counts[j]
+    observations in design row j."""
     y = np.asarray(y, dtype=float).ravel()
-    pi_rows, counts = np.asarray(pi_rows, dtype=float), np.asarray(counts)
+    pi_rows = np.asarray(pi_rows, dtype=float)
     beta_c = blocks.correction @ naive.slopes
-    beta0_c = float((y.sum() - (counts @ pi_rows) @ beta_c) / len(y))
-    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows, counts)
+    beta0_c = float((y.sum() - (naive.counts @ pi_rows) @ beta_c) / len(y))
+    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,17 @@ class PrefixFits:
 
     Arrays are indexed [prefix, response column, parameter]; ``refused``
     marks the prefixes the rank guard turned down, whose estimates are NaN.
-    ``counts`` holds the rows of each prefix in each cell and ``r`` the R
-    factor of each prefix's fit; ``pi_rows`` (one per cell) and ``blocks``
-    are the mechanism every prefix's correction read.
+    ``design_star`` holds the cells every prefix was fitted on, ``counts``
+    the rows of each prefix in each cell and ``r`` the R factor of each
+    prefix's fit; ``pi_rows`` (one per cell) and ``blocks`` are the
+    mechanism every prefix's correction read.
     """
 
     refused: np.ndarray
     gamma_star: np.ndarray
     beta_c: np.ndarray
     beta0_c: np.ndarray
+    design_star: np.ndarray
     counts: np.ndarray
     r: np.ndarray
     pi_rows: np.ndarray
@@ -220,20 +226,17 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     beta_c = gamma[..., 1:] @ np.swapaxes(corrections, -1, -2)[:, None]
     sum_beta = np.einsum("jkd,jksd->jks", counts @ pi_rows, beta_c)
     beta0_c = (sums.sum(axis=2) - sum_beta) / ns[:, None]  # (sum y - sum pi_i beta_c) / n
-    return [PrefixFits(*fit) for fit in zip(refused, gamma, beta_c, beta0_c, counts, r_mat,
-                                             pi_rows, blocks)]
+    return [PrefixFits(*fit) for fit in zip(refused, gamma, beta_c, beta0_c, design_star,
+                                             counts, r_mat, pi_rows, blocks)]
 
 
-def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence, ps: Sequence,
-                  cells: Cells | None = None) -> CorrectedFit:
-    """Full pipeline over the occupied cells of ``ds.w`` (``cells``, if
-    already encoded): naive fit, moment blocks, posterior rows of the
-    cells, correction."""
+def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence,
+                  ps: Sequence) -> CorrectedFit:
+    """Full pipeline over the occupied cells of ``ds.w``: naive fit, moment
+    blocks, posterior rows of the cells, correction."""
     require_fit_ready(spec, ds)
-    if cells is None:
-        cells = encode_cells(spec, ds.w)
+    cells = encode_cells(spec, ds.w)
     naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
     blocks, posteriors = mechanism(spec, thetas, ps)
-    return correct(naive, ds.y, posterior_rows(posteriors, cells.categories), blocks,
-                   cells.counts)
+    return correct(naive, ds.y, posterior_rows(posteriors, cells.categories), blocks)
 

@@ -36,12 +36,6 @@ class MomentBlocks:
     z_star: np.ndarray
 
 
-def build_moment_blocks(spec: CategoricalSpec, thetas: Sequence, ps: Sequence) -> MomentBlocks:
-    """Assemble sigma_w, sigma_wx and the correction transform from one
-    (theta, p) pair per covariate."""
-    return mechanism(spec, thetas, ps)[0]
-
-
 def _block_diag(blocks, d: int) -> np.ndarray:
     out, off = np.zeros((d, d)), 0
     for block in blocks:

@@ -268,7 +268,7 @@ def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id:
     y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
     naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
     blocks, posteriors = mechanism(spec, thetas, ps)
-    fit = correct(naive, y, posterior_rows(posteriors, cells.categories), blocks, cells.counts)
+    fit = correct(naive, y, posterior_rows(posteriors, cells.categories), blocks)
     return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
 
@@ -306,7 +306,7 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
         sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
         plugins = [c @ sigma2 / n for n, c in zip(config.n_grid, fits.counts)]
-        theoreticals.append(var_beta0_c_uncorrelated(fits, cells.design_star, plugins))
+        theoreticals.append(var_beta0_c_uncorrelated(fits, plugins))
     return [
         InterceptVariancePoint(n, float(np.mean(th)), float(np.var(b0, ddof=1)))
         for n, th, b0 in zip(config.n_grid, np.transpose(theoreticals), np.transpose(beta0_hats))
@@ -344,12 +344,11 @@ class EqpTable:
         return "\n".join(lines) + "\n"
 
 
-def run_grid(config: ScenarioConfig, threads: int = 1) -> EqpTable:
+def run_grid(config: ScenarioConfig) -> EqpTable:
     """Full factorial over n_grid x sigma_list x methods, aggregated over
-    replicates in fixed replicate order.  ``threads`` is accepted and has no
-    effect: replicates are drawn one after another and fitted in same-shape
-    stacks, because each is a few milliseconds of small numpy calls and a
-    thread pool made runs slower."""
+    replicates in fixed replicate order.  Replicates are drawn one after
+    another and fitted in same-shape stacks, on one thread: each is a few
+    milliseconds of small numpy calls, and a thread pool made runs slower."""
     eqps, refused = [], []
     for spec, _, _, fits in _replicate_fits(config, config.sigma_list):
         estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)

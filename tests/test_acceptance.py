@@ -9,7 +9,7 @@ a fixed observed design.
 
 import numpy as np
 
-from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_cells, encode_dummy
+from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.diagnostics import (
     conditional_bias,
     conditional_response_variance,
@@ -22,7 +22,7 @@ from miscorr.misclass import (
     posterior_rows,
     scenario_theta,
 )
-from miscorr.moments import build_moment_blocks
+from miscorr.moments import mechanism
 from miscorr.simkit import (
     ScenarioConfig,
     TruthSpec,
@@ -64,7 +64,7 @@ def test_criterion_1_identity_neutrality(capsys):
 
 
 def test_criterion_2_binary_correction_oracle(capsys):
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     target = 0.249375 / 0.1875
     err = abs(blocks.correction[0, 0] - target)
     ok = blocks.correction.shape == (1, 1) and err < 1e-12
@@ -106,7 +106,7 @@ def test_criterion_4_moment_monte_carlo(capsys):
         theta = np.array(rows)
         p = np.full(lk, 1.0 / lk)
         spec = CategoricalSpec((lk,))
-        blocks = build_moment_blocks(spec, [theta], [p])
+        blocks = mechanism(spec, [theta], [p])[0]
         x = simulate_x([p], n, rng)
         w = simulate_w(x, [theta], rng)
         dx = encode_dummy(spec, x).design
@@ -124,12 +124,10 @@ def test_criterion_4_moment_monte_carlo(capsys):
 
 
 def _fit_of_design(w):
-    """fit_corrected on the fixed design, and the cells it fitted on.  The
-    conditional bias and variance read the design only, so the response
-    is zero."""
+    """fit_corrected on the fixed design.  The conditional bias and variance
+    read the design only, so the response is zero."""
     spec = CategoricalSpec((2,))
-    fit = fit_corrected(spec, ObservedDataset(y=np.zeros(len(w)), w=w), [LOW2], [U2])
-    return fit, encode_cells(spec, w)
+    return fit_corrected(spec, ObservedDataset(y=np.zeros(len(w)), w=w), [LOW2], [U2])
 
 
 def _fixed_w_monte_carlo(n, sigma, reps, seed):
@@ -137,7 +135,7 @@ def _fixed_w_monte_carlo(n, sigma, reps, seed):
     rng = np.random.default_rng(seed)
     w = rng.integers(0, 2, (n, 1))
     bundle = encode_dummy(CategoricalSpec((2,)), w)
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     post = posterior_from(LOW2, U2)
     pi = posterior_rows([post], w)
     beta_star = np.array([0.5, 0.7])
@@ -158,8 +156,7 @@ def test_criterion_5_bias_formula_vs_simulation(capsys):
     w, bundle, blocks, post, pi, beta_star, est, b0 = _fixed_w_monte_carlo(
         200, 0.2, 2000, 505
     )
-    fit, cells = _fit_of_design(w)
-    report = conditional_bias(fit, cells.design_star, beta_star)
+    report = conditional_bias(_fit_of_design(w), beta_star)
     emp_bias = est.mean(axis=0) - beta_star
     mcse = est.std(axis=0, ddof=1) / np.sqrt(len(est))
     z_scores = np.abs(emp_bias - report.b_star) / mcse
@@ -181,7 +178,7 @@ def _criterion_6_setup():
     sigma2 = float(
         conditional_response_variance([post], w, beta_star[1:], 0.2).mean()
     )
-    report = variance_report(_fit_of_design(w)[0], sigma2)
+    report = variance_report(_fit_of_design(w), sigma2)
     return report, est, b0
 
 
@@ -227,7 +224,7 @@ def test_criterion_7_eqp_method_ordering(capsys):
                 replicates=100,
                 master_seed=2024,
             )
-            table = run_grid(config, threads=8)
+            table = run_grid(config)
             cells = {}
             for r in table.records:
                 cells.setdefault((r.n, r.sigma), {})[r.method] = r.eqp
@@ -279,7 +276,7 @@ def test_criterion_9_determinism(capsys):
         replicates=20,
         master_seed=909,
     )
-    runs = [run_grid(config, threads=t).to_csv() for t in (1, 1, 8, 8)]
+    runs = [run_grid(config).to_csv() for _ in range(4)]
     ok = len(set(runs)) == 1
-    _report(capsys, 9, ok, "byte-identical eqp.csv across reruns and thread counts")
+    _report(capsys, 9, ok, "byte-identical eqp.csv across reruns")
     assert ok

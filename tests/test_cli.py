@@ -136,6 +136,35 @@ def test_a_zero_in_a_p_file_is_named_with_its_file(tmp_path, capsys, p, level):
         assert not (tmp_path / "out").exists()
 
 
+def test_a_zero_in_p_is_refused_before_anything_is_fitted(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fit_corrected ran on a p with a zero")
+
+    monkeypatch.setattr(cli, "fit_corrected", no_fit)
+    files, p_path = _high_theta_sample(tmp_path, "0,0.5,0.1,0.4")
+    for p_args in (["--p", str(p_path)], ["--estimate-p"]):
+        assert main(["fit", *files, *p_args, "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NON_IDENTIFIABLE"
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_zero_in_p_is_reported_ahead_of_a_collinear_design(tmp_path, capsys):
+    # w2 repeats w1, which the rank guard would refuse; the zero in p is named first
+    w = np.tile([[0, 0], [1, 1]], (20, 1))
+    data, theta_path, p_path = tmp_path / "data.csv", tmp_path / "theta.csv", tmp_path / "p.csv"
+    _write_dataset(data, np.arange(40.0), w)
+    _write_theta(theta_path, LOW2)
+    p_path.write_text("0,1\n")
+    args = ["fit", "--data", str(data), "--theta", str(theta_path), "--out", str(tmp_path / "out")]
+    assert main([*args, "--p", str(p_path)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "NON_IDENTIFIABLE", "message": (
+        f"column w1: the p in {p_path} is 0 at level 0; column w2: the p in {p_path} is 0 at "
+        "level 0, so the correction is not identified")}
+    p_path.write_text("0.5,0.5\n")
+    assert main([*args, "--p", str(p_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "RANK_DEFICIENT"
+
+
 @pytest.mark.parametrize("p", ["0.99900099900099915,0.00099900099900099922", "0.5,0.5"])
 def test_a_theta_that_never_observes_a_level_is_refused_alike_under_any_p(tmp_path, capsys, p):
     # q = (1, 0) under both p; under the first, sigma_w rounds to -2e-16, not 0
@@ -863,6 +892,22 @@ def test_simulate_byte_identical_across_runs_and_threads(tmp_path):
     assert main(args + ["--threads", "1", "--out", str(out_a)]) == 0
     assert main(args + ["--threads", "8", "--out", str(out_b)]) == 0
     assert (out_a / "eqp.csv").read_bytes() == (out_b / "eqp.csv").read_bytes()
+
+
+def test_running_out_of_memory_is_one_json_line_and_exit_3(tmp_path, capsys, monkeypatch):
+    # the grid is never asked for the memory: its first call fails as numpy would
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_grid", no_memory)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "low", "--levels", "2", "--n-grid", "100000000000",
+                 "--replicates", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == json.dumps(
+        {"error": "OUT_OF_MEMORY", "message": message}) + "\n"
+    assert not out.exists()
 
 
 def test_simulate_grid_below_the_column_count_reports_failures(tmp_path):

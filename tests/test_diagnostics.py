@@ -10,7 +10,7 @@ from miscorr.diagnostics import (
 from miscorr.errors import RankDeficient
 from miscorr.estimators import correct, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
-from miscorr.moments import build_moment_blocks
+from miscorr.moments import mechanism
 
 LOW2 = scenario_theta("low", 2)
 U2 = np.full(2, 0.5)
@@ -18,13 +18,13 @@ U2 = np.full(2, 0.5)
 
 def _fit_on(design_star, pi_rows, blocks, counts=None):
     """A corrected fit on these rows, row j standing for counts[j]
-    observations (default 1).  The diagnostics read its R, counts, posterior
-    rows and blocks, never its response, so the response is zero."""
+    observations (default 1).  The diagnostics read its rows, counts, R,
+    posterior rows and blocks, never its response, so the response is zero."""
     rows = np.arange(len(design_star))
     inverse = rows if counts is None else np.repeat(rows, counts)
     y = np.zeros(len(inverse))
     naive = ols_fit(design_star, y, inverse=inverse)
-    return correct(naive, y, pi_rows, blocks, np.bincount(inverse))
+    return correct(naive, y, pi_rows, blocks)
 
 
 def _binary_fixture(n=40, seed=5):
@@ -32,7 +32,7 @@ def _binary_fixture(n=40, seed=5):
     spec = CategoricalSpec((2,))
     w = rng.integers(0, 2, (n, 1))
     bundle = encode_dummy(spec, w)
-    blocks = build_moment_blocks(spec, [LOW2], [U2])
+    blocks = mechanism(spec, [LOW2], [U2])[0]
     post = posterior_from(LOW2, U2)
     pi = posterior_rows([post], w)
     return spec, w, bundle, blocks, post, pi
@@ -43,18 +43,17 @@ def test_bias_zero_under_perfect_classification():
     w = rng.integers(0, 2, (30, 1))
     spec = CategoricalSpec((2,))
     bundle = encode_dummy(spec, w)
-    identity = build_moment_blocks(spec, [np.eye(2)], [U2])  # Z = I
+    identity = mechanism(spec, [np.eye(2)], [U2])[0]  # Z = I
     fit = _fit_on(bundle.design_star, bundle.design, identity)  # pi rows = the dummies
     np.testing.assert_array_equal(identity.z_star, np.eye(2))
-    report = conditional_bias(fit, bundle.design_star, np.array([0.5, 0.7]))
+    report = conditional_bias(fit, np.array([0.5, 0.7]))
     np.testing.assert_allclose(report.b_star, 0.0, atol=1e-10)
     assert report.b0 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_bias_zero_truth_gives_zero_bias():
     _, _, bundle, blocks, _, pi = _binary_fixture()
-    report = conditional_bias(_fit_on(bundle.design_star, pi, blocks), bundle.design_star,
-                              np.zeros(2))
+    report = conditional_bias(_fit_on(bundle.design_star, pi, blocks), np.zeros(2))
     np.testing.assert_allclose(report.b_star, 0.0, atol=1e-14)
 
 
@@ -62,8 +61,8 @@ def test_bias_linear_in_truth():
     _, _, bundle, blocks, _, pi = _binary_fixture()
     fit = _fit_on(bundle.design_star, pi, blocks)
     beta = np.array([0.5, 0.7])
-    b1 = conditional_bias(fit, bundle.design_star, beta).b_star
-    b3 = conditional_bias(fit, bundle.design_star, 3 * beta).b_star
+    b1 = conditional_bias(fit, beta).b_star
+    b3 = conditional_bias(fit, 3 * beta).b_star
     np.testing.assert_allclose(b3, 3 * b1, atol=1e-12)
 
 
@@ -71,9 +70,9 @@ def test_intercept_bias_hand_arithmetic():
     # two cells holding 1 and 2 rows: the fit interpolates them, so
     # E[gamma_hat | W] = W^-1 pi* beta = (0.5, 0) and pi_bar = 0.5
     design = np.array([[1.0, 1.0], [1.0, 0.0]])
-    identity = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])  # Z = I
+    identity = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]  # Z = I
     fit = _fit_on(design, np.array([[0.5], [0.5]]), identity, [1, 2])
-    report = conditional_bias(fit, design, np.array([0.0, 1.0]))
+    report = conditional_bias(fit, np.array([0.0, 1.0]))
     np.testing.assert_allclose(report.b_star, [0.5, -1.0], atol=1e-12)
     assert report.b0 == pytest.approx(0.5 * (1.0 - 0.0))
 
@@ -84,8 +83,7 @@ def test_bias_matches_fixed_design_monte_carlo():
     spec, w, bundle, blocks, post, pi = _binary_fixture(n=200, seed=17)
     beta_star = np.array([0.5, 0.7])
     sigma = 0.2
-    report = conditional_bias(_fit_on(bundle.design_star, pi, blocks), bundle.design_star,
-                              beta_star)
+    report = conditional_bias(_fit_on(bundle.design_star, pi, blocks), beta_star)
     rng = np.random.default_rng(99)
     reps = 2000
     est = np.zeros((reps, 2))
@@ -115,7 +113,7 @@ def test_variance_identity_theta_matches_naive():
         bundle = encode_dummy(spec, w)
         thetas = [np.eye(lk) for lk in levels]
         ps = [np.full(lk, 1.0 / lk) for lk in levels]
-        blocks = build_moment_blocks(spec, thetas, ps)
+        blocks = mechanism(spec, thetas, ps)[0]
         pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
         report = variance_report(_fit_on(bundle.design_star, pi, blocks), 0.25)
         np.testing.assert_allclose(report.var_beta_c_star, report.var_gamma_star)
@@ -131,7 +129,7 @@ def test_intercept_variance_is_exact_for_asymmetric_correction():
     ps = [np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])]
     w = np.column_stack([rng.integers(0, 3, 70), rng.integers(0, 2, 70)])
     bundle = encode_dummy(spec, w)
-    blocks = build_moment_blocks(spec, thetas, ps)
+    blocks = mechanism(spec, thetas, ps)[0]
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
     c = blocks.correction
     assert not np.allclose(c, c.T, atol=1e-3)
@@ -144,9 +142,9 @@ def test_intercept_variance_is_exact_for_asymmetric_correction():
 def test_a_matrix_hand_arithmetic():
     # A = W^T (W - W_bar) = 4 * 0.25 for dummies 1,1,0,0; its inverse is the
     # slope block of (W*^T W*)^-1
-    spec, blocks = CategoricalSpec((2,)), build_moment_blocks(
+    spec, blocks = CategoricalSpec((2,)), mechanism(
         CategoricalSpec((2,)), [LOW2], [U2]
-    )
+    )[0]
     w = np.array([[0], [0], [1], [1]])  # dummies 1,1,0,0
     bundle = encode_dummy(spec, w)
     post = posterior_from(LOW2, U2)
@@ -179,7 +177,7 @@ def test_variance_rank_deficient_when_rows_identical():
     spec = CategoricalSpec((2,))
     w = np.zeros((10, 1), dtype=int)
     bundle = encode_dummy(spec, w)
-    blocks = build_moment_blocks(spec, [LOW2], [U2])
+    blocks = mechanism(spec, [LOW2], [U2])[0]
     pi = posterior_rows([posterior_from(LOW2, U2)], w)
     # the fit's own rank guard refuses the design, so no variance is asked of it
     with pytest.raises(RankDeficient):

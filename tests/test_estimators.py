@@ -8,7 +8,7 @@ from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, vari
 from miscorr.errors import RankDeficient, ValidationError
 from miscorr.estimators import NaiveFit, correct, fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
-from miscorr.moments import build_moment_blocks
+from miscorr.moments import mechanism
 from miscorr.simkit import (
     ScenarioConfig, TruthSpec, intercept_variance_curve, replicate_designs, simulate_w,
     simulate_x, simulate_y
@@ -50,25 +50,25 @@ def test_ols_rank_deficient_reports_column():
 
 
 def test_correct_slopes_identity_is_noop():
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]
     y = np.array([3.0, 3, 1, 1])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
     fit = ols_fit(design_star, y)
-    corrected = correct(fit, y, design_star[:, 1:], blocks, np.ones(4))
+    corrected = correct(fit, y, design_star[:, 1:], blocks)
     np.testing.assert_allclose(corrected.beta_c, fit.slopes)
 
 
 def test_correct_slopes_undoes_binary_attenuation():
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     y = np.array([0.751880, 0.751880, 0.0, 0.0])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
     fit = ols_fit(design_star, y)
-    beta_c = correct(fit, y, np.zeros((4, 1)), blocks, np.ones(4)).beta_c  # slopes read no pi
+    beta_c = correct(fit, y, np.zeros((4, 1)), blocks).beta_c  # slopes read no pi
     assert beta_c[0] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_correct_slopes_roundtrip():
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     gamma = np.array([0.42])
     attenuation = np.linalg.solve(blocks.sigma_w, blocks.sigma_wx)
     np.testing.assert_allclose(
@@ -78,21 +78,27 @@ def test_correct_slopes_roundtrip():
 
 # with theta = I the correction matrix is the identity, so the naive slopes
 # given here are the corrected slopes beta_c that the intercept reads
-IDENTITY2 = build_moment_blocks(CategoricalSpec((2,)), [np.eye(2)], [U2])
+IDENTITY2 = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]
+
+
+def _naive(gamma_star, rows):
+    """A naive fit with these coefficients, of ``rows`` observations one
+    per design row; correct reads its slopes and counts only."""
+    return NaiveFit(gamma_star=np.asarray(gamma_star), sigma2_w=0.0, r=np.eye(2),
+                    design_star=np.ones((rows, 2)), counts=np.ones(rows, dtype=int),
+                    column_map=None)
 
 
 def test_correct_intercept_zero_slopes_gives_mean():
     y = np.array([1.0, 2.0, 6.0])
-    naive = NaiveFit(gamma_star=np.array([0.0, 0.0]), sigma2_w=0.0, r=np.eye(2))
-    fit = correct(naive, y, np.zeros((3, 1)), IDENTITY2, np.ones(3))
+    fit = correct(_naive([0.0, 0.0], 3), y, np.zeros((3, 1)), IDENTITY2)
     assert fit.beta0_c == pytest.approx(3.0)
 
 
 def test_correct_intercept_hand_arithmetic():
     y = np.array([2.0, 3.0])
     pi = np.array([[0.8], [0.6]])
-    naive = NaiveFit(gamma_star=np.array([0.0, 1.0]), sigma2_w=0.0, r=np.eye(2))
-    assert correct(naive, y, pi, IDENTITY2, np.ones(2)).beta0_c == pytest.approx(1.8)
+    assert correct(_naive([0.0, 1.0], 2), y, pi, IDENTITY2).beta0_c == pytest.approx(1.8)
 
 
 def test_correct_intercept_identity_noiseless():
@@ -173,7 +179,7 @@ def _prefix_case(w):
     ps = [np.full(lk, 1.0 / lk) for lk in levels]
     ys = np.random.default_rng(30).standard_normal((len(w), 2))
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
-    blocks = build_moment_blocks(spec, thetas, ps)
+    blocks = mechanism(spec, thetas, ps)[0]
     return encode_dummy(spec, w).design_star, ys, pi, blocks
 
 
@@ -195,7 +201,7 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
                 assert np.isnan(fits.beta_full[k, s]).all()
                 continue
             assert not fits.refused[k], n
-            one = correct(naive, ys[:n, s], pi[:n], blocks, np.ones(n))
+            one = correct(naive, ys[:n, s], pi[:n], blocks)
             np.testing.assert_allclose(fits.gamma_star[k, s], naive.gamma_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_c_star[k, s], one.beta_c_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_full[k, s], one.beta_full, rtol=1e-12)
@@ -230,7 +236,7 @@ def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
     [fits] = fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
                           np.arange(len(ys))[None])
     assert np.isfinite(fits.beta0_c[[0, 2]]).all()
-    uncorrelated = var_beta0_c_uncorrelated(fits, design_star, np.ones(3))
+    uncorrelated = var_beta0_c_uncorrelated(fits, np.ones(3))
     assert np.isnan(uncorrelated[1]) and np.isfinite(uncorrelated[[0, 2]]).all()
 
 
@@ -309,9 +315,9 @@ def test_cell_path_matches_the_encoded_design(k):
     if k == 10:
         assert len(cells.counts) > 450
     design_star = encode_dummy(spec, w).design_star
-    blocks = build_moment_blocks(spec, thetas, ps)
+    blocks = mechanism(spec, thetas, ps)[0]
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
-    rows = correct(ols_fit(design_star, y), y, pi, blocks, np.ones(len(y)))
+    rows = correct(ols_fit(design_star, y), y, pi, blocks)
     np.testing.assert_allclose(fit.naive.gamma_star, rows.naive.gamma_star, rtol=1e-12)
     np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
     assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)
@@ -326,13 +332,13 @@ def test_cell_path_matches_the_encoded_design(k):
     def uncorrelated(design, pi_rows, inverse):  # of the one prefix of all 500 rows
         [fits] = fit_prefixes(design[None], y[None, :, None], [500], pi_rows[None], [blocks],
                               inverse[None])
-        return var_beta0_c_uncorrelated(fits, design, [0.3])[0]
+        return var_beta0_c_uncorrelated(fits, [0.3])[0]
 
     assert uncorrelated(cells.design_star, fit.pi_rows, cells.inverse) == pytest.approx(
         uncorrelated(design_star, pi, np.arange(500)), rel=1e-12)
     truth = 0.5 + 0.2 * np.arange(spec.n_params)
-    bias_cell = conditional_bias(fit, cells.design_star, truth)
-    bias_row = conditional_bias(rows, design_star, truth)
+    bias_cell = conditional_bias(fit, truth)
+    bias_row = conditional_bias(rows, truth)
     scale = 1e-12 * np.abs(truth).sum()  # slope biases are 0 up to rounding here
     np.testing.assert_allclose(bias_cell.b_star, bias_row.b_star, rtol=1e-12, atol=scale)
     assert bias_cell.b0 == pytest.approx(bias_row.b0, rel=1e-12, abs=scale)
@@ -347,10 +353,9 @@ def _count_qr(monkeypatch) -> list:
 
 def test_one_factorisation_serves_the_fit_its_bias_and_its_variance(monkeypatch):
     spec, thetas, ps, w, y = _random_table(3, 500, seed=44)
-    cells = encode_cells(spec, w)
     calls = _count_qr(monkeypatch)
-    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps, cells)
-    conditional_bias(fit, cells.design_star, 0.5 + 0.2 * np.arange(spec.n_params))
+    fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
+    conditional_bias(fit, 0.5 + 0.2 * np.arange(spec.n_params))
     variance_report(fit, fit.naive.sigma2_w)
     assert len(calls) == 1
 

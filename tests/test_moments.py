@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.errors import NonIdentifiable, ValidationError
 from miscorr.misclass import RCOND_MIN, _near_singular, observed_marginal, scenario_theta
-from miscorr.moments import build_moment_blocks, mechanism
+from miscorr.moments import mechanism
 from miscorr.simkit import simulate_w, simulate_x
 
 LOW2 = scenario_theta("low", 2)
@@ -18,7 +18,7 @@ U4 = np.full(4, 0.25)
 
 
 def _blocks(theta, p):
-    return build_moment_blocks(CategoricalSpec((len(p),)), [theta], [p])
+    return mechanism(CategoricalSpec((len(p),)), [theta], [p])[0]
 
 
 def test_var_w_low_binary():
@@ -66,7 +66,7 @@ def test_cov_wx_medium_off_diagonal():
 
 def test_blocks_identity_theta_gives_identity_correction():
     spec = CategoricalSpec((3,))
-    blocks = build_moment_blocks(spec, [np.eye(3)], [U3])
+    blocks = mechanism(spec, [np.eye(3)], [U3])[0]
     np.testing.assert_allclose(blocks.correction, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(blocks.sigma_wx, blocks.sigma_w, atol=1e-12)
     sigma_x = np.diag(U3[:2]) - np.outer(U3[:2], U3[:2])
@@ -74,14 +74,14 @@ def test_blocks_identity_theta_gives_identity_correction():
 
 
 def test_blocks_low_binary_attenuation_reciprocal():
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     assert blocks.correction[0, 0] == pytest.approx(0.249375 / 0.1875, abs=1e-6)
 
 
 def test_blocks_uninformative_theta_not_identifiable():
     theta = np.array([[0.6, 0.4], [0.6, 0.4]])
     with pytest.raises(NonIdentifiable):
-        build_moment_blocks(CategoricalSpec((2,)), [theta], [U2])
+        mechanism(CategoricalSpec((2,)), [theta], [U2])[0]
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -97,7 +97,7 @@ def test_a_true_level_of_p_0_leaves_the_correction_unidentified(level):
 
 def test_blocks_block_diagonal_structure():
     spec = CategoricalSpec((2, 3))
-    blocks = build_moment_blocks(spec, [LOW2, MED3], [U2, U3])
+    blocks = mechanism(spec, [LOW2, MED3], [U2, U3])[0]
     assert np.all(blocks.sigma_w[0, 1:] == 0)
     assert np.all(blocks.sigma_w[1:, 0] == 0)
     assert np.all(blocks.sigma_wx[0, 1:] == 0)
@@ -106,14 +106,14 @@ def test_blocks_block_diagonal_structure():
 
 def test_sigma_w_equals_multinomial_identity():
     for theta, p, lk in ((LOW2, U2, 2), (MED3, U3, 3), (HIGH4, U4, 4)):
-        blocks = build_moment_blocks(CategoricalSpec((lk,)), [theta], [p])
+        blocks = mechanism(CategoricalSpec((lk,)), [theta], [p])[0]
         q = observed_marginal(theta, p)[: lk - 1]
         expected = np.diag(q) - np.outer(q, q)
         np.testing.assert_allclose(blocks.sigma_w, expected, atol=1e-12)
 
 
 def test_z_star_embeds_correction():
-    blocks = build_moment_blocks(CategoricalSpec((2,)), [LOW2], [U2])
+    blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     assert blocks.z_star.shape == (2, 2)
     assert blocks.z_star[0, 0] == 1.0
     assert blocks.z_star[0, 1] == 0.0
@@ -124,7 +124,7 @@ def test_z_star_embeds_correction():
 def test_sample_covariance_matches_blocks_monte_carlo():
     # empirical oracle: simulate (X, W) and compare sample covariances
     spec = CategoricalSpec((3,))
-    blocks = build_moment_blocks(spec, [MED3], [U3])
+    blocks = mechanism(spec, [MED3], [U3])[0]
     rng = np.random.default_rng(77)
     n = 100_000
     x = simulate_x([U3], n, rng)
@@ -246,7 +246,7 @@ def test_the_assembled_correction_is_the_inverse_of_the_full_attenuation(levels)
     rng = np.random.default_rng(len(levels))
     thetas = [scenario_theta("medium", lk) for lk in levels]
     ps = [rng.dirichlet(np.full(lk, 2.0)) for lk in levels]
-    blocks = build_moment_blocks(CategoricalSpec(levels), thetas, ps)
+    blocks = mechanism(CategoricalSpec(levels), thetas, ps)[0]
     expected = np.linalg.inv(np.linalg.solve(blocks.sigma_w, blocks.sigma_wx))
     if len(levels) == 1:
         np.testing.assert_array_equal(blocks.correction, expected)

@@ -392,19 +392,19 @@ def test_run_grid_low_distortion_ordering():
         distortion="low", n_covariates=3, levels=None,
         n_grid=(500,), sigma_list=(0.1,), replicates=100, master_seed=13,
     )
-    table = run_grid(cfg, threads=4)
+    table = run_grid(cfg)
     by_method = {r.method: r.eqp for r in table.records}
     assert by_method["full"] < by_method["none"]
     assert by_method["full"] < by_method["partial"]
 
 
-def test_run_grid_deterministic_across_thread_counts():
+def test_run_grid_deterministic_across_reruns():
     cfg = ScenarioConfig(
         distortion="medium", n_covariates=2, levels=None,
         n_grid=(60, 120), sigma_list=(0.1, 0.5), replicates=6, master_seed=14,
     )
-    a = run_grid(cfg, threads=1).to_csv()
-    b = run_grid(cfg, threads=8).to_csv()
+    a = run_grid(cfg).to_csv()
+    b = run_grid(cfg).to_csv()
     assert a == b
 
 
