@@ -37,7 +37,6 @@ from .simkit import (
     TruthSpec,
     eqp,
     run_grid,
-    run_replicate,
     simulate_w,
     simulate_x,
     simulate_y,
@@ -65,7 +64,6 @@ __all__ = [
     "posterior_from",
     "posterior_rows",
     "run_grid",
-    "run_replicate",
     "scenario_theta",
     "simulate_w",
     "simulate_x",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientRows, OutOfRangeCategory, ValidationError
+from .errors import OutOfRangeCategory, ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class CategoricalSpec:
 
 @dataclass(frozen=True)
 class ObservedDataset:
-    """Response y plus observed categories w."""
+    """Response y, every entry finite, plus observed categories w."""
 
     y: np.ndarray
     w: np.ndarray
@@ -59,6 +59,9 @@ class ObservedDataset:
         object.__setattr__(self, "w", w)
         if len(y) != w.shape[0]:
             raise ValueError("y and w row counts differ")
+        bad = np.nonzero(~np.isfinite(y))[0]
+        if bad.size:
+            raise ValidationError(f"y is not finite at row {int(bad[0])}: {y[bad[0]]}")
 
     @property
     def n(self) -> int:
@@ -154,10 +157,6 @@ class ValidationReport:
     level_counts: tuple
 
 
-def _too_few_rows(spec: CategoricalSpec, n: int) -> str:
-    return f"need at least {spec.n_params + 1} rows to fit {spec.n_params} parameters, got {n}"
-
-
 def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
                      names=None, labels=None) -> ValidationReport:
     """Report-only sanity checks: categories in range, every level present
@@ -186,14 +185,7 @@ def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
                    f"{f' ({shown[level]!r})' if level < len(shown) else ''} never occurs"
                    for level in np.flatnonzero(cnt == 0)]
     if ds.n < spec.n_params + 1:
-        errors.append(_too_few_rows(spec, ds.n))
+        errors.append(f"need at least {spec.n_params + 1} rows to fit {spec.n_params} "
+                      f"parameters, got {ds.n}")
     return ValidationReport(errors=tuple(errors), level_counts=tuple(counts))
 
-
-def require_fit_ready(spec: CategoricalSpec, ds: ObservedDataset) -> None:
-    """Raise when the dataset cannot support a fit at all."""
-    if ds.n < spec.n_params + 1:
-        raise InsufficientRows(_too_few_rows(spec, ds.n))
-    bad = np.nonzero(~np.isfinite(ds.y))[0]
-    if bad.size:
-        raise ValidationError(f"y is not finite at row {int(bad[0])}: {ds.y[bad[0]]}")

@@ -31,10 +31,6 @@ class OutOfRangeCategory(ValidationError):
         )
 
 
-class InsufficientRows(ValidationError):
-    code = "INSUFFICIENT_ROWS"
-
-
 class ZeroObservedMass(ValidationError):
     code = "ZERO_OBSERVED_MASS"
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .categorical import CategoricalSpec, ObservedDataset, encode_cells, require_fit_ready
+from .categorical import CategoricalSpec, ObservedDataset, encode_cells
 from .errors import RankDeficient, ValidationError
 from .misclass import posterior_rows
 from .moments import MomentBlocks, mechanism
@@ -23,14 +23,15 @@ class NaiveFit:
     """OLS result for the regression of y on the observed-category design.
     ``r`` is the R factor of the fit's QR: R^T R = W*^T W*.  The fit holds
     what it was fitted on: the rows of ``design_star``, each standing for
-    ``counts`` observations, and the ``column_map`` that names the columns
-    (None if none was given)."""
+    ``counts`` observations whose y add up to ``sums``, and the
+    ``column_map`` that names the columns (None if none was given)."""
 
     gamma_star: np.ndarray
     sigma2_w: float
     r: np.ndarray
     design_star: np.ndarray
     counts: np.ndarray
+    sums: np.ndarray
     column_map: dict | None
 
     @property
@@ -122,19 +123,17 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
     gamma = gamma[0]
     resid = y - (design_star @ gamma)[inverse]
     return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m), r=r_mat,
-                    design_star=design_star, counts=counts, column_map=column_map)
+                    design_star=design_star, counts=counts, sums=sums, column_map=column_map)
 
 
-def correct(naive: NaiveFit, y: np.ndarray, pi_rows: np.ndarray,
-            blocks: MomentBlocks) -> CorrectedFit:
+def correct(naive: NaiveFit, pi_rows: np.ndarray, blocks: MomentBlocks) -> CorrectedFit:
     """Correct a naive fit: the slopes through the attenuation inverse,
-    beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n, where
-    row j of ``pi_rows`` is the posterior row of the naive.counts[j]
-    observations in design row j."""
-    y = np.asarray(y, dtype=float).ravel()
+    beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n from
+    the fit's cell sums and counts, where row j of ``pi_rows`` is the
+    posterior row of the naive.counts[j] observations in design row j."""
     pi_rows = np.asarray(pi_rows, dtype=float)
     beta_c = blocks.correction @ naive.slopes
-    beta0_c = float((y.sum() - (naive.counts @ pi_rows) @ beta_c) / len(y))
+    beta0_c = float((naive.sums.sum() - (naive.counts @ pi_rows) @ beta_c) / naive.counts.sum())
     return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
 
 
@@ -234,9 +233,8 @@ def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence,
                   ps: Sequence) -> CorrectedFit:
     """Full pipeline over the occupied cells of ``ds.w``: naive fit, moment
     blocks, posterior rows of the cells, correction."""
-    require_fit_ready(spec, ds)
     cells = encode_cells(spec, ds.w)
     naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
     blocks, posteriors = mechanism(spec, thetas, ps)
-    return correct(naive, ds.y, posterior_rows(posteriors, cells.categories), blocks)
+    return correct(naive, posterior_rows(posteriors, cells.categories), blocks)
 

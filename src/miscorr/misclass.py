@@ -70,15 +70,10 @@ def _check_simplex_rows(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
-def _near_singular(mat: np.ndarray) -> bool:
-    """True when the reciprocal 2-norm condition number of ``mat`` is below
-    RCOND_MIN (or ``mat`` is zero)."""
-    return _rcond_below(np.linalg.svd(mat, compute_uv=False))
-
-
 def _rcond_below(s: np.ndarray) -> bool:
-    """``_near_singular`` judged from the singular values ``s`` of a matrix.
-    Those of a block-diagonal matrix are its blocks', concatenated."""
+    """True when the singular values ``s`` of a matrix put its reciprocal
+    2-norm condition number below RCOND_MIN (or the matrix is zero).  Those
+    of a block-diagonal matrix are its blocks', concatenated."""
     return bool(s.max() == 0 or s.min() / s.max() < RCOND_MIN)
 
 
@@ -156,7 +151,7 @@ def estimate_marginal(theta, observed_freq) -> tuple[np.ndarray, float]:
     if len(q_hat) != theta.shape[0]:
         raise ValidationError("theta and observed_freq dimensions differ")
     at = theta.T
-    if _near_singular(at):
+    if _rcond_below(np.linalg.svd(at, compute_uv=False)):
         raise IllConditionedTheta("theta is numerically singular")
     p_raw = np.linalg.lstsq(at, q_hat, rcond=None)[0]
     p = project_simplex(p_raw)

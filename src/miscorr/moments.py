@@ -33,7 +33,12 @@ class MomentBlocks:
     sigma_w: np.ndarray
     sigma_wx: np.ndarray
     correction: np.ndarray
-    z_star: np.ndarray
+
+    @property
+    def z_star(self) -> np.ndarray:
+        z_star = np.eye(len(self.correction) + 1)
+        z_star[1:, 1:] = self.correction
+        return z_star
 
 
 def _block_diag(blocks, d: int) -> np.ndarray:
@@ -96,8 +101,6 @@ def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict
             "observed categories carry no information about the true ones"
         )
     d = spec.n_slopes
-    blocks = MomentBlocks(
-        sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),
-        correction=_block_diag(corrections, d), z_star=_block_diag([[[1.0]], *corrections], d + 1),
-    )
+    blocks = MomentBlocks(sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),
+                          correction=_block_diag(corrections, d))
     return blocks, list(posteriors)

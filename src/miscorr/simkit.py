@@ -20,7 +20,8 @@ import numpy as np
 from .categorical import CategoricalSpec, encode_cells, encode_dummy
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
-from .estimators import correct, fit_prefixes, ols_fit
+# ols_fit kept for test_tracer_counts_errors_at_layer_boundaries_and_restores_functions (ROADMAP 11)
+from .estimators import fit_prefixes, ols_fit  # noqa: F401
 from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, posterior_rows, scenario_theta
 from .moments import mechanism
 
@@ -256,20 +257,6 @@ def _fit_batch(ns, held):
             fits[i] = fit
     for (spec, cells, posteriors, *_), fit in zip(held, fits):
         yield spec, cells, posteriors, fit
-
-
-def run_replicate(config: ScenarioConfig, cell: tuple[int, float], replicate_id: int):
-    """Estimate vectors in METHODS order for one (n, sigma) cell of one
-    replicate: the steps of fit_corrected on w[:n], y[:n], so bit for bit
-    its result, but a prefix too small to fit raises RankDeficient."""
-    n, sigma = cell
-    spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
-    cells = encode_cells(spec, w[:n])
-    y = replicate_response(config, replicate_id, spec, x, sigma)[:n]
-    naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse)
-    blocks, posteriors = mechanism(spec, thetas, ps)
-    fit = correct(naive, y, posterior_rows(posteriors, cells.categories), blocks)
-    return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from miscorr.categorical import (
     ObservedDataset,
     encode_cells,
     encode_dummy,
-    require_fit_ready,
     validate_dataset,
 )
-from miscorr.errors import InsufficientRows, OutOfRangeCategory
+from miscorr.errors import OutOfRangeCategory, RankDeficient, ValidationError
+from miscorr.estimators import fit_corrected
+from miscorr.misclass import scenario_theta
 
 
 def test_spec_dimensions():
@@ -154,5 +155,14 @@ def test_validate_flags_insufficient_rows():
     w = np.array([[0, 0], [1, 1], [0, 2]])
     report = validate_dataset(spec, ObservedDataset(y=np.zeros(3), w=w))
     assert report.errors == ("need at least 5 rows to fit 4 parameters, got 3",)
-    with pytest.raises(InsufficientRows):
-        require_fit_ready(spec, ObservedDataset(y=np.zeros(3), w=w))
+    thetas = [scenario_theta("low", lk) for lk in spec.levels]
+    ps = [np.full(lk, 1.0 / lk) for lk in spec.levels]
+    with pytest.raises(RankDeficient, match="need more than 4 rows, got 3"):
+        fit_corrected(spec, ObservedDataset(y=np.zeros(3), w=w), thetas, ps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observed_dataset_refuses_a_y_that_is_not_finite(bad):
+    y = np.array([1.0, 2.0, bad, 4.0, bad])
+    with pytest.raises(ValidationError, match=f"^y is not finite at row 2: {bad}$"):
+        ObservedDataset(y=y, w=np.zeros((5, 1), dtype=int))

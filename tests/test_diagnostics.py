@@ -24,7 +24,7 @@ def _fit_on(design_star, pi_rows, blocks, counts=None):
     inverse = rows if counts is None else np.repeat(rows, counts)
     y = np.zeros(len(inverse))
     naive = ols_fit(design_star, y, inverse=inverse)
-    return correct(naive, y, pi_rows, blocks)
+    return correct(naive, pi_rows, blocks)
 
 
 def _binary_fixture(n=40, seed=5):

@@ -54,7 +54,7 @@ def test_correct_slopes_identity_is_noop():
     y = np.array([3.0, 3, 1, 1])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
     fit = ols_fit(design_star, y)
-    corrected = correct(fit, y, design_star[:, 1:], blocks)
+    corrected = correct(fit, design_star[:, 1:], blocks)
     np.testing.assert_allclose(corrected.beta_c, fit.slopes)
 
 
@@ -63,7 +63,7 @@ def test_correct_slopes_undoes_binary_attenuation():
     y = np.array([0.751880, 0.751880, 0.0, 0.0])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
     fit = ols_fit(design_star, y)
-    beta_c = correct(fit, y, np.zeros((4, 1)), blocks).beta_c  # slopes read no pi
+    beta_c = correct(fit, np.zeros((4, 1)), blocks).beta_c  # slopes read no pi
     assert beta_c[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -81,24 +81,25 @@ def test_correct_slopes_roundtrip():
 IDENTITY2 = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]
 
 
-def _naive(gamma_star, rows):
-    """A naive fit with these coefficients, of ``rows`` observations one
-    per design row; correct reads its slopes and counts only."""
+def _naive(gamma_star, y):
+    """A naive fit with these coefficients, of the observations ``y`` one
+    per design row; correct reads its slopes, counts and sums only."""
+    rows = len(y)
     return NaiveFit(gamma_star=np.asarray(gamma_star), sigma2_w=0.0, r=np.eye(2),
                     design_star=np.ones((rows, 2)), counts=np.ones(rows, dtype=int),
-                    column_map=None)
+                    sums=np.asarray(y, dtype=float), column_map=None)
 
 
 def test_correct_intercept_zero_slopes_gives_mean():
     y = np.array([1.0, 2.0, 6.0])
-    fit = correct(_naive([0.0, 0.0], 3), y, np.zeros((3, 1)), IDENTITY2)
+    fit = correct(_naive([0.0, 0.0], y), np.zeros((3, 1)), IDENTITY2)
     assert fit.beta0_c == pytest.approx(3.0)
 
 
 def test_correct_intercept_hand_arithmetic():
     y = np.array([2.0, 3.0])
     pi = np.array([[0.8], [0.6]])
-    assert correct(_naive([0.0, 1.0], 2), y, pi, IDENTITY2).beta0_c == pytest.approx(1.8)
+    assert correct(_naive([0.0, 1.0], y), pi, IDENTITY2).beta0_c == pytest.approx(1.8)
 
 
 def test_correct_intercept_identity_noiseless():
@@ -131,6 +132,16 @@ def test_fit_corrected_missing_category_surfaces_rank_error():
     ds = ObservedDataset(y=np.arange(20.0), w=w)
     with pytest.raises(RankDeficient):
         fit_corrected(spec, ds, [scenario_theta("low", 3)], [np.ones(3) / 3])
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_fit_corrected_refuses_no_more_rows_than_parameters(n):
+    spec = CategoricalSpec((2, 3))  # M = 4
+    w = np.array([[0, 0], [1, 1], [0, 2], [1, 0]])[:n]
+    ds = ObservedDataset(y=np.arange(float(n)), w=w)
+    thetas = [scenario_theta("low", 2), scenario_theta("low", 3)]
+    with pytest.raises(RankDeficient, match=f"^need more than 4 rows, got {n}$"):
+        fit_corrected(spec, ds, thetas, [np.full(2, 0.5), np.ones(3) / 3])
 
 
 def test_attenuation_recovery_over_replicates():
@@ -201,7 +212,7 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
                 assert np.isnan(fits.beta_full[k, s]).all()
                 continue
             assert not fits.refused[k], n
-            one = correct(naive, ys[:n, s], pi[:n], blocks)
+            one = correct(naive, pi[:n], blocks)
             np.testing.assert_allclose(fits.gamma_star[k, s], naive.gamma_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_c_star[k, s], one.beta_c_star, rtol=1e-12)
             np.testing.assert_allclose(fits.beta_full[k, s], one.beta_full, rtol=1e-12)
@@ -317,7 +328,7 @@ def test_cell_path_matches_the_encoded_design(k):
     design_star = encode_dummy(spec, w).design_star
     blocks = mechanism(spec, thetas, ps)[0]
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
-    rows = correct(ols_fit(design_star, y), y, pi, blocks)
+    rows = correct(ols_fit(design_star, y), pi, blocks)
     np.testing.assert_allclose(fit.naive.gamma_star, rows.naive.gamma_star, rtol=1e-12)
     np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
     assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)

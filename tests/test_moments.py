@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.errors import NonIdentifiable, ValidationError
-from miscorr.misclass import RCOND_MIN, _near_singular, observed_marginal, scenario_theta
+from miscorr.misclass import RCOND_MIN, observed_marginal, scenario_theta
 from miscorr.moments import mechanism
 from miscorr.simkit import simulate_w, simulate_x
 
@@ -204,7 +204,7 @@ def test_the_block_decision_is_the_decision_on_the_assembled_matrices(draw):
     # a decision within rounding of RCOND_MIN may go either way: Weyl bounds
     # the move of each singular value by the 2-norm of the perturbation
     assume(zero_mass or abs(_rcond(full_w) - RCOND_MIN) > 1e-4 * RCOND_MIN)
-    if zero_mass or _near_singular(full_w):
+    if zero_mass or _rcond(full_w) < RCOND_MIN:
         expected = "sigma_w is numerically singular"
     else:
         attenuation = np.linalg.solve(full_w, full_wx)
@@ -213,7 +213,7 @@ def test_the_block_decision_is_the_decision_on_the_assembled_matrices(draw):
         rounding = np.linalg.norm(attenuation - per_block, 2) / s_max if s_max else 0.0
         assume(abs(_rcond(attenuation) - RCOND_MIN) > 1e-4 * RCOND_MIN + 4 * rounding)
         expected = "observed categories carry no information about the true ones" \
-            if _near_singular(attenuation) else None
+            if _rcond(attenuation) < RCOND_MIN else None
     try:
         blocks, _ = mechanism(CategoricalSpec(levels), thetas, ps)
     except NonIdentifiable as exc:
