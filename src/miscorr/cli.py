@@ -8,12 +8,13 @@ error, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import re
 import sys
 import warnings
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import MiscorrError, NonIdentifiable, NumericalError, ValidationErr
 from .estimators import fit_corrected
 from .misclass import SCENARIO_THETAS, check_marginal, check_theta, estimate_marginal
 from .simkit import (
+    HIGH_DISTORTION_SIGMAS,
     METHODS,
     ScenarioConfig,
     intercept_variance_curve,
@@ -35,7 +37,7 @@ from .simkit import (
 )
 
 FMT = "%.17g"  # round-trips IEEE doubles
-_LABEL_WIDTH = 32  # longer labels are matched only by the full-width re-read
+_LABEL_WIDTH = 32  # bytes; a longer label is matched only by the full-width re-read
 
 
 class CliError(ValidationError):
@@ -185,23 +187,24 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
                 delimiter=",", comments=None, quotechar='"', ndmin=ndmin, **kwargs,
             )
     except UnicodeDecodeError as exc:  # its position counts within numpy's read block
-        raise _parse_error(path, names, _file_decode_error(path, exc)) from exc
+        raise _parse_error(path, names, _file_decode_error(path, exc.encoding) or exc) from exc
     except (ValueError, DeprecationWarning) as exc:
         raise _parse_error(path, names, exc) from exc
     except OSError as exc:  # e.g. the file went away since it was opened
         raise _os_error(path, code, exc) from exc
 
 
-def _file_decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+def _file_decode_error(path: str, encoding: str) -> UnicodeDecodeError | None:
     """The first decode error in the whole file, whose position is a byte
-    offset from its start; ``exc`` if the file cannot be read again."""
+    offset from its start; None if there is none or the file cannot be read
+    again."""
     try:
-        Path(path).read_bytes().decode(exc.encoding)
+        Path(path).read_bytes().decode(encoding)
     except UnicodeDecodeError as whole:
         return whole
     except OSError:
         pass
-    return exc
+    return None
 
 
 def _parse_error(path: str, names, exc: Exception) -> CliError:
@@ -262,16 +265,27 @@ def _load_labels(data_path: str) -> dict:
 
 def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
     """The category of each cell as read, -1 where it is not exactly a label.
-    Only a label shorter than the field, with no surrounding whitespace and
-    no NUL (the field drops trailing NULs) can match a cell as read."""
-    width = cells.dtype.itemsize // 4
-    keys = sorted((s, i) for i, s in enumerate(labels)
-                  if len(s) < width and s == s.strip() and "\0" not in s)
+    Cells are bytes in whole 64-bit words, matched word by word to the labels'
+    UTF-8: (the cell's prefix number, its word's rank among the labels' words
+    there) numbers the longer prefix.  Only a label that UTF-8 can write,
+    shorter than the field, with no surrounding whitespace and no NUL (the
+    field drops trailing NULs) can match a cell as read."""
+    keys = {b: i for i, s in enumerate(labels) if len(b := s.encode("utf-8", "replace"))
+            < cells.itemsize and b.decode("utf-8") == s == s.strip() and "\0" not in s}
     if not keys:
         return np.full(len(cells), -1)
-    texts, cats = np.array([s for s, _ in keys], cells.dtype), np.array([i for _, i in keys])
-    pos = np.minimum(np.searchsorted(texts, cells), len(keys) - 1)
-    return np.where(texts[pos] == cells, cats[pos], -1)
+    key_words, cell_words = (np.ascontiguousarray(a, cells.dtype).view(np.uint64)
+                             .reshape(len(a), -1).T for a in (list(keys), cells))
+    key_ids = ids = 0  # the number of each label's and each cell's prefix so far
+    for t, (key_word, cell_word) in enumerate(zip(key_words, cell_words)):
+        distinct, key_rank = np.unique(key_word, return_inverse=True)
+        rank = np.minimum(np.searchsorted(distinct, cell_word), len(distinct) - 1)
+        ids = np.where(distinct[rank] == cell_word, ids * len(distinct) + rank, -1)
+        prefixes, key_ids = np.unique(key_ids * len(distinct) + key_rank, return_inverse=True)
+        if t:  # number the (prefix, rank) pairs; at the first word the ranks are the numbers
+            pairs, ids = ids, np.minimum(np.searchsorted(prefixes, ids), len(prefixes) - 1)
+            ids[prefixes[ids] != pairs] = -1
+    return np.append(np.array(list(keys.values()))[np.argsort(key_ids)], -1)[ids]
 
 
 def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -281,38 +295,48 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
     cell (a float spelling such as 1.0, 1e0 or 1., or an integer beyond 64
     bits) is the file parsed again with them as floats, where a cell of 2**53
     or more, which a float may have rounded, is out of range and quoted as
-    written.  One parse reads a
-    label column into a text field one character wider than its longest
-    label (at most _LABEL_WIDTH), so a cell that matches as read is not a
-    truncated one; only when some cell misses is that column re-read at full
-    width and matched with spaces stripped."""
-    with _open(path, "DATA_MISSING", "rb") as fh:  # a text field drops trailing NULs
-        nul = any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
+    written.  In a UTF-8 locale these parses read the body as latin-1, a
+    label column into bytes one longer than its longest label (at most
+    _LABEL_WIDTH), so a cell that matches as read is not a truncated one.  A
+    file they accept reads as in the text parse: in UTF-8 a byte that is not
+    ASCII makes a number unparsable in latin-1, and a file holding one is
+    decoded, to refuse it if it is not UTF-8.  A file they refuse is parsed
+    as text.  A label cell that misses is re-read at full width and matched
+    with spaces stripped."""
+    nul = non_ascii = False  # a field drops trailing NULs
+    with _open(path, "DATA_MISSING", "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            nul, non_ascii = nul or b"\0" in block, non_ascii or not block.isascii()
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in
                  _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=str).ravel()]
+        utf8 = codecs.lookup(fh.encoding).name == "utf-8"
     if len(names) < 2 or names[0].lower() != "y":
         raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
     labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
-    width = {j: min(max(map(len, v), default=0), _LABEL_WIDTH) + 1
-             for j, v in labelled.items()}
+    width = {j: 8 * (min(max((len(s.encode("utf-8", "replace")) for s in v), default=0),
+                         _LABEL_WIDTH) // 8 + 1) for j, v in labelled.items()}
 
-    def fields(number: str) -> list:  # y a float, a labelled column text, the rest ``number``
-        return [("", f"U{width[j]}" if j in width else number if j else "f8")
+    def fields(text: str, number: str) -> list:  # y a float, labels ``text``, the rest ``number``
+        return [("", f"{text}{width[j]}" if j in width else number if j else "f8")
                 for j in range(len(names))]
     # the body from the path; skiprows counts lines, as islice does
     body = dict(code="DATA_MISSING", names=names, ndmin=1, skiprows=1)
-    try:
-        table = _loadtxt(path, dtype=fields("i8"), **body)
-    except CliError as exc:
-        if exc.code != "DATA_INVALID":
-            raise
-        table = _loadtxt(path, dtype=fields("f8"), **body)
+    for (text, encoding), number in product([("S", "latin-1")] * utf8 + [("U", None)],
+                                            ("i8", "f8")):
+        try:
+            table = _loadtxt(path, dtype=fields(text, number), encoding=encoding, **body)
+            break
+        except CliError as exc:
+            if exc.code != "DATA_INVALID" or (text, number) == ("U", "f8"):
+                raise
+    if text == "S" and non_ascii and (exc := _file_decode_error(path, "utf-8")):
+        raise _parse_error(path, names, exc)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
     cols, full = [table[f] for f in table.dtype.names], {}
     for j, col_labels in labelled.items():
-        cats = cols[j] = _match(cols[j], col_labels)
+        cats = cols[j] = _match(cols[j], col_labels) if text == "S" else np.full(len(table), -1)
         if not (miss := np.flatnonzero((cats < 0) | nul)).size:
             continue
         full[j] = _loadtxt(path, dtype=object, usecols=j, **body)
@@ -474,6 +498,10 @@ def _dump_data(config: ScenarioConfig, out: Path) -> None:
 
 def cmd_simulate(args) -> int:
     config = _scenario_config_from(args)
+    if dropped := [f"{s:g}" for s in args.sigmas or ScenarioConfig.sigma_list
+                   if s not in config.sigma_list]:  # only under high distortion
+        _emit("warning", "SIGMA_DROPPED", "high distortion runs only sigma " + " and ".join(
+            f"{s:g}" for s in HIGH_DISTORTION_SIGMAS) + f"; dropped sigma {', '.join(dropped)}")
     threads = max(1, args.threads or 1)
     table = run_grid(config)
     out = _out_dir(args)

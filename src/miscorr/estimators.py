@@ -23,16 +23,22 @@ class NaiveFit:
     """OLS result for the regression of y on the observed-category design.
     ``r`` is the R factor of the fit's QR: R^T R = W*^T W*.  The fit holds
     what it was fitted on: the rows of ``design_star``, each standing for
-    ``counts`` observations whose y add up to ``sums``, and the
-    ``column_map`` that names the columns (None if none was given)."""
+    ``counts`` observations whose y add up to ``sums`` and whose residuals'
+    squares add up to ``rss``, and the ``column_map`` that names the
+    columns (None if none was given)."""
 
     gamma_star: np.ndarray
-    sigma2_w: float
     r: np.ndarray
     design_star: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
+    rss: np.ndarray
     column_map: dict | None
+
+    @property
+    def sigma2_w(self) -> float:
+        """RSS / (n - m), with no BLAS sum over rows, which may follow the thread count."""
+        return float(self.rss.sum()) / (self.counts.sum() - len(self.gamma_star))
 
     @property
     def intercept(self) -> float:
@@ -105,7 +111,7 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
     """Least squares via QR factorization with a rank guard.  By default each
     row of ``design_star`` is one observation; with ``inverse`` its rows are
     cells, y[i] lies in cell inverse[i], and the fit reads only the cells'
-    counts and sums of y (and the residuals for the RSS)."""
+    counts and sums of y, and the sums of squared residuals."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, m = len(y), design_star.shape[1]
@@ -122,8 +128,9 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
         raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
     gamma = gamma[0]
     resid = y - (design_star @ gamma)[inverse]
-    return NaiveFit(gamma_star=gamma, sigma2_w=float(resid @ resid) / (n - m), r=r_mat,
-                    design_star=design_star, counts=counts, sums=sums, column_map=column_map)
+    rss = np.bincount(inverse, weights=resid**2, minlength=len(design_star))
+    return NaiveFit(gamma_star=gamma, r=r_mat, design_star=design_star, counts=counts,
+                    sums=sums, rss=rss, column_map=column_map)
 
 
 def correct(naive: NaiveFit, pi_rows: np.ndarray, blocks: MomentBlocks) -> CorrectedFit:

@@ -275,10 +275,11 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
     ``theoretical`` is the uncorrelated per-observation expression
     ``diagnostics.var_beta0_c_uncorrelated``, averaged over the replicate
     designs with the mean exact conditional response variance as plug-in;
-    the curve shows its shortfall.  The exact variance of
-    ``variance_report`` is not used: the empirical variance over redrawn
-    designs also holds the spread of E[beta0_c_hat | W], so its gap to the
-    exact form would be mostly Monte Carlo noise.
+    the curve shows its shortfall.  With theta and p known,
+    E[beta0_c_hat | W] = beta0 for every design the fit accepts, so the
+    empirical variance over redrawn designs has no spread of that mean in
+    it: it estimates the mean over designs of Var(beta0_c_hat | W), which
+    ``variance_report`` gives in closed form for a homoscedastic plug-in.
     """
     if config.replicates < 2:
         raise ValidationError("an empirical variance needs at least 2 replicates")

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from miscorr.categorical import CategoricalSpec, encode_dummy
+from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.diagnostics import (
     conditional_bias,
     conditional_response_variance,
     variance_report,
 )
 from miscorr.errors import RankDeficient
-from miscorr.estimators import correct, ols_fit
+from miscorr.estimators import correct, fit_corrected, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
 
@@ -75,6 +75,33 @@ def test_intercept_bias_hand_arithmetic():
     report = conditional_bias(fit, np.array([0.0, 1.0]))
     np.testing.assert_allclose(report.b_star, [0.5, -1.0], atol=1e-12)
     assert report.b0 == pytest.approx(0.5 * (1.0 - 0.0))
+
+
+def test_the_corrected_estimators_are_conditionally_unbiased():
+    # E[Y | W] = beta_0 + sum_k pi_k(W_k)^T beta_k is additive in the observed
+    # categories, so OLS recovers it on any full-rank W and C undoes the
+    # attenuation exactly: only the naive intercept is biased, by the
+    # posterior row of each covariate's reference level times its slopes
+    rng = np.random.default_rng(5)
+    fits = 0
+    while fits < 150:
+        spec = CategoricalSpec(tuple(rng.integers(2, 5, rng.integers(1, 4))))
+        thetas = [0.6 * np.eye(lk) + 0.4 * rng.dirichlet(np.ones(lk), lk) for lk in spec.levels]
+        ps = [rng.dirichlet(np.full(lk, 3.0)) for lk in spec.levels]
+        n = int(rng.integers(30, 401))
+        w = np.column_stack([rng.integers(0, lk, n) for lk in spec.levels])
+        try:
+            fit = fit_corrected(spec, ObservedDataset(y=np.zeros(n), w=w), thetas, ps)
+        except RankDeficient:  # a level that never occurs; the CLI refuses such data
+            continue
+        fits += 1
+        beta = rng.uniform(-3, 3, spec.n_params)
+        report = conditional_bias(fit, beta)
+        tol = 1e-12 * np.abs(beta).max()
+        assert np.abs(report.b_star[1:]).max() <= tol and abs(report.b0) <= tol
+        slopes = np.split(beta[1:], np.cumsum([lk - 1 for lk in spec.levels])[:-1])
+        naive = sum(posterior_from(t, p).pi[-1, :-1] @ b for t, p, b in zip(thetas, ps, slopes))
+        assert report.b_star[0] == pytest.approx(naive, abs=tol)
 
 
 def test_bias_matches_fixed_design_monte_carlo():

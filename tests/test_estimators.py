@@ -85,9 +85,9 @@ def _naive(gamma_star, y):
     """A naive fit with these coefficients, of the observations ``y`` one
     per design row; correct reads its slopes, counts and sums only."""
     rows = len(y)
-    return NaiveFit(gamma_star=np.asarray(gamma_star), sigma2_w=0.0, r=np.eye(2),
+    return NaiveFit(gamma_star=np.asarray(gamma_star), r=np.eye(2),
                     design_star=np.ones((rows, 2)), counts=np.ones(rows, dtype=int),
-                    sums=np.asarray(y, dtype=float), column_map=None)
+                    sums=np.asarray(y, dtype=float), rss=np.zeros(rows), column_map=None)
 
 
 def test_correct_intercept_zero_slopes_gives_mean():

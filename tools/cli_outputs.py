@@ -13,11 +13,13 @@ The commands: ``fit``, ``fit --estimate-p``, ``diagnose`` and ``diagnose
 on the same data with
 every labelled cell quoted and space-padded, ``fit`` with every numeric
 category cell written as a float (``%.1f``, which the integer parse refuses,
-so the file is parsed again as numbers) and ``fit`` with ``--data`` given
-relative to the current directory, whose ``estimates.csv`` must each equal
-the plain ``fit``'s; the benchmark's ``simulate`` grid with
-``--dump-data``; ``diagnose --variance-sim``, once at fixed levels and once
-at K=2 with random levels, whose 40 replicates have 8 level structures;
+so the file is parsed again as numbers), ``fit`` with ``--data`` given
+relative to the current directory and ``fit`` with the labels of
+``labels.json`` and their cells renamed, once to labels that are not ASCII
+and once to labels longer than 8 bytes that share their first 8, whose
+``estimates.csv`` must each equal the plain ``fit``'s; the benchmark's
+``simulate`` grid with ``--dump-data``; ``diagnose --variance-sim``, once at
+fixed levels and once at K=2 with random levels, whose 40 replicates have 8 level structures;
 ``simulate`` under high distortion with the default random levels, once
 from flags and once from a ``--config`` file whose seed a flag overrides;
 ``simulate`` at K=10 with random levels, where most replicates have a
@@ -88,6 +90,15 @@ def write_respelled(inputs: Path, to: Path, labelled: bool, spell) -> Path:
     return to / "data.csv"
 
 
+def write_relabelled(inputs: Path, to: Path, rename) -> Path:
+    """The inputs' data.csv and labels.json with every label, and every
+    labelled cell, renamed as ``rename(label)``; the categories stay as they are."""
+    data = write_respelled(inputs, to, True, rename)
+    (to / "labels.json").write_text(json.dumps(
+        {column: list(map(rename, labels)) for column, labels in LARGE_N_LABELS.items()}))
+    return data
+
+
 def commands(out: Path) -> dict[str, list[str]]:
     """Output directory name -> argv, with the large_n inputs in out/inputs."""
     inputs = out / "inputs"
@@ -97,6 +108,9 @@ def commands(out: Path) -> dict[str, list[str]]:
     data = ["--data", str(inputs / "data.csv"), *theta]
     padded = write_respelled(inputs, inputs / "padded", True, lambda c: f'" {c} "')
     floats = write_respelled(inputs, inputs / "floats", False, lambda c: "%.1f" % int(c))
+    unicode = write_relabelled(inputs, inputs / "unicode", {
+        "alpha": "ålpha", "bravo": "βravo", "charlie": "チャーリー", "delta": "délta"}.get)
+    shared = write_relabelled(inputs, inputs / "shared_prefix", lambda c: f"category_{c}")
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
     high = inputs / "simulate_high.json"
     high.write_text(json.dumps({"scenario": "high", "k": 2, "levels": "random",
@@ -108,6 +122,8 @@ def commands(out: Path) -> dict[str, list[str]]:
         "fit_float_categories": ["fit", "--data", str(floats), *theta, *known_p],
         "fit_relative_path": ["fit", "--data", os.path.relpath(inputs / "data.csv"),
                               *theta, *known_p],
+        "fit_unicode_labels": ["fit", "--data", str(unicode), *theta, *known_p],
+        "fit_shared_prefix_labels": ["fit", "--data", str(shared), *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
         "diagnose_plugin_sigma": ["diagnose", *data, *known_p, "--truth",
                                   str(inputs / "truth.csv"), "--plugin-sigma", "0.5"],
@@ -219,7 +235,8 @@ def main(argv=None) -> int:
         run(out, name, cmd)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
-    for name in ("fit_padded_labels", "fit_float_categories", "fit_relative_path"):
+    for name in ("fit_padded_labels", "fit_float_categories", "fit_relative_path",
+                 "fit_unicode_labels", "fit_shared_prefix_labels"):
         if ((out / name / "estimates.csv").read_bytes()
                 != (out / "fit" / "estimates.csv").read_bytes()):
             sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
