@@ -539,7 +539,7 @@ def cmd_diagnose(args) -> int:
 def _cmd_diagnose_bias(args) -> int:
     _, _, _, _, fit, beta_star = _load_and_fit(args, _require(args, "truth", "TRUTH_REQUIRED"))
     bias = conditional_bias(fit, beta_star)
-    sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else args.plugin_sigma**2
+    sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else np.float64(args.plugin_sigma) ** 2
     var = variance_report(fit, sigma2)
 
     out = _out_dir(args)

@@ -1,7 +1,7 @@
-"""Closed-form conditional bias and variance of the corrected estimators,
-given the observed design, the error mechanism, and a supplied truth, all
-read from a fit: the design rows it was fitted on, their counts, the R
-factor it kept, posterior rows and moment blocks.
+"""Closed-form conditional bias and variance of the naive and corrected
+estimators given the observed design: the bias from the error mechanism and
+a supplied truth alone, the variances from the design rows a fit was fitted
+on, their counts, the R factor it kept, its posterior rows and moment blocks.
 """
 
 from __future__ import annotations
@@ -36,24 +36,18 @@ def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
 
 
 def conditional_bias(fit: CorrectedFit, beta_star_true: np.ndarray) -> BiasReport:
-    """Bias of (gamma0_hat, beta_c_hat) given the observed design:
-    (Z (W*^T W*)^-1 W*^T pi* - I) beta*, with pi* the fit's posterior rows
-    behind a column of ones.
-
-    The intercept-correction bias is the derivation-consistent form
-    B0 = pi_bar (beta - E[beta_c_hat | W]) with pi_bar = mean_i pi_(i).
-    Row j of fit.naive.design_star stands for fit.naive.counts[j] identical
-    observations.
+    """Bias of (gamma0_hat, beta_c_hat) and of the corrected intercept given
+    the observed design.  E[Y | W] = beta0 + sum_k pi_k(W_k)^T beta_k is
+    additive in the observed categories, so OLS on a full-rank design
+    recovers it, C undoes the attenuation, and only the naive intercept is
+    biased, by sum_k pi_k(ref)^T beta_k.  This holds for a fit whose
+    posterior rows and blocks come from one mechanism: every fit
+    ``fit_corrected`` returns.
     """
-    design_star, counts = fit.naive.design_star, fit.naive.counts
-    pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
-    transfer = fit.blocks.z_star @ _gram_inverse(fit.naive.r) @ (design_star.T * counts) @ pi_star
-    expected = transfer @ beta_star_true
-    b_star = expected - beta_star_true
-    pi_bar = counts @ pi_star[:, 1:] / counts.sum()  # on fit.pi_rows, matmul rounds otherwise
-    b0 = float(pi_bar @ (beta_star_true[1:] - expected[1:]))
-    return BiasReport(b_star=b_star, b0=b0)
+    b_star = np.zeros_like(beta_star_true)
+    b_star[0] = fit.blocks.pi_ref @ beta_star_true[1:]
+    return BiasReport(b_star=b_star, b0=0.0)
 
 
 def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
@@ -123,7 +117,7 @@ def conditional_response_variance(
     if w.ndim == 1:
         w = w[:, None]
     beta = np.asarray(beta, dtype=float).ravel()
-    out = np.full(w.shape[0], float(sigma) ** 2)
+    out = np.full(w.shape[0], np.float64(sigma) ** 2)  # numpy reports an overflow
     off = 0
     for k, post in enumerate(posteriors):
         dk = post.n_levels - 1

@@ -27,12 +27,14 @@ class MomentBlocks:
 
     ``correction`` is the inverse of sigma_w^-1 sigma_wx (the attenuation
     map); ``z_star`` embeds it in the full parameter space with a leading 1
-    for the intercept.
+    for the intercept.  ``pi_ref`` is each covariate's posterior row of its
+    reference level, pi_k(L_k - 1, :L_k - 1), concatenated covariate-major.
     """
 
     sigma_w: np.ndarray
     sigma_wx: np.ndarray
     correction: np.ndarray
+    pi_ref: np.ndarray
 
     @property
     def z_star(self) -> np.ndarray:
@@ -102,5 +104,6 @@ def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict
         )
     d = spec.n_slopes
     blocks = MomentBlocks(sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),
-                          correction=_block_diag(corrections, d))
+                          correction=_block_diag(corrections, d),
+                          pi_ref=np.concatenate([post.pi[-1, :-1] for post in posteriors]))
     return blocks, list(posteriors)

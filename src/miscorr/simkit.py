@@ -65,8 +65,8 @@ class ScenarioConfig:
     from {2, 3, 4} per replicate (forced to 4 under high distortion).
     Marginals of the true categories are uniform per level.  ``n_grid`` is
     sorted and duplicate sizes are dropped.  Each sigma seeds its own y
-    stream and labels its output files as ``{:g}``, so sigmas that
-    ``_sigma_key`` or that label cannot tell apart are refused.
+    stream and labels its output files as ``{:g}``: sigmas that ``_sigma_key``
+    cannot key or tell apart, or that label cannot tell apart, are refused.
     """
 
     distortion: str
@@ -127,7 +127,9 @@ def _rng(master_seed: int, *key: int) -> np.random.Generator:
 
 def _sigma_key(sigma: float) -> int:
     # stable integer key so the y stream does not depend on grid ordering
-    return int(round(sigma * 1_000_000))
+    if not math.isfinite(key := sigma * 1_000_000):
+        raise ValidationError(f"sigma {sigma:g} is too large to key its y stream")
+    return int(round(key))
 
 
 def simulate_x(ps, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,7 @@ import miscorr
 from miscorr import __version__, categorical, cli, estimators, simkit
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.cli import main
-from miscorr.misclass import scenario_theta
+from miscorr.misclass import posterior_from, scenario_theta
 from miscorr.simkit import TruthSpec, simulate_w, simulate_x, simulate_y
 
 LOW2 = scenario_theta("low", 2)
@@ -1163,8 +1163,11 @@ def test_simulate_dump_data_roundtrips_through_fit(tmp_path):
     assert float(slope["corrected"]) == pytest.approx(0.7, abs=0.15)
 
 
-def test_diagnose_identity_theta_zero_bias(tmp_path):
-    data, theta_path, p_path = _make_binary_fixture(tmp_path, np.eye(2), n=100)
+@pytest.mark.parametrize("theta", [np.eye(2), LOW2], ids=["identity", "low2"])
+def test_diagnose_bias_rows_are_exact(tmp_path, theta):
+    # the slope and corrected-intercept rows are 0 by construction, and the
+    # naive intercept's is the posterior row of the reference level times beta_1
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, theta, n=100)
     truth = tmp_path / "truth.csv"
     truth.write_text("0.5,0.7\n")
     out = tmp_path / "diag"
@@ -1173,9 +1176,10 @@ def test_diagnose_identity_theta_zero_bias(tmp_path):
         "--p", str(p_path), "--truth", str(truth), "--out", str(out),
     ]) == 0
     with open(out / "bias.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        assert abs(float(row["bias"])) < 1e-10
+        bias = {row["parameter"]: row["bias"] for row in csv.DictReader(fh)}
+    assert bias["w1_level0"] == bias["intercept_corrected"] == "0"
+    pi_ref = posterior_from(theta, np.full(2, 0.5)).pi[-1, :-1]
+    assert float(bias["intercept"]) == pi_ref @ [0.7]
     assert (out / "variance.csv").exists()
 
 
@@ -1288,6 +1292,32 @@ def test_diagnose_plugin_sigma_must_be_finite_and_positive(tmp_path, capsys, sd)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "CONFIG_INVALID"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--sigmas", "1e303"],
+                                  ["diagnose", "--variance-sim", "--sigma", "1e308"]],
+                         ids=["simulate", "variance-sim"])
+def test_a_sigma_too_large_to_key_its_y_stream_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    grid = ["--scenario", "low", "--levels", "2", "--n-grid", "40", "--replicates", "2"]
+    assert main(argv + grid + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert f"sigma {float(argv[-1]):g} is too large" in json.loads(lines[0])["message"]
+    assert not out.exists()
+
+
+def test_a_squared_sigma_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    variance_sim = ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
+                    "--n-grid", "40", "--replicates", "2", "--sigma", "1e200"]
+    plugin = _fixture_argv(tmp_path, "diagnose") + ["--plugin-sigma", "1e200"]
+    for argv in (variance_sim, plugin):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out").exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "NUMERICAL",
+                                        "message": "overflow encountered in scalar power"}
 
 
 @pytest.mark.parametrize("truth", ["nan,0.7", "0.5,inf"])

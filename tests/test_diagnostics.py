@@ -67,21 +67,36 @@ def test_bias_linear_in_truth():
 
 
 def test_intercept_bias_hand_arithmetic():
-    # two cells holding 1 and 2 rows: the fit interpolates them, so
-    # E[gamma_hat | W] = W^-1 pi* beta = (0.5, 0) and pi_bar = 0.5
+    # low theta, p = (.5, .5): q(W=1) = .5 * .1 + .5 * .85 = .475, so the
+    # reference row of the posterior is pi(1, 0) = .05 / .475 = 2 / 19 and the
+    # naive intercept is biased by 2 / 19 * beta_1; the corrected estimators
+    # are not biased at all
     design = np.array([[1.0, 1.0], [1.0, 0.0]])
-    identity = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]  # Z = I
-    fit = _fit_on(design, np.array([[0.5], [0.5]]), identity, [1, 2])
-    report = conditional_bias(fit, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(report.b_star, [0.5, -1.0], atol=1e-12)
-    assert report.b0 == pytest.approx(0.5 * (1.0 - 0.0))
+    blocks, [post] = mechanism(CategoricalSpec((2,)), [LOW2], [U2])
+    fit = _fit_on(design, post.pi[[0, 1], :1], blocks, [1, 2])
+    np.testing.assert_allclose(blocks.pi_ref, [2 / 19], rtol=1e-15)
+    report = conditional_bias(fit, np.array([0.3, 1.9]))
+    np.testing.assert_allclose(report.b_star, [0.2, 0.0], rtol=1e-15)
+    assert report.b_star[1] == 0.0 and report.b0 == 0.0
+
+
+def _expected_gamma(fit, beta):
+    """E[gamma_hat | W], independently of the mechanism's closed form: the
+    least-squares fit of E[Y | W] = pi* beta on the fit's cell rows, each
+    weighted by its count."""
+    root = np.sqrt(fit.naive.counts)
+    pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
+    design = root[:, None] * fit.naive.design_star
+    return np.linalg.lstsq(design, root * (pi_star @ beta), rcond=None)[0]
 
 
 def test_the_corrected_estimators_are_conditionally_unbiased():
     # E[Y | W] = beta_0 + sum_k pi_k(W_k)^T beta_k is additive in the observed
     # categories, so OLS recovers it on any full-rank W and C undoes the
     # attenuation exactly: only the naive intercept is biased, by the
-    # posterior row of each covariate's reference level times its slopes
+    # posterior row of each covariate's reference level times its slopes.
+    # conditional_bias computes that closed form; the check solves for
+    # E[gamma_hat | W] on each fit's own rows
     rng = np.random.default_rng(5)
     fits = 0
     while fits < 150:
@@ -98,10 +113,10 @@ def test_the_corrected_estimators_are_conditionally_unbiased():
         beta = rng.uniform(-3, 3, spec.n_params)
         report = conditional_bias(fit, beta)
         tol = 1e-12 * np.abs(beta).max()
-        assert np.abs(report.b_star[1:]).max() <= tol and abs(report.b0) <= tol
-        slopes = np.split(beta[1:], np.cumsum([lk - 1 for lk in spec.levels])[:-1])
-        naive = sum(posterior_from(t, p).pi[-1, :-1] @ b for t, p, b in zip(thetas, ps, slopes))
-        assert report.b_star[0] == pytest.approx(naive, abs=tol)
+        expected = fit.blocks.z_star @ _expected_gamma(fit, beta)
+        pi_bar = fit.naive.counts @ fit.pi_rows / fit.naive.counts.sum()
+        np.testing.assert_allclose(report.b_star, expected - beta, rtol=0, atol=tol)
+        assert report.b0 == pytest.approx(pi_bar @ (beta[1:] - expected[1:]), abs=tol)
 
 
 def test_bias_matches_fixed_design_monte_carlo():

@@ -373,6 +373,15 @@ def test_sigmas_that_cannot_seed_their_own_y_stream_are_rejected(sigmas):
     )
 
 
+def test_a_sigma_too_large_to_key_its_y_stream_is_refused_by_name():
+    # sigma * 1e6 overflows to inf, which no integer stream key can hold
+    with pytest.raises(ValidationError, match=r"sigma 1e\+308 is too large"):
+        ScenarioConfig(distortion="low", levels=(2,), sigma_list=(1e308,))
+    config = ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2)
+    with pytest.raises(ValidationError, match=r"sigma 1e\+303 is too large"):
+        intercept_variance_curve(config, 1e303)
+
+
 def test_run_grid_record_cardinality():
     cfg = ScenarioConfig(
         distortion="low", levels=(2,),

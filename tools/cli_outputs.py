@@ -35,10 +35,14 @@ for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
 ``fit --estimate-p`` on a high-distortion sample whose estimated p has
 zeros, and ``fit`` on it with a p file that has a zero; ``fit`` with a
 theta that never observes a level, under a p for which sigma_w rounds to
--2e-16 instead of 0; two sigmas that share a file label; an unknown
-scenario from a flag and from a config file; and a variance curve whose
-first prefix is rank deficient.  They are recorded, not required to fail,
-so that ``diff -r`` shows every changed error.
+-2e-16 instead of 0; two sigmas that share a file label; a sigma too
+large to key its y stream, from ``simulate --sigmas 1e303`` and from
+``diagnose --variance-sim --sigma 1e308``; a sigma whose square overflows,
+from ``diagnose --plugin-sigma 1e200`` and from ``diagnose --variance-sim
+--sigma 1e200``; an unknown scenario from a flag and from a config file;
+and a variance curve whose first prefix is rank deficient.  They are
+recorded, not required to fail, so that ``diff -r`` shows every changed
+error.
 
 Beside each command's directory, ``NAME.status.jsonl`` holds its exit
 status as ``{"exit": N}`` and then its stderr lines, with OUT written as
@@ -184,6 +188,8 @@ def refusals(out: Path) -> dict[str, list[str]]:
         return ["diagnose", "--data", str(inputs / data), "--theta", str(inputs / theta),
                 "--p", str(inputs / p), "--truth", str(inputs / truth)]
 
+    variance_sim = ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
+                    "--n-grid", "40", "--replicates", "2"]
     return {
         "refused_absent_level": diagnose(data="data_absent_level.csv"),
         "refused_p_2x2": diagnose(p="p_2x2.csv"),
@@ -205,6 +211,11 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_sigma_labels": ["simulate", "--scenario", "low", "--levels", "3",
                                  "--n-grid", "50", "--replicates", "2",
                                  "--sigmas", "12.345671,12.345672", "--dump-data"],
+        "refused_sigma_key": ["simulate", "--scenario", "low", "--levels", "2",
+                              "--n-grid", "40", "--replicates", "2", "--sigmas", "1e303"],
+        "refused_variance_sim_sigma_key": [*variance_sim, "--sigma", "1e308"],
+        "refused_variance_sim_sigma_square": [*variance_sim, "--sigma", "1e200"],
+        "refused_plugin_sigma_square": [*diagnose(), "--plugin-sigma", "1e200"],
         "refused_scenario_flag": ["simulate", "--scenario", "extreme"],
         "refused_scenario_config": ["simulate", "--config", str(inputs / "scenario.json")],
         "refused_variance_sim_rank": ["diagnose", "--variance-sim", "--scenario", "low",
