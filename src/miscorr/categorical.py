@@ -84,11 +84,10 @@ def _category_table(spec: CategoricalSpec, categories) -> np.ndarray:
         cats = cats[:, None]
     if cats.shape[1] != spec.n_covariates:
         raise ValueError(f"expected {spec.n_covariates} covariates, got {cats.shape[1]}")
-    for j, lk in enumerate(spec.levels):
-        bad = np.nonzero((cats[:, j] < 0) | (cats[:, j] >= lk))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise OutOfRangeCategory(i, j, int(cats[i, j]))
+    bad = (cats < 0) | (cats >= np.array(spec.levels))
+    if bad.any():  # the first covariate with a category out of range, at its first such row
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise OutOfRangeCategory(i, j, int(cats[i, j]))
     return cats
 
 
@@ -100,17 +99,13 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     all-ones intercept column.
     """
     cats = _category_table(spec, categories)
-    n = len(cats)
-    design = np.zeros((n, spec.n_slopes))
-    column_map = {}
-    col = 0
-    for j, lk in enumerate(spec.levels):
-        for level in range(lk - 1):
-            design[:, col] = cats[:, j] == level
-            column_map[(j, level)] = col
-            col += 1
-    design_star = np.hstack([np.ones((n, 1)), design])
-    return DesignBundle(design=design, design_star=design_star, column_map=column_map)
+    columns = [(j, level) for j, lk in enumerate(spec.levels) for level in range(lk - 1)]
+    cov, lev = np.array(columns).T
+    # in C order, so that design @ beta sums each row in one order whatever the layout of cats
+    design = (cats[:, cov] == lev).astype(float, order="C")
+    design_star = np.hstack([np.ones((len(cats), 1)), design])
+    return DesignBundle(design=design, design_star=design_star,
+                        column_map={pair: col for col, pair in enumerate(columns)})
 
 
 @dataclass(frozen=True)

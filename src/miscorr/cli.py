@@ -555,11 +555,11 @@ def _cmd_diagnose_bias(args) -> int:
 
 def _cmd_diagnose_variance_sim(args) -> int:
     config = _scenario_config_from(args)
+    # config errors: too few replicates, and (in --sigma's type) a sigma not finite and positive
+    if config.replicates < 2:
+        raise CliError("CONFIG_INVALID", "an empirical variance needs at least 2 replicates")
     sigma = 0.2 if args.sigma is None else args.sigma
-    try:
-        points = intercept_variance_curve(config, sigma)
-    except ValidationError as exc:  # the scenario cannot give a variance curve
-        raise CliError("CONFIG_INVALID", str(exc)) from exc
+    points = intercept_variance_curve(config, sigma)
     out = _out_dir(args)
     rows = [(pt.n, pt.theoretical, pt.empirical) for pt in points]
     _write_csv(out / "intercept_variance.csv", "n,theoretical,empirical", rows)
@@ -627,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--plugin-sigma", type=_positive, help="known noise sd to plug in")
     p_diag.add_argument("--variance-sim", **switch,
                         help="compare theoretical vs empirical intercept variance per n")
-    p_diag.add_argument("--sigma", type=_float)
+    p_diag.add_argument("--sigma", type=_positive)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_tab = sub.add_parser("scenario-tables", help="print the theta presets as CSV")

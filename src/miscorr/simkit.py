@@ -12,6 +12,7 @@ the fits it would get alone, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
 # ols_fit kept for test_tracer_counts_errors_at_layer_boundaries_and_restores_functions (ROADMAP 11)
 from .estimators import fit_prefixes, ols_fit  # noqa: F401
-from .misclass import DISTORTION_LEVELS, SCENARIO_THETAS, posterior_rows, scenario_theta
+from .misclass import (DISTORTION_LEVELS, SCENARIO_THETAS, check_marginal, check_theta,
+                       posterior_rows, scenario_theta)
 from .moments import mechanism
 
 METHODS = ("none", "partial", "full")
@@ -122,7 +124,11 @@ class ScenarioConfig:
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([int(master_seed) & (2**64 - 1), *map(int, key)])
+    """``default_rng([master_seed mod 2**64, *key])``, seeded with the uint32
+    words, low first, that SeedSequence would coerce that list to."""
+    words = [v >> s & 0xFFFFFFFF for v in (int(master_seed) & (2**64 - 1), *map(int, key))
+             for s in range(0, max(v.bit_length(), 1), 32)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 def _sigma_key(sigma: float) -> int:
@@ -132,24 +138,60 @@ def _sigma_key(sigma: float) -> int:
     return int(round(key))
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """Generator.choice's cdf of p, refusing what choice refuses."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not (p.min() >= 0 and abs(p.sum() - 1) <= np.sqrt(np.finfo(float).eps)):
+        raise ValueError(f"p is not a probability vector: {p}")
+    cum = np.cumsum(p)
+    return cum / cum[-1]
+
+
+def _padded(blocks) -> np.ndarray:
+    """The K blocks stacked into one (K, L_max, ...) table padded with +inf."""
+    width = max(max(block.shape) for block in blocks)
+    table = np.full((len(blocks),) + (width,) * blocks[0].ndim, np.inf)
+    for k, block in enumerate(blocks):
+        table[(k, *map(slice, block.shape))] = block
+    return table
+
+
+def _draw_x(cdfs, n: int, rng: np.random.Generator) -> np.ndarray:
+    u = rng.random((len(cdfs), n))
+    return np.ascontiguousarray((u >= _padded(cdfs).T[:, :, None]).sum(axis=0).T)
+
+
+def _draw_w(x: np.ndarray, cums, rng: np.random.Generator) -> np.ndarray:
+    table = _padded(cums)
+    lmax = table.shape[1]
+    u = rng.random(x.shape[::-1])
+    # cdf[l, k, i]: entry l of the cumulative theta row of x[i, k]
+    cdf = np.take(table.transpose(2, 0, 1).reshape(lmax, -1),
+                  x.T + lmax * np.arange(len(cums))[:, None], axis=1)
+    return np.ascontiguousarray((u > cdf).sum(axis=0).T)
+
+
 def simulate_x(ps, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent categorical draws per covariate, one column each."""
-    cols = [rng.choice(len(p), size=n, p=np.asarray(p, dtype=float)) for p in ps]
-    return np.column_stack(cols).astype(int)
+    """One column per covariate, bit for bit ``rng.choice(len(p), n, p=p)`` for
+    each p in turn, from one (K, n) block of uniforms: a level is the count of
+    entries of choice's cdf of p, cumsum(p) / cumsum(p)[-1] padded with +inf,
+    at or below its uniform.  Refuses a negative or NaN p, or one whose sum
+    is off 1 by more than sqrt(eps), as choice does."""
+    return _draw_x([_choice_cdf(p) for p in ps], n, rng)
 
 
 def simulate_w(x: np.ndarray, thetas, rng: np.random.Generator) -> np.ndarray:
-    """Draw the observed category from the theta row of each true category."""
+    """Draw the observed category from the theta row of each true category,
+    with one (K, n) block of uniforms, the bits of one ``rng.random(n)`` per
+    covariate: a level is the count of entries of the row in the +inf-padded
+    (K, L_max, L_max) table of cumulative theta rows below its uniform."""
     x = np.asarray(x, dtype=int)
     if x.ndim == 1:
         x = x[:, None]
-    n, k = x.shape
-    out = np.empty_like(x)
-    for j in range(k):
-        cdf = np.cumsum(np.asarray(thetas[j], dtype=float), axis=1)[x[:, j]]
-        u = rng.random(n)
-        out[:, j] = (u[:, None] > cdf).sum(axis=1)
-    return out
+    cums = [np.cumsum(np.asarray(theta, dtype=float), axis=1) for theta in thetas]
+    if len(cums) != x.shape[1] or not ((x >= 0) & (x < [len(c) for c in cums])).all():
+        raise ValueError("x needs one theta per column, with a row for each of its levels")
+    return _draw_w(x, cums, rng)
 
 
 def simulate_y(
@@ -175,35 +217,47 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+@functools.cache
+def _level_tables(distortion: str, lk: int):
+    """Checked theta and uniform p of L_k levels, p's cdf, theta's cumulative
+    rows: built once, read-only."""
+    theta = check_theta(scenario_theta(distortion, lk))
+    p = check_marginal(np.full(lk, 1.0 / lk))
+    tables = theta, p, _choice_cdf(p), np.cumsum(theta, axis=1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def replicate_structure(config: ScenarioConfig, replicate_id: int):
-    """Per-replicate covariate layout and error mechanism."""
+    """Per-replicate covariate layout and error mechanism (shared, read-only)."""
     levels = config.levels  # ScenarioConfig fixes 4 levels under high distortion
     if levels is None:
         rng = _rng(config.master_seed, _STREAM_STRUCTURE, replicate_id)
         levels = tuple(int(v) for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates))
-    spec = CategoricalSpec(levels)
-    thetas = [scenario_theta(config.distortion, lk) for lk in levels]
-    ps = [np.full(lk, 1.0 / lk) for lk in levels]
-    return spec, thetas, ps
+    thetas, ps = zip(*(_level_tables(config.distortion, lk)[:2] for lk in levels))
+    return CategoricalSpec(levels), list(thetas), list(ps)
 
 
 def replicate_designs(config: ScenarioConfig, replicate_id: int):
     """Generate (spec, thetas, ps, x, w) at the full generation size."""
     spec, thetas, ps = replicate_structure(config, replicate_id)
-    x = simulate_x(ps, config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
-    w = simulate_w(x, thetas, _rng(config.master_seed, _STREAM_W, replicate_id))
+    _, _, cdfs, cums = zip(*(_level_tables(config.distortion, lk) for lk in spec.levels))
+    x = _draw_x(cdfs, config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
+    w = _draw_w(x, cums, _rng(config.master_seed, _STREAM_W, replicate_id))
     return spec, thetas, ps, x, w
 
 
 def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
                         x: np.ndarray, sigmas) -> np.ndarray:
-    """One response column per sigma, each from its own y stream; x is
-    encoded once."""
-    design = encode_dummy(spec, x).design
-    truth = TruthSpec.default(spec.n_slopes)
+    """One response column per sigma, ``simulate_y``'s mean + sigma * z with z
+    from the sigma's own y stream; the mean is taken once, from the C-ordered
+    design of x, as BLAS sums the rows of another layout in another order."""
+    beta = TruthSpec.default(spec.n_slopes).beta_star
+    mean = beta[0] + encode_dummy(spec, x).design @ beta[1:]
     return np.column_stack([
-        simulate_y(design, truth, sigma,
-                   _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma)))
+        mean + sigma * _rng(config.master_seed, _STREAM_Y, replicate_id,
+                            _sigma_key(sigma)).standard_normal(len(mean))
         for sigma in sigmas
     ])
 
@@ -287,6 +341,7 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         raise ValidationError("an empirical variance needs at least 2 replicates")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValidationError(f"sigma must be finite and positive, got {sigma}")
+    _sigma_key(sigma)  # refuse a sigma that cannot key its y stream before drawing
     beta0_hats, theoreticals = [], []
     for rep, (spec, cells, posteriors, fits) in enumerate(_replicate_fits(config, (sigma,))):
         if fits.refused.any():

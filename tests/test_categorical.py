@@ -50,6 +50,23 @@ def test_column_map_layout():
     assert bundle.column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_encode_dummy_is_the_per_level_loop_in_c_order(order):
+    levels = (2, 4, 3)
+    cats = np.asarray(np.random.default_rng(9).integers(0, levels, (50, 3)), order=order)
+    columns, column_map = [], {}
+    for j, lk in enumerate(levels):
+        for level in range(lk - 1):
+            column_map[(j, level)] = len(columns)
+            columns.append((cats[:, j] == level).astype(float))
+    bundle = encode_dummy(CategoricalSpec(levels), cats)
+    np.testing.assert_array_equal(bundle.design, np.column_stack(columns))
+    np.testing.assert_array_equal(bundle.design_star[:, 1:], bundle.design)
+    assert bundle.design_star[:, 0].tolist() == [1.0] * 50
+    assert bundle.column_map == column_map
+    assert bundle.design.flags.c_contiguous
+
+
 def test_out_of_range_category():
     with pytest.raises(OutOfRangeCategory) as exc:
         encode_dummy(CategoricalSpec((3,)), np.array([[0], [3]]))

@@ -1303,7 +1303,9 @@ def test_a_sigma_too_large_to_key_its_y_stream_is_refused(tmp_path, capsys, argv
     assert main(argv + grid + ["--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert f"sigma {float(argv[-1]):g} is too large" in json.loads(lines[0])["message"]
+    err = json.loads(lines[0])
+    assert err["error"] == "VALIDATION"
+    assert f"sigma {float(argv[-1]):g} is too large" in err["message"]
     assert not out.exists()
 
 

@@ -106,6 +106,73 @@ def test_simulate_w_deterministic_stream():
     np.testing.assert_array_equal(a, b)
 
 
+def _uneven_structure(k, seed):
+    """k (p, theta) pairs with L_k from 2 to 5, every p with a zero entry."""
+    rng = np.random.default_rng(seed)
+    ps, thetas = [], []
+    for lk in rng.integers(2, 6, k):
+        p = rng.random(lk)
+        p[rng.integers(lk)] = 0.0
+        ps.append(p / p.sum())
+        thetas.append(rng.dirichlet(np.ones(lk), size=lk))
+    return ps, thetas
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_x_and_w_are_numpys_per_covariate_draws_bit_for_bit(k):
+    # the reference: one rng.choice, then one rng.random, per covariate in turn
+    ps, thetas = _uneven_structure(k, seed=k)
+    ref, new = np.random.default_rng(40 + k), np.random.default_rng(40 + k)
+    x = np.column_stack([ref.choice(len(p), size=301, p=p) for p in ps])
+    w = np.column_stack([(ref.random(301)[:, None] > np.cumsum(theta, axis=1)[x[:, j]]).sum(axis=1)
+                         for j, theta in enumerate(thetas)])
+    np.testing.assert_array_equal(simulate_x(ps, 301, new), x)
+    np.testing.assert_array_equal(simulate_w(x, thetas, new), w)
+    assert new.random() == ref.random()  # both consumed the same stream
+
+
+@pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.3, 0.3, 0.3]],
+                         ids=["negative", "nan", "sums to 0.9"])
+def test_simulate_x_refuses_the_p_that_choice_refuses(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, size=5, p=p)
+    with pytest.raises(ValueError):
+        simulate_x([[0.5, 0.5], p], 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1, 2**64 + 3, -7])
+@pytest.mark.parametrize("key", [(), (0,), (2, 0), (4, 3, 200_000), (4, 1, 2**40)])
+def test_replicate_streams_are_default_rng_of_the_masked_seed_and_key(seed, key):
+    expected = np.random.default_rng([seed & (2**64 - 1), *key]).integers(0, 2**63, 4)
+    np.testing.assert_array_equal(simkit._rng(seed, *key).integers(0, 2**63, 4), expected)
+
+
+def test_replicate_responses_are_simulate_y_per_sigma_bit_for_bit():
+    cfg = ScenarioConfig(distortion="medium", n_covariates=3, replicates=4, master_seed=7,
+                         sigma_list=(0.1, 0.2, 0.5, 1.0))
+    for rep in range(cfg.replicates):
+        spec, _, _, x, _ = replicate_designs(cfg, rep)
+        design = np.ascontiguousarray(encode_dummy(spec, x).design)  # as simulate_y was fed
+        expected = np.column_stack([
+            simulate_y(design, TruthSpec.default(spec.n_slopes), sigma,
+                       simkit._rng(7, simkit._STREAM_Y, rep, simkit._sigma_key(sigma)))
+            for sigma in cfg.sigma_list])
+        for layout in (x, np.asfortranarray(x)):
+            ys = simkit.replicate_responses(cfg, rep, spec, layout, cfg.sigma_list)
+            np.testing.assert_array_equal(ys, expected)
+
+
+def test_replicate_structures_share_read_only_theta_and_p():
+    cfg = ScenarioConfig(distortion="low", n_covariates=3, levels=(2, 3, 2), replicates=2)
+    (_, thetas, ps), (_, thetas2, ps2) = (replicate_structure(cfg, rep) for rep in range(2))
+    assert thetas[0] is thetas2[0] is thetas[2] and ps[1] is ps2[1]
+    np.testing.assert_array_equal(thetas[1], scenario_theta("low", 3))
+    with pytest.raises(ValueError):
+        thetas[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ps[1][0] = 1.0
+
+
 def test_simulate_y_tiny_noise_limit():
     spec = CategoricalSpec((2,))
     x = np.array([[0], [1], [0]])
@@ -377,6 +444,16 @@ def test_a_sigma_too_large_to_key_its_y_stream_is_refused_by_name():
     # sigma * 1e6 overflows to inf, which no integer stream key can hold
     with pytest.raises(ValidationError, match=r"sigma 1e\+308 is too large"):
         ScenarioConfig(distortion="low", levels=(2,), sigma_list=(1e308,))
+    config = ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2)
+    with pytest.raises(ValidationError, match=r"sigma 1e\+303 is too large"):
+        intercept_variance_curve(config, 1e303)
+
+
+def test_the_variance_curve_refuses_an_unkeyable_sigma_before_drawing(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(simkit, "replicate_designs", drawn)
     config = ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2)
     with pytest.raises(ValidationError, match=r"sigma 1e\+303 is too large"):
         intercept_variance_curve(config, 1e303)

@@ -25,7 +25,9 @@ from flags and once from a ``--config`` file whose seed a flag overrides;
 ``simulate`` at K=10 with random levels, where most replicates have a
 level structure of their own and many small n are refused; and
 ``simulate`` at the CLI defaults (300 replicates, n = 50..500 by 25) with
-K=3 and random levels, whose replicates are fitted in several batches.
+K=3, once with random levels, whose replicates are fitted in several batches,
+and once with the fixed uneven levels 2, 4 and 3, whose x, w and theta
+tables are padded to 4 levels.
 Each of these must succeed, or the script fails.
 
 The refusals are commands whose inputs a command should refuse: on a
@@ -146,6 +148,8 @@ def commands(out: Path) -> dict[str, list[str]]:
                                 "--replicates", "30", "--seed", "3"],
         "simulate_k3_random": ["simulate", "--scenario", "medium", "--k", "3",
                                "--levels", "random"],
+        "simulate_k3_levels_243": ["simulate", "--scenario", "medium", "--k", "3",
+                                   "--levels", "2,4,3"],
     }
 
 
