@@ -103,7 +103,8 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     cov, lev = np.array(columns).T
     # in C order, so that design @ beta sums each row in one order whatever the layout of cats
     design = (cats[:, cov] == lev).astype(float, order="C")
-    design_star = np.hstack([np.ones((len(cats), 1)), design])
+    design_star = np.empty((len(cats), len(columns) + 1))
+    design_star[:, 0], design_star[:, 1:] = 1.0, design
     return DesignBundle(design=design, design_star=design_star,
                         column_map={pair: col for col, pair in enumerate(columns)})
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
+import math
 import os
 import re
 import sys
@@ -298,15 +299,17 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
     written.  In a UTF-8 locale these parses read the body as latin-1, a
     label column into bytes one longer than its longest label (at most
     _LABEL_WIDTH), so a cell that matches as read is not a truncated one.  A
-    file they accept reads as in the text parse: in UTF-8 a byte that is not
-    ASCII makes a number unparsable in latin-1, and a file holding one is
-    decoded, to refuse it if it is not UTF-8.  A file they refuse is parsed
-    as text.  A label cell that misses is re-read at full width and matched
-    with spaces stripped."""
-    nul = non_ascii = False  # a field drops trailing NULs
+    file they accept reads as in the text parse: in latin-1 a byte that is
+    not ASCII makes a number unparsable unless it is 0x85 or 0xA0, which the
+    number parsers take as whitespace, and a label cell that is not UTF-8
+    matches no label, so it is re-read as text; a file holding 0x85 or 0xA0
+    is decoded, to refuse it if it is not UTF-8.  A file they refuse is
+    parsed as text.  A label cell that misses is re-read at full width and
+    matched with spaces stripped."""
+    nul = space = False  # a field drops trailing NULs; latin-1 spaces 0x85, 0xA0
     with _open(path, "DATA_MISSING", "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
-            nul, non_ascii = nul or b"\0" in block, non_ascii or not block.isascii()
+            nul, space = nul or b"\0" in block, space or b"\x85" in block or b"\xa0" in block
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in
                  _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=str).ravel()]
@@ -330,7 +333,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
         except CliError as exc:
             if exc.code != "DATA_INVALID" or (text, number) == ("U", "f8"):
                 raise
-    if text == "S" and non_ascii and (exc := _file_decode_error(path, "utf-8")):
+    if text == "S" and space and (exc := _file_decode_error(path, "utf-8")):
         raise _parse_error(path, names, exc)
     if len(table) == 0:
         raise CliError("DATA_INVALID", f"no data rows in {path}")
@@ -509,12 +512,9 @@ def cmd_simulate(args) -> int:
     if args.dump_data:
         _dump_data(config, out)
 
-    for sigma in config.sigma_list:
-        series = {
-            method: [(r.n, r.eqp) for r in table.records
-                     if r.method == method and r.sigma == sigma and np.isfinite(r.eqp)]
-            for method in METHODS
-        }
+    for sigma, eqps in zip(config.sigma_list, table.eqp.transpose(1, 2, 0).tolist()):
+        series = {method: [(n, v) for n, v in zip(config.n_grid, values) if math.isfinite(v)]
+                  for method, values in zip(METHODS, eqps)}
         if not any(series.values()):  # every cell failed; eqp.csv holds the counts
             continue
         where = f"{config.distortion} distortion, K={config.n_covariates}, sigma={sigma:g}"

@@ -176,10 +176,8 @@ def posterior_rows(posteriors: Sequence[Posterior], w: np.ndarray) -> np.ndarray
         w = w[:, None]
     if w.shape[1] != len(posteriors):
         raise ValidationError("w column count does not match posterior count")
-    blocks = []
-    for k, post in enumerate(posteriors):
-        col = w[:, k]
-        if np.any((col < 0) | (col >= post.n_levels)):
-            raise ValidationError(f"w entries out of range for covariate {k}")
-        blocks.append(post.pi[col, : post.n_levels - 1])
-    return np.hstack(blocks)
+    bad = ((w < 0) | (w >= [post.n_levels for post in posteriors])).any(axis=0)
+    if bad.any():
+        raise ValidationError(f"w entries out of range for covariate {int(np.argmax(bad))}")
+    return np.concatenate([post.pi[w[:, k], : post.n_levels - 1]
+                           for k, post in enumerate(posteriors)], axis=1)

@@ -55,8 +55,12 @@ class TruthSpec:
             raise ValidationError("truth entries must be nonzero (EQP weights)")
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def default(cls, n_slopes: int) -> "TruthSpec":
-        return cls(0.5 + 0.2 * np.arange(n_slopes + 1))
+        """One truth per width, shared and read-only."""
+        truth = cls(0.5 + 0.2 * np.arange(n_slopes + 1))
+        truth.beta_star.flags.writeable = False
+        return truth
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,18 @@ def _padded(blocks) -> np.ndarray:
     return table
 
 
-def _draw_x(cdfs, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_x(cdfs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """x from the (K, L_max) +inf-padded table of each covariate's cdf."""
     u = rng.random((len(cdfs), n))
-    return np.ascontiguousarray((u >= _padded(cdfs).T[:, :, None]).sum(axis=0).T)
+    return np.ascontiguousarray((u >= cdfs.T[:, :, None]).sum(axis=0).T)
 
 
-def _draw_w(x: np.ndarray, cums, rng: np.random.Generator) -> np.ndarray:
-    table = _padded(cums)
-    lmax = table.shape[1]
+def _draw_w(x: np.ndarray, cums: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """w from the (K, L_max, L_max) +inf-padded table of cumulative theta rows."""
+    lmax = cums.shape[1]
     u = rng.random(x.shape[::-1])
     # cdf[l, k, i]: entry l of the cumulative theta row of x[i, k]
-    cdf = np.take(table.transpose(2, 0, 1).reshape(lmax, -1),
+    cdf = np.take(cums.transpose(2, 0, 1).reshape(lmax, -1),
                   x.T + lmax * np.arange(len(cums))[:, None], axis=1)
     return np.ascontiguousarray((u > cdf).sum(axis=0).T)
 
@@ -177,7 +182,7 @@ def simulate_x(ps, n: int, rng: np.random.Generator) -> np.ndarray:
     entries of choice's cdf of p, cumsum(p) / cumsum(p)[-1] padded with +inf,
     at or below its uniform.  Refuses a negative or NaN p, or one whose sum
     is off 1 by more than sqrt(eps), as choice does."""
-    return _draw_x([_choice_cdf(p) for p in ps], n, rng)
+    return _draw_x(_padded([_choice_cdf(p) for p in ps]), n, rng)
 
 
 def simulate_w(x: np.ndarray, thetas, rng: np.random.Generator) -> np.ndarray:
@@ -191,7 +196,7 @@ def simulate_w(x: np.ndarray, thetas, rng: np.random.Generator) -> np.ndarray:
     cums = [np.cumsum(np.asarray(theta, dtype=float), axis=1) for theta in thetas]
     if len(cums) != x.shape[1] or not ((x >= 0) & (x < [len(c) for c in cums])).all():
         raise ValueError("x needs one theta per column, with a row for each of its levels")
-    return _draw_w(x, cums, rng)
+    return _draw_w(x, _padded(cums), rng)
 
 
 def simulate_y(
@@ -218,15 +223,22 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
 
 
 @functools.cache
-def _level_tables(distortion: str, lk: int):
-    """Checked theta and uniform p of L_k levels, p's cdf, theta's cumulative
-    rows: built once, read-only."""
-    theta = check_theta(scenario_theta(distortion, lk))
-    p = check_marginal(np.full(lk, 1.0 / lk))
-    tables = theta, p, _choice_cdf(p), np.cumsum(theta, axis=1)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _level_tables(distortion: str):
+    """The checked theta and uniform p of each L_k preset of the distortion,
+    by L_k, and the draw tables, indexed by L_k and padded with +inf to the
+    largest: p's cdf and theta's cumulative rows.  Built once, read-only."""
+    levels = [lk for d, lk in SCENARIO_THETAS if d == distortion]
+    width = max(levels)
+    cdfs, cums = np.full((width + 1, width), np.inf), np.full((width + 1, width, width), np.inf)
+    mechanisms = {}
+    for lk in levels:
+        theta = check_theta(scenario_theta(distortion, lk))
+        p = check_marginal(np.full(lk, 1.0 / lk))
+        cdfs[lk, :lk], cums[lk, :lk, :lk] = _choice_cdf(p), np.cumsum(theta, axis=1)
+        mechanisms[lk] = theta, p
+        theta.flags.writeable = p.flags.writeable = False
+    cdfs.flags.writeable = cums.flags.writeable = False
+    return mechanisms, cdfs, cums
 
 
 def replicate_structure(config: ScenarioConfig, replicate_id: int):
@@ -235,16 +247,17 @@ def replicate_structure(config: ScenarioConfig, replicate_id: int):
     if levels is None:
         rng = _rng(config.master_seed, _STREAM_STRUCTURE, replicate_id)
         levels = tuple(int(v) for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates))
-    thetas, ps = zip(*(_level_tables(config.distortion, lk)[:2] for lk in levels))
+    thetas, ps = zip(*(_level_tables(config.distortion)[0][lk] for lk in levels))
     return CategoricalSpec(levels), list(thetas), list(ps)
 
 
 def replicate_designs(config: ScenarioConfig, replicate_id: int):
     """Generate (spec, thetas, ps, x, w) at the full generation size."""
     spec, thetas, ps = replicate_structure(config, replicate_id)
-    _, _, cdfs, cums = zip(*(_level_tables(config.distortion, lk) for lk in spec.levels))
-    x = _draw_x(cdfs, config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
-    w = _draw_w(x, cums, _rng(config.master_seed, _STREAM_W, replicate_id))
+    _, cdfs, cums = _level_tables(config.distortion)
+    levels = list(spec.levels)
+    x = _draw_x(cdfs[levels], config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
+    w = _draw_w(x, cums[levels], _rng(config.master_seed, _STREAM_W, replicate_id))
     return spec, thetas, ps, x, w
 
 
@@ -255,11 +268,11 @@ def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: Categor
     design of x, as BLAS sums the rows of another layout in another order."""
     beta = TruthSpec.default(spec.n_slopes).beta_star
     mean = beta[0] + encode_dummy(spec, x).design @ beta[1:]
-    return np.column_stack([
-        mean + sigma * _rng(config.master_seed, _STREAM_Y, replicate_id,
-                            _sigma_key(sigma)).standard_normal(len(mean))
-        for sigma in sigmas
-    ])
+    ys = np.empty((len(mean), len(sigmas)))
+    for j, sigma in enumerate(sigmas):
+        rng = _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma))
+        ys[:, j] = mean + sigma * rng.standard_normal(len(mean))
+    return ys
 
 
 def replicate_response(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
@@ -372,53 +385,68 @@ class EqpRecord:
     replicates: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqpTable:
-    records: tuple[EqpRecord, ...]
+    """``run_grid``'s mean EQP over the surviving replicates and its MCSE,
+    indexed [n, sigma, method] over ``config``'s grid and METHODS (NaN where
+    every replicate was refused), and the replicates refused per n.  Equal
+    tables have equal configs and arrays, NaN included; they have no hash."""
+
+    config: ScenarioConfig
+    eqp: np.ndarray
+    mcse: np.ndarray
+    failures: np.ndarray
 
     HEADER = "distortion,K,levels,n,sigma,method,eqp,mcse,failures,replicates"
 
+    def __eq__(self, other):
+        return isinstance(other, EqpTable) and self.config == other.config and all(
+            np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
+            for f in ("eqp", "mcse", "failures"))
+
+    def _rows(self) -> list[tuple]:
+        """The fields of each cell's EqpRecord, sigma-major, then n, then method."""
+        c = self.config
+        levels = "random" if c.levels is None else "-".join(map(str, c.levels))
+        eqp, mcse, failures = self.eqp.tolist(), self.mcse.tolist(), self.failures.tolist()
+        return [(c.distortion, c.n_covariates, levels, n, sigma, method, eqp[i][s][j],
+                 mcse[i][s][j], failures[i], c.replicates - failures[i])
+                for s, sigma in enumerate(c.sigma_list) for i, n in enumerate(c.n_grid)
+                for j, method in enumerate(METHODS)]
+
+    @property
+    def records(self) -> tuple[EqpRecord, ...]:
+        """One EqpRecord per cell, in the order of ``to_csv``'s rows."""
+        return tuple(EqpRecord(*row) for row in self._rows())
+
     def to_csv(self) -> str:
-        lines = [self.HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.distortion},{r.n_covariates},{r.levels},{r.n},"
-                f"{r.sigma:.17g},{r.method},{r.eqp:.17g},{r.mcse:.17g},"
-                f"{r.failures},{r.replicates}"
-            )
-        return "\n".join(lines) + "\n"
+        return "".join([self.HEADER + "\n", *("%s,%d,%s,%d,%.17g,%s,%.17g,%.17g,%d,%d\n" % row
+                                              for row in self._rows())])
 
 
 def run_grid(config: ScenarioConfig) -> EqpTable:
     """Full factorial over n_grid x sigma_list x methods, aggregated over
     replicates in fixed replicate order.  Replicates are drawn one after
     another and fitted in same-shape stacks, on one thread: each is a few
-    milliseconds of small numpy calls, and a thread pool made runs slower."""
-    eqps, refused = [], []
-    for spec, _, _, fits in _replicate_fits(config, config.sigma_list):
-        estimates = np.stack([fits.gamma_star, fits.beta_c_star, fits.beta_full], axis=2)
-        eqps.append(eqp(estimates, TruthSpec.default(spec.n_slopes)))
-        refused.append(fits.refused)
-    eqps = np.stack(eqps)  # [replicate, n, sigma, method], NaN where refused
-    refused = np.stack(refused)  # [replicate, n]
+    milliseconds of small numpy calls, and a thread pool made runs slower.
+    Each replicate is scored as its fits arrive; only its EQPs are kept."""
+    shape = (len(config.n_grid), len(config.sigma_list), len(METHODS))
+    eqps = np.empty((config.replicates, *shape))  # NaN where refused
+    refused = np.empty((config.replicates, len(config.n_grid)), dtype=bool)
+    for rep, (spec, _, _, fits) in enumerate(_replicate_fits(config, config.sigma_list)):
+        # [n, sigma, method, parameter] in METHODS order: gamma_star, beta_c_star
+        # (gamma's intercept, corrected slopes) and beta_full (corrected intercept too)
+        estimates = np.repeat(fits.gamma_star[:, :, None], len(METHODS), axis=2)
+        estimates[:, :, 1:, 1:], estimates[:, :, 2, 0] = fits.beta_c[:, :, None], fits.beta0_c
+        eqps[rep] = eqp(estimates, TruthSpec.default(spec.n_slopes))
+        refused[rep] = fits.refused
 
     # per n, one reduction over the last axis of its surviving replicates'
     # contiguous [sigma, method, replicate] EQPs sums in the 1-D call's order
-    mean = np.full(eqps.shape[1:], math.nan)  # [n, sigma, method]
-    mcse = np.full(eqps.shape[1:], math.nan)
+    mean, mcse = np.full(shape, math.nan), np.full(shape, math.nan)
     for i in range(len(config.n_grid)):
         ok = np.ascontiguousarray(np.moveaxis(eqps[~refused[:, i], i], 0, -1))
         if k := ok.shape[-1]:
             mean[i] = ok.mean(axis=-1)
             mcse[i] = ok.std(axis=-1, ddof=1) / math.sqrt(k) if k > 1 else 0.0
-
-    levels_sig = "random" if config.levels is None else "-".join(map(str, config.levels))
-    failures = refused.sum(axis=0)
-    return EqpTable(records=tuple(
-        EqpRecord(config.distortion, config.n_covariates, levels_sig, n, sigma, method,
-                  float(mean[i, s, j]), float(mcse[i, s, j]), failures=int(failures[i]),
-                  replicates=config.replicates - int(failures[i]))
-        for s, sigma in enumerate(config.sigma_list)
-        for i, n in enumerate(config.n_grid)
-        for j, method in enumerate(METHODS)
-    ))
+    return EqpTable(config, mean, mcse, refused.sum(axis=0))

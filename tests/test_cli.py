@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import miscorr
 from miscorr import __version__, categorical, cli, estimators, simkit
 from miscorr.categorical import CategoricalSpec, encode_dummy
+from miscorr.charts import line_chart
 from miscorr.cli import main
 from miscorr.misclass import posterior_from, scenario_theta
 from miscorr.simkit import TruthSpec, simulate_w, simulate_x, simulate_y
@@ -745,6 +747,27 @@ def test_the_bytes_parse_reads_what_the_text_parse_reads(tmp_path, monkeypatch):
     assert any("codec can't decode" in out[-1] for out in as_is if len(out) == 2)
 
 
+def test_a_file_without_0x85_or_0xa0_is_not_decoded_again(tmp_path, monkeypatch):
+    # in latin-1 these are the only bytes past ASCII that a number parse takes
+    # (as whitespace); other bytes past ASCII lie in label cells, which match
+    # only labels that are UTF-8
+    labels = ["ålpha", "βravo", "チャーリー"]
+    data = tmp_path / "data.csv"
+    data.write_text("y,w1,w2\n" + "".join(f"{i / 4},{i % 2},{labels[i % 3]}\n"
+                                         for i in range(30)), encoding="utf-8")
+    (tmp_path / "labels.json").write_text(json.dumps({"w2": labels}))
+    body = data.read_bytes()
+    assert not body.isascii() and b"\x85" not in body and b"\xa0" not in body
+
+    def decoded(*args):
+        raise AssertionError("the file was decoded again")
+
+    monkeypatch.setattr(cli, "_file_decode_error", decoded)
+    y, w, names = _read_dataset(data)
+    assert y.tolist() == [i / 4 for i in range(30)] and names == ["w1", "w2"]
+    assert w.tolist() == [[i % 2, i % 3] for i in range(30)]
+
+
 CATEGORY_CELLS = [
     *((cell, 1) for cell in ["1", "1.0", "1e0", " 1", "+1", "01", '"1"', "\t1", "1."]),
     ("-0", 0), (".5e1", 5),
@@ -1031,6 +1054,29 @@ def test_running_out_of_memory_is_one_json_line_and_exit_3(tmp_path, capsys, mon
     assert capsys.readouterr().err == json.dumps(
         {"error": "OUT_OF_MEMORY", "message": message}) + "\n"
     assert not out.exists()
+
+
+def test_each_eqp_chart_draws_exactly_the_finite_cells_of_its_sigma(tmp_path):
+    # K=3 random levels have 4 to 10 parameters: n=4 is refused in every replicate, n=8 in some
+    config = simkit.ScenarioConfig("medium", n_covariates=3, levels=None, n_grid=(4, 8, 50),
+                                   sigma_list=(0.2, 1.0), replicates=12, master_seed=21)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "medium", "--k", "3", "--levels", "random",
+                 "--n-grid", "4,8,50", "--sigmas", "0.2,1", "--replicates", "12",
+                 "--seed", "21", "--out", str(out)]) == 0
+    table = simkit.run_grid(config)
+    assert (out / "eqp.csv").read_text() == table.to_csv()
+    assert table.failures[0] == 12 and 0 < table.failures[1] < 12
+    for sigma in config.sigma_list:
+        series = {method: [(r.n, r.eqp) for r in table.records if r.method == method
+                           and r.sigma == sigma and np.isfinite(r.eqp)]
+                  for method in simkit.METHODS}
+        assert [[n for n, _ in points] for points in series.values()] == [[8, 50]] * 3
+        svg = (out / f"eqp_medium_K3_sigma{sigma:g}.svg").read_text()
+        assert svg == line_chart(series, f"EQP, medium distortion, K=3, sigma={sigma:g}",
+                                 y_label="EQP")
+        assert [len(points.split()) for points in re.findall(r'<polyline points="([^"]*)"', svg)
+                ] == [2, 2, 2]
 
 
 def test_simulate_grid_below_the_column_count_reports_failures(tmp_path):

@@ -177,3 +177,13 @@ def test_posterior_rows_two_identity_covariates():
     posts = [posterior_from(np.eye(2), UNIFORM2)] * 2
     rows = posterior_rows(posts, np.array([[1, 0]]))
     assert rows.tolist() == [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("bad", [{0: -1}, {0: 3}, {1: -1}, {1: 2}, {0: 3, 1: -1}, {0: -2, 1: 5}])
+def test_posterior_rows_refuse_a_w_out_of_range_naming_the_first_covariate(bad):
+    posts = [posterior_from(np.eye(3), np.ones(3) / 3), posterior_from(LOW2, UNIFORM2)]
+    w = np.array([[0, 1], [2, 0], [1, 1]])
+    for k, value in bad.items():
+        w[2 - k, k] = value  # with both, covariate 1 has the first bad row
+    with pytest.raises(ValidationError, match=f"out of range for covariate {min(bad)}$"):
+        posterior_rows(posts, w)

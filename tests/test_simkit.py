@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from miscorr.misclass import posterior_rows, scenario_theta
 from miscorr.simkit import (
     METHODS,
     EqpRecord,
+    EqpTable,
     ScenarioConfig,
     TruthSpec,
     eqp,
@@ -45,6 +47,15 @@ def _cell_estimates(cfg, cell, rep):
 def test_truth_spec_values():
     truth = TruthSpec.default(3)
     np.testing.assert_allclose(truth.beta_star, [0.5, 0.7, 0.9, 1.1])
+
+
+def test_the_default_truth_is_one_read_only_truth_per_width():
+    truth = TruthSpec.default(3)
+    assert TruthSpec.default(3) is truth and TruthSpec.default(2) is not truth
+    assert TruthSpec.default(2).beta_star.tolist() == [0.5, 0.7, 0.9]
+    with pytest.raises(ValueError):
+        truth.beta_star[0] = 1.0
+    assert truth.beta_star[0] == 0.5
 
 
 def test_truth_spec_rejects_zero_entries():
@@ -129,6 +140,20 @@ def test_x_and_w_are_numpys_per_covariate_draws_bit_for_bit(k):
     np.testing.assert_array_equal(simulate_x(ps, 301, new), x)
     np.testing.assert_array_equal(simulate_w(x, thetas, new), w)
     assert new.random() == ref.random()  # both consumed the same stream
+
+
+@pytest.mark.parametrize("distortion, levels", [("low", (2, 3, 2)), ("medium", None),
+                                                ("high", None)])
+def test_replicate_designs_draw_what_simulate_x_and_w_draw_from_their_streams(distortion, levels):
+    # the grid's cdf and cumulative theta tables are built per distortion and padded to its
+    # widest preset, the public draws' to the replicate's widest covariate
+    cfg = ScenarioConfig(distortion=distortion, n_covariates=3, levels=levels, replicates=6,
+                         master_seed=9)
+    stream = functools.partial(simkit._rng, cfg.master_seed)
+    for rep in range(cfg.replicates):
+        spec, thetas, ps, x, w = replicate_designs(cfg, rep)
+        np.testing.assert_array_equal(x, simulate_x(ps, cfg.n_gen, stream(simkit._STREAM_X, rep)))
+        np.testing.assert_array_equal(w, simulate_w(x, thetas, stream(simkit._STREAM_W, rep)))
 
 
 @pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.3, 0.3, 0.3]],
@@ -520,6 +545,67 @@ def test_naive_slope_eqp_converges_to_attenuation_limit():
         est = _cell_estimates(cfg, (500, 0.1), rep)
         vals.append((truth.beta_star[1] - est["none"][1]) ** 2 / truth.beta_star[1])
     assert np.mean(vals) == pytest.approx(limit, rel=0.2)
+
+
+# K=3 random levels have 4 to 10 parameters: n=4 is refused in every replicate, n=8 in some
+REFUSED_ROWS = ScenarioConfig(distortion="medium", n_covariates=3, levels=None, n_grid=(4, 8, 50),
+                              sigma_list=(0.2, 1.0), replicates=12, master_seed=21)
+
+
+def _records_as_built(config, table):
+    """The records run_grid built cell by cell before its table held arrays."""
+    levels = "random" if config.levels is None else "-".join(map(str, config.levels))
+    return tuple(
+        EqpRecord(config.distortion, config.n_covariates, levels, n, sigma, method,
+                  float(table.eqp[i, s, j]), float(table.mcse[i, s, j]),
+                  failures=int(table.failures[i]),
+                  replicates=config.replicates - int(table.failures[i]))
+        for s, sigma in enumerate(config.sigma_list)
+        for i, n in enumerate(config.n_grid)
+        for j, method in enumerate(METHODS)
+    )
+
+
+def _csv_as_written(records):
+    """EqpTable.to_csv as it wrote its records one by one."""
+    lines = [EqpTable.HEADER]
+    for r in records:
+        lines.append(
+            f"{r.distortion},{r.n_covariates},{r.levels},{r.n},"
+            f"{r.sigma:.17g},{r.method},{r.eqp:.17g},{r.mcse:.17g},"
+            f"{r.failures},{r.replicates}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("cfg", [REFUSED_ROWS, ScenarioConfig(
+    distortion="low", n_covariates=2, levels=(2, 3), n_grid=(50, 100), sigma_list=(0.1,),
+    replicates=1, master_seed=4)])
+def test_the_table_writes_the_csv_and_records_it_wrote_cell_by_cell(cfg):
+    table = run_grid(cfg)
+    if cfg is REFUSED_ROWS:
+        assert table.failures[0] == cfg.replicates and 0 < table.failures[1] < cfg.replicates
+        assert np.isnan(table.eqp[0]).all() and np.isfinite(table.eqp[1:]).all()
+    records = _records_as_built(cfg, table)
+    assert repr(table.records) == repr(records)  # numpy 2 reprs a numpy scalar by its type
+    assert table.to_csv() == _csv_as_written(records)
+
+
+def test_tables_are_equal_by_config_and_values_and_have_no_hash():
+    table = run_grid(REFUSED_ROWS)
+    again = run_grid(REFUSED_ROWS)
+    assert table == again and not table != again  # its n=4 cells are NaN in both
+    assert table != run_grid(dataclasses.replace(REFUSED_ROWS, master_seed=22))
+    assert table != dataclasses.replace(again, config=dataclasses.replace(REFUSED_ROWS,
+                                                                          replicates=13))
+    for field in ("eqp", "mcse", "failures"):
+        moved = dataclasses.replace(again, **{field: getattr(again, field).copy()})
+        cell = getattr(moved, field).reshape(-1)
+        cell[-1] = cell[-1] + 1 if field == "failures" else np.nextafter(cell[-1], 1)
+        assert table != moved
+    assert table != table.to_csv()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
 
 
 def test_eqp_record_shape():

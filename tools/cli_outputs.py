@@ -27,7 +27,9 @@ level structure of their own and many small n are refused; and
 ``simulate`` at the CLI defaults (300 replicates, n = 50..500 by 25) with
 K=3, once with random levels, whose replicates are fitted in several batches,
 and once with the fixed uneven levels 2, 4 and 3, whose x, w and theta
-tables are padded to 4 levels.
+tables are padded to 4 levels; ``simulate`` at K=3 with 4 levels each and
+n = 4, 8, 50, whose n = 4 and 8 are refused in every replicate (NaN rows
+in eqp.csv; the charts hold the n = 50 points alone).
 Each of these must succeed, or the script fails.
 
 The refusals are commands whose inputs a command should refuse: on a
@@ -150,6 +152,8 @@ def commands(out: Path) -> dict[str, list[str]]:
                                "--levels", "random"],
         "simulate_k3_levels_243": ["simulate", "--scenario", "medium", "--k", "3",
                                    "--levels", "2,4,3"],
+        "simulate_k3_refused_rows": ["simulate", "--scenario", "medium", "--k", "3",
+                                     "--levels", "4", "--n-grid", "4,8,50"],
     }
 
 
