@@ -77,18 +77,44 @@ class DesignBundle:
     column_map: dict = field(compare=False)
 
 
-def _category_table(spec: CategoricalSpec, categories) -> np.ndarray:
-    """The n x K integer category matrix, with every category in range."""
-    cats = np.asarray(categories, dtype=int)
-    if cats.ndim == 1:
-        cats = cats[:, None]
-    if cats.shape[1] != spec.n_covariates:
-        raise ValueError(f"expected {spec.n_covariates} covariates, got {cats.shape[1]}")
-    bad = (cats < 0) | (cats >= np.array(spec.levels))
-    if bad.any():  # the first covariate with a category out of range, at its first such row
-        j, i = map(int, np.argwhere(bad.T)[0])
-        raise OutOfRangeCategory(i, j, int(cats[i, j]))
-    return cats
+def _columns(spec: CategoricalSpec, categories) -> list[np.ndarray]:
+    """The K category columns, as 64-bit integers, of an n x K table (a
+    vector when K is 1) or of a list of its K columns as numpy arrays."""
+    if isinstance(categories, list) and all(isinstance(c, np.ndarray) for c in categories):
+        columns = [np.asarray(col, dtype=np.int64) for col in categories]
+    else:
+        cats = np.asarray(categories, dtype=np.int64)
+        columns = list((cats[:, None] if cats.ndim == 1 else cats).T)
+    if len(columns) != spec.n_covariates:
+        raise ValueError(f"expected {spec.n_covariates} covariates, got {len(columns)}")
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("the category columns differ in length")
+    return columns
+
+
+def _in_range(spec: CategoricalSpec, categories) -> list[np.ndarray]:
+    """The category columns, each checked by one max; the first
+    covariate with a category out of range is reported at its first such
+    row."""
+    columns = _columns(spec, categories)
+    for j, (col, lk) in enumerate(zip(columns, spec.levels)):
+        unsigned = col.view(np.uint64)  # where a negative category lies above every level
+        if col.size and unsigned.max() >= lk:
+            i = int(np.argmax(unsigned >= lk))
+            raise OutOfRangeCategory(i, j, int(col[i]))
+    return columns
+
+
+def _dummy(spec: CategoricalSpec, cats: np.ndarray) -> DesignBundle:
+    """``encode_dummy`` of an n x K table whose categories are in range."""
+    columns = [(j, level) for j, lk in enumerate(spec.levels) for level in range(lk - 1)]
+    cov, lev = np.array(columns).T
+    # in C order, so that design @ beta sums each row in one order whatever the layout of cats
+    design = (cats[:, cov] == lev).astype(float, order="C")
+    design_star = np.empty((len(cats), len(columns) + 1))
+    design_star[:, 0], design_star[:, 1:] = 1.0, design
+    return DesignBundle(design=design, design_star=design_star,
+                        column_map={pair: col for col, pair in enumerate(columns)})
 
 
 def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
@@ -98,15 +124,7 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     is the reference and encodes to all zeros.  ``design_star`` prepends an
     all-ones intercept column.
     """
-    cats = _category_table(spec, categories)
-    columns = [(j, level) for j, lk in enumerate(spec.levels) for level in range(lk - 1)]
-    cov, lev = np.array(columns).T
-    # in C order, so that design @ beta sums each row in one order whatever the layout of cats
-    design = (cats[:, cov] == lev).astype(float, order="C")
-    design_star = np.empty((len(cats), len(columns) + 1))
-    design_star[:, 0], design_star[:, 1:] = 1.0, design
-    return DesignBundle(design=design, design_star=design_star,
-                        column_map={pair: col for col, pair in enumerate(columns)})
+    return _dummy(spec, np.column_stack(_in_range(spec, np.asarray(categories))))
 
 
 @dataclass(frozen=True)
@@ -126,62 +144,87 @@ class Cells:
     column_map: dict = field(compare=False)
 
 
-def encode_cells(spec: CategoricalSpec, categories: np.ndarray) -> Cells:
+def encode_cells(spec: CategoricalSpec, categories) -> Cells:
     """Find the occupied cells by their mixed-radix ids, in ascending id
-    order, and dummy-encode one row per cell."""
-    cats = _category_table(spec, categories)
-    ids, size = np.zeros(len(cats), dtype=np.int64), 1
-    for col, lk in zip(cats.T, spec.levels):
+    order, and dummy-encode one row per cell.  ``categories`` is an n x K
+    table or a list of its K columns as numpy arrays.  This is the one pass over the rows:
+    each column's range check, the ids, one bincount and the cell of each
+    row; the cells' categories are decoded from their ids."""
+    columns = _in_range(spec, categories)
+    n = len(columns[0])
+    ids, size, renumbered = columns[0].astype(np.int64), spec.levels[0], {}
+    for j in range(1, spec.n_covariates):
+        lk = spec.levels[j]
         if size * lk > 2**62:  # renumber the combinations so far: at most n
-            ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
-        ids, size = ids * lk + col, size * lk
-    if size > len(cats):  # more combinations than rows: renumber the occupied ones
-        ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
-    counts = np.bincount(ids, minlength=size)
-    inverse = (np.cumsum(counts > 0) - 1)[ids]  # occupied cells below each id
-    counts = counts[counts > 0]
-    last = np.empty(len(counts), dtype=np.intp)
-    last[inverse] = np.arange(len(cats))  # every row of a cell holds the same categories
-    rows = cats[last]
-    bundle = encode_dummy(spec, rows)
+            renumbered[j], ids = np.unique(ids, return_inverse=True)
+            size = n
+        ids *= lk
+        ids += columns[j]
+        size *= lk
+    if size > n:  # more combinations than rows: number the occupied ones
+        cell_ids, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    else:
+        counts = np.bincount(ids, minlength=size)
+        cell_ids = np.flatnonzero(counts)
+        inverse = (np.cumsum(counts > 0) - 1).take(ids)  # occupied cells below each id
+        counts = counts[cell_ids]
+    rows = np.empty((len(cell_ids), spec.n_covariates), dtype=int)
+    for j in reversed(range(spec.n_covariates)):
+        cell_ids, rows[:, j] = np.divmod(cell_ids, spec.levels[j])
+        if j in renumbered:  # back to the ids the renumbering numbered
+            cell_ids = renumbered[j][cell_ids]
+    bundle = _dummy(spec, rows)
     return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The errors found and each covariate's level counts; ``cells`` holds
+    the occupied cells for the fit (None when a category is out of range)."""
+
     errors: tuple[str, ...]
     level_counts: tuple
+    cells: Cells | None = field(default=None, compare=False, repr=False)
 
 
-def validate_dataset(spec: CategoricalSpec, ds: ObservedDataset,
-                     names=None, labels=None) -> ValidationReport:
+def validate_dataset(spec: CategoricalSpec, ds, names=None, labels=None) -> ValidationReport:
     """Report-only sanity checks: categories in range, every level present
-    (an absent level makes the design singular) and enough rows.  Messages
-    name covariate k by names[k] (default w1..wK), and an absent level also
-    by its label where ``labels`` (column name -> labels in level order, as
-    in labels.json) has one."""
+    (an absent level makes the design singular) and enough rows.  ``ds`` is
+    an ObservedDataset or its categories as ``encode_cells`` takes them.
+    Messages name covariate k by names[k] (default w1..wK), and an absent
+    level also by its label where ``labels`` (column name -> labels in level
+    order, as in labels.json) has one.  A level's count is the sum of the
+    counts of the cells that hold it; only where a category is out of range
+    is each column counted on its own."""
     names = names or [f"w{j + 1}" for j in range(spec.n_covariates)]
     labels = labels or {}
+    columns = _columns(spec, ds.w if isinstance(ds, ObservedDataset) else ds)
+    try:
+        cells = encode_cells(spec, columns)
+    except OutOfRangeCategory:
+        cells = None
     errors = []
     counts = []
     for j, lk in enumerate(spec.levels):
-        col = ds.w[:, j]
-        in_range = (col >= 0) & (col < lk)
-        if not in_range.all():
-            i = int(np.argmin(in_range))
-            errors.append(
-                f"OutOfRangeCategory: data row {i + 1}, column {names[j]}: "
-                f"{int(col[i])} is not in 0..{lk - 1}"
-            )
-            col = col[in_range]
-        cnt = np.bincount(col, minlength=lk)
+        if cells is not None:
+            cnt = np.bincount(cells.categories[:, j], cells.counts, lk)
+        else:
+            col = columns[j]
+            in_range = (col >= 0) & (col < lk)
+            if not in_range.all():
+                i = int(np.argmin(in_range))
+                errors.append(
+                    f"OutOfRangeCategory: data row {i + 1}, column {names[j]}: "
+                    f"{int(col[i])} is not in 0..{lk - 1}"
+                )
+                col = col[in_range]
+            cnt = np.bincount(col, minlength=lk)
         counts.append(tuple(int(c) for c in cnt))
         shown = labels.get(names[j], [])
         errors += [f"column {names[j]}: level {level}"
                    f"{f' ({shown[level]!r})' if level < len(shown) else ''} never occurs"
                    for level in np.flatnonzero(cnt == 0)]
-    if ds.n < spec.n_params + 1:
+    if len(columns[0]) < spec.n_params + 1:
         errors.append(f"need at least {spec.n_params + 1} rows to fit {spec.n_params} "
-                      f"parameters, got {ds.n}")
-    return ValidationReport(errors=tuple(errors), level_counts=tuple(counts))
-
+                      f"parameters, got {len(columns[0])}")
+    return ValidationReport(errors=tuple(errors), level_counts=tuple(counts), cells=cells)

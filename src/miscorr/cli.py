@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .categorical import CategoricalSpec, ObservedDataset, validate_dataset
+from .categorical import CategoricalSpec, validate_dataset
 from .charts import line_chart
 from .diagnostics import conditional_bias, variance_report
 from .errors import MiscorrError, NonIdentifiable, NumericalError, ValidationError
-from .estimators import fit_corrected
+from .estimators import fit_cells
 from .misclass import SCENARIO_THETAS, check_marginal, check_theta, estimate_marginal
 from .simkit import (
     HIGH_DISTORTION_SIGMAS,
@@ -175,8 +175,8 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
     numpy reads a path in blocks, through np.lib._datasource, which would
     fetch a name that parses as a URL (an absolute path never does) and
     decompresses by suffix (those names are refused)."""
-    if lines is None and os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
-        raise CliError("DATA_INVALID", f"{path}: compressed data files are not read")
+    if lines is None:
+        _refuse_compressed(path)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
@@ -193,6 +193,11 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
         raise _parse_error(path, names, exc) from exc
     except OSError as exc:  # e.g. the file went away since it was opened
         raise _os_error(path, code, exc) from exc
+
+
+def _refuse_compressed(path: str) -> None:
+    if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
+        raise CliError("DATA_INVALID", f"{path}: compressed data files are not read")
 
 
 def _file_decode_error(path: str, encoding: str) -> UnicodeDecodeError | None:
@@ -223,8 +228,9 @@ def _parse_error(path: str, names, exc: Exception) -> CliError:
 
 def _read_matrix(path: str, code: str, entries: int | None = None) -> np.ndarray:
     """A table of finite numbers; with ``entries``, one row of that many."""
-    _open(path, code).close()  # were it missing, numpy would try path.gz and others
-    table = _loadtxt(path, code, dtype=float)
+    with _open(path, code) as fh:  # given a missing path, numpy would try path.gz and others
+        _refuse_compressed(path)
+        table = _loadtxt(path, code, fh, dtype=float)
     if table.size == 0:
         raise CliError(code, f"empty file: {path}")
     if not np.all(np.isfinite(table)):
@@ -277,22 +283,26 @@ def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
         return np.full(len(cells), -1)
     key_words, cell_words = (np.ascontiguousarray(a, cells.dtype).view(np.uint64)
                              .reshape(len(a), -1).T for a in (list(keys), cells))
-    key_ids = ids = 0  # the number of each label's and each cell's prefix so far
+    # the number of each label's and each cell's prefix so far; at the first
+    # word the ranks are the numbers
     for t, (key_word, cell_word) in enumerate(zip(key_words, cell_words)):
         distinct, key_rank = np.unique(key_word, return_inverse=True)
-        rank = np.minimum(np.searchsorted(distinct, cell_word), len(distinct) - 1)
-        ids = np.where(distinct[rank] == cell_word, ids * len(distinct) + rank, -1)
+        rank = np.searchsorted(distinct, cell_word)
+        hit = np.append(distinct, 0)[rank] == cell_word  # past the last word: 0, no match
+        if not t:
+            ids, key_ids = np.where(hit, rank, -1), key_rank
+            continue
+        pairs = np.where(hit, ids * len(distinct) + rank, -1)  # number the (prefix, rank) pairs
         prefixes, key_ids = np.unique(key_ids * len(distinct) + key_rank, return_inverse=True)
-        if t:  # number the (prefix, rank) pairs; at the first word the ranks are the numbers
-            pairs, ids = ids, np.minimum(np.searchsorted(prefixes, ids), len(prefixes) - 1)
-            ids[prefixes[ids] != pairs] = -1
+        ids = np.searchsorted(prefixes, pairs)
+        ids[np.append(prefixes, -1)[ids] != pairs] = -1
     return np.append(np.array(list(keys.values()))[np.argsort(key_ids)], -1)[ids]
 
 
-def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """y, the n x K integer categories and the K column names of a CSV with
-    header y,w1..wK.  Columns named in ``labels`` hold labels, the others
-    integral numbers, parsed as integers; only where that parse refuses a
+def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """y, finite, and the K integer category columns and their names, of a
+    CSV with header y,w1..wK.  Columns named in ``labels`` hold labels, the
+    others integral numbers, parsed as integers; only where that parse refuses a
     cell (a float spelling such as 1.0, 1e0 or 1., or an integer beyond 64
     bits) is the file parsed again with them as floats, where a cell of 2**53
     or more, which a float may have rounded, is out of range and quoted as
@@ -361,7 +371,8 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, np.ndarray, list
             raise CliError("DATA_INVALID", f"{where}: {repr(cell)[:100]} is out of range")
         raise CliError("DATA_INVALID",
                        f"{where}: {float(value)!r} is not {'an integer' if j else 'finite'}")
-    return np.ascontiguousarray(cols[0]), np.array(cols[1:], dtype=int).T, names[1:]
+    return (np.ascontiguousarray(cols[0]),
+            [col.astype(int) if col.dtype.kind == "f" else col for col in cols[1:]], names[1:])
 
 
 def _paths(args, key: str, k: int, code: str) -> list[str]:
@@ -411,21 +422,20 @@ def _load_and_fit(args, truth_path: str | None = None):
     """The input boundary shared by fit and diagnose: read the dataset, its
     theta files and the truth file if given (one row of a parameter per
     design column), validate, read the p files and refuse a p with a zero,
-    which leaves the correction unidentified, then fit and correct.  A
-    warning raised on the way (a renormalized theta or p) is written to
-    stderr as one JSON line, and returned."""
+    which leaves the correction unidentified, then fit and correct on the
+    cells the validation found.  A warning raised on the way (a renormalized
+    theta or p) is written to stderr as one JSON line, and returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data_path = _require(args, "data", "DATA_MISSING")
         labels = _load_labels(data_path)
-        y, w, names = _read_dataset(data_path, labels)
-        paths = _paths(args, "theta", w.shape[1], "THETA_MISSING")
+        y, columns, names = _read_dataset(data_path, labels)
+        paths = _paths(args, "theta", len(columns), "THETA_MISSING")
         thetas = [_read_checked(path, "THETA_MISSING", check_theta) for path in paths]
         spec = CategoricalSpec(tuple(t.shape[0] for t in thetas))
         truth = (None if truth_path is None else
                  _read_matrix(truth_path, "TRUTH_REQUIRED", spec.n_params)[0])
-        ds = ObservedDataset(y=y, w=w)
-        report = validate_dataset(spec, ds, names, labels)
+        report = validate_dataset(spec, columns, names, labels)
         if report.errors:
             raise CliError("DATA_INVALID", "; ".join(report.errors))
         ps, p_residuals = _load_marginals(args, thetas, report.level_counts)
@@ -439,15 +449,15 @@ def _load_and_fit(args, truth_path: str | None = None):
                 f"column {name}: {who} is 0 at level{'s' * (len(at) > 1)} "
                 f"{', '.join(map(str, at))}{note}" for name, at, who, note in zero)
                 + ", so the correction is not identified" + "; give --p files" * bool(p_residuals))
-        fit = fit_corrected(spec, ds, thetas, ps)
+        fit = fit_cells(spec, report.cells, y, thetas, ps)
     notes = [str(note.message) for note in caught]
     for note, message in zip(caught, notes):
         _emit("warning", getattr(note.category, "code", note.category.__name__), message)
-    return spec, ds, notes, p_residuals, fit, truth
+    return spec, len(y), notes, p_residuals, fit, truth
 
 
 def cmd_fit(args) -> int:
-    spec, ds, notes, p_residuals, fit, _ = _load_and_fit(args)
+    spec, n, notes, p_residuals, fit, _ = _load_and_fit(args)
     var = variance_report(fit, fit.naive.sigma2_w)
     var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
 
@@ -456,13 +466,13 @@ def cmd_fit(args) -> int:
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
-        "n": ds.n, "n_params": spec.n_params, "sigma2_w": fit.naive.sigma2_w,
+        "n": n, "n_params": spec.n_params, "sigma2_w": fit.naive.sigma2_w,
         "condition_sigma_w": float(np.linalg.cond(fit.blocks.sigma_w)),
         "condition_correction": float(np.linalg.cond(fit.blocks.correction)),
         "warnings": notes, "estimated_p_residuals": p_residuals,
     }
     (out / "diagnostics.json").write_text(json.dumps(diag, indent=2) + "\n")
-    _echo_config(out, {"command": "fit", "n": ds.n, "levels": list(spec.levels)})
+    _echo_config(out, {"command": "fit", "n": n, "levels": list(spec.levels)})
     return 0
 
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .categorical import CategoricalSpec, ObservedDataset, encode_cells
+from .categorical import CategoricalSpec, Cells, ObservedDataset, encode_cells
 from .errors import RankDeficient, ValidationError
 from .misclass import posterior_rows
 from .moments import MomentBlocks, mechanism
@@ -107,16 +107,18 @@ def _solve_cells(design_star, counts, sums, n):
 
 
 def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None,
-            inverse: np.ndarray | None = None) -> NaiveFit:
+            inverse: np.ndarray | None = None, counts: np.ndarray | None = None) -> NaiveFit:
     """Least squares via QR factorization with a rank guard.  By default each
     row of ``design_star`` is one observation; with ``inverse`` its rows are
     cells, y[i] lies in cell inverse[i], and the fit reads only the cells'
-    counts and sums of y, and the sums of squared residuals."""
+    counts (counted from ``inverse`` unless given) and sums of y, and the
+    sums of squared residuals."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n, m = len(y), design_star.shape[1]
     inverse = np.arange(len(design_star)) if inverse is None else inverse  # sqrt(1) U = U
-    counts = np.bincount(inverse, minlength=len(design_star))
+    if counts is None:
+        counts = np.bincount(inverse, minlength=len(design_star))
     sums = np.bincount(inverse, weights=y, minlength=len(design_star))
     r_mat, gamma, refused = _solve_cells(design_star, counts, sums[:, None], n)
     if refused:
@@ -127,8 +129,8 @@ def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = No
                  for (k, lv), i in (column_map or {}).items() if i + 1 == col]
         raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
     gamma = gamma[0]
-    resid = y - (design_star @ gamma)[inverse]
-    rss = np.bincount(inverse, weights=resid**2, minlength=len(design_star))
+    resid = y - (design_star @ gamma).take(inverse)
+    rss = np.bincount(inverse, weights=np.square(resid, out=resid), minlength=len(design_star))
     return NaiveFit(gamma_star=gamma, r=r_mat, design_star=design_star, counts=counts,
                     sums=sums, rss=rss, column_map=column_map)
 
@@ -236,12 +238,18 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
                                              counts, r_mat, pi_rows, blocks)]
 
 
-def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence,
-                  ps: Sequence) -> CorrectedFit:
-    """Full pipeline over the occupied cells of ``ds.w``: naive fit, moment
-    blocks, posterior rows of the cells, correction."""
-    cells = encode_cells(spec, ds.w)
-    naive = ols_fit(cells.design_star, ds.y, cells.column_map, cells.inverse)
+def fit_cells(spec: CategoricalSpec, cells: Cells, y: np.ndarray, thetas: Sequence,
+              ps: Sequence) -> CorrectedFit:
+    """Naive fit, moment blocks, posterior rows of the cells and correction,
+    over cells already found (by ``encode_cells``, or ``validate_dataset``'s
+    report): y[i] lies in cell ``cells.inverse[i]``."""
+    naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse, cells.counts)
     blocks, posteriors = mechanism(spec, thetas, ps)
     return correct(naive, posterior_rows(posteriors, cells.categories), blocks)
 
+
+def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence,
+                  ps: Sequence) -> CorrectedFit:
+    """Full pipeline over the occupied cells of ``ds.w``: ``fit_cells`` on
+    the cells ``encode_cells`` finds."""
+    return fit_cells(spec, encode_cells(spec, ds.w), ds.y, thetas, ps)

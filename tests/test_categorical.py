@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miscorr.categorical import (
+    Cells,
     CategoricalSpec,
     ObservedDataset,
+    ValidationReport,
     encode_cells,
     encode_dummy,
     validate_dataset,
@@ -167,6 +169,15 @@ def test_encode_cells_reports_the_row_of_an_out_of_range_category():
     assert (exc.value.row, exc.value.covariate, exc.value.value) == (2, 1, 3)
 
 
+def test_a_nested_list_is_a_table_of_rows_and_a_list_of_arrays_its_columns():
+    spec = CategoricalSpec((2, 3))
+    rows = [[0, 2], [1, 0]]
+    assert encode_cells(spec, rows).categories.tolist() == rows
+    assert encode_cells(spec, [np.array([0, 1]), np.array([2, 0])]).categories.tolist() == rows
+    assert encode_dummy(spec, rows).design.tolist() == [[1, 0, 0], [0, 1, 0]]
+    assert validate_dataset(spec, rows).level_counts == ((1, 1), (1, 0, 1))
+
+
 def test_validate_flags_insufficient_rows():
     spec = CategoricalSpec((2, 3))  # M = 4
     w = np.array([[0, 0], [1, 1], [0, 2]])
@@ -183,3 +194,132 @@ def test_observed_dataset_refuses_a_y_that_is_not_finite(bad):
     y = np.array([1.0, 2.0, bad, 4.0, bad])
     with pytest.raises(ValidationError, match=f"^y is not finite at row 2: {bad}$"):
         ObservedDataset(y=y, w=np.zeros((5, 1), dtype=int))
+
+
+# The row-by-row encoder and validator that encode_cells and validate_dataset
+# replaced, kept as the reference they must equal bit for bit.
+def _reference_category_table(spec, categories):
+    cats = np.asarray(categories, dtype=int)
+    if cats.ndim == 1:
+        cats = cats[:, None]
+    if cats.shape[1] != spec.n_covariates:
+        raise ValueError(f"expected {spec.n_covariates} covariates, got {cats.shape[1]}")
+    bad = (cats < 0) | (cats >= np.array(spec.levels))
+    if bad.any():
+        j, i = map(int, np.argwhere(bad.T)[0])
+        raise OutOfRangeCategory(i, j, int(cats[i, j]))
+    return cats
+
+
+def _reference_encode_cells(spec, categories):
+    cats = _reference_category_table(spec, categories)
+    ids, size = np.zeros(len(cats), dtype=np.int64), 1
+    for col, lk in zip(cats.T, spec.levels):
+        if size * lk > 2**62:
+            ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
+        ids, size = ids * lk + col, size * lk
+    if size > len(cats):
+        ids, size = np.unique(ids, return_inverse=True)[1], len(cats)
+    counts = np.bincount(ids, minlength=size)
+    inverse = (np.cumsum(counts > 0) - 1)[ids]
+    counts = counts[counts > 0]
+    last = np.empty(len(counts), dtype=np.intp)
+    last[inverse] = np.arange(len(cats))
+    rows = cats[last]
+    bundle = encode_dummy(spec, rows)
+    return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
+
+
+def _reference_validate_dataset(spec, ds, names=None, labels=None):
+    names = names or [f"w{j + 1}" for j in range(spec.n_covariates)]
+    labels = labels or {}
+    errors = []
+    counts = []
+    for j, lk in enumerate(spec.levels):
+        col = ds.w[:, j]
+        in_range = (col >= 0) & (col < lk)
+        if not in_range.all():
+            i = int(np.argmin(in_range))
+            errors.append(
+                f"OutOfRangeCategory: data row {i + 1}, column {names[j]}: "
+                f"{int(col[i])} is not in 0..{lk - 1}"
+            )
+            col = col[in_range]
+        cnt = np.bincount(col, minlength=lk)
+        counts.append(tuple(int(c) for c in cnt))
+        shown = labels.get(names[j], [])
+        errors += [f"column {names[j]}: level {level}"
+                   f"{f' ({shown[level]!r})' if level < len(shown) else ''} never occurs"
+                   for level in np.flatnonzero(cnt == 0)]
+    if ds.n < spec.n_params + 1:
+        errors.append(f"need at least {spec.n_params + 1} rows to fit {spec.n_params} "
+                      f"parameters, got {ds.n}")
+    return ValidationReport(errors=tuple(errors), level_counts=tuple(counts))
+
+
+def _random_category_tables(count, seed):
+    """Tables of K = 1..10 covariates: some of 8 to 10 covariates with 256 to
+    400 levels each, whose combinations outnumber 2**62; some rows repeated;
+    some levels absent; some categories out of range (below 0 or from L_k
+    up) in one or several columns; some with fewer rows than parameters,
+    down to none."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        wide = rng.random() < 0.2
+        k = int(rng.integers(8, 11) if wide else rng.integers(1, 11))
+        levels = [int(rng.integers(256, 401) if wide else rng.choice([2, 3, 4, 7]))
+                  for _ in range(k)]
+        spec = CategoricalSpec(tuple(levels))
+        n = int(rng.integers(0, min(spec.n_params + 2, 60)) if rng.random() < 0.2 else
+                rng.integers(1, 60 if wide else 300))
+        drawn = [lk if rng.random() < 0.7 else int(rng.integers(1, lk + 1)) for lk in levels]
+        w = np.column_stack([rng.integers(0, d, n) for d in drawn]).reshape(n, k)
+        if n > 1 and rng.random() < 0.5:
+            w[n // 2:] = w[: n - n // 2]
+        for j in range(k):
+            if n and rng.random() < 0.07:
+                rows = rng.integers(0, n, int(rng.integers(1, 4)))
+                w[rows, j] = rng.choice([-3, -1, levels[j], levels[j] + 2], len(rows))
+        yield spec, w
+
+
+def _assert_same_bits(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert (new.dtype, new.shape) == (old.dtype, old.shape)
+    assert new.tobytes() == old.tobytes()
+
+
+def test_cells_and_validation_equal_the_row_by_row_reference_bit_for_bit():
+    seen = {"out_of_range": 0, "absent_level": 0, "few_rows": 0, "renumbered": 0, "over_2_62": 0}
+    for case, (spec, w) in enumerate(_random_category_tables(400, seed=25)):
+        n = len(w)
+        try:
+            expected = _reference_encode_cells(spec, w)
+        except OutOfRangeCategory as exc:
+            expected = exc
+        names = [f"c{j}" for j in range(spec.n_covariates)] if case % 2 else None
+        labels = {"c0": ["zero", "one"], "w1": ["a", "b", "c"]} if case % 3 else None
+        report = _reference_validate_dataset(spec, ObservedDataset(y=np.zeros(n), w=w),
+                                             names, labels)
+        for categories in (w, list(w.T)):  # a table, or its columns as the CLI reads them
+            got = validate_dataset(spec, categories, names, labels)
+            assert (got.errors, got.level_counts) == (report.errors, report.level_counts)
+            if isinstance(expected, OutOfRangeCategory):
+                with pytest.raises(OutOfRangeCategory) as exc:
+                    encode_cells(spec, categories)
+                assert (exc.value.row, exc.value.covariate, exc.value.value, str(exc.value)) == (
+                    expected.row, expected.covariate, expected.value, str(expected))
+                assert got.cells is None
+                continue
+            for cells in (encode_cells(spec, categories), got.cells):
+                for name in ("categories", "counts", "inverse", "design_star"):
+                    _assert_same_bits(getattr(cells, name), getattr(expected, name))
+                assert cells.column_map == expected.column_map
+        got = validate_dataset(spec, ObservedDataset(y=np.zeros(n), w=w), names, labels)
+        assert (got.errors, got.level_counts) == (report.errors, report.level_counts)
+        seen["out_of_range"] += isinstance(expected, OutOfRangeCategory)
+        seen["absent_level"] += any("never occurs" in e for e in report.errors)
+        seen["few_rows"] += n <= spec.n_params
+        seen["renumbered"] += np.prod(spec.levels, dtype=float) > n
+        seen["over_2_62"] += np.prod(spec.levels, dtype=float) > 2**62
+    assert min(seen.values()) >= 20, seen

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import miscorr
-from miscorr import __version__, categorical, cli, estimators, simkit
+from miscorr import __version__, categorical, cli, simkit
 from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.charts import line_chart
 from miscorr.cli import main
@@ -183,9 +183,9 @@ def test_a_zero_in_a_p_file_is_named_with_its_file(tmp_path, capsys, p, level):
 
 def test_a_zero_in_p_is_refused_before_anything_is_fitted(tmp_path, capsys, monkeypatch):
     def no_fit(*args):
-        raise AssertionError("fit_corrected ran on a p with a zero")
+        raise AssertionError("fit_cells ran on a p with a zero")
 
-    monkeypatch.setattr(cli, "fit_corrected", no_fit)
+    monkeypatch.setattr(cli, "fit_cells", no_fit)
     files, p_path = _high_theta_sample(tmp_path, "0,0.5,0.1,0.4")
     for p_args in (["--p", str(p_path)], ["--estimate-p"]):
         assert main(["fit", *files, *p_args, "--out", str(tmp_path / "out")]) == 3
@@ -384,9 +384,9 @@ def test_a_bad_truth_file_is_refused_before_the_data_is_validated_or_fit(
     tmp_path, capsys, monkeypatch, drawn
 ):
     def no_fit(*args):
-        raise AssertionError("fit_corrected ran before the truth file was checked")
+        raise AssertionError("fit_cells ran before the truth file was checked")
 
-    monkeypatch.setattr(cli, "fit_corrected", no_fit)
+    monkeypatch.setattr(cli, "fit_cells", no_fit)
     files = _four_level_fixture(tmp_path, drawn)
     (tmp_path / "truth.csv").write_text("0.5,0.7,0.9\n")
     assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv")]) == 2
@@ -609,8 +609,10 @@ def test_a_ragged_row_of_a_labelled_file_names_its_data_row(
 
 
 def _read_dataset(data):
-    """The data file as ``fit`` reads it, with the labels.json beside it."""
-    return cli._read_dataset(str(data), cli._load_labels(str(data)))
+    """The data file as ``fit`` reads it, with the labels.json beside it: y,
+    the n x K table of its category columns and their names."""
+    y, columns, names = cli._read_dataset(str(data), cli._load_labels(str(data)))
+    return y, np.column_stack(columns), names
 
 
 def test_the_first_unknown_label_in_file_order_is_reported(tmp_path):
@@ -712,6 +714,44 @@ def _generated_labelled_files(tmp_path, count, seed):
         (folder / "data.csv").write_bytes(body)
         (folder / "labels.json").write_text(json.dumps(labels))
         yield folder / "data.csv"
+
+
+def _reference_match(cells, labels):
+    """The label matcher with each rank clamped into range: the reference
+    for cli._match, which indexes through a sentinel instead."""
+    keys = {b: i for i, s in enumerate(labels) if len(b := s.encode("utf-8", "replace"))
+            < cells.itemsize and b.decode("utf-8") == s == s.strip() and "\0" not in s}
+    if not keys:
+        return np.full(len(cells), -1)
+    key_words, cell_words = (np.ascontiguousarray(a, cells.dtype).view(np.uint64)
+                             .reshape(len(a), -1).T for a in (list(keys), cells))
+    key_ids = ids = 0
+    for t, (key_word, cell_word) in enumerate(zip(key_words, cell_words)):
+        distinct, key_rank = np.unique(key_word, return_inverse=True)
+        rank = np.minimum(np.searchsorted(distinct, cell_word), len(distinct) - 1)
+        ids = np.where(distinct[rank] == cell_word, ids * len(distinct) + rank, -1)
+        prefixes, key_ids = np.unique(key_ids * len(distinct) + key_rank, return_inverse=True)
+        if t:
+            pairs, ids = ids, np.minimum(np.searchsorted(prefixes, ids), len(prefixes) - 1)
+            ids[prefixes[ids] != pairs] = -1
+    return np.append(np.array(list(keys.values()))[np.argsort(key_ids)], -1)[ids]
+
+
+def test_match_numbers_cells_as_the_clamped_reference_does():
+    # cells past every label's word at some position, below it, equal to a
+    # prefix of a label, or a label with a byte more, in fields of 1 to 3 words
+    rng = random.Random(24)
+    stems = ["", "a", "category_", "zz", "é", "日本", "\x7f"]
+    for _ in range(200):
+        labels = list(dict.fromkeys(rng.choice(stems) + rng.choice(stems)
+                                    + rng.choice(["", "x", "~"]) for _ in range(rng.randint(0, 6))))
+        width = 8 * rng.randint(1, 3)
+        spelled = [rng.choice(labels + [""]) if labels else "" for _ in range(50)]
+        spelled = [rng.choice([c, c + "z", c[:-1], "~" * rng.randint(1, width), "\x01"])
+                   for c in spelled]
+        cells = np.array([c.encode("utf-8")[: width - 1] for c in spelled], dtype=f"S{width}")
+        got, want = cli._match(cells, labels), _reference_match(cells, labels)
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
 
 
 def test_the_bytes_parse_reads_what_the_text_parse_reads(tmp_path, monkeypatch):
@@ -869,12 +909,12 @@ def test_a_compressed_file_name_is_data_invalid(tmp_path, capsys, name, suffix):
                    "message": f"{plain_text}: compressed data files are not read"}
 
 
-@pytest.mark.parametrize("name, code", [("data", "DATA_MISSING"), ("theta", "THETA_MISSING")])
+@pytest.mark.parametrize("name, code", [("data", "DATA_MISSING")])
 def test_a_file_removed_before_its_parse_is_missing_not_an_output_error(
     tmp_path, capsys, monkeypatch, name, code
 ):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
-    gone = {"data": data, "theta": theta_path}[name]
+    gone = data
     loadtxt = np.loadtxt
 
     def remove_then_load(source, *args, **kwargs):
@@ -885,6 +925,25 @@ def test_a_file_removed_before_its_parse_is_missing_not_an_output_error(
     monkeypatch.setattr(np, "loadtxt", remove_then_load)
     err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
     assert err == {"error": code, "message": f"cannot read {gone}: {gone} not found."}
+
+
+def test_theta_and_p_files_are_parsed_through_the_handle_that_opened_them(
+    tmp_path, capsys, monkeypatch
+):
+    # removed once opened: numpy, given the path again, would find it gone
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    opened = cli._open
+
+    def open_then_remove(path, code, mode="r"):
+        handle = opened(path, code, mode)
+        if path in (str(theta_path), str(p_path)):
+            Path(path).unlink()
+        return handle
+
+    monkeypatch.setattr(cli, "_open", open_then_remove)
+    assert main(["fit", "--data", str(data), "--theta", str(theta_path), "--p", str(p_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "" and not theta_path.exists() and not p_path.exists()
 
 
 @pytest.mark.parametrize("name, code", [("data", "DATA_MISSING"), ("theta", "THETA_MISSING")])
@@ -1573,8 +1632,8 @@ def test_a_bad_category_is_reported_in_its_header_column(tmp_path, capsys, cell)
 
 
 def test_fit_and_diagnose_encode_no_more_rows_than_occupied_cells(tmp_path, monkeypatch):
-    # the n-row dummy design is never built: every encode_dummy call sees
-    # at most one row per distinct category combination of the data
+    # the n-row dummy design is never built: every dummy encoding sees at
+    # most one row per distinct category combination of the data
     rng = np.random.default_rng(12)
     w = np.column_stack([rng.integers(0, 2, 500), rng.integers(0, 3, 500)])
     data = tmp_path / "data.csv"
@@ -1585,15 +1644,13 @@ def test_fit_and_diagnose_encode_no_more_rows_than_occupied_cells(tmp_path, monk
     (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
     occupied = len(np.unique(w, axis=0))
     encoded = []
-    original = categorical.encode_dummy
+    original = categorical._dummy  # what encode_dummy and encode_cells encode with
 
     def counting(spec, categories):
         encoded.append(len(categories))
         return original(spec, categories)
 
-    for module in (categorical, cli, estimators, simkit):
-        if hasattr(module, "encode_dummy"):
-            monkeypatch.setattr(module, "encode_dummy", counting)
+    monkeypatch.setattr(categorical, "_dummy", counting)
     files = ["--data", str(data), "--theta", ",".join(map(str, thetas)), "--estimate-p"]
     assert main(["fit", *files, "--out", str(tmp_path / "fit")]) == 0
     assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv"),

@@ -3,10 +3,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_cells, encode_dummy
+from miscorr.categorical import (
+    CategoricalSpec, ObservedDataset, encode_cells, encode_dummy, validate_dataset
+)
 from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
 from miscorr.errors import RankDeficient, ValidationError
-from miscorr.estimators import NaiveFit, correct, fit_corrected, fit_prefixes, ols_fit
+from miscorr.estimators import (
+    NaiveFit, correct, fit_cells, fit_corrected, fit_prefixes, ols_fit
+)
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
 from miscorr.simkit import (
@@ -315,6 +319,24 @@ def _random_table(k, n, seed):
     w = np.column_stack([rng.integers(0, lk, n) for lk in spec.levels])
     y = w @ rng.uniform(0.5, 1.5, k) + rng.standard_normal(n)
     return spec, thetas, ps, w, y
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_the_fit_on_the_validated_cells_is_fit_corrected_bit_for_bit(k):
+    # the CLI validates the columns it read and fits on the cells the report holds
+    spec, thetas, ps, w, y = _random_table(k, 500, seed=60 + k)
+    report = validate_dataset(spec, list(w.T))
+    assert report.errors == ()
+    fit = fit_cells(spec, report.cells, y, thetas, ps)
+    expected = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
+    pairs = [(getattr(fit.naive, f), getattr(expected.naive, f))
+             for f in ("gamma_star", "r", "design_star", "counts", "sums", "rss")]
+    pairs += [(fit.beta_c, expected.beta_c), (fit.beta0_c, expected.beta0_c),
+              (fit.pi_rows, expected.pi_rows), (fit.blocks.correction, expected.blocks.correction)]
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert fit.naive.column_map == expected.naive.column_map
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])

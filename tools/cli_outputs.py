@@ -36,6 +36,9 @@ The refusals are commands whose inputs a command should refuse: on a
 four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
+``fit`` on four-level data with categories -1 and 4 in two columns, with a
+column that holds a 4 and lacks level 2, with 4 rows for 4 parameters and
+with a y of nan;
 ``fit --estimate-p`` on a high-distortion sample whose estimated p has
 zeros, and ``fit`` on it with a p file that has a zero; ``fit`` with a
 theta that never observes a level, under a p for which sigma_w rounds to
@@ -179,6 +182,16 @@ def refusals(out: Path) -> dict[str, list[str]]:
         files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
     rows = zip(rng.standard_normal(40), rng.integers(0, 2, 40))
     files["data_binary.csv"] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
+    body = [f"{y:.17g}" for y in rng.standard_normal(40)]
+    w1, w2 = [i % 4 for i in range(40)], [(i // 2) % 4 for i in range(40)]
+    w1[5], w2[9] = -1, 4
+    files["data_two_out_of_range.csv"] = "y,w1,w2\n" + "\n".join(map(",".join, zip(
+        body, map(str, w1), map(str, w2))))
+    files["data_out_of_range_absent.csv"] = "y,w1\n" + "\n".join(
+        f"{y},{4 if i == 7 else (0, 1, 3)[i % 3]}" for i, y in enumerate(body))
+    files["data_few_rows.csv"] = "y,w1\n" + "\n".join(f"{y},{i}" for i, y in enumerate(body[:4]))
+    files["data_nan_y.csv"] = "y,w1\n" + "\n".join(
+        f"{'nan' if i == 2 else y},{i % 4}" for i, y in enumerate(body))
     # under this theta level 1 is never observed; this p rounds sigma_w to -2e-16
     files["theta_never.csv"] = "1,0\n1,0"
     files["p_never.csv"] = "0.99900099900099915,0.00099900099900099922"
@@ -196,6 +209,10 @@ def refusals(out: Path) -> dict[str, list[str]]:
         return ["diagnose", "--data", str(inputs / data), "--theta", str(inputs / theta),
                 "--p", str(inputs / p), "--truth", str(inputs / truth)]
 
+    def fit(data):
+        return ["fit", "--data", str(inputs / data), "--theta", str(inputs / "theta.csv"),
+                "--p", str(inputs / "p.csv")]
+
     variance_sim = ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
                     "--n-grid", "40", "--replicates", "2"]
     return {
@@ -208,6 +225,10 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_empty_p": diagnose(p="empty.csv"),
         "refused_empty_truth": diagnose(truth="empty.csv"),
         **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
+        "refused_two_out_of_range": fit("data_two_out_of_range.csv"),
+        "refused_out_of_range_absent": fit("data_out_of_range_absent.csv"),
+        "refused_few_rows": fit("data_few_rows.csv"),
+        "refused_nan_y": fit("data_nan_y.csv"),
         "refused_p_boundary": ["fit", "--data", str(inputs / "data_boundary.csv"),
                                "--theta", str(inputs / "theta_high.csv"), "--estimate-p"],
         "refused_p_file_zero": ["fit", "--data", str(inputs / "data_boundary.csv"),
