@@ -18,8 +18,7 @@ from .diagnostics import (
     variance_report,
 )
 from .estimators import (
-    CorrectedFit,
-    NaiveFit,
+    PrefixFits,
     fit_corrected,
     ols_fit,
 )
@@ -39,19 +38,17 @@ from .simkit import (
     run_grid,
     simulate_w,
     simulate_x,
-    simulate_y,
 )
 
 __all__ = [
     "BiasReport",
     "CategoricalSpec",
-    "CorrectedFit",
     "DesignBundle",
     "EqpTable",
     "MomentBlocks",
-    "NaiveFit",
     "ObservedDataset",
     "Posterior",
+    "PrefixFits",
     "ScenarioConfig",
     "TruthSpec",
     "VarianceReport",
@@ -67,7 +64,6 @@ __all__ = [
     "scenario_theta",
     "simulate_w",
     "simulate_x",
-    "simulate_y",
     "validate_dataset",
     "var_beta0_c_uncorrelated",
     "variance_report",

@@ -166,7 +166,8 @@ def encode_cells(spec: CategoricalSpec, categories) -> Cells:
     else:
         counts = np.bincount(ids, minlength=size)
         cell_ids = np.flatnonzero(counts)
-        inverse = (np.cumsum(counts > 0) - 1).take(ids)  # occupied cells below each id
+        # the occupied cells below each id: the id itself when every id is occupied
+        inverse = ids if len(cell_ids) == size else (np.cumsum(counts > 0) - 1).take(ids)
         counts = counts[cell_ids]
     rows = np.empty((len(cell_ids), spec.n_covariates), dtype=int)
     for j in reversed(range(spec.n_covariates)):

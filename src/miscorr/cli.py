@@ -414,8 +414,10 @@ def _echo_config(out: Path, resolved: dict) -> None:
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def _param_names(fit) -> list[str]:
-    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in fit.naive.column_map)]
+def _param_names(spec: CategoricalSpec) -> list[str]:
+    """The design's columns, intercept first, in ``encode_dummy``'s order."""
+    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lk in enumerate(spec.levels)
+                           for lv in range(lk - 1))]
 
 
 def _load_and_fit(args, truth_path: str | None = None):
@@ -458,15 +460,16 @@ def _load_and_fit(args, truth_path: str | None = None):
 
 def cmd_fit(args) -> int:
     spec, n, notes, p_residuals, fit, _ = _load_and_fit(args)
-    var = variance_report(fit, fit.naive.sigma2_w)
-    var_diag = [var.var_beta0_c, *np.diag(var.var_beta_c_star)[1:]]
+    sigma2_w = fit.sigma2_w[0, 0]
+    var = variance_report(fit, sigma2_w)
+    var_diag = [var.var_beta0_c[0, 0], *np.diag(var.var_beta_c_star[0, 0])[1:]]
 
     out = _out_dir(args)
-    rows = zip(_param_names(fit), fit.naive.gamma_star, fit.beta_full, var_diag)
+    rows = zip(_param_names(spec), fit.gamma_star[0, 0], fit.beta_full[0, 0], var_diag)
     _write_csv(out / "estimates.csv", "parameter,naive,corrected,variance", rows)
 
     diag = {
-        "n": n, "n_params": spec.n_params, "sigma2_w": fit.naive.sigma2_w,
+        "n": n, "n_params": spec.n_params, "sigma2_w": sigma2_w,
         "condition_sigma_w": float(np.linalg.cond(fit.blocks.sigma_w)),
         "condition_correction": float(np.linalg.cond(fit.blocks.correction)),
         "warnings": notes, "estimated_p_residuals": p_residuals,
@@ -547,17 +550,17 @@ def cmd_diagnose(args) -> int:
 
 
 def _cmd_diagnose_bias(args) -> int:
-    _, _, _, _, fit, beta_star = _load_and_fit(args, _require(args, "truth", "TRUTH_REQUIRED"))
+    spec, _, _, _, fit, beta_star = _load_and_fit(args, _require(args, "truth", "TRUTH_REQUIRED"))
     bias = conditional_bias(fit, beta_star)
-    sigma2 = fit.naive.sigma2_w if args.plugin_sigma is None else np.float64(args.plugin_sigma) ** 2
+    sigma2 = fit.sigma2_w[0, 0] if args.plugin_sigma is None else np.float64(args.plugin_sigma) ** 2
     var = variance_report(fit, sigma2)
 
     out = _out_dir(args)
-    names = _param_names(fit)
+    names = _param_names(spec)
     rows = [*zip(names, bias.b_star), ("intercept_corrected", bias.b0)]
     _write_csv(out / "bias.csv", "parameter,bias", rows)
-    rows = zip(names, np.diag(var.var_gamma_star), np.diag(var.var_beta_c_star))
-    rows = [*rows, ("intercept_corrected", None, var.var_beta0_c)]
+    rows = zip(names, np.diag(var.var_gamma_star[0, 0]), np.diag(var.var_beta_c_star[0, 0]))
+    rows = [*rows, ("intercept_corrected", None, var.var_beta0_c[0, 0])]
     _write_csv(out / "variance.csv", "parameter,var_naive,var_corrected", rows)
     _echo_config(out, {"command": "diagnose", "sigma2": sigma2})
     return 0

@@ -1,7 +1,8 @@
 """Closed-form conditional bias and variance of the naive and corrected
 estimators given the observed design: the bias from the error mechanism and
-a supplied truth alone, the variances from the design rows a fit was fitted
-on, their counts, the R factor it kept, its posterior rows and moment blocks.
+a supplied truth alone, the variances from the PrefixFits a fit returned
+(a single fit is a stack of one): its cells, each prefix's counts and R
+factor, its posterior rows and moment blocks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CorrectedFit, PrefixFits
+from .estimators import PrefixFits
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,12 @@ class BiasReport:
 
 @dataclass(frozen=True)
 class VarianceReport:
+    """Variances indexed [prefix, response column, ...] like the fit's
+    estimates (NaN where the prefix was refused)."""
+
     var_gamma_star: np.ndarray
     var_beta_c_star: np.ndarray
-    var_beta0_c: float
+    var_beta0_c: np.ndarray
 
 
 def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
@@ -35,14 +39,19 @@ def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
     return r_inv @ r_inv.T
 
 
-def conditional_bias(fit: CorrectedFit, beta_star_true: np.ndarray) -> BiasReport:
+def _plugins(fits: PrefixFits, sigma2) -> np.ndarray:
+    """The plug-in of each [prefix, response column] of ``fits``."""
+    return np.broadcast_to(np.asarray(sigma2, dtype=float), fits.gamma_star.shape[:2])
+
+
+def conditional_bias(fit: PrefixFits, beta_star_true: np.ndarray) -> BiasReport:
     """Bias of (gamma0_hat, beta_c_hat) and of the corrected intercept given
     the observed design.  E[Y | W] = beta0 + sum_k pi_k(W_k)^T beta_k is
     additive in the observed categories, so OLS on a full-rank design
     recovers it, C undoes the attenuation, and only the naive intercept is
     biased, by sum_k pi_k(ref)^T beta_k.  This holds for a fit whose
     posterior rows and blocks come from one mechanism: every fit
-    ``fit_corrected`` returns.
+    ``fit_prefixes`` returns, whatever its prefix and response column.
     """
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
     b_star = np.zeros_like(beta_star_true)
@@ -50,14 +59,15 @@ def conditional_bias(fit: CorrectedFit, beta_star_true: np.ndarray) -> BiasRepor
     return BiasReport(b_star=b_star, b0=0.0)
 
 
-def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
-    """Conditional variances of the naive and corrected estimators of
-    ``fit``.
+def variance_report(fits: PrefixFits, sigma2) -> VarianceReport:
+    """Conditional variances of the naive and corrected estimators of every
+    [prefix, response column] of ``fits``, NaN where the prefix was refused.
 
     ``sigma2`` is the caller's plug-in for Var(Y_i | W), taken as the same
-    for every observation; both the fitted residual variance
-    (fit.naive.sigma2_w) and a known noise variance are valid choices.
-    theta and p are treated as known.
+    for every observation and broadcast to [prefix, response column]; both
+    the fitted residual variance (``fits.sigma2_w`` of a single fit) and a
+    known noise variance are valid choices.  theta and p are treated as
+    known.
 
     ``var_beta0_c`` is the exact variance of the corrected intercept given
     W under that homoscedastic plug-in.  The intercept is linear in y,
@@ -67,22 +77,25 @@ def variance_report(fit: CorrectedFit, sigma2: float) -> VarianceReport:
     centered Gram matrix of the slopes; A^-1 is the slope block of
     (W*^T W*)^-1.
     """
-    xtx_inv = _gram_inverse(fit.naive.r)
-    n = fit.naive.counts.sum()
-    z = fit.blocks.z_star
-    v_bar = fit.naive.counts @ fit.pi_rows @ fit.blocks.correction / n  # C^T pi_bar
-    return VarianceReport(
-        var_gamma_star=xtx_inv * sigma2,
-        var_beta_c_star=sigma2 * (z @ xtx_inv @ z.T),
-        var_beta0_c=float(sigma2 * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)),
-    )
+    sigma2 = _plugins(fits, sigma2)
+    z = fits.blocks.z_star
+    var_gamma, var_beta = np.full((2, *sigma2.shape, len(z), len(z)), np.nan)
+    var_beta0 = np.full(sigma2.shape, np.nan)
+    for k in np.flatnonzero(~fits.refused):
+        xtx_inv = _gram_inverse(fits.r[k])
+        n = fits.counts[k].sum()
+        v_bar = fits.counts[k] @ fits.pi_rows @ fits.blocks.correction / n  # C^T pi_bar
+        s = sigma2[k, :, None, None]
+        var_gamma[k], var_beta[k] = xtx_inv * s, s * (z @ xtx_inv @ z.T)
+        var_beta0[k] = sigma2[k] * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)
+    return VarianceReport(var_gamma_star=var_gamma, var_beta_c_star=var_beta, var_beta0_c=var_beta0)
 
 
 def var_beta0_c_uncorrelated(fits: PrefixFits, sigma2) -> np.ndarray:
     """Corrected-intercept variance summed over per-observation terms
-    y_i - pi_(i) beta_c_hat as if they were uncorrelated, one value per
-    prefix of ``fits`` with sigma2[k] the plug-in of prefix k (NaN where
-    the prefix was refused).
+    y_i - pi_(i) beta_c_hat as if they were uncorrelated, indexed [prefix,
+    response column] with the plug-in ``sigma2`` broadcast to that shape
+    (NaN where the prefix was refused).
 
     Every term shares the same beta_c_hat, so this drops the i != j
     cross-covariances and falls short of the exact conditional variance
@@ -92,9 +105,10 @@ def var_beta0_c_uncorrelated(fits: PrefixFits, sigma2) -> np.ndarray:
     sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of
     fits.design_star stands for fits.counts[k, j] such terms.
     """
+    sigma2 = _plugins(fits, sigma2)
     w_star = fits.design_star
     v_rows = fits.pi_rows @ fits.blocks.correction
-    out = np.full(len(fits.counts), np.nan)
+    out = np.full(sigma2.shape, np.nan)
     for k in np.flatnonzero(~fits.refused):
         counts = fits.counts[k]
         n = counts.sum()

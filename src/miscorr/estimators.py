@@ -5,7 +5,7 @@ posterior-expected indicators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,63 +16,6 @@ from .misclass import posterior_rows
 from .moments import MomentBlocks, mechanism
 
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class NaiveFit:
-    """OLS result for the regression of y on the observed-category design.
-    ``r`` is the R factor of the fit's QR: R^T R = W*^T W*.  The fit holds
-    what it was fitted on: the rows of ``design_star``, each standing for
-    ``counts`` observations whose y add up to ``sums`` and whose residuals'
-    squares add up to ``rss``, and the ``column_map`` that names the
-    columns (None if none was given)."""
-
-    gamma_star: np.ndarray
-    r: np.ndarray
-    design_star: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
-    rss: np.ndarray
-    column_map: dict | None
-
-    @property
-    def sigma2_w(self) -> float:
-        """RSS / (n - m), with no BLAS sum over rows, which may follow the thread count."""
-        return float(self.rss.sum()) / (self.counts.sum() - len(self.gamma_star))
-
-    @property
-    def intercept(self) -> float:
-        return float(self.gamma_star[0])
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self.gamma_star[1:]
-
-
-@dataclass(frozen=True)
-class CorrectedFit:
-    """Corrected slopes and intercept, with the naive fit attached.
-
-    ``beta_c_star`` keeps the uncorrected intercept alongside the corrected
-    slopes; the corrected intercept is exposed separately as ``beta0_c``.
-    ``pi_rows`` are the posterior rows of the naive fit's design rows: one
-    per occupied cell when the fit ran on cells.
-    """
-
-    naive: NaiveFit
-    beta_c: np.ndarray
-    beta0_c: float
-    blocks: MomentBlocks
-    pi_rows: np.ndarray
-
-    @property
-    def beta_c_star(self) -> np.ndarray:
-        return np.concatenate([[self.naive.intercept], self.beta_c])
-
-    @property
-    def beta_full(self) -> np.ndarray:
-        """Fully corrected parameter vector (beta0_c, beta_c)."""
-        return np.concatenate([[self.beta0_c], self.beta_c])
 
 
 def _refused(r_mat: np.ndarray, n) -> np.ndarray:
@@ -106,57 +49,48 @@ def _solve_cells(design_star, counts, sums, n):
     return r_mat, gamma, refused
 
 
-def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None,
-            inverse: np.ndarray | None = None, counts: np.ndarray | None = None) -> NaiveFit:
-    """Least squares via QR factorization with a rank guard.  By default each
-    row of ``design_star`` is one observation; with ``inverse`` its rows are
-    cells, y[i] lies in cell inverse[i], and the fit reads only the cells'
-    counts (counted from ``inverse`` unless given) and sums of y, and the
-    sums of squared residuals."""
+def _raise_refused(refused, n: int, m: int, r_mat=None, column_map: dict | None = None) -> None:
+    """Raise the RankDeficient of a single fit of n rows and m columns that
+    the rank guard refused: too few rows, else the column whose |R| diagonal
+    entry is smallest, named by ``column_map`` where it is given."""
+    if not refused:
+        return
+    if n <= m:
+        raise RankDeficient(f"need more than {m} rows, got {n}")
+    col = int(np.argmin(np.abs(np.diag(r_mat))))
+    where = [f" (covariate {k}, level {lv})"  # column 0 is the intercept
+             for (k, lv), i in (column_map or {}).items() if i + 1 == col]
+    raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
+
+
+def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None) -> np.ndarray:
+    """Least-squares coefficients of y on the rows of ``design_star``, one
+    observation per row, from ``_solve_cells``, the solver of every fit;
+    raises RankDeficient where the rank guard refuses, as a single fit does."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    n, m = len(y), design_star.shape[1]
-    inverse = np.arange(len(design_star)) if inverse is None else inverse  # sqrt(1) U = U
-    if counts is None:
-        counts = np.bincount(inverse, minlength=len(design_star))
-    sums = np.bincount(inverse, weights=y, minlength=len(design_star))
-    r_mat, gamma, refused = _solve_cells(design_star, counts, sums[:, None], n)
-    if refused:
-        if n <= m:
-            raise RankDeficient(f"need more than {m} rows, got {n}")
-        col = int(np.argmin(np.abs(np.diag(r_mat))))
-        where = [f" (covariate {k}, level {lv})"  # column 0 is the intercept
-                 for (k, lv), i in (column_map or {}).items() if i + 1 == col]
-        raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
-    gamma = gamma[0]
-    resid = y - (design_star @ gamma).take(inverse)
-    rss = np.bincount(inverse, weights=np.square(resid, out=resid), minlength=len(design_star))
-    return NaiveFit(gamma_star=gamma, r=r_mat, design_star=design_star, counts=counts,
-                    sums=sums, rss=rss, column_map=column_map)
-
-
-def correct(naive: NaiveFit, pi_rows: np.ndarray, blocks: MomentBlocks) -> CorrectedFit:
-    """Correct a naive fit: the slopes through the attenuation inverse,
-    beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n from
-    the fit's cell sums and counts, where row j of ``pi_rows`` is the
-    posterior row of the naive.counts[j] observations in design row j."""
-    pi_rows = np.asarray(pi_rows, dtype=float)
-    beta_c = blocks.correction @ naive.slopes
-    beta0_c = float((naive.sums.sum() - (naive.counts @ pi_rows) @ beta_c) / naive.counts.sum())
-    return CorrectedFit(naive, beta_c, beta0_c, blocks, pi_rows)
+    if len(y) != len(design_star):
+        raise ValueError(f"need one response per design row, got {len(y)} for {len(design_star)}")
+    r_mat, gamma, refused = _solve_cells(design_star, np.ones(len(y)), y[:, None], len(y))
+    _raise_refused(refused, len(y), design_star.shape[1], r_mat, column_map)
+    return gamma[0]
 
 
 @dataclass(frozen=True)
 class PrefixFits:
     """Naive and corrected fits of the first n rows of one design, for a
-    list of n and a set of response columns.
+    list of n and a set of response columns.  A single fit is a stack of
+    one: one prefix of every row and one response column, whose estimates
+    are the [0, 0] entries.
 
     Arrays are indexed [prefix, response column, parameter]; ``refused``
     marks the prefixes the rank guard turned down, whose estimates are NaN.
     ``design_star`` holds the cells every prefix was fitted on, ``counts``
     the rows of each prefix in each cell and ``r`` the R factor of each
     prefix's fit; ``pi_rows`` (one per cell) and ``blocks`` are the
-    mechanism every prefix's correction read.
+    mechanism every prefix's correction read.  ``rss`` [prefix, response
+    column, cell] holds each cell's sum of squared residuals where the fit
+    took them (``fit_cells``), and is None otherwise.
     """
 
     refused: np.ndarray
@@ -168,34 +102,48 @@ class PrefixFits:
     r: np.ndarray
     pi_rows: np.ndarray
     blocks: MomentBlocks
+    rss: np.ndarray | None = None
 
     @property
     def beta_c_star(self) -> np.ndarray:
+        """The naive intercept with the corrected slopes."""
         return np.concatenate([self.gamma_star[..., :1], self.beta_c], axis=-1)
 
     @property
     def beta_full(self) -> np.ndarray:
+        """The corrected intercept with the corrected slopes."""
         return np.concatenate([self.beta0_c[..., None], self.beta_c], axis=-1)
+
+    @property
+    def sigma2_w(self) -> np.ndarray:
+        """RSS / (n - m) per [prefix, response column] of a fit that took
+        ``rss``: a sum over the cells, with no BLAS sum over rows, whose
+        order may follow the thread count."""
+        return self.rss.sum(axis=-1) / (self.counts.sum(axis=-1)[:, None] - self.r.shape[-1])
 
 
 def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
                  pi_rows: np.ndarray, blocks: Sequence[MomentBlocks],
                  inverse: np.ndarray) -> list[PrefixFits]:
-    """``ols_fit`` then ``correct`` on the first n rows, for every n in
+    """Least squares and its correction on the first n rows, for every n in
     ``ns`` and every column of ``ys`` at once, over a stack of designs of
-    one shape; returns one PrefixFits per design, in stack order.
+    one shape; returns one PrefixFits per design, in stack order.  This is
+    the one place the correction is written: the slopes beta_c = C gamma,
+    with C from the moment blocks, and the intercept
+    (sum y - (c^T pi) beta_c) / n from each prefix's cell counts c and sums.
 
     Every array has a leading design axis and ``blocks`` holds one
     MomentBlocks per design; one design is a stack of one.  Rows of
     ``design_star[j]`` and ``pi_rows[j]`` are cells; row i of ``ys[j]``
     lies in cell ``inverse[j, i]`` (np.arange for one cell per row).  One
     bincount gives the counts of every (design, interval between sorted cut
-    points, cell), one more the sums of every response column, adding each
-    bin's rows in row order; both are summed up to each cut.  One stacked
+    points, cell), one per response column its sums, adding each bin's rows
+    in row order; both are summed up to each cut.  With one design and one
+    cut the bin is the cell, keyed by ``inverse`` itself.  One stacked
     QR factors every prefix of every design, and one matmul applies the
     stacked C's.  LAPACK works matrix by matrix, so each design's fits are
-    bit for bit those it gets alone; they equal the one-design path to
-    rounding (about 1e-15 relative), not bit for bit.
+    bit for bit those it gets alone; they equal ``ols_fit`` on each
+    prefix's rows to rounding (about 1e-15 relative), not bit for bit.
     """
     design_star = np.asarray(design_star, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -218,17 +166,19 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     cuts = np.unique(ns)
     cells = design_star.shape[1]
     bins = stack * len(cuts) * cells
-    # row i < cuts[-1] of design j lies in interval k when cuts[k-1] <= i < cuts[k]
-    key = np.searchsorted(cuts, np.arange(cuts[-1]), side="right") * cells
-    key = key + inverse[:, : cuts[-1]] + (np.arange(stack) * len(cuts) * cells)[:, None]
+    key = inverse[:, : cuts[-1]]
+    if bins > cells:  # row i of design j lies in bin (j, k, cell) when cuts[k-1] <= i < cuts[k]
+        offsets = (np.arange(stack * len(cuts)) * cells).reshape(stack, len(cuts))
+        key = key + np.repeat(offsets, np.diff(cuts, prepend=0), axis=1)
+    key = key.ravel()
     at = np.searchsorted(cuts, ns)
 
     def per_prefix(total, *trailing):
         return total.reshape(stack, len(cuts), cells, *trailing).cumsum(axis=1)[:, at]
 
-    counts = per_prefix(np.bincount(key.ravel(), minlength=bins))
-    sums = per_prefix(np.bincount((key[..., None] * columns + np.arange(columns)).ravel(),
-                                  ys[:, : cuts[-1]].ravel(), minlength=bins * columns), columns)
+    counts = per_prefix(np.bincount(key, minlength=bins))
+    sums = per_prefix(np.stack([np.bincount(key, ys[:, : cuts[-1], s].ravel(), bins)
+                                for s in range(columns)], axis=-1), columns)
     r_mat, gamma, refused = _solve_cells(design_star[:, None], counts, sums, ns)
     corrections = np.stack([b.correction for b in blocks])
     beta_c = gamma[..., 1:] @ np.swapaxes(corrections, -1, -2)[:, None]
@@ -239,17 +189,29 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
 
 
 def fit_cells(spec: CategoricalSpec, cells: Cells, y: np.ndarray, thetas: Sequence,
-              ps: Sequence) -> CorrectedFit:
-    """Naive fit, moment blocks, posterior rows of the cells and correction,
-    over cells already found (by ``encode_cells``, or ``validate_dataset``'s
-    report): y[i] lies in cell ``cells.inverse[i]``."""
-    naive = ols_fit(cells.design_star, y, cells.column_map, cells.inverse, cells.counts)
+              ps: Sequence) -> PrefixFits:
+    """A single fit over cells already found (by ``encode_cells``, or
+    ``validate_dataset``'s report), y[i] lying in cell ``cells.inverse[i]``:
+    the mechanism, the posterior rows of the cells, then ``fit_prefixes``
+    on the stack of one, all n rows one prefix and y one response column.
+    Raises RankDeficient where the rank guard refuses; fills ``rss`` from
+    one pass over the residuals y - (U gamma)[cell of each row]."""
+    y = np.asarray(y, dtype=float)
+    n, m = len(y), cells.design_star.shape[1]
+    _raise_refused(n <= m, n, m)  # before the mechanism; fit_prefixes takes no empty prefix
     blocks, posteriors = mechanism(spec, thetas, ps)
-    return correct(naive, posterior_rows(posteriors, cells.categories), blocks)
+    pi = posterior_rows(posteriors, cells.categories)
+    [fit] = fit_prefixes(cells.design_star[None], y[None, :, None], [n], pi[None], [blocks],
+                         cells.inverse[None])
+    _raise_refused(fit.refused[0], n, m, fit.r[0], cells.column_map)
+    resid = (fit.design_star @ fit.gamma_star[0, 0]).take(cells.inverse)
+    np.square(np.subtract(y, resid, out=resid), out=resid)
+    rss = np.bincount(cells.inverse, resid, len(fit.design_star))
+    return replace(fit, rss=rss[None, None])
 
 
 def fit_corrected(spec: CategoricalSpec, ds: ObservedDataset, thetas: Sequence,
-                  ps: Sequence) -> CorrectedFit:
+                  ps: Sequence) -> PrefixFits:
     """Full pipeline over the occupied cells of ``ds.w``: ``fit_cells`` on
     the cells ``encode_cells`` finds."""
     return fit_cells(spec, encode_cells(spec, ds.w), ds.y, thetas, ps)

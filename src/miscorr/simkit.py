@@ -199,17 +199,6 @@ def simulate_w(x: np.ndarray, thetas, rng: np.random.Generator) -> np.ndarray:
     return _draw_w(x, _padded(cums), rng)
 
 
-def simulate_y(
-    x_design: np.ndarray, truth: TruthSpec, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """y = beta0 + design . beta + noise, noise iid normal(0, sigma^2)."""
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
-    x_design = np.asarray(x_design, dtype=float)
-    mean = truth.beta_star[0] + x_design @ truth.beta_star[1:]
-    return mean + sigma * rng.standard_normal(x_design.shape[0])
-
-
 def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
     """Weighted mean squared error: mean over parameters of
     (beta_l - beta_hat_l)^2 / beta_l.  A stack of estimates, parameters on
@@ -263,9 +252,10 @@ def replicate_designs(config: ScenarioConfig, replicate_id: int):
 
 def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
                         x: np.ndarray, sigmas) -> np.ndarray:
-    """One response column per sigma, ``simulate_y``'s mean + sigma * z with z
-    from the sigma's own y stream; the mean is taken once, from the C-ordered
-    design of x, as BLAS sums the rows of another layout in another order."""
+    """One response column per sigma, y = beta0 + design . beta + sigma * z
+    with z iid normal from the sigma's own y stream; the mean is taken once,
+    from the C-ordered design of x, as BLAS sums the rows of another layout
+    in another order."""
     beta = TruthSpec.default(spec.n_slopes).beta_star
     mean = beta[0] + encode_dummy(spec, x).design @ beta[1:]
     ys = np.empty((len(mean), len(sigmas)))
@@ -363,26 +353,12 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
         sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
-        plugins = [c @ sigma2 / n for n, c in zip(config.n_grid, fits.counts)]
-        theoreticals.append(var_beta0_c_uncorrelated(fits, plugins))
+        plugins = [[c @ sigma2 / n] for n, c in zip(config.n_grid, fits.counts)]
+        theoreticals.append(var_beta0_c_uncorrelated(fits, plugins)[:, 0])
     return [
         InterceptVariancePoint(n, float(np.mean(th)), float(np.var(b0, ddof=1)))
         for n, th, b0 in zip(config.n_grid, np.transpose(theoreticals), np.transpose(beta0_hats))
     ]
-
-
-@dataclass(frozen=True)
-class EqpRecord:
-    distortion: str
-    n_covariates: int
-    levels: str
-    n: int
-    sigma: float
-    method: str
-    eqp: float
-    mcse: float
-    failures: int
-    replicates: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +381,7 @@ class EqpTable:
             for f in ("eqp", "mcse", "failures"))
 
     def _rows(self) -> list[tuple]:
-        """The fields of each cell's EqpRecord, sigma-major, then n, then method."""
+        """The fields of each cell's CSV row, sigma-major, then n, then method."""
         c = self.config
         levels = "random" if c.levels is None else "-".join(map(str, c.levels))
         eqp, mcse, failures = self.eqp.tolist(), self.mcse.tolist(), self.failures.tolist()
@@ -413,11 +389,6 @@ class EqpTable:
                  mcse[i][s][j], failures[i], c.replicates - failures[i])
                 for s, sigma in enumerate(c.sigma_list) for i, n in enumerate(c.n_grid)
                 for j, method in enumerate(METHODS)]
-
-    @property
-    def records(self) -> tuple[EqpRecord, ...]:
-        """One EqpRecord per cell, in the order of ``to_csv``'s rows."""
-        return tuple(EqpRecord(*row) for row in self._rows())
 
     def to_csv(self) -> str:
         return "".join([self.HEADER + "\n", *("%s,%d,%s,%d,%.17g,%s,%.17g,%.17g,%d,%d\n" % row

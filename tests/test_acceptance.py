@@ -24,6 +24,7 @@ from miscorr.misclass import (
 )
 from miscorr.moments import mechanism
 from miscorr.simkit import (
+    METHODS,
     ScenarioConfig,
     TruthSpec,
     intercept_variance_curve,
@@ -55,8 +56,8 @@ def test_criterion_1_identity_neutrality(capsys):
         fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
         worst = max(
             worst,
-            float(np.max(np.abs(fit.beta_c - fit.naive.slopes))),
-            abs(fit.beta0_c - fit.naive.intercept),
+            float(np.max(np.abs(fit.beta_c[0, 0] - fit.gamma_star[0, 0, 1:]))),
+            abs(fit.beta0_c[0, 0] - fit.gamma_star[0, 0, 0]),
         )
     ok = worst < 1e-10
     _report(capsys, 1, ok, f"identity-theta neutrality, max deviation {worst:.2e}")
@@ -87,8 +88,8 @@ def test_criterion_3_naive_limit(capsys):
         + 0.2 * rng.standard_normal(n)
     )
     fit = fit_corrected(spec, ObservedDataset(y=y, w=w), [theta], [p])
-    gamma_err = float(np.max(np.abs(fit.naive.slopes - [0.44211, 0.48422])))
-    beta_err = float(np.max(np.abs(fit.beta_c - [0.7, 0.9])))
+    gamma_err = float(np.max(np.abs(fit.gamma_star[0, 0, 1:] - [0.44211, 0.48422])))
+    beta_err = float(np.max(np.abs(fit.beta_c[0, 0] - [0.7, 0.9])))
     ok = gamma_err < 0.01 and beta_err < 0.02
     _report(
         capsys, 3, ok,
@@ -185,7 +186,7 @@ def _criterion_6_setup():
 def test_criterion_6a_corrected_slope_variance(capsys):
     report, est, _ = _criterion_6_setup()
     emp = est.var(axis=0, ddof=1)
-    theo = np.diag(report.var_beta_c_star)
+    theo = np.diag(report.var_beta_c_star[0, 0])
     rel = np.abs(theo / emp - 1.0)
     ok = bool(np.all(rel < 0.10))
     _report(
@@ -202,7 +203,7 @@ def test_criterion_6b_corrected_intercept_variance(capsys):
     # short by roughly a factor of 2.5 here.
     report, _, b0 = _criterion_6_setup()
     emp = float(np.var(b0, ddof=1))
-    rel = abs(report.var_beta0_c / emp - 1.0)
+    rel = abs(report.var_beta0_c[0, 0] / emp - 1.0)
     ok = rel < 0.15
     _report(
         capsys, "6b", ok,
@@ -225,9 +226,9 @@ def test_criterion_7_eqp_method_ordering(capsys):
                 master_seed=2024,
             )
             table = run_grid(config)
-            cells = {}
-            for r in table.records:
-                cells.setdefault((r.n, r.sigma), {})[r.method] = r.eqp
+            cells = {(n, sigma): dict(zip(METHODS, table.eqp[i, s]))
+                     for i, n in enumerate(config.n_grid)
+                     for s, sigma in enumerate(config.sigma_list)}
             for (n, sigma), methods in cells.items():
                 if methods["full"] >= methods["partial"]:
                     violations.append((distortion, k, n, sigma, "full>=partial"))

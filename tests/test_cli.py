@@ -23,7 +23,7 @@ from miscorr.categorical import CategoricalSpec, encode_dummy
 from miscorr.charts import line_chart
 from miscorr.cli import main
 from miscorr.misclass import posterior_from, scenario_theta
-from miscorr.simkit import TruthSpec, simulate_w, simulate_x, simulate_y
+from miscorr.simkit import TruthSpec, simulate_w, simulate_x
 
 LOW2 = scenario_theta("low", 2)
 
@@ -40,13 +40,19 @@ def _write_dataset(path, y, w):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _response(design, truth, sigma, rng):
+    """y = beta0 + design . beta + noise, noise iid normal(0, sigma^2)."""
+    return truth.beta_star[0] + design @ truth.beta_star[1:] + sigma * rng.standard_normal(
+        len(design))
+
+
 def _make_binary_fixture(tmp_path, theta, n=400, sigma=0.1, seed=7):
     rng = np.random.default_rng(seed)
     spec = CategoricalSpec((2,))
     truth = TruthSpec(np.array([0.5, 0.7]))
     x = simulate_x([np.full(2, 0.5)], n, rng)
     w = simulate_w(x, [theta], rng)
-    y = simulate_y(encode_dummy(spec, x).design, truth, sigma, rng)
+    y = _response(encode_dummy(spec, x).design, truth, sigma, rng)
     data = tmp_path / "data.csv"
     _write_dataset(data, y, w)
     theta_path = tmp_path / "theta.csv"
@@ -997,7 +1003,7 @@ def _two_covariate_files(tmp_path):
     x = simulate_x([np.full(2, 0.5)] * 2, 200, rng)
     w = simulate_w(x, [LOW2, LOW2], rng)
     design = encode_dummy(CategoricalSpec((2, 2)), x).design
-    _write_dataset(tmp_path / "data.csv", simulate_y(design, TruthSpec.default(2), 0.1, rng), w)
+    _write_dataset(tmp_path / "data.csv", _response(design, TruthSpec.default(2), 0.1, rng), w)
     thetas = [tmp_path / f"theta{k}.csv" for k in (1, 2)]
     ps = [tmp_path / f"p{k}.csv" for k in (1, 2)]
     for theta_path, p_path in zip(thetas, ps):
@@ -1126,10 +1132,11 @@ def test_each_eqp_chart_draws_exactly_the_finite_cells_of_its_sigma(tmp_path):
     table = simkit.run_grid(config)
     assert (out / "eqp.csv").read_text() == table.to_csv()
     assert table.failures[0] == 12 and 0 < table.failures[1] < 12
-    for sigma in config.sigma_list:
-        series = {method: [(r.n, r.eqp) for r in table.records if r.method == method
-                           and r.sigma == sigma and np.isfinite(r.eqp)]
-                  for method in simkit.METHODS}
+    for s, sigma in enumerate(config.sigma_list):
+        eqps = table.eqp[:, s].tolist()  # [n][method]
+        series = {method: [(n, row[j]) for n, row in zip(config.n_grid, eqps)
+                           if np.isfinite(row[j])]
+                  for j, method in enumerate(simkit.METHODS)}
         assert [[n for n, _ in points] for points in series.values()] == [[8, 50]] * 3
         svg = (out / f"eqp_medium_K3_sigma{sigma:g}.svg").read_text()
         assert svg == line_chart(series, f"EQP, medium distortion, K=3, sigma={sigma:g}",

@@ -8,7 +8,7 @@ from miscorr.diagnostics import (
     variance_report,
 )
 from miscorr.errors import RankDeficient
-from miscorr.estimators import correct, fit_corrected, ols_fit
+from miscorr.estimators import fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
 
@@ -17,14 +17,16 @@ U2 = np.full(2, 0.5)
 
 
 def _fit_on(design_star, pi_rows, blocks, counts=None):
-    """A corrected fit on these rows, row j standing for counts[j]
-    observations (default 1).  The diagnostics read its rows, counts, R,
+    """The fit of these rows as ``fit_prefixes`` returns a single fit: row j
+    stands for counts[j] observations (default 1), all of them one prefix
+    and one response column.  The diagnostics read its rows, counts, R,
     posterior rows and blocks, never its response, so the response is zero."""
     rows = np.arange(len(design_star))
     inverse = rows if counts is None else np.repeat(rows, counts)
-    y = np.zeros(len(inverse))
-    naive = ols_fit(design_star, y, inverse=inverse)
-    return correct(naive, pi_rows, blocks)
+    [fit] = fit_prefixes(np.asarray(design_star, dtype=float)[None],
+                         np.zeros((1, len(inverse), 1)), [len(inverse)],
+                         np.asarray(pi_rows, dtype=float)[None], [blocks], inverse[None])
+    return fit
 
 
 def _binary_fixture(n=40, seed=5):
@@ -84,9 +86,9 @@ def _expected_gamma(fit, beta):
     """E[gamma_hat | W], independently of the mechanism's closed form: the
     least-squares fit of E[Y | W] = pi* beta on the fit's cell rows, each
     weighted by its count."""
-    root = np.sqrt(fit.naive.counts)
+    root = np.sqrt(fit.counts[0])
     pi_star = np.hstack([np.ones((len(fit.pi_rows), 1)), fit.pi_rows])
-    design = root[:, None] * fit.naive.design_star
+    design = root[:, None] * fit.design_star
     return np.linalg.lstsq(design, root * (pi_star @ beta), rcond=None)[0]
 
 
@@ -114,7 +116,7 @@ def test_the_corrected_estimators_are_conditionally_unbiased():
         report = conditional_bias(fit, beta)
         tol = 1e-12 * np.abs(beta).max()
         expected = fit.blocks.z_star @ _expected_gamma(fit, beta)
-        pi_bar = fit.naive.counts @ fit.pi_rows / fit.naive.counts.sum()
+        pi_bar = fit.counts[0] @ fit.pi_rows / fit.counts[0].sum()
         np.testing.assert_allclose(report.b_star, expected - beta, rtol=0, atol=tol)
         assert report.b0 == pytest.approx(pi_bar @ (beta[1:] - expected[1:]), abs=tol)
 
@@ -158,8 +160,8 @@ def test_variance_identity_theta_matches_naive():
         blocks = mechanism(spec, thetas, ps)[0]
         pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
         report = variance_report(_fit_on(bundle.design_star, pi, blocks), 0.25)
-        np.testing.assert_allclose(report.var_beta_c_star, report.var_gamma_star)
-        assert report.var_beta0_c == pytest.approx(report.var_gamma_star[0, 0])
+        np.testing.assert_allclose(report.var_beta_c_star[0, 0], report.var_gamma_star[0, 0])
+        assert report.var_beta0_c[0, 0] == pytest.approx(report.var_gamma_star[0, 0][0, 0])
 
 
 def test_intercept_variance_is_exact_for_asymmetric_correction():
@@ -178,7 +180,7 @@ def test_intercept_variance_is_exact_for_asymmetric_correction():
     h_slopes = np.linalg.pinv(bundle.design_star)[1:]
     a = 1.0 / 70 - h_slopes.T @ c.T @ pi.mean(axis=0)
     report = variance_report(_fit_on(bundle.design_star, pi, blocks), 0.09)
-    assert report.var_beta0_c == pytest.approx(0.09 * np.sum(a**2), rel=1e-9)
+    assert report.var_beta0_c[0, 0] == pytest.approx(0.09 * np.sum(a**2), rel=1e-9)
 
 
 def test_a_matrix_hand_arithmetic():
@@ -192,16 +194,16 @@ def test_a_matrix_hand_arithmetic():
     post = posterior_from(LOW2, U2)
     pi = posterior_rows([post], w)
     report = variance_report(_fit_on(bundle.design_star, pi, blocks), 1.0)
-    assert 1.0 / report.var_gamma_star[1, 1] == pytest.approx(1.0)
+    assert 1.0 / report.var_gamma_star[0, 0][1, 1] == pytest.approx(1.0)
 
 
 def test_variance_matrices_symmetric_psd():
     _, w, bundle, blocks, post, pi = _binary_fixture(n=80, seed=9)
     report = variance_report(_fit_on(bundle.design_star, pi, blocks), 0.04)
-    for mat in (report.var_gamma_star, report.var_beta_c_star):
+    for mat in (report.var_gamma_star[0, 0], report.var_beta_c_star[0, 0]):
         np.testing.assert_allclose(mat, mat.T, atol=1e-10)
         assert np.linalg.eigvalsh(mat).min() > -1e-10
-    assert report.var_beta0_c >= 0
+    assert report.var_beta0_c[0, 0] >= 0
 
 
 def test_corrected_slope_variance_inflated_by_squared_correction():
@@ -209,10 +211,10 @@ def test_corrected_slope_variance_inflated_by_squared_correction():
     c = blocks.correction[0, 0]
     assert abs(c) >= 1
     report = variance_report(_fit_on(bundle.design_star, pi, blocks), 0.04)
-    assert report.var_beta_c_star[1, 1] == pytest.approx(
-        c**2 * report.var_gamma_star[1, 1]
+    assert report.var_beta_c_star[0, 0][1, 1] == pytest.approx(
+        c**2 * report.var_gamma_star[0, 0][1, 1]
     )
-    assert report.var_beta_c_star[1, 1] > report.var_gamma_star[1, 1]
+    assert report.var_beta_c_star[0, 0][1, 1] > report.var_gamma_star[0, 0][1, 1]
 
 
 def test_variance_rank_deficient_when_rows_identical():
@@ -221,9 +223,12 @@ def test_variance_rank_deficient_when_rows_identical():
     bundle = encode_dummy(spec, w)
     blocks = mechanism(spec, [LOW2], [U2])[0]
     pi = posterior_rows([posterior_from(LOW2, U2)], w)
-    # the fit's own rank guard refuses the design, so no variance is asked of it
-    with pytest.raises(RankDeficient):
-        _fit_on(bundle.design_star, pi, blocks)
+    # the fit's own rank guard refuses the design, so it has no variance
+    fit = _fit_on(bundle.design_star, pi, blocks)
+    assert fit.refused.tolist() == [True]
+    report = variance_report(fit, 0.04)
+    for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c"):
+        assert np.isnan(getattr(report, field)).all()
 
 
 def test_centered_normal_equations_agree_with_qr_slopes():
@@ -236,13 +241,13 @@ def test_centered_normal_equations_agree_with_qr_slopes():
     w = np.column_stack([rng.integers(0, 3, 90), rng.integers(0, 2, 90)])
     bundle = encode_dummy(spec, w)
     y = rng.standard_normal(90)
-    fit = ols_fit(bundle.design_star, y)
+    gamma_star = ols_fit(bundle.design_star, y)
     wmat = bundle.design
     w_bar = wmat.mean(axis=0)
     a = wmat.T @ (wmat - w_bar)
     rhs = ((y - y.mean())[:, None] * wmat).sum(axis=0)
     gamma = np.linalg.solve(a, rhs)
-    np.testing.assert_allclose(gamma, fit.slopes, atol=1e-8)
+    np.testing.assert_allclose(gamma, gamma_star[1:], atol=1e-8)
 
 
 def test_conditional_response_variance_identity_theta():

@@ -8,39 +8,56 @@ from miscorr.categorical import (
 )
 from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
 from miscorr.errors import RankDeficient, ValidationError
-from miscorr.estimators import (
-    NaiveFit, correct, fit_cells, fit_corrected, fit_prefixes, ols_fit
-)
+from miscorr.estimators import fit_cells, fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
 from miscorr.simkit import (
     ScenarioConfig, TruthSpec, intercept_variance_curve, replicate_designs, simulate_w,
-    simulate_x, simulate_y
+    simulate_x
 )
 
 LOW2 = scenario_theta("low", 2)
 U2 = np.full(2, 0.5)
 
 
+def _single_fit(design_star, y, pi_rows, blocks):
+    """``fit_prefixes`` on the stack of one: every row of the design one
+    observation, all of them one prefix, and y one response column."""
+    [fit] = fit_prefixes(np.asarray(design_star, dtype=float)[None], np.asarray(y)[None, :, None],
+                         [len(y)], np.asarray(pi_rows, dtype=float)[None], [blocks],
+                         np.arange(len(y))[None])
+    return fit
+
+
+def _ols_then_correct(design_star, y, pi_rows, blocks):
+    """The one-design reference, written out: ``ols_fit`` on the rows, the
+    slopes beta_c = C gamma, then the intercept (sum y - (c^T pi) beta_c) / n
+    with every count c one.  Returns (gamma_star, beta_c_star, beta_full)."""
+    gamma = ols_fit(design_star, y)
+    counts = np.ones(len(y), dtype=int)
+    beta_c = blocks.correction @ gamma[1:]
+    beta0_c = float((y.sum() - (counts @ pi_rows) @ beta_c) / counts.sum())
+    return gamma, np.concatenate([gamma[:1], beta_c]), np.concatenate([[beta0_c], beta_c])
+
+
 def test_ols_constant_response():
     x = np.column_stack([np.ones(10), np.arange(10) % 2])
-    fit = ols_fit(x, np.full(10, 3.5))
-    assert fit.gamma_star == pytest.approx([3.5, 0.0], abs=1e-12)
-    assert fit.sigma2_w == pytest.approx(0.0, abs=1e-20)
+    gamma = ols_fit(x, np.full(10, 3.5))
+    assert gamma == pytest.approx([3.5, 0.0], abs=1e-12)
+    assert np.square(3.5 - x @ gamma).sum() / (10 - 2) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_ols_exact_interpolation():
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
-    fit = ols_fit(design_star, np.array([3.0, 3.0, 1.0, 1.0]))
-    assert fit.gamma_star == pytest.approx([1.0, 2.0], abs=1e-12)
+    gamma = ols_fit(design_star, np.array([3.0, 3.0, 1.0, 1.0]))
+    assert gamma == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_ols_residual_orthogonality():
     rng = np.random.default_rng(3)
     design_star = np.column_stack([np.ones(60), rng.integers(0, 2, (60, 2))])
     y = rng.standard_normal(60)
-    fit = ols_fit(design_star, y)
-    resid = y - design_star @ fit.gamma_star
+    resid = y - design_star @ ols_fit(design_star, y)
     assert np.abs(design_star.T @ resid).max() < 1e-8 * 60
 
 
@@ -57,17 +74,15 @@ def test_correct_slopes_identity_is_noop():
     blocks = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]
     y = np.array([3.0, 3, 1, 1])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
-    fit = ols_fit(design_star, y)
-    corrected = correct(fit, design_star[:, 1:], blocks)
-    np.testing.assert_allclose(corrected.beta_c, fit.slopes)
+    fit = _single_fit(design_star, y, design_star[:, 1:], blocks)
+    np.testing.assert_allclose(fit.beta_c[0, 0], fit.gamma_star[0, 0, 1:])
 
 
 def test_correct_slopes_undoes_binary_attenuation():
     blocks = mechanism(CategoricalSpec((2,)), [LOW2], [U2])[0]
     y = np.array([0.751880, 0.751880, 0.0, 0.0])
     design_star = np.column_stack([np.ones(4), [1, 1, 0, 0]])
-    fit = ols_fit(design_star, y)
-    beta_c = correct(fit, np.zeros((4, 1)), blocks).beta_c  # slopes read no pi
+    beta_c = _single_fit(design_star, y, np.zeros((4, 1)), blocks).beta_c[0, 0]  # read no pi
     assert beta_c[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -80,30 +95,26 @@ def test_correct_slopes_roundtrip():
     )
 
 
-# with theta = I the correction matrix is the identity, so the naive slopes
-# given here are the corrected slopes beta_c that the intercept reads
+# with theta = I the correction matrix is the identity, so the corrected
+# slopes the intercept reads are the naive ones
 IDENTITY2 = mechanism(CategoricalSpec((2,)), [np.eye(2)], [U2])[0]
-
-
-def _naive(gamma_star, y):
-    """A naive fit with these coefficients, of the observations ``y`` one
-    per design row; correct reads its slopes, counts and sums only."""
-    rows = len(y)
-    return NaiveFit(gamma_star=np.asarray(gamma_star), r=np.eye(2),
-                    design_star=np.ones((rows, 2)), counts=np.ones(rows, dtype=int),
-                    sums=np.asarray(y, dtype=float), rss=np.zeros(rows), column_map=None)
+# two observations in each of the cells w = 0 (indicator 1) and w = 1
+TWO_CELLS = np.column_stack([np.ones(4), [1, 1, 0, 0]])
 
 
 def test_correct_intercept_zero_slopes_gives_mean():
-    y = np.array([1.0, 2.0, 6.0])
-    fit = correct(_naive([0.0, 0.0], y), np.zeros((3, 1)), IDENTITY2)
-    assert fit.beta0_c == pytest.approx(3.0)
+    y = np.array([1.0, 5.0, 2.0, 4.0])  # both cells have mean 3
+    fit = _single_fit(TWO_CELLS, y, [[0.8], [0.6], [0.3], [0.1]], IDENTITY2)
+    assert fit.gamma_star[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
+    assert fit.beta0_c[0, 0] == pytest.approx(3.0)
 
 
 def test_correct_intercept_hand_arithmetic():
-    y = np.array([2.0, 3.0])
-    pi = np.array([[0.8], [0.6]])
-    assert correct(_naive([0.0, 1.0], y), pi, IDENTITY2).beta0_c == pytest.approx(1.8)
+    y = np.array([2.0, 0.0, 1.0, -1.0])  # gamma = (0, 1)
+    pi = np.array([[0.8], [0.6], [0.3], [0.1]])
+    fit = _single_fit(TWO_CELLS, y, pi, IDENTITY2)
+    np.testing.assert_allclose(fit.gamma_star[0, 0], [0.0, 1.0], atol=1e-12)
+    assert fit.beta0_c[0, 0] == pytest.approx((2.0 - 1.8) / 4)  # (sum y - sum pi beta_c) / n
 
 
 def test_correct_intercept_identity_noiseless():
@@ -114,8 +125,8 @@ def test_correct_intercept_identity_noiseless():
     y = beta0 + encode_dummy(spec, x).design @ beta
     ds = ObservedDataset(y=y, w=x)
     fit = fit_corrected(spec, ds, [np.eye(3)], [np.ones(3) / 3])
-    assert fit.beta0_c == pytest.approx(beta0, abs=1e-10)
-    np.testing.assert_allclose(fit.beta_c, beta, atol=1e-10)
+    assert fit.beta0_c[0, 0] == pytest.approx(beta0, abs=1e-10)
+    np.testing.assert_allclose(fit.beta_c[0, 0], beta, atol=1e-10)
 
 
 def test_fit_corrected_identity_theta_matches_naive():
@@ -125,9 +136,9 @@ def test_fit_corrected_identity_theta_matches_naive():
     y = rng.standard_normal(300)
     ds = ObservedDataset(y=y, w=w)
     fit = fit_corrected(spec, ds, [np.eye(2), np.eye(3)], [np.full(2, 0.5), np.ones(3) / 3])
-    np.testing.assert_allclose(fit.beta_c, fit.naive.slopes, atol=1e-10)
-    assert fit.beta0_c == pytest.approx(fit.naive.intercept, abs=1e-10)
-    np.testing.assert_allclose(fit.beta_c_star, fit.naive.gamma_star, atol=1e-10)
+    np.testing.assert_allclose(fit.beta_c[0, 0], fit.gamma_star[0, 0, 1:], atol=1e-10)
+    assert fit.beta0_c[0, 0] == pytest.approx(fit.gamma_star[0, 0, 0], abs=1e-10)
+    np.testing.assert_allclose(fit.beta_c_star, fit.gamma_star, atol=1e-10)
 
 
 def test_fit_corrected_missing_category_surfaces_rank_error():
@@ -159,10 +170,11 @@ def test_attenuation_recovery_over_replicates():
         rng = np.random.default_rng(1000 + rep)
         x = simulate_x([U2], 5000, rng)
         w = simulate_w(x, [LOW2], rng)
-        y = simulate_y(encode_dummy(spec, x).design, truth, 0.1, rng)
+        design = encode_dummy(spec, x).design
+        y = truth.beta_star[0] + design @ truth.beta_star[1:] + 0.1 * rng.standard_normal(5000)
         fit = fit_corrected(spec, ObservedDataset(y=y, w=w), [LOW2], [U2])
-        naive_means.append(fit.naive.slopes[0])
-        corrected_means.append(fit.beta_c[0])
+        naive_means.append(fit.gamma_star[0, 0, 1])
+        corrected_means.append(fit.beta_c[0, 0, 0])
     assert np.mean(corrected_means) == pytest.approx(0.7, abs=0.02)
     assert np.mean(naive_means) == pytest.approx(0.7 * attn, abs=0.02)
 
@@ -175,13 +187,13 @@ def test_reference_relabel_leaves_fitted_values_unchanged():
     w = rng.integers(0, 3, (150, 1))
     y = rng.standard_normal(150) + w[:, 0].astype(float)
     bundle = encode_dummy(spec, w)
-    fit = ols_fit(bundle.design_star, y)
+    gamma = ols_fit(bundle.design_star, y)
     # relabel categories so that 0 becomes the reference
     relabeled = (w + 1) % 3
     bundle2 = encode_dummy(spec, relabeled)
-    fit2 = ols_fit(bundle2.design_star, y)
-    yhat1 = bundle.design_star @ fit.gamma_star
-    yhat2 = bundle2.design_star @ fit2.gamma_star
+    gamma2 = ols_fit(bundle2.design_star, y)
+    yhat1 = bundle.design_star @ gamma
+    yhat2 = bundle2.design_star @ gamma2
     np.testing.assert_allclose(yhat1, yhat2, atol=1e-8)
 
 
@@ -200,8 +212,8 @@ def _prefix_case(w):
 
 def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
     """fit_prefixes (or the given fits of these prefixes) refuses exactly
-    the prefixes ols_fit raises on and agrees with ols_fit -> correct on the
-    others; returns the refused n."""
+    the prefixes ols_fit raises on and agrees with the one-design reference
+    on the others; returns the refused n."""
     if fits is None:
         [fits] = fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
                               np.arange(len(ys))[None])
@@ -209,17 +221,17 @@ def _assert_matches_one_design_path(design_star, ys, ns, pi, blocks, fits=None):
     for k, n in enumerate(ns):
         for s in range(ys.shape[1]):
             try:
-                naive = ols_fit(design_star[:n], ys[:n, s])
+                gamma, beta_c_star, beta_full = _ols_then_correct(design_star[:n], ys[:n, s],
+                                                                  pi[:n], blocks)
             except RankDeficient:
                 refused.add(n)
                 assert fits.refused[k], n
                 assert np.isnan(fits.beta_full[k, s]).all()
                 continue
             assert not fits.refused[k], n
-            one = correct(naive, pi[:n], blocks)
-            np.testing.assert_allclose(fits.gamma_star[k, s], naive.gamma_star, rtol=1e-12)
-            np.testing.assert_allclose(fits.beta_c_star[k, s], one.beta_c_star, rtol=1e-12)
-            np.testing.assert_allclose(fits.beta_full[k, s], one.beta_full, rtol=1e-12)
+            np.testing.assert_allclose(fits.gamma_star[k, s], gamma, rtol=1e-12)
+            np.testing.assert_allclose(fits.beta_c_star[k, s], beta_c_star, rtol=1e-12)
+            np.testing.assert_allclose(fits.beta_full[k, s], beta_full, rtol=1e-12)
     return refused
 
 
@@ -251,8 +263,8 @@ def test_fit_prefixes_one_singular_cell_does_not_sink_the_batch():
     [fits] = fit_prefixes(design_star[None], ys[None], ns, pi[None], [blocks],
                           np.arange(len(ys))[None])
     assert np.isfinite(fits.beta0_c[[0, 2]]).all()
-    uncorrelated = var_beta0_c_uncorrelated(fits, np.ones(3))
-    assert np.isnan(uncorrelated[1]) and np.isfinite(uncorrelated[[0, 2]]).all()
+    uncorrelated = var_beta0_c_uncorrelated(fits, np.ones((3, 1)))
+    assert np.isnan(uncorrelated[1]).all() and np.isfinite(uncorrelated[[0, 2]]).all()
 
 
 def test_a_prefix_singular_in_one_design_of_a_stack_is_refused_there_only():
@@ -323,20 +335,33 @@ def _random_table(k, n, seed):
 
 @pytest.mark.parametrize("k", [1, 3, 10])
 def test_the_fit_on_the_validated_cells_is_fit_corrected_bit_for_bit(k):
-    # the CLI validates the columns it read and fits on the cells the report holds
+    # the CLI validates the columns it read and fits on the cells the report
+    # holds; both are the [0, 0] entry of fit_prefixes on the stack of one
     spec, thetas, ps, w, y = _random_table(k, 500, seed=60 + k)
     report = validate_dataset(spec, list(w.T))
     assert report.errors == ()
     fit = fit_cells(spec, report.cells, y, thetas, ps)
     expected = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
-    pairs = [(getattr(fit.naive, f), getattr(expected.naive, f))
-             for f in ("gamma_star", "r", "design_star", "counts", "sums", "rss")]
-    pairs += [(fit.beta_c, expected.beta_c), (fit.beta0_c, expected.beta0_c),
-              (fit.pi_rows, expected.pi_rows), (fit.blocks.correction, expected.blocks.correction)]
-    for got, want in pairs:
-        got, want = np.asarray(got), np.asarray(want)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    assert fit.naive.column_map == expected.naive.column_map
+    cells = encode_cells(spec, w)
+    blocks, posteriors = mechanism(spec, thetas, ps)
+    [alone] = fit_prefixes(cells.design_star[None], y[None, :, None], [500],
+                           posterior_rows(posteriors, cells.categories)[None], [blocks],
+                           cells.inverse[None])
+    assert alone.rss is None
+    resid = y - (cells.design_star @ alone.gamma_star[0, 0])[cells.inverse]
+    rss = np.bincount(cells.inverse, resid**2, len(cells.counts))[None, None]
+    fields = ("refused", "gamma_star", "beta_c", "beta0_c", "design_star", "counts", "r",
+              "pi_rows", "sigma2_w")
+    for got in (fit, expected):
+        pairs = [(getattr(got, f), getattr(expected, f)) for f in fields]
+        pairs += [(getattr(got, f), getattr(alone, f)) for f in fields[:-1]]
+        pairs += [(got.rss, rss), (got.blocks.correction, expected.blocks.correction),
+                  (got.blocks.correction, alone.blocks.correction)]
+        for have, want in pairs:
+            have, want = np.asarray(have), np.asarray(want)
+            assert (have.dtype, have.shape, have.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes())
+    np.testing.assert_array_equal(fit.counts[0], cells.counts)
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
@@ -350,25 +375,21 @@ def test_cell_path_matches_the_encoded_design(k):
     design_star = encode_dummy(spec, w).design_star
     blocks = mechanism(spec, thetas, ps)[0]
     pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
-    rows = correct(ols_fit(design_star, y), pi, blocks)
-    np.testing.assert_allclose(fit.naive.gamma_star, rows.naive.gamma_star, rtol=1e-12)
-    np.testing.assert_allclose(fit.beta_full, rows.beta_full, rtol=1e-12)
-    assert fit.naive.sigma2_w == pytest.approx(rows.naive.sigma2_w, rel=1e-12)
+    gamma, _, beta_full = _ols_then_correct(design_star, y, pi, blocks)
+    np.testing.assert_allclose(fit.gamma_star[0, 0], gamma, rtol=1e-12)
+    np.testing.assert_allclose(fit.beta_full[0, 0], beta_full, rtol=1e-12)
+    sigma2_w = np.square(y - design_star @ gamma).sum() / (500 - spec.n_params)
+    assert fit.sigma2_w[0, 0] == pytest.approx(sigma2_w, rel=1e-12)
 
+    rows = _single_fit(design_star, y, pi, blocks)  # one cell per row
     by_cell = variance_report(fit, 0.3)
     by_row = variance_report(rows, 0.3)
     for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c"):
         np.testing.assert_allclose(
             getattr(by_cell, field), getattr(by_row, field), rtol=1e-12, atol=1e-15
         )
-
-    def uncorrelated(design, pi_rows, inverse):  # of the one prefix of all 500 rows
-        [fits] = fit_prefixes(design[None], y[None, :, None], [500], pi_rows[None], [blocks],
-                              inverse[None])
-        return var_beta0_c_uncorrelated(fits, [0.3])[0]
-
-    assert uncorrelated(cells.design_star, fit.pi_rows, cells.inverse) == pytest.approx(
-        uncorrelated(design_star, pi, np.arange(500)), rel=1e-12)
+    assert var_beta0_c_uncorrelated(fit, 0.3)[0, 0] == pytest.approx(
+        var_beta0_c_uncorrelated(rows, 0.3)[0, 0], rel=1e-12)
     truth = 0.5 + 0.2 * np.arange(spec.n_params)
     bias_cell = conditional_bias(fit, truth)
     bias_row = conditional_bias(rows, truth)
@@ -389,7 +410,7 @@ def test_one_factorisation_serves_the_fit_its_bias_and_its_variance(monkeypatch)
     calls = _count_qr(monkeypatch)
     fit = fit_corrected(spec, ObservedDataset(y=y, w=w), thetas, ps)
     conditional_bias(fit, 0.5 + 0.2 * np.arange(spec.n_params))
-    variance_report(fit, fit.naive.sigma2_w)
+    variance_report(fit, fit.sigma2_w)
     assert len(calls) == 1
 
 
@@ -422,6 +443,21 @@ def test_fit_names_the_column_of_an_absent_level():
         fit_corrected(spec, ds, thetas, [np.ones(3) / 3, U2])
     assert str(exc.value) == "design column 2 is collinear (covariate 0, level 1)"
     bundle = encode_dummy(spec, w)
+    with pytest.raises(RankDeficient) as by_row:
+        ols_fit(bundle.design_star, ds.y, bundle.column_map)
+    assert str(by_row.value) == str(exc.value)
+
+
+def test_fit_names_the_column_of_a_covariate_that_repeats_another():
+    spec = CategoricalSpec((3, 3))
+    rng = np.random.default_rng(42)
+    w1 = rng.integers(0, 3, 60)
+    ds = ObservedDataset(y=rng.standard_normal(60), w=np.column_stack([w1, w1]))
+    theta = scenario_theta("low", 3)
+    with pytest.raises(RankDeficient) as exc:
+        fit_corrected(spec, ds, [theta, theta], [np.ones(3) / 3] * 2)
+    assert str(exc.value) == "design column 3 is collinear (covariate 1, level 0)"
+    bundle = encode_dummy(spec, ds.w)
     with pytest.raises(RankDeficient) as by_row:
         ols_fit(bundle.design_star, ds.y, bundle.column_map)
     assert str(by_row.value) == str(exc.value)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from miscorr.estimators import fit_corrected
 from miscorr.misclass import posterior_rows, scenario_theta
 from miscorr.simkit import (
     METHODS,
-    EqpRecord,
     EqpTable,
     ScenarioConfig,
     TruthSpec,
@@ -28,7 +28,6 @@ from miscorr.simkit import (
     run_grid,
     simulate_w,
     simulate_x,
-    simulate_y,
 )
 
 LOW2 = scenario_theta("low", 2)
@@ -41,7 +40,7 @@ def _cell_estimates(cfg, cell, rep):
     spec, thetas, ps, x, w = replicate_designs(cfg, rep)
     y = replicate_response(cfg, rep, spec, x, sigma)
     fit = fit_corrected(spec, ObservedDataset(y=y[:n], w=w[:n]), thetas, ps)
-    return dict(zip(METHODS, (fit.naive.gamma_star, fit.beta_c_star, fit.beta_full)))
+    return dict(zip(METHODS, (fit.gamma_star[0, 0], fit.beta_c_star[0, 0], fit.beta_full[0, 0])))
 
 
 def test_truth_spec_values():
@@ -172,15 +171,21 @@ def test_replicate_streams_are_default_rng_of_the_masked_seed_and_key(seed, key)
     np.testing.assert_array_equal(simkit._rng(seed, *key).integers(0, 2**63, 4), expected)
 
 
-def test_replicate_responses_are_simulate_y_per_sigma_bit_for_bit():
+def _response(design, truth, sigma, rng):
+    """y = beta0 + design . beta + noise, noise iid normal(0, sigma^2)."""
+    return truth.beta_star[0] + design @ truth.beta_star[1:] + sigma * rng.standard_normal(
+        len(design))
+
+
+def test_replicate_responses_are_the_mean_plus_sigma_times_each_sigma_stream_bit_for_bit():
     cfg = ScenarioConfig(distortion="medium", n_covariates=3, replicates=4, master_seed=7,
                          sigma_list=(0.1, 0.2, 0.5, 1.0))
     for rep in range(cfg.replicates):
         spec, _, _, x, _ = replicate_designs(cfg, rep)
-        design = np.ascontiguousarray(encode_dummy(spec, x).design)  # as simulate_y was fed
+        design = np.ascontiguousarray(encode_dummy(spec, x).design)
         expected = np.column_stack([
-            simulate_y(design, TruthSpec.default(spec.n_slopes), sigma,
-                       simkit._rng(7, simkit._STREAM_Y, rep, simkit._sigma_key(sigma)))
+            _response(design, TruthSpec.default(spec.n_slopes), sigma,
+                      simkit._rng(7, simkit._STREAM_Y, rep, simkit._sigma_key(sigma)))
             for sigma in cfg.sigma_list])
         for layout in (x, np.asfortranarray(x)):
             ys = simkit.replicate_responses(cfg, rep, spec, layout, cfg.sigma_list)
@@ -198,20 +203,22 @@ def test_replicate_structures_share_read_only_theta_and_p():
         ps[1][0] = 1.0
 
 
-def test_simulate_y_tiny_noise_limit():
+def test_replicate_responses_tiny_noise_limit():
+    cfg = ScenarioConfig(distortion="low", levels=(2,), replicates=1, master_seed=7)
     spec = CategoricalSpec((2,))
     x = np.array([[0], [1], [0]])
     design = encode_dummy(spec, x).design
     truth = TruthSpec.default(1)
-    y = simulate_y(design, truth, 1e-12, np.random.default_rng(7))
+    y = simkit.replicate_responses(cfg, 0, spec, x, (1e-12,))[:, 0]
     np.testing.assert_allclose(y, truth.beta_star[0] + design @ truth.beta_star[1:],
                                atol=1e-10)
 
 
-def test_simulate_y_variance():
-    design = np.zeros((100_000, 1))
-    truth = TruthSpec.default(1)
-    y = simulate_y(design, truth, 1.0, np.random.default_rng(8))
+def test_replicate_responses_variance():
+    cfg = ScenarioConfig(distortion="low", levels=(2,), replicates=1, master_seed=8)
+    spec = CategoricalSpec((2,))
+    x = np.ones((100_000, 1), dtype=int)  # the reference level: the mean is beta0
+    y = simkit.replicate_responses(cfg, 0, spec, x, (1.0,))[:, 0]
     assert np.var(y - 0.5) == pytest.approx(1.0, abs=0.02)
 
 
@@ -262,13 +269,16 @@ def test_grid_cells_are_exact_prefix_fits():
                     continue
                 est = _cell_estimates(cfg, (n, sigma), rep)
                 for method, vec in zip(
-                    METHODS, (fresh.naive.gamma_star, fresh.beta_c_star, fresh.beta_full)
+                    METHODS,
+                    (fresh.gamma_star[0, 0], fresh.beta_c_star[0, 0], fresh.beta_full[0, 0]),
                 ):
                     assert np.array_equal(est[method], vec)
     assert failures.get((8, 0.2)) and failures.get((12, 0.2))
     assert (50, 0.2) not in failures
-    for r in run_grid(cfg).records:
-        assert r.failures == failures.get((r.n, r.sigma), 0)
+    table = run_grid(cfg)
+    for i, n in enumerate(cfg.n_grid):
+        for sigma in cfg.sigma_list:
+            assert table.failures[i] == failures.get((n, sigma), 0)
 
 
 def test_grid_eqp_matches_per_cell_fits():
@@ -291,14 +301,16 @@ def test_grid_eqp_matches_per_cell_fits():
                 for method in METHODS:
                     scores.setdefault((n, sigma, method), []).append(eqp(est[method], truth))
     assert failures.get((8, 0.2)) and (500, 0.2) not in failures
-    for r in run_grid(cfg).records:
-        vals = scores.get((r.n, r.sigma, r.method), [])
-        assert r.failures == failures.get((r.n, r.sigma), 0)
-        assert r.replicates == len(vals)
+    table = run_grid(cfg)
+    for (i, n), (s, sigma), (j, method) in itertools.product(
+            enumerate(cfg.n_grid), enumerate(cfg.sigma_list), enumerate(METHODS)):
+        vals = scores.get((n, sigma, method), [])
+        assert table.failures[i] == failures.get((n, sigma), 0)
+        assert cfg.replicates - table.failures[i] == len(vals)
         if vals:
-            assert r.eqp == pytest.approx(np.mean(vals), rel=1e-12, abs=0)
+            assert table.eqp[i, s, j] == pytest.approx(np.mean(vals), rel=1e-12, abs=0)
         else:
-            assert np.isnan(r.eqp)
+            assert np.isnan(table.eqp[i, s, j])
 
 
 @pytest.mark.parametrize("levels, n_grid", [((2,), (1,)), (None, (5, 8))])
@@ -319,9 +331,9 @@ def test_run_grid_counts_grids_no_larger_than_the_design_as_failures(levels, n_g
             except RankDeficient:
                 failures[n] = failures.get(n, 0) + 1
     assert too_few_rows > 0
-    for r in run_grid(cfg).records:
-        assert r.failures == failures.get(r.n, 0)
-        assert r.replicates == cfg.replicates - r.failures
+    table = run_grid(cfg)
+    for i, n in enumerate(n_grid):
+        assert table.failures[i] == failures.get(n, 0)
 
 
 @pytest.mark.parametrize("curve", [False, True])
@@ -357,16 +369,14 @@ def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():
         for spec, _, _, f in simkit._replicate_fits(cfg, cfg.sigma_list)
     ]
     table = run_grid(cfg)
-    records = iter(table.records)
     for s in range(len(cfg.sigma_list)):
         for i in range(len(cfg.n_grid)):
             for j in range(len(METHODS)):
                 vals = np.array([e[i, s, j] for e, refused in per_rep if not refused[i]])
-                r = next(records)
-                assert r.replicates == len(vals)
-                assert r.eqp == np.mean(vals)
-                assert r.mcse == np.std(vals, ddof=1) / math.sqrt(len(vals))
-    assert 0 < table.records[0].failures < cfg.replicates
+                assert cfg.replicates - table.failures[i] == len(vals)
+                assert table.eqp[i, s, j] == np.mean(vals)
+                assert table.mcse[i, s, j] == np.std(vals, ddof=1) / math.sqrt(len(vals))
+    assert 0 < table.failures[0] < cfg.replicates
 
 
 def test_stacked_fits_are_bit_for_bit_the_fits_of_each_replicate_alone(monkeypatch):
@@ -443,7 +453,9 @@ def test_duplicate_n_values_are_dropped():
         sigma_list=(0.1,), replicates=2, master_seed=12,
     )
     assert cfg.n_grid == (50, 100)
-    assert len(run_grid(cfg).records) == 2 * 3
+    table = run_grid(cfg)
+    assert table.eqp.shape == table.mcse.shape == (2, 1, 3)
+    assert len(table.to_csv().splitlines()) == 1 + 2 * 3
 
 
 @pytest.mark.parametrize("n_grid", [(-5, 100), (0, 100)])
@@ -493,7 +505,8 @@ def test_run_grid_record_cardinality():
     )
     table = run_grid(cfg)
     assert len(cfg.n_grid) == 19
-    assert len(table.records) == 19 * 4 * 3 == 228
+    assert table.eqp.shape == table.mcse.shape == (19, 4, 3)
+    assert len(table.to_csv().splitlines()) == 1 + 19 * 4 * 3 == 229
 
 
 def test_run_grid_low_distortion_ordering():
@@ -502,7 +515,7 @@ def test_run_grid_low_distortion_ordering():
         n_grid=(500,), sigma_list=(0.1,), replicates=100, master_seed=13,
     )
     table = run_grid(cfg)
-    by_method = {r.method: r.eqp for r in table.records}
+    by_method = dict(zip(METHODS, table.eqp[0, 0]))
     assert by_method["full"] < by_method["none"]
     assert by_method["full"] < by_method["partial"]
 
@@ -552,29 +565,26 @@ REFUSED_ROWS = ScenarioConfig(distortion="medium", n_covariates=3, levels=None, 
                               sigma_list=(0.2, 1.0), replicates=12, master_seed=21)
 
 
-def _records_as_built(config, table):
-    """The records run_grid built cell by cell before its table held arrays."""
+def _rows_as_built(config, table):
+    """The fields of each cell's row as run_grid built them cell by cell
+    before its table held arrays."""
     levels = "random" if config.levels is None else "-".join(map(str, config.levels))
-    return tuple(
-        EqpRecord(config.distortion, config.n_covariates, levels, n, sigma, method,
-                  float(table.eqp[i, s, j]), float(table.mcse[i, s, j]),
-                  failures=int(table.failures[i]),
-                  replicates=config.replicates - int(table.failures[i]))
+    return [
+        (config.distortion, config.n_covariates, levels, n, sigma, method,
+         float(table.eqp[i, s, j]), float(table.mcse[i, s, j]), int(table.failures[i]),
+         config.replicates - int(table.failures[i]))
         for s, sigma in enumerate(config.sigma_list)
         for i, n in enumerate(config.n_grid)
         for j, method in enumerate(METHODS)
-    )
+    ]
 
 
-def _csv_as_written(records):
-    """EqpTable.to_csv as it wrote its records one by one."""
+def _csv_as_written(rows):
+    """EqpTable.to_csv as it wrote its cells one by one."""
     lines = [EqpTable.HEADER]
-    for r in records:
-        lines.append(
-            f"{r.distortion},{r.n_covariates},{r.levels},{r.n},"
-            f"{r.sigma:.17g},{r.method},{r.eqp:.17g},{r.mcse:.17g},"
-            f"{r.failures},{r.replicates}"
-        )
+    for distortion, k, levels, n, sigma, method, value, mcse, failures, replicates in rows:
+        lines.append(f"{distortion},{k},{levels},{n},{sigma:.17g},{method},{value:.17g},"
+                     f"{mcse:.17g},{failures},{replicates}")
     return "\n".join(lines) + "\n"
 
 
@@ -586,9 +596,7 @@ def test_the_table_writes_the_csv_and_records_it_wrote_cell_by_cell(cfg):
     if cfg is REFUSED_ROWS:
         assert table.failures[0] == cfg.replicates and 0 < table.failures[1] < cfg.replicates
         assert np.isnan(table.eqp[0]).all() and np.isfinite(table.eqp[1:]).all()
-    records = _records_as_built(cfg, table)
-    assert repr(table.records) == repr(records)  # numpy 2 reprs a numpy scalar by its type
-    assert table.to_csv() == _csv_as_written(records)
+    assert table.to_csv() == _csv_as_written(_rows_as_built(cfg, table))
 
 
 def test_tables_are_equal_by_config_and_values_and_have_no_hash():
@@ -606,8 +614,3 @@ def test_tables_are_equal_by_config_and_values_and_have_no_hash():
     assert table != table.to_csv()
     with pytest.raises(TypeError, match="unhashable"):
         hash(table)
-
-
-def test_eqp_record_shape():
-    rec = EqpRecord("low", 1, "2", 50, 0.1, "full", 0.01, 0.001, 0, 5)
-    assert rec.method == "full"

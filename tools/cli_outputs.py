@@ -37,8 +37,9 @@ four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
 ``fit`` on four-level data with categories -1 and 4 in two columns, with a
-column that holds a 4 and lacks level 2, with 4 rows for 4 parameters and
-with a y of nan;
+column that holds a 4 and lacks level 2, with 4 rows for 4 parameters, with
+a y of nan and with a w2 that repeats w1, which the fit's rank guard
+refuses by the collinear column;
 ``fit --estimate-p`` on a high-distortion sample whose estimated p has
 zeros, and ``fit`` on it with a p file that has a zero; ``fit`` with a
 theta that never observes a level, under a p for which sigma_w rounds to
@@ -192,6 +193,8 @@ def refusals(out: Path) -> dict[str, list[str]]:
     files["data_few_rows.csv"] = "y,w1\n" + "\n".join(f"{y},{i}" for i, y in enumerate(body[:4]))
     files["data_nan_y.csv"] = "y,w1\n" + "\n".join(
         f"{'nan' if i == 2 else y},{i % 4}" for i, y in enumerate(body))
+    files["data_collinear.csv"] = "y,w1,w2\n" + "\n".join(
+        f"{y},{i % 4},{i % 4}" for i, y in enumerate(body))  # w2 repeats w1
     # under this theta level 1 is never observed; this p rounds sigma_w to -2e-16
     files["theta_never.csv"] = "1,0\n1,0"
     files["p_never.csv"] = "0.99900099900099915,0.00099900099900099922"
@@ -229,6 +232,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_out_of_range_absent": fit("data_out_of_range_absent.csv"),
         "refused_few_rows": fit("data_few_rows.csv"),
         "refused_nan_y": fit("data_nan_y.csv"),
+        "refused_collinear": fit("data_collinear.csv"),
         "refused_p_boundary": ["fit", "--data", str(inputs / "data_boundary.csv"),
                                "--theta", str(inputs / "theta_high.csv"), "--estimate-p"],
         "refused_p_file_zero": ["fit", "--data", str(inputs / "data_boundary.csv"),
