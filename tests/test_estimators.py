@@ -7,7 +7,7 @@ from miscorr.categorical import (
     CategoricalSpec, ObservedDataset, encode_cells, encode_dummy, validate_dataset
 )
 from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
-from miscorr.errors import RankDeficient, ValidationError
+from miscorr.errors import NonIdentifiable, RankDeficient, ValidationError
 from miscorr.estimators import fit_cells, fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
@@ -461,6 +461,20 @@ def test_fit_names_the_column_of_a_covariate_that_repeats_another():
     with pytest.raises(RankDeficient) as by_row:
         ols_fit(bundle.design_star, ds.y, bundle.column_map)
     assert str(by_row.value) == str(exc.value)
+
+
+def test_a_singular_mechanism_is_reported_ahead_of_a_collinear_design():
+    # the correction reads the mechanism, so it is built before the fit; as
+    # with a zero in p, what leaves the correction unidentified is named first
+    spec = CategoricalSpec((2, 2))
+    w1 = np.tile([0, 1], 20)
+    ds = ObservedDataset(y=np.arange(40.0), w=np.column_stack([w1, w1]))
+    never = np.array([[1.0, 0.0], [1.0, 0.0]])  # level 1 is never observed
+    with pytest.raises(NonIdentifiable, match="^sigma_w is numerically singular$"):
+        fit_corrected(spec, ds, [never, never], [U2, U2])
+    with pytest.raises(RankDeficient, match=r"^design column 2 is collinear \(covariate 1, "
+                                            r"level 0\)$"):
+        fit_corrected(spec, ds, [LOW2, LOW2], [U2, U2])
 
 
 @pytest.mark.parametrize("collinear", ["level_absent", "covariates_equal", "few_rows"])
