@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import math
 import os
@@ -142,20 +143,30 @@ _switch, _text = _exactly(bool), _exactly(str)
 _ints, _floats, _texts = _list_of(_int), _list_of(_float), _list_of(_text)
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+@functools.cache
+def _cli() -> tuple[argparse.ArgumentParser, dict, frozenset]:
+    """The parser, its sub-command parsers by name and every config key (a
+    setting of any sub-command, spelled like its flag), built on first use
+    and reused: a parse keeps nothing of the argv before it."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
+    return parser, sub.choices, frozenset(n.replace("_", "-") for n in names - {"config"})
+
+
+def _apply_config(args: argparse.Namespace) -> None:
     """Fold the --config file into ``args``: its keys name settings of any
     sub-command, spelled like their flags; each fills a setting of this one
     that no flag set, parsed by that flag's own type and held to its
     choices.  null is unset."""
+    _, commands, keys = _cli()
     path = getattr(args, "config", None)
     cfg = _read_json(path, "CONFIG_MISSING", "CONFIG_INVALID") if path else {}
     if not isinstance(cfg, dict):
         raise CliError("CONFIG_INVALID", f"{path} must hold a JSON object")
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    names = {name for cmd in sub.choices.values() for name in vars(cmd.parse_args([]))}
-    if unknown := sorted(set(cfg) - {n.replace("_", "-") for n in names - {"func", "config"}}):
+    if unknown := sorted(set(cfg) - keys):
         raise CliError("CONFIG_INVALID", f"{path}: unknown keys {', '.join(map(repr, unknown))}")
-    for action in sub.choices[args.command]._actions:
+    for action in commands[args.command]._actions:
         key = action.dest.replace("_", "-")
         if (val := cfg.get(key)) is None or getattr(args, action.dest) is not None:
             continue
@@ -623,16 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--replicates", type=_int)
     grid.add_argument("--seed", type=_int)
 
-    p_fit = sub.add_parser("fit", parents=[common, data],
-                           help="fit and correct estimates from a dataset")
-    p_fit.set_defaults(func=cmd_fit)
+    sub.add_parser("fit", parents=[common, data], help="fit and correct estimates from a dataset")
 
     p_sim = sub.add_parser("simulate", parents=[common, grid],
                            help="run the simulation study grid")
     p_sim.add_argument("--sigmas", type=_floats, help="comma-separated noise standard deviations")
     p_sim.add_argument("--threads", type=_int, help="accepted; has no effect")
     p_sim.add_argument("--dump-data", **switch)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", parents=[common, data, grid],
                             help="bias and variance diagnostics")
@@ -641,21 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--variance-sim", **switch,
                         help="compare theoretical vs empirical intercept variance per n")
     p_diag.add_argument("--sigma", type=_positive)
-    p_diag.set_defaults(func=cmd_diagnose)
 
-    p_tab = sub.add_parser("scenario-tables", help="print the theta presets as CSV")
-    p_tab.set_defaults(func=cmd_scenario_tables)
+    sub.add_parser("scenario-tables", help="print the theta presets as CSV")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        _apply_config(parser, args)
-        # every command: an overflow is a numerical failure (exit 3), not an inf output
+        args = _cli()[0].parse_args(argv)
+        _apply_config(args)
+        # every command: an overflow is a numerical failure (exit 3), not an inf
+        # output; the command is looked up at each call, so a rebinding of it is run
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
         return 3

@@ -15,10 +15,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .categorical import CategoricalSpec, encode_cells, encode_dummy
+from .categorical import CategoricalSpec, _dummy, encode_cells
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
 # ols_fit kept for test_tracer_counts_errors_at_layer_boundaries_and_restores_functions (ROADMAP 11)
@@ -214,8 +215,9 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
 @functools.cache
 def _level_tables(distortion: str):
     """The checked theta and uniform p of each L_k preset of the distortion,
-    by L_k, and the draw tables, indexed by L_k and padded with +inf to the
-    largest: p's cdf and theta's cumulative rows.  Built once, read-only."""
+    by L_k; the draw tables, indexed by L_k and padded with +inf to the
+    largest: p's cdf and theta's cumulative rows; and each L_k's part of the
+    mechanism, by L_k, as ``mechanism`` takes them.  Built once, read-only."""
     levels = [lk for d, lk in SCENARIO_THETAS if d == distortion]
     width = max(levels)
     cdfs, cums = np.full((width + 1, width), np.inf), np.full((width + 1, width, width), np.inf)
@@ -227,7 +229,12 @@ def _level_tables(distortion: str):
         mechanisms[lk] = theta, p
         theta.flags.writeable = p.flags.writeable = False
     cdfs.flags.writeable = cums.flags.writeable = False
-    return mechanisms, cdfs, cums
+    parts, (thetas, ps) = {}, zip(*mechanisms.values())
+    mechanism(CategoricalSpec(levels), thetas, ps, parts)  # one covariate per L_k
+    for *arrays, posterior in parts.values():
+        for array in (*arrays, posterior.pi, posterior.q):
+            array.flags.writeable = False
+    return mechanisms, cdfs, cums, MappingProxyType(parts)
 
 
 def replicate_structure(config: ScenarioConfig, replicate_id: int):
@@ -243,7 +250,7 @@ def replicate_structure(config: ScenarioConfig, replicate_id: int):
 def replicate_designs(config: ScenarioConfig, replicate_id: int):
     """Generate (spec, thetas, ps, x, w) at the full generation size."""
     spec, thetas, ps = replicate_structure(config, replicate_id)
-    _, cdfs, cums = _level_tables(config.distortion)
+    _, cdfs, cums, _ = _level_tables(config.distortion)
     levels = list(spec.levels)
     x = _draw_x(cdfs[levels], config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
     w = _draw_w(x, cums[levels], _rng(config.master_seed, _STREAM_W, replicate_id))
@@ -255,9 +262,9 @@ def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: Categor
     """One response column per sigma, y = beta0 + design . beta + sigma * z
     with z iid normal from the sigma's own y stream; the mean is taken once,
     from the C-ordered design of x, as BLAS sums the rows of another layout
-    in another order."""
+    in another order.  x holds categories in range, as drawn."""
     beta = TruthSpec.default(spec.n_slopes).beta_star
-    mean = beta[0] + encode_dummy(spec, x).design @ beta[1:]
+    mean = beta[0] + _dummy(spec, x).design @ beta[1:]
     ys = np.empty((len(mean), len(sigmas)))
     for j, sigma in enumerate(sigmas):
         rng = _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma))
@@ -276,15 +283,16 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     response column per sigma, then every n-prefix of ``config.n_grid``
     fitted at once.  Yields the spec, cells, posteriors and the PrefixFits,
     which hold the blocks and the cells' posterior rows.  Each covariate's
-    part of the mechanism is built once per L_k, since the config fixes
-    theta and p for each L_k; each replicate assembles its own structure's
-    and takes the posterior rows of its own cells.
+    part of the mechanism is built once per process, by ``_level_tables``,
+    since the distortion fixes theta and p for each L_k; each replicate
+    assembles its own structure's and takes the posterior rows of its own
+    cells.
 
     Replicates are drawn one at a time and held until the next would take
     the held QR stacks and rows past QR_STACK_BUDGET elements; a batch
     holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
     per design shape (occupied cells, columns)."""
-    built, held, size = {}, [], 0
+    built, held, size = _level_tables(config.distortion)[3], [], 0
     for replicate_id in range(config.replicates):
         spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
         cells = encode_cells(spec, w)

@@ -1704,3 +1704,34 @@ def test_scenario_tables_output(capsys):
     assert "0.15,0.6,0.15,0.1" in text
     assert "0.9,0.1" in text
     assert "high distortion is defined only for L=4" in text
+
+
+def test_each_call_runs_the_command_the_module_binds_then(monkeypatch, capsys):
+    # main reuses one parser, so the command must not be the one bound when it was built
+    assert main(["scenario-tables"]) == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_scenario_tables", lambda args: ran.append(args.command) or 0)
+    assert main(["scenario-tables"]) == 0
+    assert ran == ["scenario-tables"]
+    assert capsys.readouterr().out.count("# low distortion, L=2") == 1
+
+
+def test_no_setting_carries_from_one_call_to_the_next(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "high", "k": 2, "n-grid": [30, 60],
+                               "replicates": 3, "seed": 5}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+    assert main(["simulate", "--config", str(cfg), "--replicates", "many"]) == 2
+    # high distortion drops two of the default sigmas, with a warning line
+    assert [json.loads(line).get("error") for line in capsys.readouterr().err.splitlines()] == [
+        None, "CONFIG_INVALID"]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    argv = ["simulate", "--scenario", "low", "--out"]  # every other setting at its default
+    assert main([*argv, str(tmp_path / "after")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(miscorr.__file__).parents[1])}
+    run = "import sys; from miscorr.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", run, *argv, str(tmp_path / "alone")], env=env,
+                   check=True)
+    for name in ("eqp.csv", "config.json"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()

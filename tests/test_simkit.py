@@ -351,10 +351,29 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
         return covariate(k, lk, theta, p)
 
     monkeypatch.setattr(moments, "_covariate", counted)
-    intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
+    simkit._level_tables.cache_clear()  # an earlier test may have built the parts
+    runs = []
+    for _ in range(2):
+        intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
+        runs.append(sorted(built))
+        built.clear()
     structures = {replicate_structure(cfg, rep)[0].levels for rep in range(cfg.replicates)}
-    assert sorted(built) == sorted({lk for levels in structures for lk in levels})
-    assert len(built) <= 3 < len(structures)
+    # the first run builds each L_k part once, every one of them in use; the second none
+    assert runs == [sorted({lk for levels in structures for lk in levels}), []] == [[2, 3, 4], []]
+    assert len(structures) > 3
+
+
+def test_the_shared_mechanism_parts_are_read_only_and_each_replicate_gets_them():
+    cfg = ScenarioConfig(distortion="low", levels=(3,), n_grid=(50,), replicates=2)
+    parts = simkit._level_tables("low")[3]
+    for *arrays, posterior in parts.values():
+        for array in (*arrays, posterior.pi, posterior.q):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+    with pytest.raises(TypeError):
+        parts[5] = parts[3]
+    for _, _, posteriors, _ in simkit._replicate_fits(cfg, (0.2,)):
+        assert posteriors[0] is parts[3][-1]
 
 
 def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():

@@ -8,7 +8,10 @@ OUT.  To show that a change leaves every output byte-identical, run the
 script in a checkout of the parent and in the changed one, then
 ``diff -r`` the two OUT directories.
 
-The commands: ``fit``, ``fit --estimate-p``, ``diagnose`` and ``diagnose
+The commands: ``fit``, ``fit --estimate-p``, ``fit`` with a ``--config``
+file that sets ``estimate-p`` followed by a plain ``fit`` with the p files
+(a setting carried from one call to the next would refuse it, or change its
+``estimates.csv`` from the plain ``fit``'s), ``diagnose`` and ``diagnose
 --plugin-sigma`` on the benchmark's ``large_n`` inputs at 30,000 rows; ``fit``
 on the same data with
 every labelled cell quoted and space-padded, ``fit`` with every numeric
@@ -124,12 +127,16 @@ def commands(out: Path) -> dict[str, list[str]]:
         "alpha": "ålpha", "bravo": "βravo", "charlie": "チャーリー", "delta": "délta"}.get)
     shared = write_relabelled(inputs, inputs / "shared_prefix", lambda c: f"category_{c}")
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
+    estimate_p = inputs / "fit_estimate_p.json"
+    estimate_p.write_text(json.dumps({"estimate-p": True}))
     high = inputs / "simulate_high.json"
     high.write_text(json.dumps({"scenario": "high", "k": 2, "levels": "random",
                                 "n-grid": [30, 60], "replicates": 5, "seed": 3}))
     return {
         "fit": ["fit", *data, *known_p],
         "fit_estimate_p": ["fit", *data, "--estimate-p"],
+        "fit_config_estimate_p": ["fit", "--config", str(estimate_p), *data],
+        "fit_after_config": ["fit", *data, *known_p],
         "fit_padded_labels": ["fit", "--data", str(padded), *theta, *known_p],
         "fit_float_categories": ["fit", "--data", str(floats), *theta, *known_p],
         "fit_relative_path": ["fit", "--data", os.path.relpath(inputs / "data.csv"),
@@ -279,8 +286,8 @@ def main(argv=None) -> int:
         run(out, name, cmd)
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
-    for name in ("fit_padded_labels", "fit_float_categories", "fit_relative_path",
-                 "fit_unicode_labels", "fit_shared_prefix_labels"):
+    for name in ("fit_after_config", "fit_padded_labels", "fit_float_categories",
+                 "fit_relative_path", "fit_unicode_labels", "fit_shared_prefix_labels"):
         if ((out / name / "estimates.csv").read_bytes()
                 != (out / "fit" / "estimates.csv").read_bytes()):
             sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
