@@ -8,11 +8,17 @@ level-minor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .errors import OutOfRangeCategory, ValidationError
+
+# the level tuples of up to 4 covariates of 2 to 4 levels, the grid's presets, number 120
+LAYOUT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class DesignBundle:
 
     design: np.ndarray
     design_star: np.ndarray
-    column_map: dict = field(compare=False)
+    column_map: Mapping = field(compare=False)
 
 
 def _columns(spec: CategoricalSpec, categories) -> list[np.ndarray]:
@@ -105,16 +111,26 @@ def _in_range(spec: CategoricalSpec, categories) -> list[np.ndarray]:
     return columns
 
 
-def _dummy(spec: CategoricalSpec, cats: np.ndarray) -> DesignBundle:
-    """``encode_dummy`` of an n x K table whose categories are in range."""
-    columns = [(j, level) for j, lk in enumerate(spec.levels) for level in range(lk - 1)]
-    cov, lev = np.array(columns).T
-    # in C order, so that design @ beta sums each row in one order whatever the layout of cats
-    design = (cats[:, cov] == lev).astype(float, order="C")
-    design_star = np.empty((len(cats), len(columns) + 1))
-    design_star[:, 0], design_star[:, 1:] = 1.0, design
-    return DesignBundle(design=design, design_star=design_star,
-                        column_map={pair: col for col, pair in enumerate(columns)})
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(levels: tuple[int, ...]):
+    """What a level tuple fixes of its dummy encoding, built once per tuple
+    and read-only: each indicator column's covariate and level, in column
+    order, and ``column_map`` of (covariate, level) to column."""
+    pairs = [(j, level) for j, lk in enumerate(levels) for level in range(lk - 1)]
+    cov, lev = np.array(pairs).T
+    cov.flags.writeable = lev.flags.writeable = False
+    return cov, lev, MappingProxyType({pair: col for col, pair in enumerate(pairs)})
+
+
+def _indicators(spec: CategoricalSpec, cats: np.ndarray, intercept: int = 0) -> np.ndarray:
+    """The one dummy encoder: the 0/1 indicator columns of an n x K table of
+    categories in range, after ``intercept`` columns of ones.  In C order, so
+    that design @ beta sums each row in one order whatever the layout of cats."""
+    cov, lev, _ = _layout(spec.levels)
+    design = np.empty((len(cats), intercept + len(cov)))
+    design[:, :intercept] = 1.0
+    np.equal(cats[:, cov], lev, out=design[:, intercept:])
+    return design
 
 
 def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
@@ -124,7 +140,10 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     is the reference and encodes to all zeros.  ``design_star`` prepends an
     all-ones intercept column.
     """
-    return _dummy(spec, np.column_stack(_in_range(spec, np.asarray(categories))))
+    cats = np.column_stack(_in_range(spec, np.asarray(categories)))
+    design_star = _indicators(spec, cats, intercept=1)
+    return DesignBundle(design=np.ascontiguousarray(design_star[:, 1:]), design_star=design_star,
+                        column_map=_layout(spec.levels)[2])
 
 
 @dataclass(frozen=True)
@@ -141,7 +160,7 @@ class Cells:
     counts: np.ndarray
     inverse: np.ndarray
     design_star: np.ndarray
-    column_map: dict = field(compare=False)
+    column_map: Mapping = field(compare=False)
 
 
 def encode_cells(spec: CategoricalSpec, categories) -> Cells:
@@ -174,8 +193,8 @@ def encode_cells(spec: CategoricalSpec, categories) -> Cells:
         cell_ids, rows[:, j] = np.divmod(cell_ids, spec.levels[j])
         if j in renumbered:  # back to the ids the renumbering numbered
             cell_ids = renumbered[j][cell_ids]
-    bundle = _dummy(spec, rows)
-    return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
+    return Cells(rows, counts, inverse, _indicators(spec, rows, intercept=1),
+                 _layout(spec.levels)[2])
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,21 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .categorical import CategoricalSpec, _dummy, encode_cells
+from .categorical import CategoricalSpec, _indicators, encode_cells
 from .diagnostics import conditional_response_variance, var_beta0_c_uncorrelated
 from .errors import RankDeficient, UndefinedScenario, ValidationError
 # ols_fit kept for test_tracer_counts_errors_at_layer_boundaries_and_restores_functions (ROADMAP 11)
 from .estimators import fit_prefixes, ols_fit  # noqa: F401
-from .misclass import (DISTORTION_LEVELS, SCENARIO_THETAS, check_marginal, check_theta,
-                       posterior_rows, scenario_theta)
-from .moments import mechanism
+from .misclass import (DISTORTION_LEVELS, SCENARIO_THETAS, Posterior, check_marginal,
+                       check_theta, scenario_theta)
+from .moments import MomentBlocks, mechanism
 
 METHODS = ("none", "partial", "full")
 RANDOM_LEVEL_CHOICES = (2, 3, 4)
@@ -41,6 +43,11 @@ _STREAM_Y = 4
 # replicate's QR stack plus its rows (responses and cell index).  The bench
 # grid's 24 replicates (K=3, random levels, n_gen 500) take about 225k
 QR_STACK_BUDGET = 2**18
+
+# level structures kept per distortion: every level tuple of up to 4
+# covariates (120).  At K=10 there are 3^10 tuples and a replicate rarely
+# meets its own again, so an unbounded cache would only grow
+STRUCTURE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,41 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+class _Structure(NamedTuple):
+    """What a replicate's level tuple fixes under a distortion, read-only:
+    its spec, theta and p, draw tables, assembled mechanism, and each
+    covariate's posterior table pi_k[:, :L_k - 1], whose rows at a cell's
+    categories are that cell's posterior row."""
+
+    spec: CategoricalSpec
+    thetas: tuple[np.ndarray, ...]
+    ps: tuple[np.ndarray, ...]
+    cdfs: np.ndarray
+    cums: np.ndarray
+    blocks: MomentBlocks
+    posteriors: tuple[Posterior, ...]
+    pis: tuple[np.ndarray, ...]
+
+    def posterior_rows(self, categories: np.ndarray) -> np.ndarray:
+        """``misclass.posterior_rows`` of categories in range: K takes."""
+        return np.concatenate([pi.take(categories[:, k], axis=0)
+                               for k, pi in enumerate(self.pis)], axis=1)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
 @functools.cache
 def _level_tables(distortion: str):
-    """The checked theta and uniform p of each L_k preset of the distortion,
-    by L_k; the draw tables, indexed by L_k and padded with +inf to the
-    largest: p's cdf and theta's cumulative rows; and each L_k's part of the
-    mechanism, by L_k, as ``mechanism`` takes them.  Built once, read-only."""
+    """Each L_k preset's part of the mechanism, by L_k, as ``mechanism``
+    takes them, and the function that gives the ``_Structure`` of a level
+    tuple, built on its first use and kept for the last STRUCTURE_CACHE_SIZE
+    tuples used.  The structures read the checked theta and uniform p of
+    each preset and the draw tables, indexed by L_k and padded with +inf to
+    the largest: p's cdf and theta's cumulative rows.  Built once per
+    distortion, read-only; clearing this cache clears the structures too."""
     levels = [lk for d, lk in SCENARIO_THETAS if d == distortion]
     width = max(levels)
     cdfs, cums = np.full((width + 1, width), np.inf), np.full((width + 1, width, width), np.inf)
@@ -227,34 +263,48 @@ def _level_tables(distortion: str):
         p = check_marginal(np.full(lk, 1.0 / lk))
         cdfs[lk, :lk], cums[lk, :lk, :lk] = _choice_cdf(p), np.cumsum(theta, axis=1)
         mechanisms[lk] = theta, p
-        theta.flags.writeable = p.flags.writeable = False
-    cdfs.flags.writeable = cums.flags.writeable = False
+        _read_only(theta, p)
+    _read_only(cdfs, cums)
     parts, (thetas, ps) = {}, zip(*mechanisms.values())
     mechanism(CategoricalSpec(levels), thetas, ps, parts)  # one covariate per L_k
     for *arrays, posterior in parts.values():
-        for array in (*arrays, posterior.pi, posterior.q):
-            array.flags.writeable = False
-    return mechanisms, cdfs, cums, MappingProxyType(parts)
+        _read_only(*arrays, posterior.pi, posterior.q)
+    parts = MappingProxyType(parts)
+
+    @functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+    def structure(levels: tuple[int, ...]) -> _Structure:
+        spec = CategoricalSpec(levels)
+        thetas, ps = zip(*(mechanisms[lk] for lk in levels))
+        blocks, posteriors = mechanism(spec, thetas, ps, parts)
+        pis = [np.ascontiguousarray(post.pi[:, :-1]) for post in posteriors]
+        tables = cdfs[list(levels)], cums[list(levels)]
+        _read_only(*tables, *pis, blocks.sigma_w, blocks.sigma_wx, blocks.correction,
+                   blocks.pi_ref)
+        return _Structure(spec, thetas, ps, *tables, blocks, tuple(posteriors), tuple(pis))
+
+    return parts, structure
 
 
-def replicate_structure(config: ScenarioConfig, replicate_id: int):
-    """Per-replicate covariate layout and error mechanism (shared, read-only)."""
+def _replicate_structure(config: ScenarioConfig, replicate_id: int) -> _Structure:
     levels = config.levels  # ScenarioConfig fixes 4 levels under high distortion
     if levels is None:
         rng = _rng(config.master_seed, _STREAM_STRUCTURE, replicate_id)
         levels = tuple(int(v) for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates))
-    thetas, ps = zip(*(_level_tables(config.distortion)[0][lk] for lk in levels))
-    return CategoricalSpec(levels), list(thetas), list(ps)
+    return _level_tables(config.distortion)[1](levels)
+
+
+def replicate_structure(config: ScenarioConfig, replicate_id: int):
+    """Per-replicate covariate layout and error mechanism (shared, read-only)."""
+    structure = _replicate_structure(config, replicate_id)
+    return structure.spec, list(structure.thetas), list(structure.ps)
 
 
 def replicate_designs(config: ScenarioConfig, replicate_id: int):
     """Generate (spec, thetas, ps, x, w) at the full generation size."""
-    spec, thetas, ps = replicate_structure(config, replicate_id)
-    _, cdfs, cums, _ = _level_tables(config.distortion)
-    levels = list(spec.levels)
-    x = _draw_x(cdfs[levels], config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
-    w = _draw_w(x, cums[levels], _rng(config.master_seed, _STREAM_W, replicate_id))
-    return spec, thetas, ps, x, w
+    structure = _replicate_structure(config, replicate_id)
+    x = _draw_x(structure.cdfs, config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
+    w = _draw_w(x, structure.cums, _rng(config.master_seed, _STREAM_W, replicate_id))
+    return structure.spec, list(structure.thetas), list(structure.ps), x, w
 
 
 def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: CategoricalSpec,
@@ -264,7 +314,7 @@ def replicate_responses(config: ScenarioConfig, replicate_id: int, spec: Categor
     from the C-ordered design of x, as BLAS sums the rows of another layout
     in another order.  x holds categories in range, as drawn."""
     beta = TruthSpec.default(spec.n_slopes).beta_star
-    mean = beta[0] + _dummy(spec, x).design @ beta[1:]
+    mean = beta[0] + _indicators(spec, x) @ beta[1:]
     ys = np.empty((len(mean), len(sigmas)))
     for j, sigma in enumerate(sigmas):
         rng = _rng(config.master_seed, _STREAM_Y, replicate_id, _sigma_key(sigma))
@@ -277,27 +327,40 @@ def replicate_response(config: ScenarioConfig, replicate_id: int, spec: Categori
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _replicate_fits(config: ScenarioConfig, sigmas):
     """The replicate pipeline of the grid and the variance curve, yielding
-    each replicate in order: designs, occupied cells, mechanism, one
-    response column per sigma, then every n-prefix of ``config.n_grid``
-    fitted at once.  Yields the spec, cells, posteriors and the PrefixFits,
-    which hold the blocks and the cells' posterior rows.  Each covariate's
-    part of the mechanism is built once per process, by ``_level_tables``,
-    since the distortion fixes theta and p for each L_k; each replicate
-    assembles its own structure's and takes the posterior rows of its own
-    cells.
+    each replicate in order: designs, occupied cells, one response column
+    per sigma, then every n-prefix of ``config.n_grid`` fitted at once.
+    Yields the spec, cells, posteriors and the PrefixFits, which hold the
+    blocks and the cells' posterior rows.  The mechanism is read from the
+    replicate's ``_Structure``, built once per level tuple, and the
+    posterior rows of its cells are taken from the structure's tables.
+
+    Before the first draw, a grid whose one replicate would hold more bytes
+    than physical memory (n_gen rows of K uniforms, x, w, one response per
+    sigma and the cell index, 8 bytes each) raises MemoryError: the
+    operating system grants such an allocation lazily and kills the process
+    when its pages are touched.
 
     Replicates are drawn one at a time and held until the next would take
     the held QR stacks and rows past QR_STACK_BUDGET elements; a batch
     holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
     per design shape (occupied cells, columns)."""
-    built, held, size = _level_tables(config.distortion)[3], [], 0
+    need = 8 * config.n_gen * (3 * config.n_covariates + len(sigmas) + 1)
+    if need > (memory := _physical_memory()):
+        raise MemoryError(f"one replicate of {config.n_gen} rows needs {need} bytes, "
+                          f"more than the {memory} bytes of physical memory")
+    structures, held, size = _level_tables(config.distortion)[1], [], 0
     for replicate_id in range(config.replicates):
-        spec, thetas, ps, x, w = replicate_designs(config, replicate_id)
+        spec, _, _, x, w = replicate_designs(config, replicate_id)
+        structure = structures(spec.levels)
         cells = encode_cells(spec, w)
-        blocks, posteriors = mechanism(spec, thetas, ps, built)
-        pi = posterior_rows(posteriors, cells.categories)
+        pi = structure.posterior_rows(cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
         rows, m = cells.design_star.shape
         # the (prefix, row, column) QR stack, then the responses and the cell index
@@ -305,7 +368,7 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
         if held and size + elements > QR_STACK_BUDGET:
             yield from _fit_batch(config.n_grid, held)
             held, size = [], 0
-        held.append((spec, cells, posteriors, blocks, pi, ys))
+        held.append((spec, cells, structure.posteriors, structure.blocks, pi, ys))
         size += elements
     yield from _fit_batch(config.n_grid, held)
 

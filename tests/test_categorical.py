@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,3 +325,37 @@ def test_cells_and_validation_equal_the_row_by_row_reference_bit_for_bit():
         seen["renumbered"] += np.prod(spec.levels, dtype=float) > n
         seen["over_2_62"] += np.prod(spec.levels, dtype=float) > 2**62
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["in_range", "negative"])
+@pytest.mark.parametrize(
+    "levels, rows",
+    [((4,) * 10, 200),  # 4^10 combinations outnumber the rows: np.unique numbers them
+     ((2,) * 62, 300),  # 2^62 combinations, the most an id numbers without renumbering
+     ((2,) * 61 + (3,), 300),  # 3 * 2^61: renumbered before the last covariate
+     ((400,) * 7 + (3,), 60)],  # 3 * 400^7, past 2^62 by a few percent
+    ids=["unique", "at_2_62", "past_2_62", "near_2_62"],
+)
+def test_encode_cells_of_a_table_equals_the_row_by_row_reference(levels, rows, negative):
+    spec = CategoricalSpec(levels)
+    grid = math.prod(levels)  # a Python int: an int64 product of these levels can wrap
+    assert grid > rows and (grid > 2**62) == (levels[-1] == 3)
+    rng = np.random.default_rng(rows)
+    w = np.column_stack([rng.integers(0, lk, rows) for lk in levels])
+    w[rows // 2:] = w[: rows - rows // 2]
+    if negative:  # covariate 1 is reported, at its first bad row, before covariate 4's
+        w[[7, 9], 1] = -2, levels[1]
+        w[3, 4] = -1
+    try:
+        expected = _reference_encode_cells(spec, w)
+    except OutOfRangeCategory as exc:
+        with pytest.raises(OutOfRangeCategory) as got:
+            encode_cells(spec, w)
+        assert (got.value.row, got.value.covariate, got.value.value, str(got.value)) == (
+            exc.row, exc.covariate, exc.value, str(exc)) == (7, 1, -2, str(exc))
+        return
+    assert not negative
+    cells = encode_cells(spec, w)
+    for name in ("categories", "counts", "inverse", "design_star"):
+        _assert_same_bits(getattr(cells, name), getattr(expected, name))
+    assert cells.column_map == expected.column_map

@@ -1121,6 +1121,27 @@ def test_running_out_of_memory_is_one_json_line_and_exit_3(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["diagnose", "--variance-sim"]])
+def test_a_grid_past_physical_memory_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    # 1e9 rows hold 8e9 bytes per column, past the 8 GiB of memory given here: the
+    # operating system would grant the draws lazily and kill the process later
+    def drawn(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(simkit, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(simkit, "_rng", drawn)
+    out = tmp_path / "out"
+    assert main([*command, "--scenario", "low", "--replicates", "3",
+                 "--n-grid", "1000000000", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "OUT_OF_MEMORY"
+    assert error["message"].startswith("one replicate of 1000000000 rows needs ")
+    assert captured.out == "" and not out.exists()
+
+
 def test_each_eqp_chart_draws_exactly_the_finite_cells_of_its_sigma(tmp_path):
     # K=3 random levels have 4 to 10 parameters: n=4 is refused in every replicate, n=8 in some
     config = simkit.ScenarioConfig("medium", n_covariates=3, levels=None, n_grid=(4, 8, 50),
@@ -1651,13 +1672,13 @@ def test_fit_and_diagnose_encode_no_more_rows_than_occupied_cells(tmp_path, monk
     (tmp_path / "truth.csv").write_text("0.5,0.7,0.9,1.1\n")
     occupied = len(np.unique(w, axis=0))
     encoded = []
-    original = categorical._dummy  # what encode_dummy and encode_cells encode with
+    original = categorical._indicators  # what encode_dummy and encode_cells encode with
 
-    def counting(spec, categories):
+    def counting(spec, categories, *args, **kwargs):
         encoded.append(len(categories))
-        return original(spec, categories)
+        return original(spec, categories, *args, **kwargs)
 
-    monkeypatch.setattr(categorical, "_dummy", counting)
+    monkeypatch.setattr(categorical, "_indicators", counting)
     files = ["--data", str(data), "--theta", ",".join(map(str, thetas)), "--estimate-p"]
     assert main(["fit", *files, "--out", str(tmp_path / "fit")]) == 0
     assert main(["diagnose", *files, "--truth", str(tmp_path / "truth.csv"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from miscorr import moments, simkit
+from miscorr import categorical, moments, simkit
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.errors import (
     RankDeficient,
@@ -365,7 +365,7 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
 
 def test_the_shared_mechanism_parts_are_read_only_and_each_replicate_gets_them():
     cfg = ScenarioConfig(distortion="low", levels=(3,), n_grid=(50,), replicates=2)
-    parts = simkit._level_tables("low")[3]
+    parts = simkit._level_tables("low")[0]
     for *arrays, posterior in parts.values():
         for array in (*arrays, posterior.pi, posterior.q):
             with pytest.raises(ValueError):
@@ -374,6 +374,80 @@ def test_the_shared_mechanism_parts_are_read_only_and_each_replicate_gets_them()
         parts[5] = parts[3]
     for _, _, posteriors, _ in simkit._replicate_fits(cfg, (0.2,)):
         assert posteriors[0] is parts[3][-1]
+
+
+def test_each_level_structure_is_built_once_read_only_and_shared_by_its_replicates():
+    cfg = ScenarioConfig(distortion="medium", n_covariates=2, levels=None, n_grid=(40, 80),
+                         sigma_list=(0.2,), replicates=12, master_seed=5)
+    structures = simkit._level_tables("medium")[1]
+    fitted = list(simkit._replicate_fits(cfg, cfg.sigma_list))
+    for rep, (spec, cells, posteriors, fits) in enumerate(fitted):
+        structure = structures(spec.levels)
+        assert simkit._replicate_structure(cfg, rep) is structure
+        assert posteriors is structure.posteriors and fits.blocks is structure.blocks
+        np.testing.assert_array_equal(fits.pi_rows, posterior_rows(posteriors, cells.categories),
+                                      strict=True)
+        blocks = structure.blocks
+        for array in (structure.cdfs, structure.cums, *structure.pis, *structure.thetas,
+                      *structure.ps, blocks.sigma_w, blocks.sigma_wx, blocks.correction,
+                      blocks.pi_ref):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+    assert len({spec.levels for spec, *_ in fitted}) < cfg.replicates
+    cov, lev, column_map = categorical._layout((2, 3))
+    for array in (cov, lev):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        column_map[(0, 0)] = 1
+
+
+def test_a_run_after_the_caches_are_cleared_equals_a_warm_run_bit_for_bit():
+    # K=10 random levels: nearly every replicate has a level tuple of its own
+    for k, n_grid, curve_n in ((3, (8, 50, 200), (50, 200)), (10, (12, 40, 80), (80, 160))):
+        cfg = ScenarioConfig(distortion="medium", n_covariates=k, levels=None, n_grid=n_grid,
+                             sigma_list=(0.2, 1.0), replicates=10, master_seed=9)
+        curve_cfg = dataclasses.replace(cfg, n_grid=curve_n)
+        runs = []
+        for cold in (True, False):
+            if cold:
+                simkit._level_tables.cache_clear()
+                categorical._layout.cache_clear()
+            table = run_grid(cfg)
+            runs.append((table.eqp.tobytes(), table.mcse.tobytes(), table.failures.tolist(),
+                         intercept_variance_curve(curve_cfg, 0.2)))
+        assert runs[0] == runs[1]
+        assert 0 < runs[0][2][0]  # the smallest n is refused in some replicates
+
+
+def test_a_grid_of_many_level_tuples_keeps_at_most_the_cache_bounds():
+    cfg = ScenarioConfig(distortion="medium", n_covariates=10, levels=None, n_grid=(40,),
+                         sigma_list=(0.2,), replicates=simkit.STRUCTURE_CACHE_SIZE + 12,
+                         master_seed=5)
+    simkit._level_tables.cache_clear()
+    run_grid(cfg)
+    structures = simkit._level_tables("medium")[1].cache_info()
+    assert structures.misses > structures.maxsize == simkit.STRUCTURE_CACHE_SIZE
+    assert structures.currsize == simkit.STRUCTURE_CACHE_SIZE
+    layouts = categorical._layout.cache_info()
+    assert layouts.maxsize == categorical.LAYOUT_CACHE_SIZE >= layouts.currsize
+
+
+@pytest.mark.parametrize("curve", [False, True])
+def test_a_replicate_larger_than_physical_memory_is_refused_before_drawing(monkeypatch, curve):
+    cfg = ScenarioConfig(distortion="low", n_covariates=2, levels=(2, 3), n_grid=(40,),
+                         sigma_list=(0.2, 1.0), replicates=2)
+    # n_gen rows of K uniforms, x and w, a response per sigma and the cell index
+    need = 8 * cfg.n_gen * (3 * 2 + (1 if curve else 2) + 1)
+
+    def drawn(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(simkit, "_rng", drawn)
+    for memory, refused in ((need - 1, MemoryError), (need, AssertionError)):
+        monkeypatch.setattr(simkit, "_physical_memory", lambda: memory)
+        with pytest.raises(refused, match=f"{need} bytes" if refused is MemoryError else "drawn"):
+            intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
 
 
 def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():

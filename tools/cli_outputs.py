@@ -22,7 +22,9 @@ relative to the current directory and ``fit`` with the labels of
 and once to labels longer than 8 bytes that share their first 8, whose
 ``estimates.csv`` must each equal the plain ``fit``'s; the benchmark's
 ``simulate`` grid with ``--dump-data``; ``diagnose --variance-sim``, once at
-fixed levels and once at K=2 with random levels, whose 40 replicates have 8 level structures;
+fixed levels, once at K=2 with random levels, whose 40 replicates have 8 level structures,
+and once at K=10 with random levels, where each replicate has a level structure of its
+own and more combinations than rows (the cells are numbered by ``np.unique``);
 ``simulate`` under high distortion with the default random levels, once
 from flags and once from a ``--config`` file whose seed a flag overrides;
 ``simulate`` at K=10 with random levels, where most replicates have a
@@ -153,6 +155,9 @@ def commands(out: Path) -> dict[str, list[str]]:
         "variance_sim_random": ["diagnose", "--variance-sim", "--scenario", "medium", "--k", "2",
                                 "--levels", "random", "--n-grid", "50,100,200", "--sigma", "0.2",
                                 "--replicates", "40", "--seed", "5"],
+        "variance_sim_k10_random": ["diagnose", "--variance-sim", "--scenario", "medium",
+                                    "--k", "10", "--levels", "random", "--n-grid", "60,120,240",
+                                    "--sigma", "0.2", "--replicates", "12", "--seed", "4"],
         "simulate_high": ["simulate", "--scenario", "high", "--k", "2",
                           "--n-grid", "30,60", "--replicates", "5", "--seed", "11"],
         "simulate_high_config": ["simulate", "--config", str(high), "--seed", "11"],
