@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -80,7 +79,7 @@ class DesignBundle:
 
     design: np.ndarray
     design_star: np.ndarray
-    column_map: Mapping = field(compare=False)
+    column_map: dict = field(compare=False)
 
 
 def _columns(spec: CategoricalSpec, categories) -> list[np.ndarray]:
@@ -115,7 +114,8 @@ def _in_range(spec: CategoricalSpec, categories) -> list[np.ndarray]:
 def _layout(levels: tuple[int, ...]):
     """What a level tuple fixes of its dummy encoding, built once per tuple
     and read-only: each indicator column's covariate and level, in column
-    order, and ``column_map`` of (covariate, level) to column."""
+    order, and ``column_map`` of (covariate, level) to column, which each
+    ``Cells`` and ``DesignBundle`` gets a dict copy of."""
     pairs = [(j, level) for j, lk in enumerate(levels) for level in range(lk - 1)]
     cov, lev = np.array(pairs).T
     cov.flags.writeable = lev.flags.writeable = False
@@ -143,7 +143,7 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     cats = np.column_stack(_in_range(spec, np.asarray(categories)))
     design_star = _indicators(spec, cats, intercept=1)
     return DesignBundle(design=np.ascontiguousarray(design_star[:, 1:]), design_star=design_star,
-                        column_map=_layout(spec.levels)[2])
+                        column_map=dict(_layout(spec.levels)[2]))
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class Cells:
     counts: np.ndarray
     inverse: np.ndarray
     design_star: np.ndarray
-    column_map: Mapping = field(compare=False)
+    column_map: dict = field(compare=False)
 
 
 def encode_cells(spec: CategoricalSpec, categories) -> Cells:
@@ -194,7 +194,7 @@ def encode_cells(spec: CategoricalSpec, categories) -> Cells:
         if j in renumbered:  # back to the ids the renumbering numbered
             cell_ids = renumbered[j][cell_ids]
     return Cells(rows, counts, inverse, _indicators(spec, rows, intercept=1),
-                 _layout(spec.levels)[2])
+                 dict(_layout(spec.levels)[2]))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import RankDeficient, UndefinedScenario, ValidationError
 # ols_fit kept for test_tracer_counts_errors_at_layer_boundaries_and_restores_functions (ROADMAP 11)
 from .estimators import fit_prefixes, ols_fit  # noqa: F401
 from .misclass import (DISTORTION_LEVELS, SCENARIO_THETAS, Posterior, check_marginal,
-                       check_theta, scenario_theta)
+                       check_theta, posterior_rows, scenario_theta)
 from .moments import MomentBlocks, mechanism
 
 METHODS = ("none", "partial", "full")
@@ -221,9 +221,7 @@ def eqp(beta_hat: np.ndarray, truth: TruthSpec) -> float | np.ndarray:
 
 class _Structure(NamedTuple):
     """What a replicate's level tuple fixes under a distortion, read-only:
-    its spec, theta and p, draw tables, assembled mechanism, and each
-    covariate's posterior table pi_k[:, :L_k - 1], whose rows at a cell's
-    categories are that cell's posterior row."""
+    its spec, theta and p, draw tables and assembled mechanism."""
 
     spec: CategoricalSpec
     thetas: tuple[np.ndarray, ...]
@@ -232,12 +230,6 @@ class _Structure(NamedTuple):
     cums: np.ndarray
     blocks: MomentBlocks
     posteriors: tuple[Posterior, ...]
-    pis: tuple[np.ndarray, ...]
-
-    def posterior_rows(self, categories: np.ndarray) -> np.ndarray:
-        """``misclass.posterior_rows`` of categories in range: K takes."""
-        return np.concatenate([pi.take(categories[:, k], axis=0)
-                               for k, pi in enumerate(self.pis)], axis=1)
 
 
 def _read_only(*arrays):
@@ -276,11 +268,9 @@ def _level_tables(distortion: str):
         spec = CategoricalSpec(levels)
         thetas, ps = zip(*(mechanisms[lk] for lk in levels))
         blocks, posteriors = mechanism(spec, thetas, ps, parts)
-        pis = [np.ascontiguousarray(post.pi[:, :-1]) for post in posteriors]
         tables = cdfs[list(levels)], cums[list(levels)]
-        _read_only(*tables, *pis, blocks.sigma_w, blocks.sigma_wx, blocks.correction,
-                   blocks.pi_ref)
-        return _Structure(spec, thetas, ps, *tables, blocks, tuple(posteriors), tuple(pis))
+        _read_only(*tables, blocks.sigma_w, blocks.sigma_wx, blocks.correction, blocks.pi_ref)
+        return _Structure(spec, thetas, ps, *tables, blocks, tuple(posteriors))
 
     return parts, structure
 
@@ -299,9 +289,12 @@ def replicate_structure(config: ScenarioConfig, replicate_id: int):
     return structure.spec, list(structure.thetas), list(structure.ps)
 
 
-def replicate_designs(config: ScenarioConfig, replicate_id: int):
-    """Generate (spec, thetas, ps, x, w) at the full generation size."""
-    structure = _replicate_structure(config, replicate_id)
+def replicate_designs(config: ScenarioConfig, replicate_id: int,
+                      structure: _Structure | None = None):
+    """Generate (spec, thetas, ps, x, w) at the full generation size, from
+    the replicate's level structure where the caller holds it already."""
+    if structure is None:
+        structure = _replicate_structure(config, replicate_id)
     x = _draw_x(structure.cdfs, config.n_gen, _rng(config.master_seed, _STREAM_X, replicate_id))
     w = _draw_w(x, structure.cums, _rng(config.master_seed, _STREAM_W, replicate_id))
     return structure.spec, list(structure.thetas), list(structure.ps), x, w
@@ -327,9 +320,29 @@ def replicate_response(config: ScenarioConfig, replicate_id: int, spec: Categori
     return replicate_responses(config, replicate_id, spec, x, (sigma,))[:, 0]
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, e.g. on Windows
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _replicate_bytes(config: ScenarioConfig, sigmas) -> int:
+    """An upper bound on the bytes the replicate loop holds at its peak while
+    a replicate's occupied cells are few: n_gen rows of 10K + 3s + 6 float64
+    columns, for s sigmas, plus the held batch.  The columns are the w draw's
+    peak, K (L_max + 4) (K uniforms, x, each row's L_max cumulative theta
+    entries, their comparison, its sums and w); the replicate before it, x, w,
+    the responses and the cell index (2K + s + 1); and the fit's copies of the
+    held responses beside the current ones (2s + 5).  A batch holds at most
+    QR_STACK_BUDGET elements or one replicate.  Not counted: a fit's QR stack,
+    prefixes x cells x columns, which the cells bound only once drawn."""
+    width = max(lk for _, lk in SCENARIO_THETAS)  # L_max, the width of the draw tables
+    k, s = config.n_covariates, len(sigmas)
+    columns = k * (width + 4) + (2 * k + s + 1) + (2 * s + 5)
+    return 8 * (config.n_gen * columns + QR_STACK_BUDGET)
 
 
 def _replicate_fits(config: ScenarioConfig, sigmas):
@@ -338,29 +351,28 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     per sigma, then every n-prefix of ``config.n_grid`` fitted at once.
     Yields the spec, cells, posteriors and the PrefixFits, which hold the
     blocks and the cells' posterior rows.  The mechanism is read from the
-    replicate's ``_Structure``, built once per level tuple, and the
-    posterior rows of its cells are taken from the structure's tables.
+    replicate's ``_Structure``, built once per level tuple.
 
-    Before the first draw, a grid whose one replicate would hold more bytes
-    than physical memory (n_gen rows of K uniforms, x, w, one response per
-    sigma and the cell index, 8 bytes each) raises MemoryError: the
-    operating system grants such an allocation lazily and kills the process
-    when its pages are touched.
+    Before the first draw, a grid whose replicates need more bytes than
+    physical memory (``_replicate_bytes``) raises MemoryError: the operating
+    system grants such an allocation lazily and kills the process when its
+    pages are touched.  Where the platform gives no memory size, no grid is
+    refused.
 
     Replicates are drawn one at a time and held until the next would take
     the held QR stacks and rows past QR_STACK_BUDGET elements; a batch
     holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
     per design shape (occupied cells, columns)."""
-    need = 8 * config.n_gen * (3 * config.n_covariates + len(sigmas) + 1)
-    if need > (memory := _physical_memory()):
-        raise MemoryError(f"one replicate of {config.n_gen} rows needs {need} bytes, "
+    need, memory = _replicate_bytes(config, sigmas), _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(f"one replicate of {config.n_gen} rows needs up to {need} bytes, "
                           f"more than the {memory} bytes of physical memory")
-    structures, held, size = _level_tables(config.distortion)[1], [], 0
+    held, size = [], 0
     for replicate_id in range(config.replicates):
-        spec, _, _, x, w = replicate_designs(config, replicate_id)
-        structure = structures(spec.levels)
+        structure = _replicate_structure(config, replicate_id)
+        spec, _, _, x, w = replicate_designs(config, replicate_id, structure)
         cells = encode_cells(spec, w)
-        pi = structure.posterior_rows(cells.categories)
+        pi = posterior_rows(structure.posteriors, cells.categories)
         ys = replicate_responses(config, replicate_id, spec, x, sigmas)
         rows, m = cells.design_star.shape
         # the (prefix, row, column) QR stack, then the responses and the cell index

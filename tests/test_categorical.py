@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -52,6 +54,18 @@ def test_covariate_major_concatenation():
 def test_column_map_layout():
     bundle = encode_dummy(CategoricalSpec((2, 3)), np.array([[0, 0]]))
     assert bundle.column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
+
+
+def test_each_encoding_has_a_column_map_of_its_own_that_pickles_and_copies():
+    spec, w = CategoricalSpec((2, 3)), np.array([[0, 2], [1, 0], [0, 2]])
+    for encode in (encode_dummy, encode_cells):
+        encoded = encode(spec, w)
+        assert type(encoded.column_map) is dict
+        encoded.column_map[(9, 9)] = 9  # the layout cache behind it is not written
+        assert encode(spec, w).column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
+        for clone in (pickle.loads(pickle.dumps(encoded)), copy.deepcopy(encoded)):
+            assert clone.column_map == encoded.column_map
+            np.testing.assert_array_equal(clone.design_star, encoded.design_star, strict=True)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,7 +390,7 @@ def test_each_level_structure_is_built_once_read_only_and_shared_by_its_replicat
         np.testing.assert_array_equal(fits.pi_rows, posterior_rows(posteriors, cells.categories),
                                       strict=True)
         blocks = structure.blocks
-        for array in (structure.cdfs, structure.cums, *structure.pis, *structure.thetas,
+        for array in (structure.cdfs, structure.cums, *structure.thetas,
                       *structure.ps, blocks.sigma_w, blocks.sigma_wx, blocks.correction,
                       blocks.pi_ref):
             with pytest.raises(ValueError):
@@ -437,8 +439,7 @@ def test_a_grid_of_many_level_tuples_keeps_at_most_the_cache_bounds():
 def test_a_replicate_larger_than_physical_memory_is_refused_before_drawing(monkeypatch, curve):
     cfg = ScenarioConfig(distortion="low", n_covariates=2, levels=(2, 3), n_grid=(40,),
                          sigma_list=(0.2, 1.0), replicates=2)
-    # n_gen rows of K uniforms, x and w, a response per sigma and the cell index
-    need = 8 * cfg.n_gen * (3 * 2 + (1 if curve else 2) + 1)
+    need = simkit._replicate_bytes(cfg, (0.2,) if curve else cfg.sigma_list)
 
     def drawn(*args):
         raise AssertionError("a stream was drawn")
@@ -448,6 +449,35 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_drawing(monke
         monkeypatch.setattr(simkit, "_physical_memory", lambda: memory)
         with pytest.raises(refused, match=f"{need} bytes" if refused is MemoryError else "drawn"):
             intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
+
+
+@pytest.mark.parametrize("k, sigmas", [(1, (0.2,)), (1, (0.1, 0.2, 0.5, 1.0)), (3, (0.2,)),
+                                       (3, (0.1, 0.2, 0.5, 1.0)), (5, (0.2, 1.0))])
+def test_the_counted_bytes_of_a_replicate_bound_what_the_grid_allocates(k, sigmas):
+    # levels of 2 hold as many rows per draw-table column as levels of 4; 3 replicates
+    # of 30,000 rows pass the batch budget, so replicates are held and fitted in turn
+    cfg = ScenarioConfig(distortion="low", n_covariates=k, levels=(2,) * (k - 1) + (4,),
+                         n_grid=(10_000, 30_000), sigma_list=sigmas, replicates=3)
+    list(simkit._replicate_fits(dataclasses.replace(cfg, replicates=1), sigmas))  # the caches
+    tracemalloc.start()
+    try:
+        for _ in simkit._replicate_fits(cfg, sigmas):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = simkit._replicate_bytes(cfg, sigmas)
+    assert need / 2 < peak <= need
+
+
+def test_a_platform_that_gives_no_memory_size_refuses_no_grid(monkeypatch):
+    monkeypatch.delattr(os, "sysconf")
+    assert simkit._physical_memory() is None
+    cfg = ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2)
+    assert run_grid(cfg).eqp.shape == (1, len(cfg.sigma_list), len(METHODS))
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sysconf", lambda name: -1)  # a size the system cannot tell
+    assert simkit._physical_memory() is None
 
 
 def test_grid_eqp_and_mcse_are_the_1d_reductions_of_the_surviving_replicates():
