@@ -40,6 +40,19 @@ from .simkit import (
 
 FMT = "%.17g"  # round-trips IEEE doubles
 _LABEL_WIDTH = 32  # bytes; a longer label is matched only by the full-width re-read
+# odd 64-bit multipliers (splitmix64 outputs, low bit set), one row per try
+# and one column per word of a label field (_LABEL_WIDTH + 8 bytes); written
+# out, as drawing them would load numpy.random
+_HASH_MULTIPLIERS = np.array([
+    [0x2CB0F69F4ABEA221, 0x9417034723148989, 0xDD555950609DFE03, 0xDBAFB150DEB12801,
+     0x7E789B2E6C442CB7],
+    [0xF41E5636C7E4F8C5, 0x0959D150F8FBA7E5, 0xA97316F13CDB9EEB, 0x74CD8258F9520069,
+     0x55C74A62E116868B],
+    [0xD2F4C799A2023CBD, 0xDF98CB79A37B51B9, 0x396F5885524F3905, 0xAF1D56386CA3B277,
+     0xA9FFBE6B5104E85B],
+    [0x6BD0C51B9FD533B3, 0x980CE91C50AB4B57, 0x28AC395780FE62C5, 0x768912E3A6BCEDC7,
+     0x50B3E8C9332C7C89],
+], dtype=np.uint64)
 
 
 class CliError(ValidationError):
@@ -281,33 +294,56 @@ def _load_labels(data_path: str) -> dict:
     return labels
 
 
+def _hash(words: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Σ_t words[..., t] · multipliers[..., t] mod 2**64, over the first words
+    that have a multiplier, in uint64 arrays (whose products wrap silently,
+    where a numpy scalar's would raise under cli.main's errstate)."""
+    hashed = words[..., 0] * multipliers[..., 0]
+    for t in range(1, min(words.shape[-1], multipliers.shape[-1])):
+        hashed += words[..., t] * multipliers[..., t]
+    return hashed
+
+
 def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
     """The category of each cell as read, -1 where it is not exactly a label.
-    Cells are bytes in whole 64-bit words, matched word by word to the labels'
-    UTF-8: (the cell's prefix number, its word's rank among the labels' words
-    there) numbers the longer prefix.  Only a label that UTF-8 can write,
-    shorter than the field, with no surrounding whitespace and no NUL (the
-    field drops trailing NULs) can match a cell as read."""
+    Cells are bytes in whole 64-bit words.  A multiply-shift hash of its
+    words (the top bits of ``_hash``) names a cell's slot in a table of 4 to
+    8 slots per label, and the cell is compared word by word with each label
+    in that slot: one pass over the cells per label in the fullest slot, at
+    worst one per label.  Of the rows of _HASH_MULTIPLIERS, the one whose
+    fullest slot holds fewest labels is used.  An empty table entry holds a
+    label of another slot, which no cell of this slot can equal.  Only a
+    label that UTF-8 can write, shorter than the field, with no surrounding
+    whitespace and no NUL (the field drops trailing NULs) can match a cell
+    as read."""
     keys = {b: i for i, s in enumerate(labels) if len(b := s.encode("utf-8", "replace"))
             < cells.itemsize and b.decode("utf-8") == s == s.strip() and "\0" not in s}
     if not keys:
         return np.full(len(cells), -1)
-    key_words, cell_words = (np.ascontiguousarray(a, cells.dtype).view(np.uint64)
-                             .reshape(len(a), -1).T for a in (list(keys), cells))
-    # the number of each label's and each cell's prefix so far; at the first
-    # word the ranks are the numbers
-    for t, (key_word, cell_word) in enumerate(zip(key_words, cell_words)):
-        distinct, key_rank = np.unique(key_word, return_inverse=True)
-        rank = np.searchsorted(distinct, cell_word)
-        hit = np.append(distinct, 0)[rank] == cell_word  # past the last word: 0, no match
-        if not t:
-            ids, key_ids = np.where(hit, rank, -1), key_rank
-            continue
-        pairs = np.where(hit, ids * len(distinct) + rank, -1)  # number the (prefix, rank) pairs
-        prefixes, key_ids = np.unique(key_ids * len(distinct) + key_rank, return_inverse=True)
-        ids = np.searchsorted(prefixes, pairs)
-        ids[np.append(prefixes, -1)[ids] != pairs] = -1
-    return np.append(np.array(list(keys.values()))[np.argsort(key_ids)], -1)[ids]
+    key_words = np.array(list(keys), cells.dtype)[:, None].view(np.uint64)
+    cell_words = cells[:, None].view(np.uint64)  # (cells, words), zero-copy
+    shift = 64 - (4 * len(keys) - 1).bit_length()
+    slots = (_hash(key_words[:, None], _HASH_MULTIPLIERS) >> shift).view(np.intp)
+    fullest = [np.bincount(s).max() for s in slots.T]
+    best = int(np.argmin(fullest))
+    # table[d, slot]: the category of the slot's d-th label
+    key_slots, cats = slots[:, best], np.array(list(keys.values()))
+    order = np.argsort(key_slots, kind="stable")
+    in_slot = key_slots[order]
+    table = np.full((fullest[best], 1 << (64 - shift)), cats[0])
+    table[np.arange(len(order)) - np.searchsorted(in_slot, in_slot), in_slot] = cats[order]
+    words = np.zeros((key_words.shape[1], len(labels)), np.uint64)  # by category
+    words[:, cats] = key_words.T
+    hashed = _hash(cell_words, _HASH_MULTIPLIERS[best])
+    hashed >>= shift
+    slot, ids = hashed.view(np.intp), -1
+    for row in table:
+        candidate = row.take(slot)
+        hit = words[0].take(candidate) == cell_words[:, 0]
+        for t in range(1, len(words)):
+            hit &= words[t].take(candidate) == cell_words[:, t]
+        ids = np.where(hit, candidate, ids)
+    return ids
 
 
 def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
@@ -333,7 +369,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
             nul, space = nul or b"\0" in block, space or b"\x85" in block or b"\xa0" in block
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in
-                 _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=str).ravel()]
+                 _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=object).ravel()]
         utf8 = codecs.lookup(fh.encoding).name == "utf-8"
     if len(names) < 2 or names[0].lower() != "y":
         raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")

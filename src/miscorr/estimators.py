@@ -179,6 +179,13 @@ def fit_prefixes(design_star: np.ndarray, ys: np.ndarray, ns: Sequence[int],
     counts = per_prefix(np.bincount(key, minlength=bins))
     sums = per_prefix(np.stack([np.bincount(key, ys[:, : cuts[-1], s].ravel(), bins)
                                 for s in range(columns)], axis=-1), columns)
+    return _fit_sums(design_star, counts, sums, ns, pi_rows, blocks)
+
+
+def _fit_sums(design_star, counts, sums, ns, pi_rows, blocks) -> list[PrefixFits]:
+    """``fit_prefixes`` from each prefix's cell counts [design, prefix, cell]
+    and sums [design, prefix, cell, response column]: the stacked solve and
+    the correction.  ``fit_cells`` enters here with the counts its cells hold."""
     r_mat, gamma, refused = _solve_cells(design_star[:, None], counts, sums, ns)
     corrections = np.stack([b.correction for b in blocks])
     beta_c = gamma[..., 1:] @ np.swapaxes(corrections, -1, -2)[:, None]
@@ -193,16 +200,19 @@ def fit_cells(spec: CategoricalSpec, cells: Cells, y: np.ndarray, thetas: Sequen
     """A single fit over cells already found (by ``encode_cells``, or
     ``validate_dataset``'s report), y[i] lying in cell ``cells.inverse[i]``:
     the mechanism, the posterior rows of the cells, then ``fit_prefixes``
-    on the stack of one, all n rows one prefix and y one response column.
+    on the stack of one, all n rows one prefix and y one response column,
+    entered after its bincounts: the counts are the cells', y's sums one
+    bincount over ``cells.inverse``.
     Raises RankDeficient where the rank guard refuses; fills ``rss`` from
     one pass over the residuals y - (U gamma)[cell of each row]."""
     y = np.asarray(y, dtype=float)
     n, m = len(y), cells.design_star.shape[1]
-    _raise_refused(n <= m, n, m)  # before the mechanism; fit_prefixes takes no empty prefix
+    _raise_refused(n <= m, n, m)  # before the mechanism, and before a fit of no rows divides by n
     blocks, posteriors = mechanism(spec, thetas, ps)
     pi = posterior_rows(posteriors, cells.categories)
-    [fit] = fit_prefixes(cells.design_star[None], y[None, :, None], [n], pi[None], [blocks],
-                         cells.inverse[None])
+    sums = np.bincount(cells.inverse, y, len(cells.counts))
+    [fit] = _fit_sums(cells.design_star[None], cells.counts[None, None],
+                      sums[None, None, :, None], np.array([n]), pi[None], [blocks])
     _raise_refused(fit.refused[0], n, m, fit.r[0], cells.column_map)
     resid = (fit.design_star @ fit.gamma_star[0, 0]).take(cells.inverse)
     np.square(np.subtract(y, resid, out=resid), out=resid)

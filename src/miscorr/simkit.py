@@ -16,6 +16,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from pathlib import PurePosixPath
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -329,20 +330,60 @@ def _physical_memory() -> int | None:
     return pages * size if pages > 0 and size > 0 else None
 
 
+_CGROUP_MEMORY = {"": ("/sys/fs/cgroup", "memory.max"),  # v2, by the line "0::<path>"
+                  "memory": ("/sys/fs/cgroup/memory", "memory.limit_in_bytes")}  # v1
+
+
+def _read_text(path: str) -> str | None:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
+
+
+@functools.cache
+def _cgroup_limit() -> int | None:
+    """The smallest memory limit of the process's cgroups, as
+    /proc/self/cgroup names them, and of their ancestors: v2 ``memory.max``,
+    v1 ``memory.limit_in_bytes``.  "max", or no such file, is no limit;
+    None where there is none.  Read once per process (about 0.1 ms, some
+    files of the cgroup tree)."""
+    limits = []
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        controllers, _, path = line.partition(":")[2].partition(":")
+        for controller, (root, name) in _CGROUP_MEMORY.items():
+            if controller in controllers.split(","):
+                cgroup = PurePosixPath(path)
+                for directory in (cgroup, *cgroup.parents):
+                    text = _read_text(os.path.join(root, str(directory).lstrip("/"), name))
+                    if text is not None and text.strip().isdigit():
+                        limits.append(int(text))
+    return min(limits, default=None)
+
+
 def _replicate_bytes(config: ScenarioConfig, sigmas) -> int:
-    """An upper bound on the bytes the replicate loop holds at its peak while
-    a replicate's occupied cells are few: n_gen rows of 10K + 3s + 6 float64
-    columns, for s sigmas, plus the held batch.  The columns are the w draw's
-    peak, K (L_max + 4) (K uniforms, x, each row's L_max cumulative theta
-    entries, their comparison, its sums and w); the replicate before it, x, w,
-    the responses and the cell index (2K + s + 1); and the fit's copies of the
-    held responses beside the current ones (2s + 5).  A batch holds at most
-    QR_STACK_BUDGET elements or one replicate.  Not counted: a fit's QR stack,
-    prefixes x cells x columns, which the cells bound only once drawn."""
+    """An upper bound on the bytes the replicate loop holds at its peak: the
+    sum of the draws' peak and the fit's, each over n_gen rows and at most
+    min(n_gen, prod L_k) occupied cells with m columns (L_k = 4 where drawn).
+    The draws hold n_gen rows of 10K + 3s + 6 float64 columns, for s sigmas,
+    plus the held batch: the w draw's peak, K (L_max + 4) (K uniforms, x,
+    each row's L_max cumulative theta entries, their comparison, its sums and
+    w); the replicate before it, x, w, the responses and the cell index
+    (2K + s + 1); and the fit's copies of the held responses beside the
+    current ones (2s + 5).  A batch holds at most QR_STACK_BUDGET elements or
+    one replicate.  The fit holds four copies of one replicate's QR stack,
+    prefixes x cells x m (the scaled rows, qr's copy of them, Q, and LAPACK's
+    buffers and the counts beside them), and the cells' tables of this
+    replicate and the one before it: design (m), posterior rows (m - 1)
+    and categories (K)."""
     width = max(lk for _, lk in SCENARIO_THETAS)  # L_max, the width of the draw tables
     k, s = config.n_covariates, len(sigmas)
+    levels = config.levels or (max(RANDOM_LEVEL_CHOICES),) * k
+    m, cells = 1 + sum(levels) - k, min(config.n_gen, math.prod(levels))
     columns = k * (width + 4) + (2 * k + s + 1) + (2 * s + 5)
-    return 8 * (config.n_gen * columns + QR_STACK_BUDGET)
+    stack = len(config.n_grid) * max(cells, m) * m
+    return 8 * (config.n_gen * columns + QR_STACK_BUDGET + 4 * stack + 2 * cells * (2 * m + k))
 
 
 def _replicate_fits(config: ScenarioConfig, sigmas):
@@ -353,20 +394,23 @@ def _replicate_fits(config: ScenarioConfig, sigmas):
     blocks and the cells' posterior rows.  The mechanism is read from the
     replicate's ``_Structure``, built once per level tuple.
 
-    Before the first draw, a grid whose replicates need more bytes than
-    physical memory (``_replicate_bytes``) raises MemoryError: the operating
-    system grants such an allocation lazily and kills the process when its
-    pages are touched.  Where the platform gives no memory size, no grid is
-    refused.
+    Before the first draw, a grid whose replicates need more bytes
+    (``_replicate_bytes``) than the smaller of physical memory and the
+    process's cgroup limit raises MemoryError: the operating system grants
+    such an allocation lazily and kills the process when its pages are
+    touched.  Where neither size is known, no grid is refused.
 
     Replicates are drawn one at a time and held until the next would take
     the held QR stacks and rows past QR_STACK_BUDGET elements; a batch
     holds at least one.  Each batch is fitted in one ``fit_prefixes`` call
     per design shape (occupied cells, columns)."""
-    need, memory = _replicate_bytes(config, sigmas), _physical_memory()
-    if memory is not None and need > memory:
+    need = _replicate_bytes(config, sigmas)
+    limits = [(size, what) for size, what in ((_physical_memory(), "physical memory"),
+                                              (_cgroup_limit(), "the cgroup's memory limit"))
+              if size is not None]
+    if limits and need > (limit := min(limits))[0]:
         raise MemoryError(f"one replicate of {config.n_gen} rows needs up to {need} bytes, "
-                          f"more than the {memory} bytes of physical memory")
+                          f"more than the {limit[0]} bytes of {limit[1]}")
     held, size = [], 0
     for replicate_id in range(config.replicates):
         structure = _replicate_structure(config, replicate_id)

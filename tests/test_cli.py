@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import urllib.request
 import warnings
 from contextlib import redirect_stderr
@@ -723,41 +724,97 @@ def _generated_labelled_files(tmp_path, count, seed):
 
 
 def _reference_match(cells, labels):
-    """The label matcher with each rank clamped into range: the reference
-    for cli._match, which indexes through a sentinel instead."""
+    """Each cell looked up in a dict of the labels that can match a cell as
+    read: UTF-8 shorter than the field, with no surrounding whitespace and
+    no NUL (a field drops trailing NULs)."""
     keys = {b: i for i, s in enumerate(labels) if len(b := s.encode("utf-8", "replace"))
             < cells.itemsize and b.decode("utf-8") == s == s.strip() and "\0" not in s}
-    if not keys:
-        return np.full(len(cells), -1)
-    key_words, cell_words = (np.ascontiguousarray(a, cells.dtype).view(np.uint64)
-                             .reshape(len(a), -1).T for a in (list(keys), cells))
-    key_ids = ids = 0
-    for t, (key_word, cell_word) in enumerate(zip(key_words, cell_words)):
-        distinct, key_rank = np.unique(key_word, return_inverse=True)
-        rank = np.minimum(np.searchsorted(distinct, cell_word), len(distinct) - 1)
-        ids = np.where(distinct[rank] == cell_word, ids * len(distinct) + rank, -1)
-        prefixes, key_ids = np.unique(key_ids * len(distinct) + key_rank, return_inverse=True)
-        if t:
-            pairs, ids = ids, np.minimum(np.searchsorted(prefixes, ids), len(prefixes) - 1)
-            ids[prefixes[ids] != pairs] = -1
-    return np.append(np.array(list(keys.values()))[np.argsort(key_ids)], -1)[ids]
+    return np.array([keys.get(bytes(cell), -1) for cell in cells], dtype=np.intp)
 
 
-def test_match_numbers_cells_as_the_clamped_reference_does():
-    # cells past every label's word at some position, below it, equal to a
-    # prefix of a label, or a label with a byte more, in fields of 1 to 3 words
-    rng = random.Random(24)
-    stems = ["", "a", "category_", "zz", "é", "日本", "\x7f"]
-    for _ in range(200):
-        labels = list(dict.fromkeys(rng.choice(stems) + rng.choice(stems)
-                                    + rng.choice(["", "x", "~"]) for _ in range(rng.randint(0, 6))))
-        width = 8 * rng.randint(1, 3)
-        spelled = [rng.choice(labels + [""]) if labels else "" for _ in range(50)]
-        spelled = [rng.choice([c, c + "z", c[:-1], "~" * rng.randint(1, width), "\x01"])
-                   for c in spelled]
-        cells = np.array([c.encode("utf-8")[: width - 1] for c in spelled], dtype=f"S{width}")
+def _spelled_cells(rng, labels, width, count):
+    """``count`` cells of ``width`` bytes: labels as written, one byte off,
+    with a byte appended, truncated, empty or random bytes."""
+    def spell(label):
+        b = label.encode("utf-8", "surrogatepass")
+        if not b:
+            return rng.choice([b, b"\x01"])
+        at = rng.randrange(len(b))
+        return rng.choice([b, b, b[:at] + bytes([b[at] ^ 1]) + b[at + 1:], b + b"z",
+                           b[:-1], b + b"\0", b"", bytes(rng.randrange(256) for _ in range(width))])
+    return np.array([spell(rng.choice(labels)) if labels else b"a" for _ in range(count)],
+                    dtype=f"S{width}")
+
+
+def _random_labels(rng, count, width):
+    """Distinct labels of up to ``width`` bytes of UTF-8: many share their
+    first 8 bytes, some are not ASCII or hold a space; one in eight cannot
+    match, for a surrounding space, a NUL or no byte to spare in the field."""
+    stems = ["", "category", "categorz", "é", "日本", "\x7f", "a b"]
+    labels = set()
+    while len(labels) < count:
+        label = rng.choice(stems) + "".join(
+            rng.choice("abcxyz_éü中") for _ in range(rng.randint(0, width)))
+        if rng.random() < 0.125:
+            label = rng.choice([f" {label}", f"{label} ", f"{label}\0", "x" * width])
+        if len(label.encode()) <= width:
+            labels.add(label)
+    return sorted(labels)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 300, 3000])
+@pytest.mark.parametrize("words", [1, 2, 3, 4])
+def test_match_numbers_cells_as_a_dict_of_the_labels_does(count, words):
+    rng = random.Random(24 + count + words)
+    width = 8 * words
+    labels = _random_labels(rng, count, width)
+    cells = _spelled_cells(rng, labels, width, 2000)
+    got, want = cli._match(cells, labels), _reference_match(cells, labels)
+    assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+    assert (want >= 0).sum() > (300 if count > 1 else -1)  # a lone label may not match
+
+
+def test_match_is_exact_when_every_label_hashes_to_one_slot(monkeypatch):
+    # zero multipliers put every label in slot 0: one pass per label
+    monkeypatch.setattr(cli, "_HASH_MULTIPLIERS", np.zeros_like(cli._HASH_MULTIPLIERS))
+    rng = random.Random(5)
+    for words, count in ((1, 40), (3, 300)):
+        labels = _random_labels(rng, count, 8 * words)
+        cells = _spelled_cells(rng, labels, 8 * words, 1000)
         got, want = cli._match(cells, labels), _reference_match(cells, labels)
-        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        assert got.tolist() == want.tolist() and (got >= 0).sum() > 100
+
+
+def test_match_takes_ten_thousand_labels_over_a_hundred_thousand_cells_in_a_second():
+    rng = random.Random(9)
+    labels = sorted({"".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(7))
+                     for _ in range(10_000)})
+    cells = np.array([rng.choice(labels) if rng.random() < 0.9 else "unknown"
+                      for _ in range(100_000)], dtype="S8")
+    start = time.perf_counter()
+    got = cli._match(cells, labels)
+    assert time.perf_counter() - start < 1.0
+    assert got.tolist() == _reference_match(cells, labels).tolist()
+
+
+def test_the_smallest_labelled_fits_run_under_the_overflow_errstate(tmp_path, capsys):
+    # cli.main raises on a wrapping numpy scalar product, as a hash of uint64
+    # scalars would (exit 3); one row is refused for its rows, three fit
+    data, files = _labelled_fixture(tmp_path)
+    for rows, status in ((["1,bb"], 2), (["1,a", "2,bb", "4,a"], 0)):
+        data.write_text("\n".join(["y,w1", *rows]) + "\n")
+        assert main(["fit", "--data", str(data), *files, "--out", str(tmp_path / "out")]) == status
+    assert json.loads(capsys.readouterr().err)["message"].endswith(
+        "need at least 3 rows to fit 2 parameters, got 1")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the hash multipliers are literals: numpy.random costs some 14 ms to load and seed
+    env = {**os.environ, "PYTHONPATH": str(Path(miscorr.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys, miscorr.cli; "
+                           "print('numpy.random' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_the_bytes_parse_reads_what_the_text_parse_reads(tmp_path, monkeypatch):

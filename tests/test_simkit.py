@@ -452,12 +452,15 @@ def test_a_replicate_larger_than_physical_memory_is_refused_before_drawing(monke
 
 
 @pytest.mark.parametrize("k, sigmas", [(1, (0.2,)), (1, (0.1, 0.2, 0.5, 1.0)), (3, (0.2,)),
-                                       (3, (0.1, 0.2, 0.5, 1.0)), (5, (0.2, 1.0))])
+                                       (3, (0.1, 0.2, 0.5, 1.0)), (5, (0.2, 1.0)), (10, (0.2,))])
 def test_the_counted_bytes_of_a_replicate_bound_what_the_grid_allocates(k, sigmas):
     # levels of 2 hold as many rows per draw-table column as levels of 4; 3 replicates
     # of 30,000 rows pass the batch budget, so replicates are held and fitted in turn
     cfg = ScenarioConfig(distortion="low", n_covariates=k, levels=(2,) * (k - 1) + (4,),
                          n_grid=(10_000, 30_000), sigma_list=sigmas, replicates=3)
+    if k == 10:  # random levels: nearly every row is a cell, and the fits' QR stacks peak
+        cfg = ScenarioConfig(distortion="medium", n_covariates=k, n_grid=(5_000, 10_000, 20_000),
+                             sigma_list=sigmas, replicates=3)
     list(simkit._replicate_fits(dataclasses.replace(cfg, replicates=1), sigmas))  # the caches
     tracemalloc.start()
     try:
@@ -468,6 +471,52 @@ def test_the_counted_bytes_of_a_replicate_bound_what_the_grid_allocates(k, sigma
         tracemalloc.stop()
     need = simkit._replicate_bytes(cfg, sigmas)
     assert need / 2 < peak <= need
+
+
+@pytest.fixture
+def cgroup_files(monkeypatch):
+    """Serve simkit's reads of the cgroup tree from a dict of path -> text
+    (a missing path is a missing file), with the cached limit cleared."""
+    files = {}
+    monkeypatch.setattr(simkit, "_read_text", files.get)
+    simkit._cgroup_limit.cache_clear()
+    yield files
+    simkit._cgroup_limit.cache_clear()
+
+
+@pytest.mark.parametrize("files, limit", [
+    ({}, None),  # no /proc/self/cgroup: not Linux
+    ({"/proc/self/cgroup": "0::/\n"}, None),  # no memory.max at the root
+    ({"/proc/self/cgroup": "0::/a/b\n", "/sys/fs/cgroup/a/b/memory.max": "max\n"}, None),
+    ({"/proc/self/cgroup": "0::/a/b\n", "/sys/fs/cgroup/a/b/memory.max": "max\n",
+      "/sys/fs/cgroup/a/memory.max": "1048576\n"}, 1048576),  # an ancestor's limit holds
+    ({"/proc/self/cgroup": "5:cpu:/x\n4:memory,blkio:/x\n0::/\n",
+      "/sys/fs/cgroup/cpu/x/memory.limit_in_bytes": "1",
+      "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "2097152\n",
+      "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n"}, 2097152),
+])
+def test_the_cgroup_limit_is_the_smallest_memory_limit_over_the_processs_cgroups(
+        cgroup_files, files, limit):
+    cgroup_files.update(files)
+    assert simkit._cgroup_limit() == limit
+
+
+def test_a_replicate_larger_than_the_cgroup_limit_is_refused_before_drawing(
+        monkeypatch, cgroup_files):
+    cfg = ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2)
+    need = simkit._replicate_bytes(cfg, cfg.sigma_list)
+    monkeypatch.setattr(simkit, "_physical_memory", lambda: 2 * need)
+    cgroup_files.update({"/proc/self/cgroup": "0::/job\n",
+                         "/sys/fs/cgroup/job/memory.max": f"{need - 1}\n"})
+    with pytest.raises(MemoryError, match=f"more than the {need - 1} bytes of the cgroup's"):
+        run_grid(cfg)
+    simkit._cgroup_limit.cache_clear()
+    cgroup_files["/sys/fs/cgroup/job/memory.max"] = f"{3 * need}\n"  # physical memory is less
+    monkeypatch.setattr(simkit, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"more than the {need - 1} bytes of physical memory"):
+        run_grid(cfg)
+    monkeypatch.setattr(simkit, "_physical_memory", lambda: need)
+    assert run_grid(cfg).eqp.shape == (1, len(cfg.sigma_list), len(METHODS))
 
 
 def test_a_platform_that_gives_no_memory_size_refuses_no_grid(monkeypatch):

@@ -19,8 +19,10 @@ category cell written as a float (``%.1f``, which the integer parse refuses,
 so the file is parsed again as numbers), ``fit`` with ``--data`` given
 relative to the current directory and ``fit`` with the labels of
 ``labels.json`` and their cells renamed, once to labels that are not ASCII
-and once to labels longer than 8 bytes that share their first 8, whose
-``estimates.csv`` must each equal the plain ``fit``'s; the benchmark's
+and once to labels longer than 8 bytes that share their first 8, and
+``fit`` with 2,000 unused labels of 1 to 31 bytes after w2's own four in
+``labels.json``, whose ``estimates.csv`` must each equal the plain
+``fit``'s; the benchmark's
 ``simulate`` grid with ``--dump-data``; ``diagnose --variance-sim``, once at
 fixed levels, once at K=2 with random levels, whose 40 replicates have 8 level structures,
 and once at K=10 with random levels, where each replicate has a level structure of its
@@ -67,7 +69,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import shutil
+import string
 import sys
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -116,6 +120,21 @@ def write_relabelled(inputs: Path, to: Path, rename) -> Path:
     return data
 
 
+def write_many_labels(inputs: Path, to: Path, count: int) -> Path:
+    """The inputs' data.csv, and its labels.json with ``count`` distinct
+    unused labels of 1 to 31 bytes after each column's own."""
+    data = write_respelled(inputs, to, True, str)
+    rng, labels = random.Random(SEED), {}
+    for column, own in LARGE_N_LABELS.items():
+        unused = set()
+        while len(unused) < count:
+            label = "".join(rng.choices(string.ascii_letters + "_", k=rng.randint(1, 31)))
+            unused.update({label} - set(own))
+        labels[column] = own + sorted(unused)
+    (to / "labels.json").write_text(json.dumps(labels))
+    return data
+
+
 def commands(out: Path) -> dict[str, list[str]]:
     """Output directory name -> argv, with the large_n inputs in out/inputs."""
     inputs = out / "inputs"
@@ -128,6 +147,7 @@ def commands(out: Path) -> dict[str, list[str]]:
     unicode = write_relabelled(inputs, inputs / "unicode", {
         "alpha": "ålpha", "bravo": "βravo", "charlie": "チャーリー", "delta": "délta"}.get)
     shared = write_relabelled(inputs, inputs / "shared_prefix", lambda c: f"category_{c}")
+    many = write_many_labels(inputs, inputs / "many_labels", 2000)
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
     estimate_p = inputs / "fit_estimate_p.json"
     estimate_p.write_text(json.dumps({"estimate-p": True}))
@@ -145,6 +165,7 @@ def commands(out: Path) -> dict[str, list[str]]:
                               *theta, *known_p],
         "fit_unicode_labels": ["fit", "--data", str(unicode), *theta, *known_p],
         "fit_shared_prefix_labels": ["fit", "--data", str(shared), *theta, *known_p],
+        "fit_many_labels": ["fit", "--data", str(many), *theta, *known_p],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
         "diagnose_plugin_sigma": ["diagnose", *data, *known_p, "--truth",
                                   str(inputs / "truth.csv"), "--plugin-sigma", "0.5"],
@@ -292,7 +313,8 @@ def main(argv=None) -> int:
     if failed:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
     for name in ("fit_after_config", "fit_padded_labels", "fit_float_categories",
-                 "fit_relative_path", "fit_unicode_labels", "fit_shared_prefix_labels"):
+                 "fit_relative_path", "fit_unicode_labels", "fit_shared_prefix_labels",
+                 "fit_many_labels"):
         if ((out / name / "estimates.csv").read_bytes()
                 != (out / "fit" / "estimates.csv").read_bytes()):
             sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
