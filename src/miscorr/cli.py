@@ -8,7 +8,6 @@ error, 3 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import math
@@ -87,8 +86,10 @@ def _os_error(path, code: str, exc: OSError, verb: str = "read") -> CliError:
 
 
 def _open(path: str, code: str, mode: str = "r"):
+    """``path`` opened, a failure reported as ``code``.  Text is UTF-8 whatever
+    the locale, and a leading byte-order mark is skipped."""
     try:
-        return open(path, mode)
+        return open(path, mode, encoding=None if "b" in mode else "utf-8-sig")
     except OSError as exc:
         raise _os_error(path, code, exc) from exc
 
@@ -193,7 +194,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> np.ndarray:
-    """The one CSV parser, of the file at ``path`` or of ``lines`` read from it:
+    """The one CSV parser, of the file at ``path``, decoded as the caller's
+    ``encoding`` (latin-1 or UTF-8), or of ``lines`` that _open read from it:
     '#' is data (labels may hold it), fields may be double-quoted, a parse
     error is DATA_INVALID naming the data row and a read error is ``code``.
     numpy reads a path in blocks, through np.lib._datasource, which would
@@ -353,16 +355,16 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
     cell (a float spelling such as 1.0, 1e0 or 1., or an integer beyond 64
     bits) is the file parsed again with them as floats, where a cell of 2**53
     or more, which a float may have rounded, is out of range and quoted as
-    written.  In a UTF-8 locale these parses read the body as latin-1, a
-    label column into bytes one longer than its longest label (at most
-    _LABEL_WIDTH), so a cell that matches as read is not a truncated one.  A
-    file they accept reads as in the text parse: in latin-1 a byte that is
-    not ASCII makes a number unparsable unless it is 0x85 or 0xA0, which the
-    number parsers take as whitespace, and a label cell that is not UTF-8
-    matches no label, so it is re-read as text; a file holding 0x85 or 0xA0
-    is decoded, to refuse it if it is not UTF-8.  A file they refuse is
-    parsed as text.  A label cell that misses is re-read at full width and
-    matched with spaces stripped."""
+    written.  The file is UTF-8 whatever the locale.  These parses read the
+    body as latin-1, a label column into bytes one longer than its longest
+    label (at most _LABEL_WIDTH), so a cell that matches as read is not a
+    truncated one.  A file they accept reads as in the UTF-8 text parse: in
+    latin-1 a byte that is not ASCII makes a number unparsable unless it is
+    0x85 or 0xA0, which the number parsers take as whitespace, and a label
+    cell that is not UTF-8 matches no label, so it is re-read as text; a
+    file holding 0x85 or 0xA0 is decoded, to refuse it if it is not UTF-8.
+    A file they refuse is parsed as UTF-8 text.  A label cell that misses is
+    re-read at full width, as UTF-8, and matched with spaces stripped."""
     nul = space = False  # a field drops trailing NULs; latin-1 spaces 0x85, 0xA0
     with _open(path, "DATA_MISSING", "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -370,9 +372,9 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
     with _open(path, "DATA_MISSING") as fh:
         names = [h.strip() for h in
                  _loadtxt(path, "DATA_MISSING", islice(fh, 1), dtype=object).ravel()]
-        utf8 = codecs.lookup(fh.encoding).name == "utf-8"
     if len(names) < 2 or names[0].lower() != "y":
-        raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK")
+        raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK, "
+                       f"got {repr(','.join(names))[:100]}")
     labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
     width = {j: 8 * (min(max((len(s.encode("utf-8", "replace")) for s in v), default=0),
                          _LABEL_WIDTH) // 8 + 1) for j, v in labelled.items()}
@@ -382,8 +384,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
                 for j in range(len(names))]
     # the body from the path; skiprows counts lines, as islice does
     body = dict(code="DATA_MISSING", names=names, ndmin=1, skiprows=1)
-    for (text, encoding), number in product([("S", "latin-1")] * utf8 + [("U", None)],
-                                            ("i8", "f8")):
+    for (text, encoding), number in product([("S", "latin-1"), ("U", "utf-8")], ("i8", "f8")):
         try:
             table = _loadtxt(path, dtype=fields(text, number), encoding=encoding, **body)
             break
@@ -399,7 +400,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
         cats = cols[j] = _match(cols[j], col_labels) if text == "S" else np.full(len(table), -1)
         if not (miss := np.flatnonzero((cats < 0) | nul)).size:
             continue
-        full[j] = _loadtxt(path, dtype=object, usecols=j, **body)
+        full[j] = _loadtxt(path, dtype=object, usecols=j, encoding="utf-8", **body)
         index = {label: i for i, label in enumerate(col_labels)}
         cats[miss] = [index.get(cell.strip(), -1) for cell in full[j][miss]]
     if unknown := [(np.argmax(cols[j] < 0), j) for j in full if (cols[j] < 0).any()]:
@@ -414,7 +415,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
         i, j = min(first)
         where, value = f"{path}: data row {i + 1}, column {names[j]}", cols[j][i]
         if j and np.isfinite(value) and value == np.round(value):  # no category is this large
-            cell = _loadtxt(path, dtype=object, usecols=j, **body)[i]
+            cell = _loadtxt(path, dtype=object, usecols=j, encoding="utf-8", **body)[i]
             raise CliError("DATA_INVALID", f"{where}: {repr(cell)[:100]} is out of range")
         raise CliError("DATA_INVALID",
                        f"{where}: {float(value)!r} is not {'an integer' if j else 'finite'}")

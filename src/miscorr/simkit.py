@@ -284,12 +284,6 @@ def _replicate_structure(config: ScenarioConfig, replicate_id: int) -> _Structur
     return _level_tables(config.distortion)[1](levels)
 
 
-def replicate_structure(config: ScenarioConfig, replicate_id: int):
-    """Per-replicate covariate layout and error mechanism (shared, read-only)."""
-    structure = _replicate_structure(config, replicate_id)
-    return structure.spec, list(structure.thetas), list(structure.ps)
-
-
 def replicate_designs(config: ScenarioConfig, replicate_id: int,
                       structure: _Structure | None = None):
     """Generate (spec, thetas, ps, x, w) at the full generation size, from

@@ -1030,6 +1030,102 @@ def test_a_byte_that_is_not_utf8_past_the_first_mebibyte_names_the_file(tmp_path
                    "byte 0xff in position 1080009: invalid start byte"}
 
 
+BOM = "\ufeff"  # U+FEFF, the byte-order mark
+
+
+def _bom_fixture(tmp_path):
+    """diagnose on the labelled fixture, with a truth file and a --config
+    file that sets --plugin-sigma: its argv, and the file of each input kind."""
+    data, files = _labelled_fixture(tmp_path)
+    (tmp_path / "truth.csv").write_text("0.5,0.7\n")
+    (tmp_path / "config.json").write_text('{"plugin-sigma": 0.5}\n')
+    kinds = {"data": data, "labels": tmp_path / "labels.json", "theta": Path(files[1]),
+             "p": Path(files[3]), "truth": tmp_path / "truth.csv",
+             "config": tmp_path / "config.json"}
+    argv = ["diagnose", "--data", str(data), *files, "--truth", str(kinds["truth"]),
+            "--config", str(kinds["config"])]
+    return argv, kinds
+
+
+def _outputs(capsys, argv, out):
+    """A command's exit status, stderr and output files, by name."""
+    status = main([*argv, "--out", str(out)])
+    return status, capsys.readouterr().err, {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("kind, eol", [
+    ("data", "\n"), ("data", "\r\n"), ("labels", "\n"), ("theta", "\n"), ("p", "\n"),
+    ("truth", "\n"), ("config", "\n")],
+    ids=["data", "data_crlf", "labels", "theta", "p", "truth", "config"])
+def test_a_leading_byte_order_mark_leaves_every_output_as_it_is(tmp_path, capsys, kind, eol):
+    # spreadsheet "CSV UTF-8" exports write one, and Windows tools end lines with CRLF
+    argv, kinds = _bom_fixture(tmp_path)
+    plain = _outputs(capsys, argv, tmp_path / "plain")
+    assert plain[0] == 0 and plain[1] == "" and set(plain[2]) == {
+        "bias.csv", "variance.csv", "config.json"}
+    path = kinds[kind]
+    path.write_bytes(f"{BOM}{path.read_text()}".replace("\n", eol).encode("utf-8"))
+    assert _outputs(capsys, argv, tmp_path / "bom") == plain
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("data", f"{BOM}{BOM}y,w1\n0.5,a\n", "expected header y,w1..wK, got '\\ufeffy,w1'"),
+    ("data", f"y,w1\n{BOM}0.5,a\n", "data row 1, column y: '\\ufeff0.5' is not a number"),
+    ("data", f"y,w1\n0.5,{BOM}a\n", "data row 1, column w1: '\\ufeffa' is not in labels.json"),
+    ("theta", f"0.9,0.1\n{BOM}0.1,0.9\n", "data row 2, column 1: '\\ufeff0.1' is not a number"),
+    ("p", f"{BOM}{BOM}0.5,0.5\n", "data row 1, column 1: '\\ufeff0.5' is not a number"),
+    ("truth", f"0.5,{BOM}0.7\n", "data row 1, column 2: '\\ufeff0.7' is not a number"),
+    ("labels", f'{BOM}{BOM}{{"w1": ["a", "bb"]}}', "bad JSON in {path}: Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("config", f'{{{BOM}"plugin-sigma": 0.5}}', "bad JSON in {path}: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["data_header", "data_y", "data_label", "theta", "p", "truth", "labels", "config"])
+def test_a_byte_order_mark_past_the_first_character_is_refused(
+    tmp_path, capsys, kind, text, message
+):
+    argv, kinds = _bom_fixture(tmp_path)
+    path = kinds[kind]
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    where = "" if message.startswith("bad JSON") else f"{path}: "
+    assert err["message"] == where + message.format(path=path)
+
+
+@pytest.mark.parametrize("header, shown", [
+    ("y;w1;w2", "'y;w1;w2'"), ("x,w1", "'x,w1'"), ("y", "'y'"),
+    ("y;" + "w" * 150, repr("y;" + "w" * 150)[:100])],
+    ids=["semicolons", "no_y", "one_column", "long"])
+def test_a_header_that_is_not_y_w1_wk_is_quoted_as_read(tmp_path, capsys, header, shown):
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    data.write_text(header + "\n" + data.read_text().split("\n", 1)[1])
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    assert err == {"error": "DATA_INVALID",
+                   "message": f"{data}: expected header y,w1..wK, got {shown}"}
+
+
+def test_fit_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    # Python decodes open()'s text in the locale's codec; the CLI names UTF-8 itself
+    data, files = _labelled_fixture(tmp_path)
+    data.write_text(data.read_text().replace(",a\n", ",ålpha\n").replace(",bb\n", ",βravo\n"),
+                    encoding="utf-8")
+    (tmp_path / "labels.json").write_text('{"w1": ["ålpha", "βravo"]}', encoding="utf-8")
+    run = "import sys; from miscorr.cli import main; sys.exit(main(sys.argv[1:]))"
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    env = {**os.environ, "PYTHONPATH": str(Path(miscorr.__file__).parents[1])}
+    ascii_env = {**env, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    assert subprocess.run([sys.executable, "-c", probe], env=ascii_env, capture_output=True,
+                          text=True, check=True).stdout.strip().lower() != "utf-8"
+    outputs = []
+    for name, environ in (("default", env), ("ascii", ascii_env)):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-c", run, "fit", "--data", str(data), *files,
+                               "--out", str(out)], env=environ, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_a_deleted_working_directory_is_named_as_the_cause(tmp_path, capsys, monkeypatch):
     data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
     gone = tmp_path / "gone"

@@ -26,7 +26,6 @@ from miscorr.simkit import (
     intercept_variance_curve,
     replicate_designs,
     replicate_response,
-    replicate_structure,
     run_grid,
     simulate_w,
     simulate_x,
@@ -196,7 +195,8 @@ def test_replicate_responses_are_the_mean_plus_sigma_times_each_sigma_stream_bit
 
 def test_replicate_structures_share_read_only_theta_and_p():
     cfg = ScenarioConfig(distortion="low", n_covariates=3, levels=(2, 3, 2), replicates=2)
-    (_, thetas, ps), (_, thetas2, ps2) = (replicate_structure(cfg, rep) for rep in range(2))
+    (_, thetas, ps), (_, thetas2, ps2) = (
+        simkit._replicate_structure(cfg, rep)[:3] for rep in range(2))
     assert thetas[0] is thetas2[0] is thetas[2] and ps[1] is ps2[1]
     np.testing.assert_array_equal(thetas[1], scenario_theta("low", 3))
     with pytest.raises(ValueError):
@@ -359,7 +359,8 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
         intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
         runs.append(sorted(built))
         built.clear()
-    structures = {replicate_structure(cfg, rep)[0].levels for rep in range(cfg.replicates)}
+    structures = {simkit._replicate_structure(cfg, rep).spec.levels
+                  for rep in range(cfg.replicates)}
     # the first run builds each L_k part once, every one of them in use; the second none
     assert runs == [sorted({lk for levels in structures for lk in levels}), []] == [[2, 3, 4], []]
     assert len(structures) > 3

@@ -21,8 +21,12 @@ relative to the current directory and ``fit`` with the labels of
 ``labels.json`` and their cells renamed, once to labels that are not ASCII
 and once to labels longer than 8 bytes that share their first 8, and
 ``fit`` with 2,000 unused labels of 1 to 31 bytes after w2's own four in
-``labels.json``, whose ``estimates.csv`` must each equal the plain
-``fit``'s; the benchmark's
+``labels.json``, ``fit`` on the data file written after a UTF-8 byte-order
+mark with CRLF line ends, and ``fit`` with a byte-order mark before
+``labels.json`` and before a ``--config`` file that names the p files,
+whose ``estimates.csv`` must each equal the plain ``fit``'s; ``diagnose``
+with a byte-order mark before each theta, p and truth file, whose outputs
+must equal the plain ``diagnose``'s; the benchmark's
 ``simulate`` grid with ``--dump-data``; ``diagnose --variance-sim``, once at
 fixed levels, once at K=2 with random levels, whose 40 replicates have 8 level structures,
 and once at K=10 with random levels, where each replicate has a level structure of its
@@ -42,7 +46,8 @@ Each of these must succeed, or the script fails.
 The refusals are commands whose inputs a command should refuse: on a
 four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
-for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``);
+for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``),
+a data file whose header and rows are ``;``-separated;
 ``fit`` on four-level data with categories -1 and 4 in two columns, with a
 column that holds a 4 and lacks level 2, with 4 rows for 4 parameters, with
 a y of nan and with a w2 that repeats w1, which the fit's rank guard
@@ -62,6 +67,9 @@ error.
 Beside each command's directory, ``NAME.status.jsonl`` holds its exit
 status as ``{"exit": N}`` and then its stderr lines, with OUT written as
 ``$OUT``.
+The inputs are written as UTF-8, so the outputs of a run under an ASCII
+locale (``LC_ALL=C PYTHONUTF8=0 PYTHONCOERCECLOCALE=0``) can be compared
+with those of a run under the default one.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ def write_respelled(inputs: Path, to: Path, labelled: bool, spell) -> Path:
               for j, name in enumerate(header.split(","))]
     rows = [",".join(spell(c) if pick else c for c, pick in zip(row.split(","), chosen))
             for row in rows]
-    (to / "data.csv").write_text("\n".join([header, *rows]) + "\n")
+    (to / "data.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     return to / "data.csv"
 
 
@@ -135,6 +143,14 @@ def write_many_labels(inputs: Path, to: Path, count: int) -> Path:
     return data
 
 
+def write_with_bom(text: str, to: Path, eol: str = "\n") -> str:
+    """``text`` written to ``to`` in UTF-8 after a byte-order mark, with its
+    lines ended by ``eol``."""
+    to.parent.mkdir(parents=True, exist_ok=True)
+    to.write_bytes(("\ufeff" + text).replace("\n", eol).encode("utf-8"))
+    return str(to)
+
+
 def commands(out: Path) -> dict[str, list[str]]:
     """Output directory name -> argv, with the large_n inputs in out/inputs."""
     inputs = out / "inputs"
@@ -149,6 +165,17 @@ def commands(out: Path) -> dict[str, list[str]]:
     shared = write_relabelled(inputs, inputs / "shared_prefix", lambda c: f"category_{c}")
     many = write_many_labels(inputs, inputs / "many_labels", 2000)
     known_p = ["--p", ",".join(str(inputs / f"p_w{i}.csv") for i in k)]
+    bom = inputs / "bom"
+    bom_crlf = write_with_bom((inputs / "data.csv").read_text(), bom / "crlf" / "data.csv",
+                              "\r\n")
+    shutil.copy(inputs / "labels.json", bom / "crlf")
+    write_with_bom((inputs / "labels.json").read_text(), bom / "labels" / "labels.json")
+    shutil.copy(inputs / "data.csv", bom / "labels")
+    bom_config = write_with_bom(json.dumps({"p": known_p[1]}), bom / "p.json")
+    bom_files = {flag: ",".join(write_with_bom((inputs / f"{name}.csv").read_text(),
+                                               bom / f"{name}.csv") for name in names)
+                 for flag, names in (("--theta", [f"theta_w{i}" for i in k]),
+                                     ("--p", [f"p_w{i}" for i in k]), ("--truth", ["truth"]))}
     estimate_p = inputs / "fit_estimate_p.json"
     estimate_p.write_text(json.dumps({"estimate-p": True}))
     high = inputs / "simulate_high.json"
@@ -166,9 +193,14 @@ def commands(out: Path) -> dict[str, list[str]]:
         "fit_unicode_labels": ["fit", "--data", str(unicode), *theta, *known_p],
         "fit_shared_prefix_labels": ["fit", "--data", str(shared), *theta, *known_p],
         "fit_many_labels": ["fit", "--data", str(many), *theta, *known_p],
+        "fit_bom_crlf_data": ["fit", "--data", bom_crlf, *theta, *known_p],
+        "fit_bom_labels_config": ["fit", "--config", bom_config,
+                                  "--data", str(bom / "labels" / "data.csv"), *theta],
         "diagnose": ["diagnose", *data, *known_p, "--truth", str(inputs / "truth.csv")],
         "diagnose_plugin_sigma": ["diagnose", *data, *known_p, "--truth",
                                   str(inputs / "truth.csv"), "--plugin-sigma", "0.5"],
+        "diagnose_bom_inputs": ["diagnose", "--data", str(inputs / "data.csv"),
+                                *(arg for item in bom_files.items() for arg in item)],
         "simulate_grid": [*_grid_args(SEED, 24, 1, out / "simulate_grid"), "--dump-data"],
         "variance_sim": ["diagnose", "--variance-sim", "--scenario", "low", "--levels", "3",
                          "--n-grid", "50,100,200,500", "--sigma", "0.2",
@@ -214,6 +246,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
     header, first, rest = files["data.csv"].split("\n", 2)
     for cell in BIG_CELLS:
         files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
+    files["data_semicolons.csv"] = files["data.csv"].replace(",", ";")
     rows = zip(rng.standard_normal(40), rng.integers(0, 2, 40))
     files["data_binary.csv"] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
     body = [f"{y:.17g}" for y in rng.standard_normal(40)]
@@ -261,6 +294,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_empty_p": diagnose(p="empty.csv"),
         "refused_empty_truth": diagnose(truth="empty.csv"),
         **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
+        "refused_semicolon_header": fit("data_semicolons.csv"),
         "refused_two_out_of_range": fit("data_two_out_of_range.csv"),
         "refused_out_of_range_absent": fit("data_out_of_range_absent.csv"),
         "refused_few_rows": fit("data_few_rows.csv"),
@@ -314,10 +348,13 @@ def main(argv=None) -> int:
         sys.exit(f"cli_outputs: failed: {', '.join(failed)}")
     for name in ("fit_after_config", "fit_padded_labels", "fit_float_categories",
                  "fit_relative_path", "fit_unicode_labels", "fit_shared_prefix_labels",
-                 "fit_many_labels"):
+                 "fit_many_labels", "fit_bom_crlf_data", "fit_bom_labels_config"):
         if ((out / name / "estimates.csv").read_bytes()
                 != (out / "fit" / "estimates.csv").read_bytes()):
             sys.exit(f"cli_outputs: {name}/estimates.csv differs from fit's")
+    if any((out / "diagnose_bom_inputs" / f.name).read_bytes() != f.read_bytes()
+           for f in (out / "diagnose").iterdir()):
+        sys.exit("cli_outputs: diagnose_bom_inputs differs from diagnose")
     return 0
 
 
