@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import OutOfRangeCategory, ValidationError
-
-# the level tuples of up to 4 covariates of 2 to 4 levels, the grid's presets, number 120
-LAYOUT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,16 @@ class CategoricalSpec:
     def n_params(self) -> int:
         """Total parameter count including the intercept."""
         return self.n_slopes + 1
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+        """What the levels fix of the dummy encoding, built once per spec and
+        read-only: each indicator column's covariate and level, as arrays and
+        as (covariate, level) pairs, in column order."""
+        pairs = tuple((j, level) for j, lk in enumerate(self.levels) for level in range(lk - 1))
+        cov, lev = np.array(pairs).T
+        cov.flags.writeable = lev.flags.writeable = False
+        return cov, lev, pairs
 
 
 @dataclass(frozen=True)
@@ -110,23 +116,11 @@ def _in_range(spec: CategoricalSpec, categories) -> list[np.ndarray]:
     return columns
 
 
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _layout(levels: tuple[int, ...]):
-    """What a level tuple fixes of its dummy encoding, built once per tuple
-    and read-only: each indicator column's covariate and level, in column
-    order, and ``column_map`` of (covariate, level) to column, which each
-    ``Cells`` and ``DesignBundle`` gets a dict copy of."""
-    pairs = [(j, level) for j, lk in enumerate(levels) for level in range(lk - 1)]
-    cov, lev = np.array(pairs).T
-    cov.flags.writeable = lev.flags.writeable = False
-    return cov, lev, MappingProxyType({pair: col for col, pair in enumerate(pairs)})
-
-
 def _indicators(spec: CategoricalSpec, cats: np.ndarray, intercept: int = 0) -> np.ndarray:
     """The one dummy encoder: the 0/1 indicator columns of an n x K table of
     categories in range, after ``intercept`` columns of ones.  In C order, so
     that design @ beta sums each row in one order whatever the layout of cats."""
-    cov, lev, _ = _layout(spec.levels)
+    cov, lev, _ = spec.layout
     design = np.empty((len(cats), intercept + len(cov)))
     design[:, :intercept] = 1.0
     np.equal(cats[:, cov], lev, out=design[:, intercept:])
@@ -143,7 +137,7 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     cats = np.column_stack(_in_range(spec, np.asarray(categories)))
     design_star = _indicators(spec, cats, intercept=1)
     return DesignBundle(design=np.ascontiguousarray(design_star[:, 1:]), design_star=design_star,
-                        column_map=dict(_layout(spec.levels)[2]))
+                        column_map=dict(zip(spec.layout[2], range(spec.n_slopes))))
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ def encode_cells(spec: CategoricalSpec, categories) -> Cells:
         if j in renumbered:  # back to the ids the renumbering numbered
             cell_ids = renumbered[j][cell_ids]
     return Cells(rows, counts, inverse, _indicators(spec, rows, intercept=1),
-                 dict(_layout(spec.levels)[2]))
+                 dict(zip(spec.layout[2], range(spec.n_slopes))))
 
 
 @dataclass(frozen=True)

@@ -350,8 +350,9 @@ def _match(cells: np.ndarray, labels: list[str]) -> np.ndarray:
 
 def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
     """y, finite, and the K integer category columns and their names, of a
-    CSV with header y,w1..wK.  Columns named in ``labels`` hold labels, the
-    others integral numbers, parsed as integers; only where that parse refuses a
+    CSV whose header is y, in either case, then K names, no two alike.
+    Columns named in ``labels`` hold labels, the others integral numbers,
+    parsed as integers; only where that parse refuses a
     cell (a float spelling such as 1.0, 1e0 or 1., or an integer beyond 64
     bits) is the file parsed again with them as floats, where a cell of 2**53
     or more, which a float may have rounded, is out of range and quoted as
@@ -375,6 +376,12 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
     if len(names) < 2 or names[0].lower() != "y":
         raise CliError("DATA_INVALID", f"{path}: expected header y,w1..wK, "
                        f"got {repr(','.join(names))[:100]}")
+    seen: set[str] = set()
+    for name in names:  # labels.json and the messages know a column by its name
+        if name in seen:
+            raise CliError("DATA_INVALID",
+                           f"{path}: the header names column {repr(name)[:100]} twice")
+        seen.add(name)
     labelled = {j: labels[name] for j, name in enumerate(names) if j and name in labels}
     width = {j: 8 * (min(max((len(s.encode("utf-8", "replace")) for s in v), default=0),
                          _LABEL_WIDTH) // 8 + 1) for j, v in labelled.items()}
@@ -463,9 +470,8 @@ def _echo_config(out: Path, resolved: dict) -> None:
 
 
 def _param_names(spec: CategoricalSpec) -> list[str]:
-    """The design's columns, intercept first, in ``encode_dummy``'s order."""
-    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lk in enumerate(spec.levels)
-                           for lv in range(lk - 1))]
+    """The design's columns, intercept first, in the spec's layout order."""
+    return ["intercept", *(f"w{k + 1}_level{lv}" for k, lv in spec.layout[2])]
 
 
 def _load_and_fit(args, truth_path: str | None = None):

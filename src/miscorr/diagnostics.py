@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import PrefixFits
+from .misclass import posterior_rows
 
 
 @dataclass(frozen=True)
@@ -125,19 +126,17 @@ def conditional_response_variance(
     """Exact Var(Y_i | W_i) when the true categories are latent:
     sigma^2 plus the posterior covariance of the indicators through beta.
 
-    ``beta`` is the slope vector (no intercept), covariate-major.
+    ``beta`` is the slope vector (no intercept), covariate-major.  The
+    posterior probabilities are ``misclass.posterior_rows`` of w, which
+    refuses a w out of range.
     """
-    w = np.asarray(w, dtype=int)
-    if w.ndim == 1:
-        w = w[:, None]
+    rows = posterior_rows(posteriors, w)
     beta = np.asarray(beta, dtype=float).ravel()
-    out = np.full(w.shape[0], np.float64(sigma) ** 2)  # numpy reports an overflow
+    out = np.full(len(rows), np.float64(sigma) ** 2)  # numpy reports an overflow
     off = 0
-    for k, post in enumerate(posteriors):
+    for post in posteriors:
         dk = post.n_levels - 1
-        bk = beta[off : off + dk]
-        probs = post.pi[w[:, k], :dk]
-        quad = probs @ bk**2 - (probs @ bk) ** 2
-        out += quad
+        bk, probs = beta[off : off + dk], rows[:, off : off + dk]
+        out += probs @ bk**2 - (probs @ bk) ** 2
         off += dk
     return out

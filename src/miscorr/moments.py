@@ -79,30 +79,29 @@ def _covariate(k: int, lk: int, theta, p):
     return sigma_w, sigma_wx, s_w, s_attenuation, correction, posterior
 
 
-def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence, built: dict | None = None):
+def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
     """What the correction reads of (theta, p): the moment blocks, for the
     slopes, and the posteriors, for the intercept.  Each theta and p is
     checked once, theta then p, covariate by covariate, each sized to its
-    L_k.  Then sigma_w, then the attenuation, is judged singular from the
-    covariates' singular values, and the blocks are placed on the diagonal.
-    ``built`` maps L_k to a covariate's part already built, for a caller
-    whose theta and p are fixed by L_k; parts built here join it."""
+    L_k, before ``_assemble`` judges and places the covariates' parts."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
-    memo, keys = ({}, range(spec.n_covariates)) if built is None else (built, spec.levels)
-    for k, (key, lk) in enumerate(zip(keys, spec.levels)):
-        if key not in memo:
-            memo[key] = _covariate(k, lk, thetas[k], ps[k])
-    parts = [memo[key] for key in keys]
-    sigma_ws, sigma_wxs, s_w, s_attenuation, corrections, posteriors = zip(*parts)
+    return _assemble([_covariate(k, lk, theta, p)
+                      for k, (lk, theta, p) in enumerate(zip(spec.levels, thetas, ps))])
 
+
+def _assemble(parts):
+    """The mechanism of the covariates whose ``_covariate`` parts are given:
+    sigma_w, then the attenuation, is judged singular from the covariates'
+    singular values, then the blocks are placed on the diagonal."""
+    sigma_ws, sigma_wxs, s_w, s_attenuation, corrections, posteriors = zip(*parts)
     if _rcond_below(np.concatenate(s_w)):
         raise NonIdentifiable("sigma_w is numerically singular")
     if _rcond_below(np.concatenate(s_attenuation)):
         raise NonIdentifiable(
             "observed categories carry no information about the true ones"
         )
-    d = spec.n_slopes
+    d = sum(map(len, sigma_ws))
     blocks = MomentBlocks(sigma_w=_block_diag(sigma_ws, d), sigma_wx=_block_diag(sigma_wxs, d),
                           correction=_block_diag(corrections, d),
                           pi_ref=np.concatenate([post.pi[-1, :-1] for post in posteriors]))

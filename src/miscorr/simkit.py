@@ -17,7 +17,6 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import RankDeficient, UndefinedScenario, ValidationError
 from .estimators import fit_prefixes, ols_fit  # noqa: F401
 from .misclass import (DISTORTION_LEVELS, SCENARIO_THETAS, Posterior, check_marginal,
                        check_theta, posterior_rows, scenario_theta)
-from .moments import MomentBlocks, mechanism
+from .moments import MomentBlocks, _assemble, _covariate
 
 METHODS = ("none", "partial", "full")
 RANDOM_LEVEL_CHOICES = (2, 3, 4)
@@ -45,10 +44,10 @@ _STREAM_Y = 4
 # grid's 24 replicates (K=3, random levels, n_gen 500) take about 225k
 QR_STACK_BUDGET = 2**18
 
-# level structures kept per distortion: every level tuple of up to 4
-# covariates (120).  At K=10 there are 3^10 tuples and a replicate rarely
-# meets its own again, so an unbounded cache would only grow
-STRUCTURE_CACHE_SIZE = 128
+# level structures kept: every level tuple of up to 4 covariates under each
+# distortion (120 + 120 + 4).  At K=10 there are 3^10 tuples and a replicate
+# rarely meets its own again, so an unbounded cache would only grow
+STRUCTURE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -198,11 +197,14 @@ def simulate_w(x: np.ndarray, thetas, rng: np.random.Generator) -> np.ndarray:
     """Draw the observed category from the theta row of each true category,
     with one (K, n) block of uniforms, the bits of one ``rng.random(n)`` per
     covariate: a level is the count of entries of the row in the +inf-padded
-    (K, L_max, L_max) table of cumulative theta rows below its uniform."""
+    (K, L_max, L_max) table of cumulative theta rows below its uniform.
+    Each theta is read as ``check_theta`` returns it: refused if it is not
+    row-stochastic, its rows renormalized if one sums to 1 only within
+    RENORM_TOL, as a fit reads it."""
     x = np.asarray(x, dtype=int)
     if x.ndim == 1:
         x = x[:, None]
-    cums = [np.cumsum(np.asarray(theta, dtype=float), axis=1) for theta in thetas]
+    cums = [np.cumsum(check_theta(theta), axis=1) for theta in thetas]
     if len(cums) != x.shape[1] or not ((x >= 0) & (x < [len(c) for c in cums])).all():
         raise ValueError("x needs one theta per column, with a row for each of its levels")
     return _draw_w(x, _padded(cums), rng)
@@ -239,41 +241,29 @@ def _read_only(*arrays):
 
 
 @functools.cache
-def _level_tables(distortion: str):
-    """Each L_k preset's part of the mechanism, by L_k, as ``mechanism``
-    takes them, and the function that gives the ``_Structure`` of a level
-    tuple, built on its first use and kept for the last STRUCTURE_CACHE_SIZE
-    tuples used.  The structures read the checked theta and uniform p of
-    each preset and the draw tables, indexed by L_k and padded with +inf to
-    the largest: p's cdf and theta's cumulative rows.  Built once per
-    distortion, read-only; clearing this cache clears the structures too."""
-    levels = [lk for d, lk in SCENARIO_THETAS if d == distortion]
-    width = max(levels)
-    cdfs, cums = np.full((width + 1, width), np.inf), np.full((width + 1, width, width), np.inf)
-    mechanisms = {}
-    for lk in levels:
-        theta = check_theta(scenario_theta(distortion, lk))
-        p = check_marginal(np.full(lk, 1.0 / lk))
-        cdfs[lk, :lk], cums[lk, :lk, :lk] = _choice_cdf(p), np.cumsum(theta, axis=1)
-        mechanisms[lk] = theta, p
-        _read_only(theta, p)
-    _read_only(cdfs, cums)
-    parts, (thetas, ps) = {}, zip(*mechanisms.values())
-    mechanism(CategoricalSpec(levels), thetas, ps, parts)  # one covariate per L_k
-    for *arrays, posterior in parts.values():
-        _read_only(*arrays, posterior.pi, posterior.q)
-    parts = MappingProxyType(parts)
+def _preset(distortion: str, lk: int):
+    """The L_k preset of a distortion, built once and read-only: its theta
+    and uniform p, each checked, p's cdf, theta's cumulative rows and the
+    covariate's part of the mechanism, as ``moments._assemble`` takes it."""
+    theta = check_theta(scenario_theta(distortion, lk))
+    p = check_marginal(np.full(lk, 1.0 / lk))
+    cdf, cums = _choice_cdf(p), np.cumsum(theta, axis=1)
+    part = _covariate(0, lk, theta, p)
+    *arrays, posterior = part
+    _read_only(theta, p, cdf, cums, *arrays, posterior.pi, posterior.q)
+    return theta, p, cdf, cums, part
 
-    @functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-    def structure(levels: tuple[int, ...]) -> _Structure:
-        spec = CategoricalSpec(levels)
-        thetas, ps = zip(*(mechanisms[lk] for lk in levels))
-        blocks, posteriors = mechanism(spec, thetas, ps, parts)
-        tables = cdfs[list(levels)], cums[list(levels)]
-        _read_only(*tables, blocks.sigma_w, blocks.sigma_wx, blocks.correction, blocks.pi_ref)
-        return _Structure(spec, thetas, ps, *tables, blocks, tuple(posteriors))
 
-    return parts, structure
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _structure(distortion: str, levels: tuple[int, ...]) -> _Structure:
+    """The ``_Structure`` of a level tuple, assembled from its presets without
+    checking theta and p again, with draw tables padded by ``_padded`` as
+    ``simulate_x`` and ``simulate_w`` pad theirs; read-only."""
+    thetas, ps, cdfs, cums, parts = zip(*(_preset(distortion, lk) for lk in levels))
+    blocks, posteriors = _assemble(parts)
+    tables = _padded(cdfs), _padded(cums)
+    _read_only(*tables, blocks.sigma_w, blocks.sigma_wx, blocks.correction, blocks.pi_ref)
+    return _Structure(CategoricalSpec(levels), thetas, ps, *tables, blocks, tuple(posteriors))
 
 
 def _replicate_structure(config: ScenarioConfig, replicate_id: int) -> _Structure:
@@ -281,7 +271,7 @@ def _replicate_structure(config: ScenarioConfig, replicate_id: int) -> _Structur
     if levels is None:
         rng = _rng(config.master_seed, _STREAM_STRUCTURE, replicate_id)
         levels = tuple(int(v) for v in rng.choice(RANDOM_LEVEL_CHOICES, size=config.n_covariates))
-    return _level_tables(config.distortion)[1](levels)
+    return _structure(config.distortion, levels)
 
 
 def replicate_designs(config: ScenarioConfig, replicate_id: int,
@@ -371,7 +361,7 @@ def _replicate_bytes(config: ScenarioConfig, sigmas) -> int:
     buffers and the counts beside them), and the cells' tables of this
     replicate and the one before it: design (m), posterior rows (m - 1)
     and categories (K)."""
-    width = max(lk for _, lk in SCENARIO_THETAS)  # L_max, the width of the draw tables
+    width = max(lk for _, lk in SCENARIO_THETAS)  # L_max, the widest draw table
     k, s = config.n_covariates, len(sigmas)
     levels = config.levels or (max(RANDOM_LEVEL_CHOICES),) * k
     m, cells = 1 + sum(levels) - k, min(config.n_gen, math.prod(levels))

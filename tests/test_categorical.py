@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -66,6 +67,26 @@ def test_each_encoding_has_a_column_map_of_its_own_that_pickles_and_copies():
         for clone in (pickle.loads(pickle.dumps(encoded)), copy.deepcopy(encoded)):
             assert clone.column_map == encoded.column_map
             np.testing.assert_array_equal(clone.design_star, encoded.design_star, strict=True)
+
+
+def test_a_specs_layout_is_built_once_read_only_and_each_cells_has_a_column_map_of_its_own():
+    spec, w = CategoricalSpec((2, 3)), np.array([[0, 2], [1, 0], [0, 2]])
+    layout = cov, lev, pairs = spec.layout
+    assert spec.layout is layout and pairs == ((0, 0), (1, 0), (1, 1))
+    assert cov.tolist() == [0, 1, 1] and lev.tolist() == [0, 0, 1]
+    for array in (cov, lev):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.layout = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del spec.layout
+    first, second = encode_cells(spec, w), encode_cells(spec, w)
+    assert first.column_map is not second.column_map
+    first.column_map[(9, 9)] = 9
+    assert second.column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2} and spec.layout is layout
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):  # with its layout
+        assert clone == spec and clone.layout[2] == pairs
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -1104,6 +1104,20 @@ def test_a_header_that_is_not_y_w1_wk_is_quoted_as_read(tmp_path, capsys, header
                    "message": f"{data}: expected header y,w1..wK, got {shown}"}
 
 
+@pytest.mark.parametrize("header, twice", [("y,w1,w1", "'w1'"), ("y, w2,w1 ,w2", "'w2'"),
+                                           ("y,y", "'y'")], ids=["adjacent", "spaced", "y"])
+def test_a_header_that_names_a_column_twice_is_refused(tmp_path, capsys, header, twice):
+    # labels.json and the messages know a covariate by its name, so no two may share one
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    rows = data.read_text().split("\n")[1:]
+    extra = header.count(",") - 1
+    data.write_text("\n".join([header, *(row + ("," + row.split(",")[1]) * extra if row else row
+                                         for row in rows)]))
+    err = _fit_error(capsys, data, theta_path, p_path, tmp_path / "out")
+    assert err == {"error": "DATA_INVALID",
+                   "message": f"{data}: the header names column {twice} twice"}
+
+
 def test_fit_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
     # Python decodes open()'s text in the locale's codec; the CLI names UTF-8 itself
     data, files = _labelled_fixture(tmp_path)

@@ -7,7 +7,7 @@ from miscorr.diagnostics import (
     conditional_response_variance,
     variance_report,
 )
-from miscorr.errors import RankDeficient
+from miscorr.errors import RankDeficient, ValidationError
 from miscorr.estimators import fit_corrected, fit_prefixes, ols_fit
 from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
@@ -255,6 +255,17 @@ def test_conditional_response_variance_identity_theta():
     w = np.array([[0], [1]])
     out = conditional_response_variance([post], w, np.array([0.7]), 0.2)
     np.testing.assert_allclose(out, 0.04, atol=1e-14)
+
+
+@pytest.mark.parametrize("w", [-1, 3], ids=["negative", "past_the_last_level"])
+def test_conditional_response_variance_refuses_w_out_of_range(w):
+    # as posterior_rows refuses it: -1 would read the last level's row, 3 past the end
+    post = posterior_from(scenario_theta("low", 3), np.full(3, 1 / 3))
+    rows = np.array([[0], [w], [2]])
+    for call in (lambda: conditional_response_variance([post], rows, np.array([0.7, 0.9]), 0.2),
+                 lambda: posterior_rows([post], rows)):
+        with pytest.raises(ValidationError, match="out of range for covariate 0"):
+            call()
 
 
 def test_conditional_response_variance_adds_posterior_spread():

@@ -8,15 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from miscorr import categorical, moments, simkit
+from miscorr import moments, simkit
 from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.errors import (
     RankDeficient,
+    Renormalized,
     UndefinedScenario,
     ValidationError,
 )
 from miscorr.estimators import fit_corrected
-from miscorr.misclass import posterior_rows, scenario_theta
+from miscorr.misclass import SCENARIO_THETAS, posterior_rows, scenario_theta
 from miscorr.simkit import (
     METHODS,
     EqpTable,
@@ -117,6 +118,36 @@ def test_simulate_w_deterministic_stream():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("theta", [[[0.5, 0.4], [0.15, 0.85]], [[1.2, -0.2], [0.15, 0.85]],
+                                   [[0.9, 0.1, 0.0], [0.15, 0.85, 0.0]]],
+                         ids=["sums_to_0.9", "negative", "not_square"])
+def test_simulate_w_refuses_the_theta_that_check_theta_refuses(theta):
+    # unchecked, the first row's uniforms above 0.9 drew category 2 of a 2-level covariate
+    x = np.zeros((1000, 1), dtype=int)
+    with pytest.raises(ValidationError):
+        simulate_w(x, [theta], np.random.default_rng(4))
+
+
+def test_simulate_w_draws_from_the_rows_check_theta_renormalizes():
+    theta = [[0.5, 0.5 + 5e-10], [0.15, 0.85]]  # within RENORM_TOL, past SIMPLEX_TOL
+    x = np.random.default_rng(3).integers(0, 2, (500, 1))
+    with pytest.warns(Renormalized):
+        drawn = simulate_w(x, [theta], np.random.default_rng(5))
+    normalized = np.divide(theta, np.sum(theta, axis=1, keepdims=True))
+    np.testing.assert_array_equal(drawn, simulate_w(x, [normalized], np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("distortion, lk", sorted(SCENARIO_THETAS))
+def test_simulate_w_draws_each_preset_theta_unchanged_by_its_check(distortion, lk):
+    # medium L=3's first row sums to 0.9999999999999999, within the check's tolerance
+    theta = scenario_theta(distortion, lk)
+    x = np.random.default_rng(lk).integers(0, lk, (500, 1))
+    ref = np.random.default_rng(5)
+    expected = (ref.random(500)[:, None] > np.cumsum(theta, axis=1)[x[:, 0]]).sum(axis=1)
+    np.testing.assert_array_equal(simulate_w(x, [theta], np.random.default_rng(5))[:, 0],
+                                  expected)
+
+
 def _uneven_structure(k, seed):
     """k (p, theta) pairs with L_k from 2 to 5, every p with a zero entry."""
     rng = np.random.default_rng(seed)
@@ -145,8 +176,7 @@ def test_x_and_w_are_numpys_per_covariate_draws_bit_for_bit(k):
 @pytest.mark.parametrize("distortion, levels", [("low", (2, 3, 2)), ("medium", None),
                                                 ("high", None)])
 def test_replicate_designs_draw_what_simulate_x_and_w_draw_from_their_streams(distortion, levels):
-    # the grid's cdf and cumulative theta tables are built per distortion and padded to its
-    # widest preset, the public draws' to the replicate's widest covariate
+    # the grid's cdf and cumulative theta tables are built once per level structure
     cfg = ScenarioConfig(distortion=distortion, n_covariates=3, levels=levels, replicates=6,
                          master_seed=9)
     stream = functools.partial(simkit._rng, cfg.master_seed)
@@ -352,8 +382,10 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
         built.append(lk)
         return covariate(k, lk, theta, p)
 
-    monkeypatch.setattr(moments, "_covariate", counted)
-    simkit._level_tables.cache_clear()  # an earlier test may have built the parts
+    for module in (moments, simkit):  # simkit's presets build theirs through its own name
+        monkeypatch.setattr(module, "_covariate", counted)
+    simkit._preset.cache_clear()  # an earlier test may have built the parts
+    simkit._structure.cache_clear()
     runs = []
     for _ in range(2):
         intercept_variance_curve(cfg, 0.2) if curve else run_grid(cfg)
@@ -366,23 +398,24 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
     assert len(structures) > 3
 
 
-def test_the_shared_mechanism_parts_are_read_only_and_each_replicate_gets_them():
+def test_the_shared_presets_are_read_only_and_each_replicate_gets_their_parts():
     cfg = ScenarioConfig(distortion="low", levels=(3,), n_grid=(50,), replicates=2)
-    parts = simkit._level_tables("low")[0]
-    for *arrays, posterior in parts.values():
-        for array in (*arrays, posterior.pi, posterior.q):
+    for lk in (2, 3, 4):
+        preset = simkit._preset("low", lk)
+        theta, p, cdf, cums, (*arrays, posterior) = preset
+        for array in (theta, p, cdf, cums, *arrays, posterior.pi, posterior.q):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
-    with pytest.raises(TypeError):
-        parts[5] = parts[3]
+        with pytest.raises(TypeError):
+            preset[0] = theta
     for _, _, posteriors, _ in simkit._replicate_fits(cfg, (0.2,)):
-        assert posteriors[0] is parts[3][-1]
+        assert posteriors[0] is simkit._preset("low", 3)[-1][-1]
 
 
 def test_each_level_structure_is_built_once_read_only_and_shared_by_its_replicates():
     cfg = ScenarioConfig(distortion="medium", n_covariates=2, levels=None, n_grid=(40, 80),
                          sigma_list=(0.2,), replicates=12, master_seed=5)
-    structures = simkit._level_tables("medium")[1]
+    structures = functools.partial(simkit._structure, "medium")
     fitted = list(simkit._replicate_fits(cfg, cfg.sigma_list))
     for rep, (spec, cells, posteriors, fits) in enumerate(fitted):
         structure = structures(spec.levels)
@@ -397,12 +430,6 @@ def test_each_level_structure_is_built_once_read_only_and_shared_by_its_replicat
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
     assert len({spec.levels for spec, *_ in fitted}) < cfg.replicates
-    cov, lev, column_map = categorical._layout((2, 3))
-    for array in (cov, lev):
-        with pytest.raises(ValueError):
-            array[0] = 1
-    with pytest.raises(TypeError):
-        column_map[(0, 0)] = 1
 
 
 def test_a_run_after_the_caches_are_cleared_equals_a_warm_run_bit_for_bit():
@@ -413,9 +440,9 @@ def test_a_run_after_the_caches_are_cleared_equals_a_warm_run_bit_for_bit():
         curve_cfg = dataclasses.replace(cfg, n_grid=curve_n)
         runs = []
         for cold in (True, False):
-            if cold:
-                simkit._level_tables.cache_clear()
-                categorical._layout.cache_clear()
+            if cold:  # the layouts go with the specs of the structures
+                simkit._preset.cache_clear()
+                simkit._structure.cache_clear()
             table = run_grid(cfg)
             runs.append((table.eqp.tobytes(), table.mcse.tobytes(), table.failures.tolist(),
                          intercept_variance_curve(curve_cfg, 0.2)))
@@ -427,13 +454,13 @@ def test_a_grid_of_many_level_tuples_keeps_at_most_the_cache_bounds():
     cfg = ScenarioConfig(distortion="medium", n_covariates=10, levels=None, n_grid=(40,),
                          sigma_list=(0.2,), replicates=simkit.STRUCTURE_CACHE_SIZE + 12,
                          master_seed=5)
-    simkit._level_tables.cache_clear()
+    simkit._preset.cache_clear()
+    simkit._structure.cache_clear()
     run_grid(cfg)
-    structures = simkit._level_tables("medium")[1].cache_info()
+    structures = simkit._structure.cache_info()
     assert structures.misses > structures.maxsize == simkit.STRUCTURE_CACHE_SIZE
     assert structures.currsize == simkit.STRUCTURE_CACHE_SIZE
-    layouts = categorical._layout.cache_info()
-    assert layouts.maxsize == categorical.LAYOUT_CACHE_SIZE >= layouts.currsize
+    assert simkit._preset.cache_info().currsize == 3  # one per L_k of the medium presets
 
 
 @pytest.mark.parametrize("curve", [False, True])

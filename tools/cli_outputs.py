@@ -47,7 +47,8 @@ The refusals are commands whose inputs a command should refuse: on a
 four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``),
-a data file whose header and rows are ``;``-separated;
+a data file whose header and rows are ``;``-separated, a header that
+names w1 twice;
 ``fit`` on four-level data with categories -1 and 4 in two columns, with a
 column that holds a 4 and lacks level 2, with 4 rows for 4 parameters, with
 a y of nan and with a w2 that repeats w1, which the fit's rank guard
@@ -247,6 +248,8 @@ def refusals(out: Path) -> dict[str, list[str]]:
     for cell in BIG_CELLS:
         files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
     files["data_semicolons.csv"] = files["data.csv"].replace(",", ";")
+    files["data_repeated_header.csv"] = "y,w1,w1\n" + "\n".join(
+        f"{row},{row.split(',')[1]}" for row in files["data.csv"].split("\n")[1:])
     rows = zip(rng.standard_normal(40), rng.integers(0, 2, 40))
     files["data_binary.csv"] = "y,w1\n" + "\n".join(f"{y:.17g},{w}" for y, w in rows)
     body = [f"{y:.17g}" for y in rng.standard_normal(40)]
@@ -295,6 +298,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_empty_truth": diagnose(truth="empty.csv"),
         **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
         "refused_semicolon_header": fit("data_semicolons.csv"),
+        "refused_repeated_header": fit("data_repeated_header.csv"),
         "refused_two_out_of_range": fit("data_two_out_of_range.csv"),
         "refused_out_of_range_absent": fit("data_out_of_range_absent.csv"),
         "refused_few_rows": fit("data_few_rows.csv"),
