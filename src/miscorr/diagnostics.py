@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .estimators import PrefixFits
 from .misclass import posterior_rows
 
@@ -34,15 +35,21 @@ class VarianceReport:
     var_beta0_c: np.ndarray
 
 
-def _gram_inverse(r_mat: np.ndarray) -> np.ndarray:
-    """(W*^T W*)^-1 = R^-1 R^-T from the R factor a fit kept."""
-    r_inv = np.linalg.solve(r_mat, np.eye(len(r_mat)))
-    return r_inv @ r_inv.T
-
-
-def _plugins(fits: PrefixFits, sigma2) -> np.ndarray:
-    """The plug-in of each [prefix, response column] of ``fits``."""
-    return np.broadcast_to(np.asarray(sigma2, dtype=float), fits.gamma_star.shape[:2])
+def _stacked(fits: PrefixFits, sigma2):
+    """What both variances read of every prefix of ``fits``: the plug-in
+    broadcast to [prefix, response column], refused unless finite and
+    non-negative (0 is a perfect fit's), the cell counts as a row, n, and
+    (W*^T W*)^-1 = R^-1 R^-T in one stacked solve, with the identity for a
+    refused prefix's R, so that one singular R fails none of the rest, and
+    NaN written there."""
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), fits.gamma_star.shape[:2])
+    if (bad := sigma2[~(np.isfinite(sigma2) & (sigma2 >= 0))]).size:
+        raise ValidationError(f"the sigma2 plug-in must be finite and non-negative, got {bad[0]}")
+    eye = np.broadcast_to(np.eye(fits.r.shape[-1]), fits.r.shape)  # numpy < 2 reads 2-D as vectors
+    r_inv = np.linalg.solve(np.where(fits.refused[:, None, None], eye, fits.r), eye)
+    xtx_inv = r_inv @ np.swapaxes(r_inv, -1, -2)
+    xtx_inv[fits.refused] = np.nan
+    return sigma2, fits.counts[:, None], fits.counts.sum(axis=-1), xtx_inv
 
 
 def conditional_bias(fit: PrefixFits, beta_star_true: np.ndarray) -> BiasReport:
@@ -55,6 +62,8 @@ def conditional_bias(fit: PrefixFits, beta_star_true: np.ndarray) -> BiasReport:
     ``fit_prefixes`` returns, whatever its prefix and response column.
     """
     beta_star_true = np.asarray(beta_star_true, dtype=float).ravel()
+    if len(beta_star_true) != (m := fit.design_star.shape[1]):
+        raise ValidationError(f"need a true beta* of {m} parameters, got {len(beta_star_true)}")
     b_star = np.zeros_like(beta_star_true)
     b_star[0] = fit.blocks.pi_ref @ beta_star_true[1:]
     return BiasReport(b_star=b_star, b0=0.0)
@@ -78,18 +87,13 @@ def variance_report(fits: PrefixFits, sigma2) -> VarianceReport:
     centered Gram matrix of the slopes; A^-1 is the slope block of
     (W*^T W*)^-1.
     """
-    sigma2 = _plugins(fits, sigma2)
-    z = fits.blocks.z_star
-    var_gamma, var_beta = np.full((2, *sigma2.shape, len(z), len(z)), np.nan)
-    var_beta0 = np.full(sigma2.shape, np.nan)
-    for k in np.flatnonzero(~fits.refused):
-        xtx_inv = _gram_inverse(fits.r[k])
-        n = fits.counts[k].sum()
-        v_bar = fits.counts[k] @ fits.pi_rows @ fits.blocks.correction / n  # C^T pi_bar
-        s = sigma2[k, :, None, None]
-        var_gamma[k], var_beta[k] = xtx_inv * s, s * (z @ xtx_inv @ z.T)
-        var_beta0[k] = sigma2[k] * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)
-    return VarianceReport(var_gamma_star=var_gamma, var_beta_c_star=var_beta, var_beta0_c=var_beta0)
+    sigma2, counts, n, xtx_inv = _stacked(fits, sigma2)
+    z, s = fits.blocks.z_star, sigma2[..., None, None]
+    v_bar = counts @ fits.pi_rows @ fits.blocks.correction / n[:, None, None]  # C^T pi_bar
+    v_a_v = (v_bar @ xtx_inv[:, 1:, 1:] @ np.swapaxes(v_bar, -1, -2))[:, 0, 0]
+    return VarianceReport(var_gamma_star=xtx_inv[:, None] * s,
+                          var_beta_c_star=s * (z @ xtx_inv @ z.T)[:, None],
+                          var_beta0_c=sigma2 * (1.0 / n + v_a_v)[:, None])
 
 
 def var_beta0_c_uncorrelated(fits: PrefixFits, sigma2) -> np.ndarray:
@@ -106,18 +110,13 @@ def var_beta0_c_uncorrelated(fits: PrefixFits, sigma2) -> np.ndarray:
     sigma2 (1 + v_i A^-1 v_i - 2 (W_i - W_bar) A^-1 v_i); row j of
     fits.design_star stands for fits.counts[k, j] such terms.
     """
-    sigma2 = _plugins(fits, sigma2)
-    w_star = fits.design_star
+    sigma2, counts, n, xtx_inv = _stacked(fits, sigma2)
+    w_star = fits.design_star[:, 1:]
     v_rows = fits.pi_rows @ fits.blocks.correction
-    out = np.full(sigma2.shape, np.nan)
-    for k in np.flatnonzero(~fits.refused):
-        counts = fits.counts[k]
-        n = counts.sum()
-        w_centered = w_star[:, 1:] - counts @ w_star[:, 1:] / n
-        u = v_rows @ _gram_inverse(fits.r[k])[1:, 1:]  # v_i A^-1; A is symmetric
-        per_row = 1.0 + np.einsum("ip,ip->i", u, v_rows - 2.0 * w_centered)
-        out[k] = sigma2[k] * (counts @ per_row) / n**2
-    return out
+    w_centered = w_star - counts @ w_star / n[:, None, None]
+    u = v_rows @ xtx_inv[:, 1:, 1:]  # v_i A^-1; A is symmetric
+    per_row = 1.0 + np.einsum("kip,kip->ki", u, v_rows - 2.0 * w_centered)
+    return sigma2 * (counts @ per_row[..., None])[:, 0] / n[:, None] ** 2
 
 
 def conditional_response_variance(

@@ -51,16 +51,15 @@ def _block_diag(blocks, d: int) -> np.ndarray:
     return out
 
 
-def _covariate(k: int, lk: int, theta, p):
-    """Check covariate k's theta then p, sized to L_k, and build its part of
-    the mechanism: sigma_w and sigma_wx blocks, singular values of sigma_w
-    and of the attenuation, correction block and posterior.  Past the checks
-    it never raises: what a block singular on its own would give is None,
-    for ``mechanism`` to raise once every covariate is checked.  det sigma_w
-    is the product of q, so a zero observed mass makes sigma_w singular,
-    and its singular values are taken as 0, whatever rounding leaves."""
-    theta = check_theta(theta)
-    p = check_marginal(p)
+def _covariate(k: int, lk: int, theta: np.ndarray, p: np.ndarray):
+    """Check that covariate k's theta and p, each already checked, are sized
+    to L_k, and build its part of the mechanism: sigma_w and sigma_wx
+    blocks, singular values of sigma_w and of the attenuation, correction
+    block and posterior.  Past the size check it never raises: what a block
+    singular on its own would give is None, for ``mechanism`` to raise once
+    every covariate is checked.  det sigma_w is the product of q, so a zero
+    observed mass makes sigma_w singular, and its singular values are taken
+    as 0, whatever rounding leaves."""
     if theta.shape[0] != lk or len(p) != lk:
         raise ValidationError(f"covariate {k}: theta/p size does not match L={lk}")
     q = observed_marginal(theta, p)
@@ -86,7 +85,7 @@ def mechanism(spec: CategoricalSpec, thetas: Sequence, ps: Sequence):
     L_k, before ``_assemble`` judges and places the covariates' parts."""
     if len(thetas) != spec.n_covariates or len(ps) != spec.n_covariates:
         raise ValidationError("need one (theta, p) pair per covariate")
-    return _assemble([_covariate(k, lk, theta, p)
+    return _assemble([_covariate(k, lk, check_theta(theta), check_marginal(p))
                       for k, (lk, theta, p) in enumerate(zip(spec.levels, thetas, ps))])
 
 

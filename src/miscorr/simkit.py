@@ -464,7 +464,7 @@ def intercept_variance_curve(config: ScenarioConfig, sigma: float) -> list[Inter
         beta0_hats.append(fits.beta0_c[:, 0])
         beta = TruthSpec.default(spec.n_slopes).beta_star[1:]
         sigma2 = conditional_response_variance(posteriors, cells.categories, beta, sigma)
-        plugins = [[c @ sigma2 / n] for n, c in zip(config.n_grid, fits.counts)]
+        plugins = fits.counts[:, None] @ sigma2 / np.asarray(config.n_grid)[:, None]
         theoreticals.append(var_beta0_c_uncorrelated(fits, plugins)[:, 0])
     return [
         InterceptVariancePoint(n, float(np.mean(th)), float(np.var(b0, ddof=1)))

@@ -5,6 +5,7 @@ from miscorr.categorical import CategoricalSpec, ObservedDataset, encode_dummy
 from miscorr.diagnostics import (
     conditional_bias,
     conditional_response_variance,
+    var_beta0_c_uncorrelated,
     variance_report,
 )
 from miscorr.errors import RankDeficient, ValidationError
@@ -229,6 +230,101 @@ def test_variance_rank_deficient_when_rows_identical():
     report = variance_report(fit, 0.04)
     for field in ("var_gamma_star", "var_beta_c_star", "var_beta0_c"):
         assert np.isnan(getattr(report, field)).all()
+
+
+def _gram_inverse(r_mat):
+    r_inv = np.linalg.solve(r_mat, np.eye(len(r_mat)))
+    return r_inv @ r_inv.T
+
+
+def _per_prefix_variances(fits, sigma2):
+    """variance_report's three arrays and var_beta0_c_uncorrelated, taken
+    prefix by prefix, each through its own Gram inverse: the reference the
+    stacked forms must equal."""
+    sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), fits.gamma_star.shape[:2])
+    z, w_star = fits.blocks.z_star, fits.design_star
+    v_rows = fits.pi_rows @ fits.blocks.correction
+    var_gamma, var_beta = np.full((2, *sigma2.shape, len(z), len(z)), np.nan)
+    var_beta0, uncorrelated = np.full((2, *sigma2.shape), np.nan)
+    for k in np.flatnonzero(~fits.refused):
+        xtx_inv = _gram_inverse(fits.r[k])
+        counts = fits.counts[k]
+        n = counts.sum()
+        v_bar = counts @ fits.pi_rows @ fits.blocks.correction / n
+        s = sigma2[k, :, None, None]
+        var_gamma[k], var_beta[k] = xtx_inv * s, s * (z @ xtx_inv @ z.T)
+        var_beta0[k] = sigma2[k] * (1.0 / n + v_bar @ xtx_inv[1:, 1:] @ v_bar)
+        w_centered = w_star[:, 1:] - counts @ w_star[:, 1:] / n
+        u = v_rows @ xtx_inv[1:, 1:]
+        per_row = 1.0 + np.einsum("ip,ip->i", u, v_rows - 2.0 * w_centered)
+        uncorrelated[k] = sigma2[k] * (counts @ per_row) / n**2
+    return var_gamma, var_beta, var_beta0, uncorrelated
+
+
+def _prefix_stack(ns, rows=60, seed=32):
+    """fit_prefixes over the first n rows of a (3, 2, 2) table for each n in
+    ``ns``, two response columns; its first 9 rows hold a column of zeros,
+    so R is exactly singular there."""
+    rng = np.random.default_rng(seed)
+    levels = (3, 2, 2)
+    spec = CategoricalSpec(levels)
+    w = np.column_stack([rng.integers(0, lk, rows) for lk in levels])
+    w[:9, 0] = 2
+    thetas = [scenario_theta("medium", lk) for lk in levels]
+    ps = [np.full(lk, 1.0 / lk) for lk in levels]
+    pi = posterior_rows([posterior_from(t, p) for t, p in zip(thetas, ps)], w)
+    blocks = mechanism(spec, thetas, ps)[0]
+    [fits] = fit_prefixes(encode_dummy(spec, w).design_star[None],
+                          rng.standard_normal((1, rows, 2)), ns, pi[None], [blocks],
+                          np.arange(rows)[None])
+    return fits
+
+
+def test_the_stacked_variances_equal_the_per_prefix_ones():
+    fits = _prefix_stack((30, 9, 4, 60, 22))
+    assert fits.refused.tolist() == [False, True, True, False, False]
+    plugins = np.array([[0.3, 1.7], [0.5, 0.5], [2.0, 0.1], [0.04, 0.0], [1.0, 9.0]])  # 0 is valid
+    for sigma2 in (0.3, plugins):
+        report = variance_report(fits, sigma2)
+        stacked = (report.var_gamma_star, report.var_beta_c_star, report.var_beta0_c,
+                   var_beta0_c_uncorrelated(fits, sigma2))
+        for got, want in zip(stacked, _per_prefix_variances(fits, sigma2)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            assert np.isnan(got[[1, 2]]).all() and np.isfinite(got[[0, 3, 4]]).all()
+
+
+def test_an_all_refused_stack_has_nan_variances_and_raises_nothing():
+    fits = _prefix_stack((9, 5, 3))  # 5 columns: n <= 5 is too few rows, 9 is singular
+    assert fits.refused.all()
+    with np.errstate(all="raise"):
+        report = variance_report(fits, 0.3)
+        uncorrelated = var_beta0_c_uncorrelated(fits, 0.3)
+    for got in (report.var_gamma_star, report.var_beta_c_star, report.var_beta0_c, uncorrelated):
+        assert np.isnan(got).all()
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_the_variances_refuse_a_negative_or_non_finite_plugin(bad):
+    fits = _prefix_stack((30, 60))
+    plugins = np.array([[0.3, 0.3], [0.3, bad]])
+    for variance in (variance_report, var_beta0_c_uncorrelated):
+        for sigma2 in (bad, plugins):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                variance(fits, sigma2)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_bias_refuses_a_truth_of_the_wrong_length(length):
+    spec = CategoricalSpec((3,))
+    theta = scenario_theta("low", 3)
+    w = np.arange(30)[:, None] % 3
+    blocks = mechanism(spec, [theta], [np.full(3, 1 / 3)])[0]
+    pi = posterior_rows([posterior_from(theta, np.full(3, 1 / 3))], w)
+    fit = _fit_on(encode_dummy(spec, w).design_star, pi, blocks)
+    with pytest.raises(ValidationError, match="need a true beta\\* of 3 parameters, got "
+                                              f"{length}"):
+        conditional_bias(fit, np.ones(length))
 
 
 def test_centered_normal_equations_agree_with_qr_slopes():

@@ -398,6 +398,21 @@ def test_each_covariate_part_of_the_mechanism_is_built_once_per_level_count(monk
     assert len(structures) > 3
 
 
+def test_a_cold_build_of_the_presets_checks_each_theta_and_p_once(monkeypatch):
+    checks = []
+    for module in (moments, simkit):  # each module checks through its own names
+        for name in ("check_theta", "check_marginal"):
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda a, check=check: checks.append(check.__name__) or check(a))
+    simkit._preset.cache_clear()  # an earlier test may have built the presets
+    simkit._structure.cache_clear()
+    for lk in (2, 3, 4):
+        simkit._preset("medium", lk)
+    simkit._preset.cache_clear()  # leave no preset built through the counters
+    assert sorted(checks) == ["check_marginal"] * 3 + ["check_theta"] * 3
+
+
 def test_the_shared_presets_are_read_only_and_each_replicate_gets_their_parts():
     cfg = ScenarioConfig(distortion="low", levels=(3,), n_grid=(50,), replicates=2)
     for lk in (2, 3, 4):

@@ -1,12 +1,16 @@
 """Write the outputs of a fixed set of CLI commands, for a byte-identity check.
 
-    python3 tools/cli_outputs.py OUT
+    python3 tools/cli_outputs.py OUT [--against PARENT_OUT]
 
 runs, in process and on this checkout's ``src/``, every command below on
 seeded inputs and writes each command's files to its own directory under
 OUT.  To show that a change leaves every output byte-identical, run the
 script in a checkout of the parent and in the changed one, then
-``diff -r`` the two OUT directories.
+``diff -r`` the two OUT directories, or give the parent's OUT as
+``--against``: after writing OUT, the script then compares every file
+outside ``inputs/`` (whose files hold OUT's own path) with the parent's,
+prints each file that differs with the largest relative change among its
+numbers, or says that it differs beyond them, and exits 1 if any differs.
 
 The commands: ``fit``, ``fit --estimate-p``, ``fit`` with a ``--config``
 file that sets ``estimate-p`` followed by a plain ``fit`` with the p files
@@ -77,8 +81,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import random
+import re
 import shutil
 import string
 import sys
@@ -339,11 +345,50 @@ def run(out: Path, name: str, cmd: list[str]) -> int:
     return status
 
 
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
+
+
+def relative(ours: str, theirs: str) -> float:
+    """|ours - theirs| / |theirs| of two numbers, inf where theirs is 0 or
+    the change is NaN."""
+    a, b = float(ours), float(theirs)
+    rel = abs(a - b) / abs(b) if b else math.inf
+    return math.inf if math.isnan(rel) else rel
+
+
+def change(ours: str, theirs: str) -> str:
+    """How the text ``ours`` differs from ``theirs``: the largest relative
+    change among its numbers, when nothing else differs."""
+    if NUMBER.split(ours) != NUMBER.split(theirs):
+        return "differs beyond its numbers"
+    largest = max((relative(a, b) for a, b in zip(NUMBER.findall(ours), NUMBER.findall(theirs))
+                   if a != b), default=0.0)
+    return f"largest relative change {largest:.3g}"
+
+
+def compare(out: Path, parent: Path) -> list[str]:
+    """One line per file outside inputs/ that differs between the two OUTs."""
+    def files(root):
+        return {f.relative_to(root) for f in root.rglob("*")
+                if f.is_file() and f.relative_to(root).parts[0] != "inputs"}
+
+    mine, its = files(out), files(parent)
+    lines = [f"{f}: only in {out if f in mine else parent}" for f in sorted(mine ^ its)]
+    for f in sorted(mine & its):
+        ours, theirs = ((root / f).read_bytes().decode(errors="replace") for root in (out, parent))
+        if ours != theirs:
+            lines.append(f"{f}: {change(ours, theirs)}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    if len(args) not in (1, 3) or args[1:2] not in ([], ["--against"]):
         sys.exit(__doc__)
     out = Path(args[0]).absolute()  # its name is masked in stderr as $OUT
+    parent = Path(args[2]).absolute() if len(args) == 3 else None
+    if parent is not None and not parent.is_dir():
+        sys.exit(f"cli_outputs: no such directory: {parent}")
     shutil.rmtree(out, ignore_errors=True)
     failed = [name for name, cmd in commands(out).items() if run(out, name, cmd) != 0]
     for name, cmd in refusals(out).items():
@@ -359,6 +404,9 @@ def main(argv=None) -> int:
     if any((out / "diagnose_bom_inputs" / f.name).read_bytes() != f.read_bytes()
            for f in (out / "diagnose").iterdir()):
         sys.exit("cli_outputs: diagnose_bom_inputs differs from diagnose")
+    if parent is not None and (lines := compare(out, parent)):
+        print("\n".join(lines))
+        return 1
     return 0
 
 
