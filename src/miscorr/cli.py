@@ -1,8 +1,8 @@
 """Command-line surface: fit, simulate, diagnose, scenario-tables.
 
 All tabular IO is CSV, configuration is JSON (``--config`` file plus flag
-overrides), charts are generated SVG.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure or out of memory.
+overrides), charts are generated SVG.  Exit codes: 0 success, 2 a refused
+input, 3 a numerical failure or out of memory (the README's "Error codes").
 """
 
 from __future__ import annotations
@@ -622,9 +622,6 @@ def _cmd_diagnose_bias(args) -> int:
 
 def _cmd_diagnose_variance_sim(args) -> int:
     config = _scenario_config_from(args)
-    # config errors: too few replicates, and (in --sigma's type) a sigma not finite and positive
-    if config.replicates < 2:
-        raise CliError("CONFIG_INVALID", "an empirical variance needs at least 2 replicates")
     sigma = 0.2 if args.sigma is None else args.sigma
     points = intercept_variance_curve(config, sigma)
     out = _out_dir(args)
@@ -701,9 +698,9 @@ def main(argv=None) -> int:
     try:
         args = _cli()[0].parse_args(argv)
         _apply_config(args)
-        # every command: an overflow is a numerical failure (exit 3), not an inf
-        # output; the command is looked up at each call, so a rebinding of it is run
-        with np.errstate(over="raise", invalid="raise"):
+        # every command: an overflow, invalid operation or underflow exits 3 rather than
+        # write inf, NaN or 0; the command is looked up at each call, so a rebinding runs
+        with np.errstate(over="raise", invalid="raise", under="raise"):
             return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)

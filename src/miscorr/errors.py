@@ -1,4 +1,9 @@
-"""Exception hierarchy with stable machine-readable error codes."""
+"""Exception hierarchy with stable machine-readable error codes.
+
+The layer that refuses a value decides its code: the CLI's flag parser and
+input reader give their own (exit 2); the library raises a ValidationError
+for a value that parsed (exit 2) and a NumericalError for a computation it
+cannot carry out (exit 3).  The README's "Error codes" table lists them all."""
 
 
 class MiscorrError(Exception):
@@ -46,10 +51,6 @@ class UndefinedScenario(ValidationError):
         self.level = level
         self.n_levels = n_levels
         super().__init__(f"no {level!r} distortion preset for L={n_levels}")
-
-
-class IllConditionedTheta(NumericalError):
-    code = "ILL_CONDITIONED_THETA"
 
 
 class NonIdentifiable(NumericalError):

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    IllConditionedTheta,
+    NonIdentifiable,
     Renormalized,
     UndefinedScenario,
     ValidationError,
@@ -152,7 +152,7 @@ def estimate_marginal(theta, observed_freq) -> tuple[np.ndarray, float]:
         raise ValidationError("theta and observed_freq dimensions differ")
     at = theta.T
     if _rcond_below(np.linalg.svd(at, compute_uv=False)):
-        raise IllConditionedTheta("theta is numerically singular")
+        raise NonIdentifiable("theta is numerically singular")
     p_raw = np.linalg.lstsq(at, q_hat, rcond=None)[0]
     p = project_simplex(p_raw)
     residual = float(np.linalg.norm(at @ p - q_hat))

@@ -1520,7 +1520,7 @@ def test_diagnose_variance_sim_with_one_replicate_exits_2(tmp_path):
     assert rc == 2
     assert caught == []
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CONFIG_INVALID"
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "VALIDATION"
     assert not (tmp_path / "vs" / "intercept_variance.csv").exists()
 
 
@@ -1620,6 +1620,56 @@ def test_a_squared_sigma_that_overflows_is_a_numerical_failure(tmp_path, capsys)
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "NUMERICAL",
                                         "message": "overflow encountered in scalar power"}
+
+
+def test_a_tiny_y_is_a_numerical_failure_not_a_variance_of_0(tmp_path, capsys):
+    # |y| near 1e-169: the squared residuals underflow, and sigma2_w would be 0
+    rng = np.random.default_rng(3)
+    w = rng.integers(0, 2, (200, 1))
+    y = (0.5 + 0.7 * w[:, 0] + 0.3 * rng.standard_normal(200)) * 2.0**-560
+    data, theta, p = (tmp_path / f"{name}.csv" for name in ("data", "theta", "p"))
+    _write_dataset(data, y, w)
+    _write_theta(theta, LOW2)
+    p.write_text("0.5,0.5\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data), "--theta", str(theta), "--p", str(p),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [json.dumps(
+        {"error": "NUMERICAL", "message": "underflow encountered in square"})]
+    assert not out.exists()
+
+
+def test_a_plugin_sigma_whose_square_underflows_is_a_numerical_failure(tmp_path, capsys):
+    # 1e-200 squared is below the smallest subnormal: variance.csv would hold 0
+    out = tmp_path / "out"
+    assert main(_fixture_argv(tmp_path, "diagnose")
+                + ["--plugin-sigma", "1e-200", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [json.dumps(
+        {"error": "NUMERICAL", "message": "underflow encountered in scalar power"})]
+    assert not out.exists()
+
+
+def test_a_singular_theta_has_one_code_with_p_files_and_with_estimate_p(tmp_path, capsys):
+    data, _, p_path = _make_binary_fixture(tmp_path, LOW2, n=100)
+    _write_theta(tmp_path / "half.csv", np.full((2, 2), 0.5))
+    inputs = ["fit", "--data", str(data), "--theta", str(tmp_path / "half.csv")]
+    for marginal in (["--p", str(p_path)], ["--estimate-p"]):
+        assert main(inputs + marginal + ["--out", str(tmp_path / "out")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "NON_IDENTIFIABLE"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    ("fit --config {tmp}/absent.json", "CONFIG_MISSING"),
+    ("simulate --n-grid 40 --replicates 2", "SCENARIO_MISSING"),
+])
+def test_a_required_input_that_is_absent_is_refused_with_its_code(tmp_path, capsys, command, code):
+    out = tmp_path / "out"
+    assert main(command.format(tmp=tmp_path).split() + ["--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("truth", ["nan,0.7", "0.5,inf"])
@@ -1808,7 +1858,7 @@ def test_rejected_diagnose_leaves_no_output_directory(tmp_path, capsys):
         "diagnose", "--variance-sim", "--scenario", "low", "--levels", "2",
         "--n-grid", "50", "--replicates", "1", "--out", str(out),
     ]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "CONFIG_INVALID"
+    assert json.loads(capsys.readouterr().err)["error"] == "VALIDATION"
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from miscorr.categorical import (
 from miscorr.diagnostics import conditional_bias, var_beta0_c_uncorrelated, variance_report
 from miscorr.errors import NonIdentifiable, RankDeficient, ValidationError
 from miscorr.estimators import fit_cells, fit_corrected, fit_prefixes, ols_fit
-from miscorr.misclass import posterior_from, posterior_rows, scenario_theta
+from miscorr.misclass import estimate_marginal, posterior_from, posterior_rows, scenario_theta
 from miscorr.moments import mechanism
 from miscorr.simkit import (
     ScenarioConfig, TruthSpec, intercept_variance_curve, replicate_designs, simulate_w,
@@ -475,6 +475,17 @@ def test_a_singular_mechanism_is_reported_ahead_of_a_collinear_design():
     with pytest.raises(RankDeficient, match=r"^design column 2 is collinear \(covariate 1, "
                                             r"level 0\)$"):
         fit_corrected(spec, ds, [LOW2, LOW2], [U2, U2])
+
+
+def test_a_singular_theta_is_non_identifiable_whether_p_is_given_or_estimated():
+    # the correction exists only for an invertible theta: one condition, one error
+    spec = CategoricalSpec((2,))
+    half = np.full((2, 2), 0.5)
+    with pytest.raises(NonIdentifiable, match="^theta is numerically singular$"):
+        estimate_marginal(half, U2)
+    cells = encode_cells(spec, np.tile([0, 1], 20)[:, None])
+    with pytest.raises(NonIdentifiable, match="^observed categories carry no information"):
+        fit_cells(spec, cells, np.arange(40.0), [half], [U2])
 
 
 @pytest.mark.parametrize("collinear", ["level_absent", "covariates_equal", "few_rows"])

@@ -64,8 +64,13 @@ theta that never observes a level, under a p for which sigma_w rounds to
 large to key its y stream, from ``simulate --sigmas 1e303`` and from
 ``diagnose --variance-sim --sigma 1e308``; a sigma whose square overflows,
 from ``diagnose --plugin-sigma 1e200`` and from ``diagnose --variance-sim
---sigma 1e200``; an unknown scenario from a flag and from a config file;
-and a variance curve whose first prefix is rank deficient.  They are
+--sigma 1e200``; an unknown scenario from a flag and from a config file,
+and ``simulate`` without one; ``fit --config`` on a file that does not
+exist; a variance curve whose first prefix is rank deficient, and
+``diagnose --variance-sim --replicates 1``; ``fit`` with a singular theta
+(0.5 everywhere), once with a p file and once with ``--estimate-p``;
+``fit`` on the four-level data with y scaled by 2**-560, whose squared
+residuals underflow; and ``diagnose --plugin-sigma 1e-200``.  They are
 recorded, not required to fail, so that ``diff -r`` shows every changed
 error.
 
@@ -246,6 +251,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "p_3.csv": "0.2,0.3,0.5", "p_zero.csv": "0,0.5,0.1,0.4", "truth.csv": "0.5,0.7,0.9,1.1",
         "truth_2x2.csv": "0.5,0.7\n0.9,1.1", "truth_3.csv": "0.5,0.7,0.9",
         "empty.csv": None, "scenario.json": '{"scenario": "extreme"}',
+        "theta_half.csv": "0.5,0.5\n0.5,0.5", "p_half.csv": "0.5,0.5",
     }
     for level, name in ((4, "data.csv"), (3, "data_absent_level.csv")):
         rows = zip(rng.standard_normal(40), rng.integers(0, level, 40))
@@ -254,6 +260,9 @@ def refusals(out: Path) -> dict[str, list[str]]:
     for cell in BIG_CELLS:
         files[f"data_{cell}.csv"] = "\n".join([header, f"{first.split(',')[0]},{cell}", rest])
     files["data_semicolons.csv"] = files["data.csv"].replace(",", ";")
+    scaled = (f"{float(y) * 2.0**-560:.17g},{w}" for y, w in
+              (row.split(",") for row in files["data.csv"].split("\n")[1:]))
+    files["data_tiny_y.csv"] = "\n".join([header, *scaled])  # the squared residuals underflow
     files["data_repeated_header.csv"] = "y,w1,w1\n" + "\n".join(
         f"{row},{row.split(',')[1]}" for row in files["data.csv"].split("\n")[1:])
     rows = zip(rng.standard_normal(40), rng.integers(0, 2, 40))
@@ -328,6 +337,17 @@ def refusals(out: Path) -> dict[str, list[str]]:
         "refused_plugin_sigma_square": [*diagnose(), "--plugin-sigma", "1e200"],
         "refused_scenario_flag": ["simulate", "--scenario", "extreme"],
         "refused_scenario_config": ["simulate", "--config", str(inputs / "scenario.json")],
+        "refused_scenario_missing": ["simulate", "--n-grid", "40", "--replicates", "2"],
+        "refused_config_missing": ["fit", "--config", str(inputs / "absent.json")],
+        "refused_singular_theta_p": ["fit", "--data", str(inputs / "data_binary.csv"),
+                                     "--theta", str(inputs / "theta_half.csv"),
+                                     "--p", str(inputs / "p_half.csv")],
+        "refused_singular_theta_estimate_p": ["fit", "--data", str(inputs / "data_binary.csv"),
+                                              "--theta", str(inputs / "theta_half.csv"),
+                                              "--estimate-p"],
+        "refused_variance_sim_one_replicate": [*variance_sim[:-2], "--replicates", "1"],
+        "refused_tiny_y": fit("data_tiny_y.csv"),
+        "refused_plugin_sigma_underflow": [*diagnose(), "--plugin-sigma", "1e-200"],
         "refused_variance_sim_rank": ["diagnose", "--variance-sim", "--scenario", "low",
                                       "--levels", "3", "--n-grid", "2,50", "--replicates", "3"],
     }
