@@ -85,7 +85,6 @@ class DesignBundle:
 
     design: np.ndarray
     design_star: np.ndarray
-    column_map: dict = field(compare=False)
 
 
 def _columns(spec: CategoricalSpec, categories) -> list[np.ndarray]:
@@ -136,8 +135,7 @@ def encode_dummy(spec: CategoricalSpec, categories: np.ndarray) -> DesignBundle:
     """
     cats = np.column_stack(_in_range(spec, np.asarray(categories)))
     design_star = _indicators(spec, cats, intercept=1)
-    return DesignBundle(design=np.ascontiguousarray(design_star[:, 1:]), design_star=design_star,
-                        column_map=dict(zip(spec.layout[2], range(spec.n_slopes))))
+    return DesignBundle(design=np.ascontiguousarray(design_star[:, 1:]), design_star=design_star)
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,6 @@ class Cells:
     counts: np.ndarray
     inverse: np.ndarray
     design_star: np.ndarray
-    column_map: dict = field(compare=False)
 
 
 def encode_cells(spec: CategoricalSpec, categories) -> Cells:
@@ -187,8 +184,7 @@ def encode_cells(spec: CategoricalSpec, categories) -> Cells:
         cell_ids, rows[:, j] = np.divmod(cell_ids, spec.levels[j])
         if j in renumbered:  # back to the ids the renumbering numbered
             cell_ids = renumbered[j][cell_ids]
-    return Cells(rows, counts, inverse, _indicators(spec, rows, intercept=1),
-                 dict(zip(spec.layout[2], range(spec.n_slopes))))
+    return Cells(rows, counts, inverse, _indicators(spec, rows, intercept=1))
 
 
 @dataclass(frozen=True)

@@ -200,9 +200,7 @@ def _loadtxt(path: str, code: str, lines=None, names=(), ndmin=2, **kwargs) -> n
     error is DATA_INVALID naming the data row and a read error is ``code``.
     numpy reads a path in blocks, through np.lib._datasource, which would
     fetch a name that parses as a URL (an absolute path never does) and
-    decompresses by suffix (those names are refused)."""
-    if lines is None:
-        _refuse_compressed(path)
+    decompresses by suffix (``_read_dataset`` refuses those names)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input; callers check
@@ -368,6 +366,7 @@ def _read_dataset(path: str, labels: dict) -> tuple[np.ndarray, list[np.ndarray]
     re-read at full width, as UTF-8, and matched with spaces stripped."""
     nul = space = False  # a field drops trailing NULs; latin-1 spaces 0x85, 0xA0
     with _open(path, "DATA_MISSING", "rb") as fh:
+        _refuse_compressed(path)
         for block in iter(lambda: fh.read(1 << 20), b""):
             nul, space = nul or b"\0" in block, space or b"\x85" in block or b"\xa0" in block
     with _open(path, "DATA_MISSING") as fh:

@@ -18,14 +18,12 @@ from .moments import MomentBlocks, mechanism
 RANK_TOL = 1e-10
 
 
-def _refused(r_mat: np.ndarray, n) -> np.ndarray:
-    """The rank guard, over one R factor or a stack of them: True where the
-    fit has no more rows than columns, or where an |R| diagonal entry falls
-    below RANK_TOL times the largest one (taken as at least 1)."""
+def _collinear(r_mat: np.ndarray) -> np.ndarray:
+    """The rank guard's one test, over one R factor or a stack of them: True
+    at each column whose |R| diagonal entry falls below RANK_TOL times the
+    largest one (taken as at least 1)."""
     diag = np.abs(np.diagonal(r_mat, axis1=-2, axis2=-1))
-    largest = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
-    collinear = diag.min(axis=-1, initial=np.inf) < RANK_TOL * largest
-    return (np.asarray(n) <= r_mat.shape[-1]) | collinear
+    return diag < RANK_TOL * np.maximum(diag.max(axis=-1, initial=0.0), 1.0)[..., None]
 
 
 def _solve_cells(design_star, counts, sums, n):
@@ -33,14 +31,15 @@ def _solve_cells(design_star, counts, sums, n):
     of sqrt(c) U, whose R has R^T R = W*^T W*, and gamma = R^-1 Q^T (sums /
     sqrt(c)), 0 for an empty cell.  Zero rows pad sqrt(c) U to the column
     count, so R is square.  Returns R, gamma [..., response column,
-    parameter] (NaN where refused) and the refused mask."""
+    parameter] (NaN where refused) and the refused mask: a fit of no more
+    rows than columns, or with a column that ``_collinear`` flags."""
     root = np.sqrt(counts)[..., None]
     rhs = np.divide(sums, root, out=np.zeros(sums.shape), where=root > 0)
     rows = root * design_star
     if (short := design_star.shape[-1] - rows.shape[-2]) > 0:
         rows = np.concatenate([rows, np.zeros((*rows.shape[:-2], short, rows.shape[-1]))], -2)
     q_mat, r_mat = np.linalg.qr(rows)
-    refused = _refused(r_mat, n)
+    refused = (np.asarray(n) <= r_mat.shape[-1]) | _collinear(r_mat).any(axis=-1)
     # one singular R would fail the whole stacked solve
     solvable = np.where(refused[..., None, None], np.eye(r_mat.shape[-1]), r_mat)
     q_t = np.swapaxes(q_mat[..., : rhs.shape[-2], :], -1, -2)
@@ -49,30 +48,30 @@ def _solve_cells(design_star, counts, sums, n):
     return r_mat, gamma, refused
 
 
-def _raise_refused(refused, n: int, m: int, r_mat=None, column_map: dict | None = None) -> None:
-    """Raise the RankDeficient of a single fit of n rows and m columns that
-    the rank guard refused: too few rows, else the column whose |R| diagonal
-    entry is smallest, named by ``column_map`` where it is given."""
-    if not refused:
-        return
+def _raise_refused(n: int, m: int, r_mat=None, spec: CategoricalSpec | None = None) -> None:
+    """Raise the RankDeficient of a single fit of n rows and m columns where
+    the rank guard refuses it: too few rows, else the first column that
+    ``_collinear`` flags in ``r_mat``, named by its covariate and level where
+    ``spec`` gives the layout (column 0, the intercept, has |R| = sqrt(n))."""
     if n <= m:
         raise RankDeficient(f"need more than {m} rows, got {n}")
-    col = int(np.argmin(np.abs(np.diag(r_mat))))
-    where = [f" (covariate {k}, level {lv})"  # column 0 is the intercept
-             for (k, lv), i in (column_map or {}).items() if i + 1 == col]
-    raise RankDeficient(f"design column {col} is collinear{''.join(where)}")
+    if r_mat is not None and (flagged := _collinear(r_mat)).any():
+        col = int(np.argmax(flagged))
+        where = "" if spec is None else " (covariate %d, level %d)" % spec.layout[2][col - 1]
+        raise RankDeficient(f"design column {col} is collinear{where}")
 
 
-def ols_fit(design_star: np.ndarray, y: np.ndarray, column_map: dict | None = None) -> np.ndarray:
+def ols_fit(design_star: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on the rows of ``design_star``, one
     observation per row, from ``_solve_cells``, the solver of every fit;
-    raises RankDeficient where the rank guard refuses, as a single fit does."""
+    raises RankDeficient where the rank guard refuses, as a single fit does,
+    naming a collinear column by its number alone."""
     design_star = np.asarray(design_star, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if len(y) != len(design_star):
         raise ValueError(f"need one response per design row, got {len(y)} for {len(design_star)}")
-    r_mat, gamma, refused = _solve_cells(design_star, np.ones(len(y)), y[:, None], len(y))
-    _raise_refused(refused, len(y), design_star.shape[1], r_mat, column_map)
+    r_mat, gamma, _ = _solve_cells(design_star, np.ones(len(y)), y[:, None], len(y))
+    _raise_refused(len(y), design_star.shape[1], r_mat)
     return gamma[0]
 
 
@@ -207,13 +206,13 @@ def fit_cells(spec: CategoricalSpec, cells: Cells, y: np.ndarray, thetas: Sequen
     one pass over the residuals y - (U gamma)[cell of each row]."""
     y = np.asarray(y, dtype=float)
     n, m = len(y), cells.design_star.shape[1]
-    _raise_refused(n <= m, n, m)  # before the mechanism, and before a fit of no rows divides by n
+    _raise_refused(n, m)  # before the mechanism, and before a fit of no rows divides by n
     blocks, posteriors = mechanism(spec, thetas, ps)
     pi = posterior_rows(posteriors, cells.categories)
     sums = np.bincount(cells.inverse, y, len(cells.counts))
     [fit] = _fit_sums(cells.design_star[None], cells.counts[None, None],
                       sums[None, None, :, None], np.array([n]), pi[None], [blocks])
-    _raise_refused(fit.refused[0], n, m, fit.r[0], cells.column_map)
+    _raise_refused(n, m, fit.r[0], spec)
     resid = (fit.design_star @ fit.gamma_star[0, 0]).take(cells.inverse)
     np.square(np.subtract(y, resid, out=resid), out=resid)
     rss = np.bincount(cells.inverse, resid, len(fit.design_star))

@@ -52,24 +52,15 @@ def test_covariate_major_concatenation():
     assert bundle.design_star.tolist() == [[1, 0, 1, 0]]
 
 
-def test_column_map_layout():
-    bundle = encode_dummy(CategoricalSpec((2, 3)), np.array([[0, 0]]))
-    assert bundle.column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
-
-
-def test_each_encoding_has_a_column_map_of_its_own_that_pickles_and_copies():
+def test_each_encoding_pickles_and_copies():
     spec, w = CategoricalSpec((2, 3)), np.array([[0, 2], [1, 0], [0, 2]])
     for encode in (encode_dummy, encode_cells):
         encoded = encode(spec, w)
-        assert type(encoded.column_map) is dict
-        encoded.column_map[(9, 9)] = 9  # the layout cache behind it is not written
-        assert encode(spec, w).column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2}
         for clone in (pickle.loads(pickle.dumps(encoded)), copy.deepcopy(encoded)):
-            assert clone.column_map == encoded.column_map
             np.testing.assert_array_equal(clone.design_star, encoded.design_star, strict=True)
 
 
-def test_a_specs_layout_is_built_once_read_only_and_each_cells_has_a_column_map_of_its_own():
+def test_a_specs_layout_is_built_once_and_read_only():
     spec, w = CategoricalSpec((2, 3)), np.array([[0, 2], [1, 0], [0, 2]])
     layout = cov, lev, pairs = spec.layout
     assert spec.layout is layout and pairs == ((0, 0), (1, 0), (1, 1))
@@ -81,10 +72,8 @@ def test_a_specs_layout_is_built_once_read_only_and_each_cells_has_a_column_map_
         spec.layout = None
     with pytest.raises(dataclasses.FrozenInstanceError):
         del spec.layout
-    first, second = encode_cells(spec, w), encode_cells(spec, w)
-    assert first.column_map is not second.column_map
-    first.column_map[(9, 9)] = 9
-    assert second.column_map == {(0, 0): 0, (1, 0): 1, (1, 1): 2} and spec.layout is layout
+    encode_cells(spec, w)
+    assert spec.layout is layout
     for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):  # with its layout
         assert clone == spec and clone.layout[2] == pairs
 
@@ -93,16 +82,17 @@ def test_a_specs_layout_is_built_once_read_only_and_each_cells_has_a_column_map_
 def test_encode_dummy_is_the_per_level_loop_in_c_order(order):
     levels = (2, 4, 3)
     cats = np.asarray(np.random.default_rng(9).integers(0, levels, (50, 3)), order=order)
-    columns, column_map = [], {}
+    columns, pairs = [], []
     for j, lk in enumerate(levels):
         for level in range(lk - 1):
-            column_map[(j, level)] = len(columns)
+            pairs.append((j, level))
             columns.append((cats[:, j] == level).astype(float))
-    bundle = encode_dummy(CategoricalSpec(levels), cats)
+    spec = CategoricalSpec(levels)
+    bundle = encode_dummy(spec, cats)
     np.testing.assert_array_equal(bundle.design, np.column_stack(columns))
     np.testing.assert_array_equal(bundle.design_star[:, 1:], bundle.design)
     assert bundle.design_star[:, 0].tolist() == [1.0] * 50
-    assert bundle.column_map == column_map
+    assert spec.layout[2] == tuple(pairs)
     assert bundle.design.flags.c_contiguous
 
 
@@ -197,7 +187,6 @@ def test_encode_cells_groups_equal_rows_into_one_cell(levels, rows):
     np.testing.assert_array_equal(cells.counts, np.bincount(cells.inverse))
     bundle = encode_dummy(spec, cells.categories)
     np.testing.assert_array_equal(cells.design_star, bundle.design_star)
-    assert cells.column_map == bundle.column_map
 
 
 def test_encode_cells_reports_the_row_of_an_out_of_range_category():
@@ -233,6 +222,19 @@ def test_observed_dataset_refuses_a_y_that_is_not_finite(bad):
         ObservedDataset(y=y, w=np.zeros((5, 1), dtype=int))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ObservedDataset(y=np.zeros(3), w=np.zeros(4, dtype=int)), "y and w row counts differ"),
+    (lambda: encode_cells(CategoricalSpec((2, 3)), np.zeros((4, 1), dtype=int)),
+     "expected 2 covariates, got 1"),
+    (lambda: encode_cells(CategoricalSpec((2, 3)), [np.zeros(3, dtype=int),
+                                                    np.zeros(4, dtype=int)]),
+     "the category columns differ in length"),
+], ids=["rows_differ", "covariates_missing", "columns_differ"])
+def test_categories_of_the_wrong_shape_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # The row-by-row encoder and validator that encode_cells and validate_dataset
 # replaced, kept as the reference they must equal bit for bit.
 def _reference_category_table(spec, categories):
@@ -264,7 +266,7 @@ def _reference_encode_cells(spec, categories):
     last[inverse] = np.arange(len(cats))
     rows = cats[last]
     bundle = encode_dummy(spec, rows)
-    return Cells(rows, counts, inverse, bundle.design_star, bundle.column_map)
+    return Cells(rows, counts, inverse, bundle.design_star)
 
 
 def _reference_validate_dataset(spec, ds, names=None, labels=None):
@@ -351,7 +353,6 @@ def test_cells_and_validation_equal_the_row_by_row_reference_bit_for_bit():
             for cells in (encode_cells(spec, categories), got.cells):
                 for name in ("categories", "counts", "inverse", "design_star"):
                     _assert_same_bits(getattr(cells, name), getattr(expected, name))
-                assert cells.column_map == expected.column_map
         got = validate_dataset(spec, ObservedDataset(y=np.zeros(n), w=w), names, labels)
         assert (got.errors, got.level_counts) == (report.errors, report.level_counts)
         seen["out_of_range"] += isinstance(expected, OutOfRangeCategory)
@@ -393,4 +394,3 @@ def test_encode_cells_of_a_table_equals_the_row_by_row_reference(levels, rows, n
     cells = encode_cells(spec, w)
     for name in ("categories", "counts", "inverse", "design_star"):
         _assert_same_bits(getattr(cells, name), getattr(expected, name))
-    assert cells.column_map == expected.column_map

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import json
 import os
@@ -972,6 +973,22 @@ def test_a_compressed_file_name_is_data_invalid(tmp_path, capsys, name, suffix):
                    "message": f"{plain_text}: compressed data files are not read"}
 
 
+@pytest.mark.parametrize("written", [True, False], ids=["gzip_bytes", "missing"])
+def test_a_gzipped_data_file_is_refused_by_its_name_and_a_missing_one_is_missing(
+    tmp_path, capsys, written
+):
+    # refused before its header is decoded, which would fail on the gzip magic byte 0x8b
+    data, theta_path, p_path = _make_binary_fixture(tmp_path, LOW2, n=60)
+    gzipped = data.with_name("data.csv.gz")
+    if written:
+        gzipped.write_bytes(gzip.compress(data.read_bytes()))
+    err = _fit_error(capsys, gzipped, theta_path, p_path, tmp_path / "out")
+    assert err == ({"error": "DATA_INVALID",
+                    "message": f"{gzipped}: compressed data files are not read"} if written else
+                   {"error": "DATA_MISSING",
+                    "message": f"cannot read {gzipped}: No such file or directory"})
+
+
 @pytest.mark.parametrize("name, code", [("data", "DATA_MISSING")])
 def test_a_file_removed_before_its_parse_is_missing_not_an_output_error(
     tmp_path, capsys, monkeypatch, name, code
@@ -1331,6 +1348,18 @@ def test_each_eqp_chart_draws_exactly_the_finite_cells_of_its_sigma(tmp_path):
                                  y_label="EQP")
         assert [len(points.split()) for points in re.findall(r'<polyline points="([^"]*)"', svg)
                 ] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("series", [{}, {"none": []}, {"flat": [(50, 0.0), (100, 0.0)]}],
+                         ids=["no_series", "no_points", "flat_at_zero"])
+def test_a_chart_of_no_points_is_refused_and_a_flat_one_spans_zero_to_one(series):
+    if not any(series.values()):
+        with pytest.raises(ValueError, match="^no data to chart$"):
+            line_chart(series, "EQP", "EQP")
+        return
+    svg = line_chart(series, "EQP", "EQP")
+    assert ">0</text>" in svg and ">1</text>" in svg  # the y axis of a flat series is 0..1
+    assert 'points="70.00,370.00 490.00,370.00"' in svg  # drawn on the x axis
 
 
 def test_simulate_grid_below_the_column_count_reports_failures(tmp_path):

@@ -179,6 +179,18 @@ def test_posterior_rows_two_identity_covariates():
     assert rows.tolist() == [[0.0, 1.0]]
 
 
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: posterior_from(scenario_theta("low", 3), UNIFORM2), "theta and p dimensions differ"),
+    (lambda: estimate_marginal(scenario_theta("low", 3), UNIFORM2),
+     "theta and observed_freq dimensions differ"),
+    (lambda: posterior_rows([posterior_from(LOW2, UNIFORM2)], np.zeros((4, 2), dtype=int)),
+     "w column count does not match posterior count"),
+], ids=["posterior", "estimate_marginal", "posterior_rows"])
+def test_sizes_that_do_not_match_are_refused(refuse, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        refuse()
+
+
 @pytest.mark.parametrize("bad", [{0: -1}, {0: 3}, {1: -1}, {1: 2}, {0: 3, 1: -1}, {0: -2, 1: 5}])
 def test_posterior_rows_refuse_a_w_out_of_range_naming_the_first_covariate(bad):
     posts = [posterior_from(np.eye(3), np.ones(3) / 3), posterior_from(LOW2, UNIFORM2)]

@@ -224,6 +224,15 @@ def test_the_block_decision_is_the_decision_on_the_assembled_matrices(draw):
         np.testing.assert_array_equal(blocks.sigma_wx, full_wx)
 
 
+@pytest.mark.parametrize("levels, thetas, ps, message", [
+    ((3,), [LOW2], [U2], "covariate 0: theta/p size does not match L=3"),
+    ((2,), [LOW2], [U2, U2], r"need one \(theta, p\) pair per covariate"),
+], ids=["size", "count"])
+def test_a_mechanism_refuses_thetas_and_ps_that_do_not_fit_the_spec(levels, thetas, ps, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        mechanism(CategoricalSpec(levels), thetas, ps)
+
+
 def test_every_theta_and_p_is_checked_before_a_singular_block_is_refused():
     # covariate 0's sigma_w is 0; covariate 1's theta has a negative entry
     singular = np.array([[1.0, 0.0], [1.0, 0.0]])

@@ -54,3 +54,11 @@ def test_the_readme_error_table_lists_each_code_once_and_a_test_names_each_cli_c
     named = set().union(*(_string_constants(path) for path in (ROOT / "tests").glob("test_*.py")
                           if path.name != Path(__file__).name))
     assert set(table) - library_only - named == set()
+
+
+def test_every_python_block_of_the_readme_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -673,6 +673,37 @@ def test_duplicate_n_values_are_dropped():
     assert len(table.to_csv().splitlines()) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(distortion="extreme"), "unknown distortion 'extreme'"),
+    (dict(distortion="low", n_covariates=0), "need at least one covariate"),
+    (dict(distortion="low", replicates=0), "need at least one replicate"),
+    (dict(distortion="low", n_covariates=3, levels=(2, 3)),
+     "levels length does not match covariate count"),
+], ids=["distortion", "covariates", "replicates", "levels"])
+def test_a_config_that_cannot_run_is_refused(settings, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ScenarioConfig(**settings)
+
+
+def test_one_level_count_is_taken_by_every_covariate():
+    assert ScenarioConfig(distortion="medium", n_covariates=3, levels=(4,)).levels == (4, 4, 4)
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: simulate_w(np.zeros((5, 2), dtype=int), [LOW2], np.random.default_rng(0)),
+     ValueError, "x needs one theta per column, with a row for each of its levels"),
+    (lambda: eqp(np.ones(3), TruthSpec.default(1)), ValidationError,
+     "estimate length does not match truth length"),
+    *((lambda sigma=sigma: intercept_variance_curve(
+        ScenarioConfig(distortion="low", levels=(2,), n_grid=(40,), replicates=2), sigma),
+       ValidationError, f"sigma must be finite and positive, got {sigma}")
+      for sigma in (0.0, float("nan"))),
+], ids=["simulate_w", "eqp", "curve_sigma_zero", "curve_sigma_nan"])
+def test_inputs_the_simulation_cannot_use_are_refused(refuse, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        refuse()
+
+
 @pytest.mark.parametrize("n_grid", [(-5, 100), (0, 100)])
 def test_sample_sizes_below_one_are_rejected(n_grid):
     with pytest.raises(ValidationError):

@@ -52,7 +52,8 @@ four-level dataset, a level that never occurs, a p or truth file of the
 wrong shape, an empty theta, p or truth file and a category cell too large
 for any level (``9007199254740993``, ``1e300``, ``99999999999999999999``),
 a data file whose header and rows are ``;``-separated, a header that
-names w1 twice;
+names w1 twice, and the data file gzipped as ``data.csv.gz``, which is
+refused by its name before a byte of it is decoded;
 ``fit`` on four-level data with categories -1 and 4 in two columns, with a
 column that holds a 4 and lacks level 2, with 4 rows for 4 parameters, with
 a y of nan and with a w2 that repeats w1, which the fit's rank guard
@@ -84,6 +85,7 @@ with those of a run under the default one.
 
 from __future__ import annotations
 
+import gzip
 import io
 import json
 import math
@@ -291,6 +293,8 @@ def refusals(out: Path) -> dict[str, list[str]]:
     files["theta_high.csv"] = "\n".join(",".join(f"{v:.17g}" for v in row) for row in high)
     for name, body in files.items():
         (inputs / name).write_text("" if body is None else body + "\n")
+    gzipped = gzip.compress((inputs / "data.csv").read_bytes(), mtime=0)
+    (inputs / "data.csv.gz").write_bytes(gzipped)
 
     def diagnose(data="data.csv", theta="theta.csv", p="p.csv", truth="truth.csv"):
         return ["diagnose", "--data", str(inputs / data), "--theta", str(inputs / theta),
@@ -314,6 +318,7 @@ def refusals(out: Path) -> dict[str, list[str]]:
         **{f"refused_cell_{cell}": diagnose(data=f"data_{cell}.csv") for cell in BIG_CELLS},
         "refused_semicolon_header": fit("data_semicolons.csv"),
         "refused_repeated_header": fit("data_repeated_header.csv"),
+        "refused_gzip_data": fit("data.csv.gz"),
         "refused_two_out_of_range": fit("data_two_out_of_range.csv"),
         "refused_out_of_range_absent": fit("data_out_of_range_absent.csv"),
         "refused_few_rows": fit("data_few_rows.csv"),
